@@ -29,6 +29,9 @@ struct AccelConfig {
   // hide (max(0, rows − previous stream cycles); the first compute pays it
   // in full). false models single-bank hardware: every compute pays `rows`.
   bool double_buffered_weights = true;
+  // Modelled DRAM capacity: bounds every access and allocation. The image
+  // is lazily backed (accel/host_memory.h), so capacity costs no memory
+  // until bytes are written.
   std::int64_t dram_bytes = 64ll << 20;
 
   void Validate() const;

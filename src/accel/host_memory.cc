@@ -1,13 +1,32 @@
 #include "accel/host_memory.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/check.h"
 
 namespace saffire {
 
-HostMemory::HostMemory(std::int64_t size_bytes) {
+namespace {
+
+std::uint32_t DecodeLe32(const std::uint8_t* bytes) {
+  return std::uint32_t{bytes[0]} | std::uint32_t{bytes[1]} << 8 |
+         std::uint32_t{bytes[2]} << 16 | std::uint32_t{bytes[3]} << 24;
+}
+
+void EncodeLe32(std::int32_t value, std::uint8_t* bytes) {
+  auto v = static_cast<std::uint32_t>(value);
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v & 0xFF);
+    v >>= 8;
+  }
+}
+
+}  // namespace
+
+HostMemory::HostMemory(std::int64_t size_bytes) : size_(size_bytes) {
   SAFFIRE_CHECK_MSG(size_bytes > 0 && size_bytes <= (std::int64_t{1} << 32),
                     "size_bytes=" << size_bytes);
-  bytes_.assign(static_cast<std::size_t>(size_bytes), 0);
 }
 
 void HostMemory::CheckRange(std::int64_t addr, std::int64_t bytes) const {
@@ -16,44 +35,58 @@ void HostMemory::CheckRange(std::int64_t addr, std::int64_t bytes) const {
                                << ") out of DRAM size " << size());
 }
 
+void HostMemory::CheckAligned(std::int64_t addr, const char* access) const {
+  SAFFIRE_CHECK_MSG(addr % 4 == 0,
+                    "unaligned int32 " << access << " at " << addr);
+}
+
+std::uint8_t* HostMemory::Back(std::int64_t addr, std::int64_t bytes) {
+  const auto end = static_cast<std::size_t>(addr + bytes);
+  if (end > bytes_.size()) bytes_.resize(end, 0);
+  return bytes_.data() + addr;
+}
+
+void HostMemory::Load(std::int64_t addr, std::int64_t bytes,
+                      std::uint8_t* out) const {
+  const std::int64_t backed =
+      std::clamp<std::int64_t>(backed_bytes() - addr, 0, bytes);
+  if (backed > 0) {
+    std::memcpy(out, bytes_.data() + addr, static_cast<std::size_t>(backed));
+  }
+  std::memset(out + backed, 0, static_cast<std::size_t>(bytes - backed));
+}
+
 std::int8_t HostMemory::ReadInt8(std::int64_t addr) const {
   CheckRange(addr, 1);
+  if (addr >= backed_bytes()) return 0;
   return static_cast<std::int8_t>(bytes_[static_cast<std::size_t>(addr)]);
 }
 
 void HostMemory::WriteInt8(std::int64_t addr, std::int8_t value) {
   CheckRange(addr, 1);
-  bytes_[static_cast<std::size_t>(addr)] = static_cast<std::uint8_t>(value);
+  *Back(addr, 1) = static_cast<std::uint8_t>(value);
 }
 
 std::int32_t HostMemory::ReadInt32(std::int64_t addr) const {
   CheckRange(addr, 4);
-  SAFFIRE_CHECK_MSG(addr % 4 == 0, "unaligned int32 read at " << addr);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | bytes_[static_cast<std::size_t>(addr + i)];
-  }
-  return static_cast<std::int32_t>(v);
+  CheckAligned(addr, "read");
+  std::uint8_t bytes[4];
+  Load(addr, 4, bytes);
+  return static_cast<std::int32_t>(DecodeLe32(bytes));
 }
 
 void HostMemory::WriteInt32(std::int64_t addr, std::int32_t value) {
   CheckRange(addr, 4);
-  SAFFIRE_CHECK_MSG(addr % 4 == 0, "unaligned int32 write at " << addr);
-  auto v = static_cast<std::uint32_t>(value);
-  for (int i = 0; i < 4; ++i) {
-    bytes_[static_cast<std::size_t>(addr + i)] =
-        static_cast<std::uint8_t>(v & 0xFF);
-    v >>= 8;
-  }
+  CheckAligned(addr, "write");
+  EncodeLe32(value, Back(addr, 4));
 }
 
 std::int64_t HostMemory::WriteMatrix(std::int64_t addr,
                                      const Int8Tensor& matrix) {
   SAFFIRE_CHECK(matrix.rank() == 2);
   CheckRange(addr, matrix.size());
-  for (std::int64_t i = 0; i < matrix.size(); ++i) {
-    WriteInt8(addr + i, matrix.flat(i));
-  }
+  std::memcpy(Back(addr, matrix.size()), matrix.data().data(),
+              static_cast<std::size_t>(matrix.size()));
   return matrix.size();
 }
 
@@ -61,8 +94,10 @@ std::int64_t HostMemory::WriteMatrix(std::int64_t addr,
                                      const Int32Tensor& matrix) {
   SAFFIRE_CHECK(matrix.rank() == 2);
   CheckRange(addr, matrix.size() * 4);
+  CheckAligned(addr, "write");
+  std::uint8_t* out = Back(addr, matrix.size() * 4);
   for (std::int64_t i = 0; i < matrix.size(); ++i) {
-    WriteInt32(addr + i * 4, matrix.flat(i));
+    EncodeLe32(matrix.flat(i), out + i * 4);
   }
   return matrix.size() * 4;
 }
@@ -71,9 +106,7 @@ Int8Tensor HostMemory::ReadInt8Matrix(std::int64_t addr, std::int64_t rows,
                                       std::int64_t cols) const {
   Int8Tensor out({rows, cols});
   CheckRange(addr, out.size());
-  for (std::int64_t i = 0; i < out.size(); ++i) {
-    out.flat(i) = ReadInt8(addr + i);
-  }
+  Load(addr, out.size(), reinterpret_cast<std::uint8_t*>(out.data().data()));
   return out;
 }
 
@@ -81,8 +114,11 @@ Int32Tensor HostMemory::ReadInt32Matrix(std::int64_t addr, std::int64_t rows,
                                         std::int64_t cols) const {
   Int32Tensor out({rows, cols});
   CheckRange(addr, out.size() * 4);
+  CheckAligned(addr, "read");
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(out.size() * 4));
+  Load(addr, out.size() * 4, bytes.data());
   for (std::int64_t i = 0; i < out.size(); ++i) {
-    out.flat(i) = ReadInt32(addr + i * 4);
+    out.flat(i) = static_cast<std::int32_t>(DecodeLe32(bytes.data() + i * 4));
   }
   return out;
 }

@@ -1,6 +1,12 @@
 // Byte-addressed host DRAM model shared by the "CPU" (driver, im2col) and
 // the accelerator's DMA (MVIN/MVOUT). Faults in memory are outside the
 // paper's fault model (assumed ECC-protected), so accesses are functional.
+//
+// The image is lazily backed. size() is the modelled capacity: every bounds
+// check and Allocate() see it. The backing store only grows, zero-filled,
+// up to the highest byte written so far, and bytes never written read as 0.
+// A 64 MiB image that stages a few KB of operands therefore costs a few KB
+// to construct and to hold.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +20,12 @@ class HostMemory {
  public:
   explicit HostMemory(std::int64_t size_bytes);
 
-  std::int64_t size() const { return static_cast<std::int64_t>(bytes_.size()); }
+  std::int64_t size() const { return size_; }
+  // Bytes the backing store currently holds (one past the highest byte
+  // written). Observability only: it never changes what reads return.
+  std::int64_t backed_bytes() const {
+    return static_cast<std::int64_t>(bytes_.size());
+  }
 
   std::int8_t ReadInt8(std::int64_t addr) const;
   void WriteInt8(std::int64_t addr, std::int8_t value);
@@ -37,7 +48,15 @@ class HostMemory {
 
  private:
   void CheckRange(std::int64_t addr, std::int64_t bytes) const;
+  void CheckAligned(std::int64_t addr, const char* access) const;
+  // Grows the backing store to cover [addr, addr + bytes) and returns a
+  // pointer to `addr`. The range must already be checked.
+  std::uint8_t* Back(std::int64_t addr, std::int64_t bytes);
+  // Copies [addr, addr + bytes) to `out`, zero past the backed end. The
+  // range must already be checked.
+  void Load(std::int64_t addr, std::int64_t bytes, std::uint8_t* out) const;
 
+  std::int64_t size_;
   std::vector<std::uint8_t> bytes_;
   std::int64_t next_free_ = 0;
 };

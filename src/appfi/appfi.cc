@@ -254,38 +254,4 @@ Int32Tensor InjectNaiveBaseline(const Int32Tensor& golden, Rng& rng,
   return faulty;
 }
 
-namespace {
-
-NetworkFi MakeInjector(const AccelConfig& accel, Dataflow dataflow) {
-  AppFiSpec spec;
-  spec.accel = accel;
-  spec.dataflow = dataflow;
-  return NetworkFi(spec);
-}
-
-}  // namespace
-
-Int32Tensor InjectPattern(const Int32Tensor& golden,
-                          const WorkloadSpec& workload,
-                          const AccelConfig& accel, Dataflow dataflow,
-                          const FaultSpec& fault,
-                          const PerturbSpec& perturb) {
-  return MakeInjector(accel, dataflow).Inject(golden, workload, fault,
-                                              perturb);
-}
-
-Int32Tensor EmulateExtractionFault(const Int32Tensor& golden,
-                                   const WorkloadSpec& workload,
-                                   const AccelConfig& accel, Dataflow dataflow,
-                                   const FaultSpec& fault) {
-  return MakeInjector(accel, dataflow)
-      .EmulateExtraction(golden, workload, fault);
-}
-
-CrossValidation CrossValidate(const WorkloadSpec& workload,
-                              const AccelConfig& accel, Dataflow dataflow,
-                              const FaultSpec& fault) {
-  return MakeInjector(accel, dataflow).CrossValidate(workload, fault);
-}
-
 }  // namespace saffire

@@ -14,8 +14,7 @@
 //
 // Entry point: configure an AppFiSpec (accelerator + dataflow + default
 // perturbation; JSON round-trip like service/sweep.h's SweepSpec) and drive
-// a NetworkFi injector with it. The loose free-function overloads that
-// predate the spec survive one more release as deprecated wrappers.
+// a NetworkFi injector with it.
 #pragma once
 
 #include <cstdint>
@@ -154,28 +153,5 @@ FaultSpec SampleAdderFault(const ArrayConfig& config, Rng& rng,
 // comparison point for how much precision the pattern model adds.
 Int32Tensor InjectNaiveBaseline(const Int32Tensor& golden, Rng& rng,
                                 int bit);
-
-// --- Deprecated loose-parameter API ----------------------------------------
-// Thin wrappers over NetworkFi, kept for one release so downstream callers
-// can migrate; every in-tree caller already has.
-
-[[deprecated("construct a NetworkFi from an AppFiSpec and call Inject()")]]
-Int32Tensor InjectPattern(const Int32Tensor& golden,
-                          const WorkloadSpec& workload,
-                          const AccelConfig& accel, Dataflow dataflow,
-                          const FaultSpec& fault, const PerturbSpec& perturb);
-
-[[deprecated(
-    "construct a NetworkFi from an AppFiSpec and call EmulateExtraction()")]]
-Int32Tensor EmulateExtractionFault(const Int32Tensor& golden,
-                                   const WorkloadSpec& workload,
-                                   const AccelConfig& accel, Dataflow dataflow,
-                                   const FaultSpec& fault);
-
-[[deprecated(
-    "construct a NetworkFi from an AppFiSpec and call CrossValidate()")]]
-CrossValidation CrossValidate(const WorkloadSpec& workload,
-                              const AccelConfig& accel, Dataflow dataflow,
-                              const FaultSpec& fault);
 
 }  // namespace saffire

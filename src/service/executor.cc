@@ -60,10 +60,10 @@ std::string SimulatorKey(const AccelConfig& accel) {
 
 }  // namespace
 
-// A worker's cached simulator. Capacity one: each FiRunner owns a
-// dram_bytes-sized memory image, so caching more than the last-used
-// configuration per worker trades too much memory for too little reuse
-// (within a sweep, consecutive campaigns almost always share the accel).
+// A worker's cached simulator. Capacity one: within a sweep, consecutive
+// campaigns almost always share the accel, and a miss is cheap — a new
+// FiRunner zero-fills its scratchpad and accumulator SRAM, while its DRAM
+// image is lazily backed — so more slots would buy little reuse.
 struct CampaignExecutor::WorkerCache {
   std::string key;
   std::optional<FiRunner> runner;
@@ -274,9 +274,6 @@ CampaignExecutor::CampaignExecutor(const ExecutorOptions& options)
         [this, i] { WorkerLoop(static_cast<std::size_t>(i)); });
   }
 }
-
-CampaignExecutor::CampaignExecutor(int threads)
-    : CampaignExecutor(ExecutorOptions{.threads = threads}) {}
 
 CampaignExecutor::~CampaignExecutor() {
   {

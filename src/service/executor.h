@@ -5,11 +5,12 @@
 // Why a service instead of a spawn-per-call model:
 // a paper-scale sweep is hundreds of campaigns (Sec. III-B), and per-call
 // orchestration pays thread spawn/join and simulator construction (each
-// FiRunner owns a dram_bytes-sized memory image) once per campaign. The
-// executor pays them once per *process*: workers live across Run() calls,
-// each worker caches its simulator keyed by the accelerator configuration,
-// and the tail of one campaign overlaps the head of the next instead of
-// serializing at a join barrier. ExecutorStats counts exactly these savings.
+// FiRunner zero-fills its accelerator's scratchpad and accumulator SRAM)
+// once per campaign. The executor pays them once per *process*: workers
+// live across Run() calls, each worker caches its simulator keyed by the
+// accelerator configuration, and the tail of one campaign overlaps the head
+// of the next instead of serializing at a join barrier. ExecutorStats
+// counts exactly these savings.
 #pragma once
 
 #include <atomic>
@@ -142,9 +143,6 @@ struct RunOptions {
 class CampaignExecutor {
  public:
   explicit CampaignExecutor(const ExecutorOptions& options = {});
-  // Deprecated positional form, equivalent to ExecutorOptions{.threads =
-  // threads}; prefer the options constructor.
-  explicit CampaignExecutor(int threads);
   ~CampaignExecutor();
 
   CampaignExecutor(const CampaignExecutor&) = delete;

@@ -368,10 +368,14 @@ ExperimentResult RunAppFiExperiment(
   return result;
 }
 
-// Ground truth: the simulated accelerator runs every layer, with the fault
-// hook installed only while in-scope layers stream through the array. The
-// mitigated inference drives the same faulty array with the remapped
-// workload, so rung cross-validation gates the remap math end to end.
+// Ground truth: in-scope layers stream through the simulated accelerator
+// with the fault hook installed. Layers outside the fault scope run on the
+// host reference GEMM instead: the fault-free driver matches GemmRef bit
+// for bit (the driver equivalence invariant the golden inference rests on)
+// and a faulty layer leaves no state behind in the array, so only the
+// targeted layers pay for the detailed model. The mitigated inference
+// drives the same faulty array with the remapped workload, so rung
+// cross-validation gates the remap math end to end.
 ExperimentResult RunCycleExperiment(
     const ExperimentContext& context, const FaultSpec& fault,
     const std::vector<LayerMitigationPlan>& plans) {
@@ -384,9 +388,8 @@ ExperimentResult RunCycleExperiment(
   const LayerGemm physical = [&context, &accelerator, &driver, &hook, &exec](
                                  int layer, const Int8Tensor& a,
                                  const Int8Tensor& b) {
-    if (InScope(context.campaign, layer)) {
-      accelerator.array().InstallFaultHook(&hook);
-    }
+    if (!InScope(context.campaign, layer)) return GemmRef(a, b);
+    accelerator.array().InstallFaultHook(&hook);
     Int32Tensor out = driver.Gemm(a, b, exec);
     accelerator.array().ClearFaultHook();
     return out;

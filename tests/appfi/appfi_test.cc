@@ -206,42 +206,6 @@ TEST(SampleAdderFaultTest, StaysInBoundsAndCoversArray) {
   EXPECT_THROW(SampleAdderFault(config, rng, 8, 40), std::invalid_argument);
 }
 
-// The deprecated loose-parameter wrappers must stay behaviourally identical
-// to the spec-based API until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedWrapperTest, MatchesSpecBasedApi) {
-  const auto config = TestConfig();
-  const auto workload = Gemm16x16();
-  FiRunner runner(config);
-  const auto golden =
-      runner.RunGolden(workload, Dataflow::kWeightStationary).output;
-  const FaultSpec fault =
-      StuckAtAdder(PeCoord{4, 9}, 8, StuckPolarity::kStuckAt1);
-  PerturbSpec perturb;
-  perturb.mode = PerturbMode::kSetBit;
-  perturb.bit = 8;
-
-  AppFiSpec spec = TestSpec(Dataflow::kWeightStationary);
-  spec.perturb = perturb;
-  const NetworkFi injector(spec);
-
-  EXPECT_EQ(InjectPattern(golden, workload, config,
-                          Dataflow::kWeightStationary, fault, perturb),
-            injector.Inject(golden, workload, fault));
-  EXPECT_EQ(EmulateExtractionFault(golden, workload, config,
-                                   Dataflow::kWeightStationary, fault),
-            injector.EmulateExtraction(golden, workload, fault));
-  const CrossValidation old_result =
-      CrossValidate(workload, config, Dataflow::kWeightStationary, fault);
-  const CrossValidation new_result = injector.CrossValidate(workload, fault);
-  EXPECT_EQ(old_result.coords_match, new_result.coords_match);
-  EXPECT_EQ(old_result.values_match, new_result.values_match);
-  EXPECT_EQ(old_result.predicted_count, new_result.predicted_count);
-  EXPECT_EQ(old_result.observed_count, new_result.observed_count);
-}
-#pragma GCC diagnostic pop
-
 // The headline cross-validation: for every Table I workload and dataflow,
 // the application-level injector reproduces the cycle-accurate faulty
 // output bit-for-bit — the paper's proposed LLTFI integration, validated.

@@ -197,7 +197,8 @@ TEST(ExecutorTest, RejectsInvalidOptionsAndPlans) {
                std::invalid_argument);
   EXPECT_THROW(CampaignExecutor::Shared().Run(CampaignPlan{}, sink),
                std::invalid_argument);
-  EXPECT_THROW(CampaignExecutor(0), std::invalid_argument);
+  EXPECT_THROW(CampaignExecutor(ExecutorOptions{.threads = 0}),
+               std::invalid_argument);
 }
 
 TEST(ExecutorTest, PropagatesExperimentErrors) {

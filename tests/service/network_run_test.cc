@@ -1,12 +1,19 @@
 // RunNetworkSweep end-to-end: rung equivalence on the extraction network,
 // selfcheck cross-validation, network-level outcome fields, ABFT coverage,
-// checkpoint resume, and cooperative stop.
+// checkpoint resume, cooperative stop, and the cycle rung's records against
+// an every-layer-on-the-array reference.
 #include "service/network_run.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
+
+#include "accel/driver.h"
+#include "fi/injector.h"
+#include "mitigation/abft.h"
+#include "patterns/corruption.h"
+#include "tensor/gemm.h"
 
 namespace saffire {
 namespace {
@@ -193,6 +200,186 @@ TEST(RunNetworkSweepTest, CooperativeStopDrainsCleanly) {
   EXPECT_TRUE(outcome.stopped);
   EXPECT_EQ(outcome.records, 0);
   EXPECT_TRUE(sink.records.empty());
+}
+
+// Test-local oracle for the cycle rung: every layer of every inference
+// streams through Driver::Gemm on one fresh Accelerator per experiment,
+// with the fault hook installed on in-scope layers only. RunNetworkSweep
+// runs out-of-scope layers on the host reference GEMM instead; this path
+// keeps the array in the loop for them.
+std::vector<NetworkRecord> EveryLayerOnTheArray(const NetworkSweepSpec& spec) {
+  const NetworkCampaignPlan plan = BuildNetworkCampaignPlan(spec);
+  const PreparedNetwork network(spec.network);
+  const auto layers = static_cast<std::size_t>(network.layer_count());
+  std::vector<Int8Tensor> golden_b(layers, Int8Tensor{{1, 1}});
+  const PreparedNetwork::Inference golden = network.Run(
+      [&golden_b](int layer, const Int8Tensor& a, const Int8Tensor& b) {
+        golden_b[static_cast<std::size_t>(layer)] = b;
+        return GemmRef(a, b);
+      });
+  const std::vector<int>& labels = network.labels();
+  const auto correct = [&labels](const std::vector<int>& top1) {
+    if (labels.empty()) return std::int64_t{-1};
+    std::int64_t hits = 0;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      if (top1[i] == labels[i]) ++hits;
+    }
+    return hits;
+  };
+
+  std::vector<NetworkRecord> records;
+  for (std::size_t ci = 0; ci < plan.campaigns.size(); ++ci) {
+    const NetworkCampaign& campaign = plan.campaigns[ci];
+    const auto in_scope = [&campaign](int layer) {
+      return campaign.layer == -1 || campaign.layer == layer;
+    };
+    const int first = campaign.layer == -1 ? 0 : campaign.layer;
+    const auto first_index = static_cast<std::size_t>(first);
+    const ClassifyContext context = MakeClassifyContext(
+        network.layer_workload(first), spec.accel, campaign.dataflow);
+    for (std::int64_t ei = 0; ei < plan.experiments_per_campaign(); ++ei) {
+      FaultSpec fault;
+      fault.pe = plan.sites[static_cast<std::size_t>(ei)];
+      fault.signal = campaign.signal;
+      fault.bit = campaign.bit;
+      fault.polarity = campaign.polarity;
+      std::vector<LayerMitigationPlan> plans;
+      if (campaign.mitigation != MitigationPolicy::kNone) {
+        plans.resize(layers);
+        for (int layer = 0; layer < network.layer_count(); ++layer) {
+          if (!in_scope(layer)) continue;
+          const auto l = static_cast<std::size_t>(layer);
+          plans[l] = PlanLayerMitigation(
+              campaign.mitigation, network.layer_workload(layer), spec.accel,
+              campaign.dataflow, fault, network.channel_salience(layer),
+              &golden_b[l]);
+        }
+      }
+
+      Accelerator accelerator(spec.accel);
+      Driver driver(accelerator);
+      FaultInjector hook({fault}, spec.accel.array);
+      ExecOptions exec;
+      exec.dataflow = campaign.dataflow;
+      const LayerGemm physical = [&](int layer, const Int8Tensor& a,
+                                     const Int8Tensor& b) {
+        if (in_scope(layer)) accelerator.array().InstallFaultHook(&hook);
+        Int32Tensor out = driver.Gemm(a, b, exec);
+        accelerator.array().ClearFaultHook();
+        return out;
+      };
+
+      NetworkRecord record;
+      record.campaign_index = ci;
+      record.experiment_index = ei;
+      record.fault = fault;
+      record.rung = NetworkRung::kCycleAccurate;
+      record.batch = network.batch();
+      record.abft_on = spec.abft;
+
+      Int32Tensor first_out{{1, 1}};
+      bool captured = false;
+      bool any_detected = false;
+      bool all_verified = true;
+      const LayerGemm observed = [&](int layer, const Int8Tensor& a,
+                                     const Int8Tensor& b) {
+        Int32Tensor out = physical(layer, a, b);
+        if (layer == first && !captured) {
+          first_out = out;
+          captured = true;
+        }
+        if (spec.abft) {
+          const AbftReport report = VerifyAndCorrect(a, b, out);
+          record.abft_diagnosis =
+              std::max(record.abft_diagnosis, report.diagnosis);
+          record.abft_corrections += report.corrections;
+          if (report.detected()) {
+            any_detected = true;
+            if (!report.verified_after_correction) all_verified = false;
+          }
+        }
+        return out;
+      };
+      const PreparedNetwork::Inference faulty = network.Run(observed);
+      const CorruptionMap map =
+          ExtractCorruption(golden.layer_outputs[first_index], first_out);
+      record.pattern = Classify(map, context);
+      record.corrupted_elements = map.count();
+      record.sdc = !(faulty.logits == golden.logits);
+      record.top1_flips = Top1Flips(golden.top1, faulty.top1);
+      record.correct_golden = correct(golden.top1);
+      record.correct_faulty = correct(faulty.top1);
+      record.abft_corrected = any_detected && all_verified;
+
+      if (!plans.empty()) {
+        Int32Tensor mit_first{{1, 1}};
+        bool mit_captured = false;
+        const PreparedNetwork::LayerObserver observe =
+            [&](int layer, const Int8Tensor& a, const Int8Tensor& b,
+                Int32Tensor& out) {
+              if (spec.abft || plans[static_cast<std::size_t>(layer)].abft) {
+                (void)VerifyAndCorrect(a, b, out);
+              }
+              if (layer == first && !mit_captured) {
+                mit_first = out;
+                mit_captured = true;
+              }
+            };
+        const PreparedNetwork::Inference mitigated =
+            network.Run(physical, plans, observe);
+        record.mit_corrupted =
+            ExtractCorruption(golden.layer_outputs[first_index], mit_first)
+                .count();
+        record.mit_sdc = !(mitigated.logits == golden.logits);
+        record.mit_top1_flips = Top1Flips(golden.top1, mitigated.top1);
+        record.mit_correct_faulty = correct(mitigated.top1);
+      }
+      records.push_back(record);
+    }
+  }
+  return records;
+}
+
+// Running out-of-scope layers on the host reference GEMM must not change a
+// single cycle-rung record, on either network, for every layer scope and
+// dataflow, with and without a mitigated second inference.
+void ExpectCycleRungMatchesEveryLayerReference(NetworkSweepSpec spec) {
+  spec.rung = NetworkRung::kCycleAccurate;
+  spec.dataflows = {Dataflow::kWeightStationary, Dataflow::kOutputStationary,
+                    Dataflow::kInputStationary};
+  spec.layers = {-1, 0, 1};
+  spec.mitigations = {MitigationPolicy::kNone, MitigationPolicy::kColumnRemap};
+  spec.bits = {8, 24};
+  spec.max_sites = 4;
+  spec.abft = true;
+  NetworkCollectorSink sink;
+  const SweepOutcome outcome = RunNetworkSweep(spec, sink);
+  EXPECT_TRUE(outcome.ok());
+  const std::vector<NetworkRecord> reference = EveryLayerOnTheArray(spec);
+  // dataflows × bits × layers × mitigations × sites
+  ASSERT_EQ(sink.records.size(), 3u * 2u * 3u * 2u * 4u);
+  ASSERT_EQ(sink.records.size(), reference.size());
+  bool any_sdc = false;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(sink.records[i], reference[i])
+        << "campaign " << reference[i].campaign_index << " experiment "
+        << reference[i].experiment_index;
+    any_sdc = any_sdc || reference[i].sdc;
+  }
+  EXPECT_TRUE(any_sdc);  // the faults reach the logits somewhere
+}
+
+TEST(CycleRungReferenceTest, MlpRecordsMatchEveryLayerOnTheArray) {
+  ExpectCycleRungMatchesEveryLayerReference(MlpSpec());
+}
+
+TEST(CycleRungReferenceTest, CnnRecordsMatchEveryLayerOnTheArray) {
+  NetworkSweepSpec spec;
+  spec.accel = SmallAccel();
+  spec.network.kind = NetworkKind::kCnn;
+  spec.network.batch = 8;
+  spec.network.conv_channels = 4;
+  ExpectCycleRungMatchesEveryLayerReference(spec);
 }
 
 }  // namespace
