@@ -247,10 +247,10 @@ void BM_BatchLaneKernel(benchmark::State& state) {
 
   std::uint64_t pe_steps = 0;
   for (auto _ : state) {
-    const std::vector<RunResult> results =
+    const std::vector<ConeRunResult> results =
         runner.RunFaultyBatch(workload, dataflow, faults, trace, golden);
     benchmark::DoNotOptimize(results.data());
-    for (const RunResult& result : results) pe_steps += result.pe_steps;
+    for (const ConeRunResult& result : results) pe_steps += result.pe_steps;
   }
   SetSimdMode(SimdMode::kAuto);
   state.SetLabel(ToString(dataflow) + "/" + ToString(mode) +
@@ -280,7 +280,7 @@ void BM_PredictedKernel(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    const std::vector<RunResult> results =
+    const std::vector<ConeRunResult> results =
         runner.RunFaultyPredicted(workload, dataflow, faults, trace, golden);
     benchmark::DoNotOptimize(results.data());
   }

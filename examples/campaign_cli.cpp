@@ -171,7 +171,7 @@ SweepSpec SpecFromFlags(const std::map<std::string, std::string>& flags) {
   spec.kind = FaultKindFromString(flag("kind", "stuck"));
   spec.max_sites = ParseInt(flag("sites", "0"));
   spec.seed = static_cast<std::uint64_t>(ParseInt(flag("seed", "1")));
-  spec.engine = CampaignEngineFromString(flag("engine", "differential"));
+  spec.engine = ParseCampaignEngine(flag("engine", "differential"));
   spec.shards = static_cast<int>(ParseInt(flag("shards", "1")));
   spec.symmetry = flags.count("symmetry") != 0;
   return spec;

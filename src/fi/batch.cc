@@ -37,7 +37,7 @@ Dataflow LoweredDataflow(Dataflow dataflow) {
 
 }  // namespace
 
-std::vector<RunResult> FiRunner::RunFaultyBatch(
+std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
     const WorkloadSpec& workload, Dataflow dataflow,
     std::span<const FaultSpec> faults, const GoldenTrace& trace,
     const RunResult& golden) {
@@ -107,12 +107,13 @@ std::vector<RunResult> FiRunner::RunFaultyBatch(
     lane_grid.emplace(array, lanes);
   }
 
-  // Per-lane outputs start as the golden result: everything outside a
-  // lane's cone provably matches the fault-free run.
-  std::vector<RunResult> results(faults.size());
-  for (RunResult& result : results) {
-    result.output = golden.output;
-    result.cycles = golden.cycles;
+  // Per-lane outputs cover only the lane's cone, every cell of which the
+  // write-back below fills: everything outside it provably matches the
+  // fault-free run.
+  std::vector<ConeRunResult> results(faults.size());
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    results[l].output = MakeConeOutput(lanes[l].cone, grid, transposed);
+    results[l].cycles = golden.cycles;
   }
 
   SAFFIRE_SPAN("fi.batch.replay");
@@ -175,23 +176,25 @@ std::vector<RunResult> FiRunner::RunFaultyBatch(
         step0 += steps;
         ++tile_index;
       }
+      // Each accumulator column is rows [m0, m0 + me) of one cone column
+      // (ConeOutput's layout: index ni·width + (c − lo), `m` values each).
       for (std::size_t l = 0; l < lanes.size(); ++l) {
         const std::int64_t lo = lanes[l].cone.lo;
         const std::int64_t hi =
             std::min<std::int64_t>(lanes[l].cone.hi, ne - 1);
+        ConeOutput& out = results[l].output;
         for (std::int64_t c = lo; c <= hi; ++c) {
           const std::size_t col_base =
               (acc_base[l] + static_cast<std::size_t>(c - lo)) *
               static_cast<std::size_t>(me);
-          for (std::int64_t i = 0; i < me; ++i) {
-            const std::int32_t value =
-                acc[col_base + static_cast<std::size_t>(i)];
-            if (transposed) {
-              results[l].output(n0 + c, m0 + i) = value;
-            } else {
-              results[l].output(m0 + i, n0 + c) = value;
-            }
-          }
+          const auto index = static_cast<std::size_t>(
+              ni * lanes[l].cone.width() + (c - lo));
+          SAFFIRE_ASSERT(index < out.columns.size() &&
+                         out.columns[index] == n0 + c);
+          std::copy_n(acc.data() + col_base, me,
+                      out.values.data() +
+                          index * static_cast<std::size_t>(m) +
+                          static_cast<std::size_t>(m0));
         }
       }
     }

@@ -30,10 +30,14 @@
 // footprint on every run.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "fi/fault.h"
 #include "systolic/golden_trace.h"
+#include "tensor/tensor.h"
+#include "tensor/tiling.h"
 
 namespace saffire {
 
@@ -41,5 +45,36 @@ namespace saffire {
 // must be a physical array dataflow (WS or OS; lower IS first).
 ColumnCone FaultCone(std::span<const FaultSpec> faults, Dataflow dataflow,
                      const ArrayConfig& config);
+
+// A faulty output restricted to one fault's cone — what the grouped engines
+// (FiRunner::RunFaultyBatch / RunFaultyPredicted) return instead of a dense
+// tensor. Every output element outside it equals the golden output.
+//
+// Coordinates are those of the physical GEMM the array executed: an output
+// column under WS/OS, an output *row* under IS (which runs the WS datapath
+// on the transposed problem). `columns` lists, n-tile by n-tile, the
+// physical columns the cone reaches, ColStart(ni) + c for every cone column
+// c inside tile ni — so cone column c of n-tile ni sits at index
+// ni·cone.width() + (c − cone.lo), since only the last n-tile can be ragged.
+// The list is strictly ascending. Each listed column holds one value per
+// physical row, contiguously: `values` is columns.size() × `rows`, 4 bytes a
+// cell and never larger than the dense output.
+struct ConeOutput {
+  bool transposed = false;     // IS: physical column j is output row j
+  std::int64_t rows = 0;       // physical GEMM rows = values per column
+  std::vector<std::int64_t> columns;
+  std::vector<std::int32_t> values;  // values[j * rows + i]
+
+  bool operator==(const ConeOutput&) const = default;
+};
+
+// The zero-filled cone output of `cone` over a physical tile grid.
+ConeOutput MakeConeOutput(ColumnCone cone, const TileGrid& grid,
+                          bool transposed);
+
+// The dense faulty output a cone output stands for: `golden` with the cone's
+// values written over it. For tests and tools; campaigns diff the cone
+// directly (ExtractCorruption in patterns/corruption.h).
+Int32Tensor ExpandCone(const ConeOutput& cone, const Int32Tensor& golden);
 
 }  // namespace saffire

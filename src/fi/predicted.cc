@@ -87,7 +87,7 @@ inline std::int32_t Accumulate(std::int32_t cell, std::int64_t faulty_wide,
 
 }  // namespace
 
-std::vector<RunResult> FiRunner::RunFaultyPredicted(
+std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
     const WorkloadSpec& workload, Dataflow dataflow,
     std::span<const FaultSpec> faults, const GoldenTrace& trace,
     const RunResult& golden) {
@@ -122,6 +122,7 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
   // Lower each fault, rejecting anything outside the provably-exact set.
   std::vector<ForceSpec> forces(faults.size());
   std::vector<std::uint64_t> activations(faults.size(), 0);
+  std::vector<ConeRunResult> results(faults.size());
   for (std::size_t l = 0; l < faults.size(); ++l) {
     const FaultSpec& fault = faults[l];
     fault.Validate(array);
@@ -137,6 +138,22 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
         FaultCone(std::span<const FaultSpec>(&fault, 1), lowered, array);
     SAFFIRE_CHECK_MSG(cone.width() == 1 && cone.lo == fault.pe.col,
                       "PE-local fault must cone to its own column");
+    // Cone column ni is the fault column of n-tile ni. WS writes every cell
+    // of it below; OS writes only the fault's own cell per output tile, so
+    // the rest of the column starts golden.
+    ConeOutput& out = results[l].output;
+    out = MakeConeOutput(cone, grid, transposed);
+    if (!ws) {
+      const std::span<const std::int32_t> g = golden.output.data();
+      for (std::size_t j = 0; j < out.columns.size(); ++j) {
+        for (std::int64_t i = 0; i < m; ++i) {
+          out.values[j * static_cast<std::size_t>(m) +
+                     static_cast<std::size_t>(i)] =
+              g[static_cast<std::size_t>(i * n + out.columns[j])];
+        }
+      }
+    }
+    results[l].cycles = golden.cycles;
     const std::int64_t bit = std::int64_t{1} << fault.bit;
     if (fault.polarity == StuckPolarity::kStuckAt0) {
       forces[l].and_mask = ~bit;
@@ -144,12 +161,6 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
       forces[l].or_mask = bit;
     }
     forces[l].sx_shift = 64 - SignalWidth(fault.signal, array);
-  }
-
-  std::vector<RunResult> results(faults.size());
-  for (RunResult& result : results) {
-    result.output = golden.output;
-    result.cycles = golden.cycles;
   }
 
   SAFFIRE_SPAN("fi.predict.closed_form");
@@ -334,24 +345,22 @@ std::vector<RunResult> FiRunner::RunFaultyPredicted(
         ++tile_index;
       }
 
-      // Write the accumulated faulty values back, as fi/batch.cc does.
+      // Write the accumulated faulty values back into cone column ni, rows
+      // [m0, m0 + me), as fi/batch.cc does.
       for (std::size_t l = 0; l < faults.size(); ++l) {
         const std::int64_t c = faults[l].pe.col;
         const std::int64_t rf = faults[l].pe.row;
         if (c >= ne) continue;
+        ConeOutput& out = results[l].output;
+        SAFFIRE_ASSERT(static_cast<std::size_t>(ni) < out.columns.size() &&
+                       out.columns[static_cast<std::size_t>(ni)] == n0 + c);
+        std::int32_t* column = out.values.data() +
+                               static_cast<std::size_t>(ni * m + m0);
         if (ws) {
-          for (std::int64_t i = 0; i < me; ++i) {
-            const std::int32_t value =
-                acc_ws[l * static_cast<std::size_t>(me) +
-                       static_cast<std::size_t>(i)];
-            if (transposed) {
-              results[l].output(n0 + c, m0 + i) = value;
-            } else {
-              results[l].output(m0 + i, n0 + c) = value;
-            }
-          }
+          std::copy_n(acc_ws.data() + l * static_cast<std::size_t>(me), me,
+                      column);
         } else if (rf < me) {
-          results[l].output(m0 + rf, n0 + c) = acc_os[l];
+          column[rf] = acc_os[l];
         }
       }
     }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "accel/driver.h"
+#include "fi/cone.h"
 #include "fi/fault.h"
 #include "fi/injector.h"
 #include "fi/workload.h"
@@ -28,6 +29,16 @@ struct RunResult {
   std::uint64_t pe_steps_skipped = 0;
   // Times the injected fault actually changed a signal value (0 for golden
   // runs; 0 in a faulty run means the fault was electrically masked).
+  std::uint64_t fault_activations = 0;
+};
+
+// RunResult's counterpart for the grouped engines below: the same counters,
+// with the output restricted to the fault's cone.
+struct ConeRunResult {
+  ConeOutput output;
+  std::int64_t cycles = 0;
+  std::uint64_t pe_steps = 0;
+  std::uint64_t pe_steps_skipped = 0;
   std::uint64_t fault_activations = 0;
 };
 
@@ -73,14 +84,17 @@ class FiRunner {
   // PlanFaults samples in), not absolute simulator cycles.
   //
   // A pure replay: accelerator state and counters are untouched. Each
-  // result is bit-identical to RunFaultyDifferential on the same fault —
-  // including the pe_steps / pe_steps_skipped split, cycles (= golden), and
-  // fault_activations (tests/fi/batch_test.cc).
-  std::vector<RunResult> RunFaultyBatch(const WorkloadSpec& workload,
-                                        Dataflow dataflow,
-                                        std::span<const FaultSpec> faults,
-                                        const GoldenTrace& trace,
-                                        const RunResult& golden);
+  // result carries the faulty output over its fault's cone only (ConeOutput,
+  // fi/cone.h; everything outside it is golden). ExpandCone(result.output,
+  // golden.output) is bit-identical to RunFaultyDifferential's output on the
+  // same fault, and the counters match it exactly — the pe_steps /
+  // pe_steps_skipped split, cycles (= golden), and fault_activations
+  // (tests/fi/batch_test.cc).
+  std::vector<ConeRunResult> RunFaultyBatch(const WorkloadSpec& workload,
+                                            Dataflow dataflow,
+                                            std::span<const FaultSpec> faults,
+                                            const GoldenTrace& trace,
+                                            const RunResult& golden);
 
   // Closed-form faulty execution: emits the same per-fault results as
   // RunFaultyBatch without stepping the array at all, by propagating each
@@ -92,14 +106,14 @@ class FiRunner {
   // Everything else must go through RunFaultyBatch (the campaign layer's
   // kPredicted rung routes the residue there automatically).
   //
-  // Bit-identical to RunFaultyBatch in every RunResult field, including the
-  // pe_steps / pe_steps_skipped split and fault_activations
-  // (tests/patterns/campaign_predicted_test.cc).
-  std::vector<RunResult> RunFaultyPredicted(const WorkloadSpec& workload,
-                                            Dataflow dataflow,
-                                            std::span<const FaultSpec> faults,
-                                            const GoldenTrace& trace,
-                                            const RunResult& golden);
+  // Equal to RunFaultyBatch in every field, the cone output included: a
+  // PE-local fault's cone is its own column in every n-tile, and under OS
+  // the cells of that column the fault does not own carry golden values
+  // (tests/patterns/grouped_engine_property_test.cc).
+  std::vector<ConeRunResult> RunFaultyPredicted(
+      const WorkloadSpec& workload, Dataflow dataflow,
+      std::span<const FaultSpec> faults, const GoldenTrace& trace,
+      const RunResult& golden);
 
   Accelerator& accel() { return accel_; }
   Driver& driver() { return driver_; }

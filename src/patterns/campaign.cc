@@ -40,10 +40,6 @@ CampaignEngine ParseCampaignEngine(const std::string& name) {
                                   "batch|predicted)");
 }
 
-CampaignEngine CampaignEngineFromString(const std::string& name) {
-  return ParseCampaignEngine(name);
-}
-
 int DefaultCampaignThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::clamp(hw, 1u, 256u));
@@ -150,10 +146,13 @@ void ConfigureEngine(FiRunner& runner, CampaignEngine engine) {
 }
 
 // Turns one faulty run into its record — the engine-independent half of an
-// experiment, shared by the per-experiment and batched paths. `fault` is
-// the campaign's pre-sampled spec (relative strike offset for transients).
+// experiment, shared by the per-experiment path (a RunResult, dense output)
+// and the grouped path (a ConeRunResult, diffed over the cone only). `fault`
+// is the campaign's pre-sampled spec (relative strike offset for
+// transients).
+template <typename Faulty>
 ExperimentRecord BuildRecord(const PreparedCampaign& prepared,
-                             const FaultSpec& fault, const RunResult& faulty) {
+                             const FaultSpec& fault, const Faulty& faulty) {
   const CorruptionMap map =
       ExtractCorruption(prepared.golden().output, faulty.output);
 
@@ -206,7 +205,7 @@ std::vector<ExperimentRecord> RunFaultGroup(const PreparedCampaign& prepared,
   // The batch runner consumes the relative strike offsets directly (against
   // the trace's recorded per-step clocks), so no rebasing happens here.
   // Same convention under the closed form, which never strikes at all.
-  const std::vector<RunResult> faulty =
+  const std::vector<ConeRunResult> faulty =
       closed_form
           ? runner.RunFaultyPredicted(config.workload, config.dataflow,
                                       faults, *trace, prepared.golden())

@@ -57,9 +57,6 @@ std::string ToString(CampaignEngine engine);
 // std::invalid_argument on unknown names.
 CampaignEngine ParseCampaignEngine(const std::string& name);
 
-// Alias of ParseCampaignEngine, kept for existing callers.
-CampaignEngine CampaignEngineFromString(const std::string& name);
-
 // std::thread::hardware_concurrency(), clamped to the [1, 256] range the
 // campaign executor accepts — the default worker count for benches/CLIs.
 int DefaultCampaignThreads();

@@ -1,6 +1,6 @@
 #include "patterns/classify.h"
 
-#include <algorithm>
+#include <vector>
 
 #include "common/check.h"
 #include "tensor/shift_gemm.h"
@@ -73,120 +73,6 @@ std::int64_t ColumnToChannel(std::int64_t col,
   return col;  // im2col: one column per output channel
 }
 
-namespace {
-
-// Sorted vector -> number of distinct values, in place. Classification runs
-// once per experiment record, so these paths avoid node-based containers:
-// sort + adjacent-unique over small vectors is several times cheaper than
-// building a std::set per call.
-template <typename T>
-std::int64_t CountDistinct(std::vector<T>& values) {
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  return static_cast<std::int64_t>(values.size());
-}
-
-// Per-value run lengths of a sorted vector: (value, hits) pairs.
-struct Run {
-  std::int64_t value = 0;
-  std::int64_t hits = 0;
-};
-
-std::vector<Run> RunLengths(std::vector<std::int64_t>& values) {
-  std::sort(values.begin(), values.end());
-  std::vector<Run> runs;
-  for (std::size_t i = 0; i < values.size();) {
-    std::size_t j = i;
-    while (j < values.size() && values[j] == values[i]) ++j;
-    runs.push_back(Run{values[i], static_cast<std::int64_t>(j - i)});
-    i = j;
-  }
-  return runs;
-}
-
-// GEMM-space classification shared by both operation types.
-PatternClass ClassifyGemm(const CorruptionMap& map,
-                          const ClassifyContext& context) {
-  std::vector<MatrixCoord> tiles;
-  std::vector<MatrixCoord> offsets;
-  tiles.reserve(map.corrupted.size());
-  offsets.reserve(map.corrupted.size());
-  std::vector<std::int64_t> cols;
-  std::vector<std::int64_t> rows_hit;
-  cols.reserve(map.corrupted.size());
-  rows_hit.reserve(map.corrupted.size());
-  for (const MatrixCoord& coord : map.corrupted) {
-    tiles.push_back(MatrixCoord{coord.row / context.tile_rows,
-                                coord.col / context.tile_cols});
-    offsets.push_back(MatrixCoord{coord.row % context.tile_rows,
-                                  coord.col % context.tile_cols});
-    cols.push_back(coord.col);
-    rows_hit.push_back(coord.row);
-  }
-  const std::int64_t distinct_tiles = CountDistinct(tiles);
-  const std::int64_t distinct_offsets = CountDistinct(offsets);
-
-  // Single element, possibly replicated once per tile at the same offset.
-  if (distinct_offsets == 1 && map.count() == distinct_tiles) {
-    return distinct_tiles == 1 ? PatternClass::kSingleElement
-                               : PatternClass::kSingleElementMultiTile;
-  }
-
-  // Fully corrupted columns sharing one within-tile column offset.
-  const std::vector<Run> col_runs = RunLengths(cols);
-  bool all_columns_full = true;
-  bool one_col_offset = true;
-  std::int64_t col_offset = -1;
-  for (const Run& run : col_runs) {
-    if (run.hits != map.rows) {
-      all_columns_full = false;
-      break;
-    }
-    const std::int64_t offset = run.value % context.tile_cols;
-    if (col_offset < 0) {
-      col_offset = offset;
-    } else if (offset != col_offset) {
-      one_col_offset = false;
-    }
-  }
-  if (all_columns_full &&
-      map.count() ==
-          map.rows * static_cast<std::int64_t>(col_runs.size()) &&
-      one_col_offset) {
-    return distinct_tiles == 1 ? PatternClass::kSingleColumn
-                               : PatternClass::kSingleColumnMultiTile;
-  }
-
-  // Fully corrupted rows sharing one within-tile row offset.
-  const std::vector<Run> row_runs = RunLengths(rows_hit);
-  bool all_rows_full = true;
-  bool one_row_offset = true;
-  std::int64_t row_offset = -1;
-  for (const Run& run : row_runs) {
-    if (run.hits != map.cols) {
-      all_rows_full = false;
-      break;
-    }
-    const std::int64_t offset = run.value % context.tile_rows;
-    if (row_offset < 0) {
-      row_offset = offset;
-    } else if (offset != row_offset) {
-      one_row_offset = false;
-    }
-  }
-  if (all_rows_full &&
-      map.count() ==
-          map.cols * static_cast<std::int64_t>(row_runs.size()) &&
-      one_row_offset) {
-    return distinct_tiles == 1 ? PatternClass::kSingleRow
-                               : PatternClass::kSingleRowMultiTile;
-  }
-
-  return PatternClass::kOther;
-}
-
-}  // namespace
-
 PatternClass Classify(const CorruptionMap& map,
                       const ClassifyContext& context) {
   SAFFIRE_CHECK_MSG(context.rows > 0 && context.cols > 0 &&
@@ -197,29 +83,100 @@ PatternClass Classify(const CorruptionMap& map,
                            << context.rows << "x" << context.cols);
   if (map.empty()) return PatternClass::kMasked;
 
-  if (context.op == OpType::kConv) {
-    // Channel classification: every corrupted column fully corrupted →
-    // whole output channels are affected (a partially corrupted column
-    // cannot be a channel pattern and falls through to the generic rules).
-    std::vector<std::int64_t> cols;
-    cols.reserve(map.corrupted.size());
-    for (const MatrixCoord& coord : map.corrupted) cols.push_back(coord.col);
-    bool all_full = true;
-    std::vector<std::int64_t> channels;
-    for (const Run& run : RunLengths(cols)) {
-      if (run.hits != map.rows) {
-        all_full = false;
-        break;
-      }
-      channels.push_back(ColumnToChannel(run.value, context));
+  // One pass over the map, which is sorted row-major with unique
+  // coordinates (checked here: the counters below are indexed by column,
+  // and the row runs are only runs if the order holds). Rows arrive as
+  // contiguous runs, so row fullness and row offsets are read per run;
+  // columns arrive interleaved, so they are counted per column and read
+  // after the pass.
+  const std::int64_t tile_rows = context.tile_rows;
+  const std::int64_t tile_cols = context.tile_cols;
+  std::vector<std::int64_t> col_hits(static_cast<std::size_t>(map.cols), 0);
+  const MatrixCoord first = map.corrupted.front();
+  const std::int64_t first_row_offset = first.row % tile_rows;
+  const std::int64_t first_row_tile = first.row / tile_rows;
+  bool all_rows_full = true;
+  bool one_row_offset = true;
+  bool one_row_tile = true;
+  MatrixCoord previous{first.row, -1};
+  std::int64_t run_length = 0;
+  for (const MatrixCoord& coord : map.corrupted) {
+    SAFFIRE_CHECK_MSG(coord.row >= 0 && coord.row < map.rows &&
+                          coord.col >= 0 && coord.col < map.cols,
+                      "corrupted element (" << coord.row << ", " << coord.col
+                                            << ") outside " << map.rows << "x"
+                                            << map.cols);
+    SAFFIRE_CHECK_MSG(previous < coord,
+                      "corrupted elements not sorted row-major and unique at ("
+                          << coord.row << ", " << coord.col << ")");
+    if (coord.row != previous.row) {
+      all_rows_full = all_rows_full && run_length == map.cols;
+      one_row_offset =
+          one_row_offset && coord.row % tile_rows == first_row_offset;
+      one_row_tile = one_row_tile && coord.row / tile_rows == first_row_tile;
+      run_length = 0;
     }
-    if (all_full) {
-      return CountDistinct(channels) == 1 ? PatternClass::kSingleChannel
-                                          : PatternClass::kMultiChannel;
+    ++run_length;
+    ++col_hits[static_cast<std::size_t>(coord.col)];
+    previous = coord;
+  }
+  all_rows_full = all_rows_full && run_length == map.cols;
+
+  // The corrupted columns in increasing order. A convolution's channels are
+  // mapped only while every column so far is full: they matter only then.
+  const bool conv = context.op == OpType::kConv;
+  const std::int64_t first_col_offset = first.col % tile_cols;
+  const std::int64_t first_col_tile = first.col / tile_cols;
+  bool all_cols_full = true;
+  bool one_col_offset = true;
+  bool one_col_tile = true;
+  bool one_channel = true;
+  std::int64_t channel = -1;
+  for (std::int64_t col = 0; col < map.cols; ++col) {
+    const std::int64_t hits = col_hits[static_cast<std::size_t>(col)];
+    if (hits == 0) continue;
+    all_cols_full = all_cols_full && hits == map.rows;
+    one_col_offset = one_col_offset && col % tile_cols == first_col_offset;
+    one_col_tile = one_col_tile && col / tile_cols == first_col_tile;
+    if (conv && all_cols_full) {
+      const std::int64_t col_channel = ColumnToChannel(col, context);
+      one_channel = one_channel && (channel < 0 || col_channel == channel);
+      channel = col_channel;
     }
   }
 
-  return ClassifyGemm(map, context);
+  // Convolutions first: every corrupted column fully corrupted means whole
+  // output channels are affected (a partially corrupted column cannot be a
+  // channel pattern and falls through to the generic rules).
+  if (conv && all_cols_full) {
+    return one_channel ? PatternClass::kSingleChannel
+                       : PatternClass::kMultiChannel;
+  }
+
+  // Every element in the tile of the first: row tile and column tile alike.
+  const bool single_tile = one_row_tile && one_col_tile;
+
+  // Single element, possibly replicated once per tile at the same offset.
+  // With unique coordinates, one shared offset puts each element in its own
+  // tile, so the tile count is the element count.
+  if (one_row_offset && one_col_offset) {
+    return single_tile ? PatternClass::kSingleElement
+                       : PatternClass::kSingleElementMultiTile;
+  }
+
+  // Fully corrupted columns sharing one within-tile column offset.
+  if (all_cols_full && one_col_offset) {
+    return single_tile ? PatternClass::kSingleColumn
+                       : PatternClass::kSingleColumnMultiTile;
+  }
+
+  // Fully corrupted rows sharing one within-tile row offset.
+  if (all_rows_full && one_row_offset) {
+    return single_tile ? PatternClass::kSingleRow
+                       : PatternClass::kSingleRowMultiTile;
+  }
+
+  return PatternClass::kOther;
 }
 
 }  // namespace saffire

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fi/cone.h"
 #include "tensor/tensor.h"
 
 namespace saffire {
@@ -39,5 +40,11 @@ struct CorruptionMap {
 // Element-wise diff of two same-shaped rank-2 tensors.
 CorruptionMap ExtractCorruption(const Int32Tensor& golden,
                                 const Int32Tensor& faulty);
+
+// The same map for a faulty output given over its cone (fi/cone.h), in
+// O(cone) rather than O(output): everything outside the cone is golden.
+// Equals ExtractCorruption(golden, ExpandCone(faulty, golden)).
+CorruptionMap ExtractCorruption(const Int32Tensor& golden,
+                                const ConeOutput& faulty);
 
 }  // namespace saffire

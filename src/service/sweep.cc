@@ -158,7 +158,7 @@ SweepSpec ParseSweepSpec(const std::string& json) {
   spec.kind = FaultKindFromString(root.At("kind").AsString());
   spec.max_sites = root.At("max_sites").AsInt();
   spec.seed = root.At("seed").AsUint();
-  spec.engine = CampaignEngineFromString(root.At("engine").AsString());
+  spec.engine = ParseCampaignEngine(root.At("engine").AsString());
   spec.shards = static_cast<int>(root.At("shards").AsInt());
   // Optional for back-compat: spec files written before the symmetry flag
   // existed parse with it off.

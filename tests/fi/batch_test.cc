@@ -1,7 +1,7 @@
 // Lane-parallel batched runs (FiRunner::RunFaultyBatch) must be
-// bit-for-bit identical to differential runs for every lane: same output,
-// cycles, fault activations, and the same pe_steps / pe_steps_skipped
-// split. Exercised over every MacSignal and dataflow, tiled workloads,
+// bit-for-bit identical to differential runs for every lane: same output
+// (the lane's cone output expanded over the golden result), cycles, fault
+// activations, and the same pe_steps / pe_steps_skipped split. Exercised over every MacSignal and dataflow, tiled workloads,
 // transient strikes, heterogeneous batches, and the W=1 degenerate batch.
 #include <gtest/gtest.h>
 
@@ -50,7 +50,7 @@ void ExpectBatchMatchesDifferential(const AccelConfig& accel,
   const RunResult golden =
       batch_runner.RunGoldenRecorded(workload, dataflow, &trace);
 
-  const std::vector<RunResult> batch =
+  const std::vector<ConeRunResult> batch =
       batch_runner.RunFaultyBatch(workload, dataflow, faults, trace, golden);
   ASSERT_EQ(batch.size(), faults.size());
 
@@ -63,7 +63,7 @@ void ExpectBatchMatchesDifferential(const AccelConfig& accel,
     }
     const RunResult diff = diff_runner.RunFaultyDifferential(
         workload, dataflow, {&injected, 1}, trace);
-    ASSERT_EQ(batch[i].output, diff.output);
+    ASSERT_EQ(ExpandCone(batch[i].output, golden.output), diff.output);
     ASSERT_EQ(batch[i].cycles, diff.cycles);
     ASSERT_EQ(batch[i].fault_activations, diff.fault_activations);
     ASSERT_EQ(batch[i].pe_steps, diff.pe_steps);
@@ -151,7 +151,7 @@ TEST(BatchRunTest, TransientRebasesOntoAdvancedClock) {
   fault.bit = 2;
   fault.at_cycle = 9;
   const std::vector<FaultSpec> faults{fault};
-  const std::vector<RunResult> batch = batch_runner.RunFaultyBatch(
+  const std::vector<ConeRunResult> batch = batch_runner.RunFaultyBatch(
       workload, Dataflow::kWeightStationary, faults, trace, golden);
 
   FiRunner diff_runner(accel);
@@ -161,7 +161,7 @@ TEST(BatchRunTest, TransientRebasesOntoAdvancedClock) {
   injected.at_cycle += diff_runner.accel().cycles();
   const RunResult diff = diff_runner.RunFaultyDifferential(
       workload, Dataflow::kWeightStationary, {&injected, 1}, trace);
-  EXPECT_EQ(batch.front().output, diff.output);
+  EXPECT_EQ(ExpandCone(batch.front().output, golden.output), diff.output);
   EXPECT_EQ(batch.front().fault_activations, diff.fault_activations);
 }
 

@@ -69,8 +69,6 @@ void ExpectSameRecords(const CampaignResult& want, const CampaignResult& got) {
 TEST(PredictedEngineNameTest, RoundTripsAndExtendsTheTable) {
   EXPECT_EQ(ToString(CampaignEngine::kPredicted), "predicted");
   EXPECT_EQ(ParseCampaignEngine("predicted"), CampaignEngine::kPredicted);
-  EXPECT_EQ(CampaignEngineFromString("predicted"),
-            CampaignEngine::kPredicted);
   EXPECT_THROW(ParseCampaignEngine("Predicted"), std::invalid_argument);
 }
 

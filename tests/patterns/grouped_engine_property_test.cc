@@ -1,0 +1,137 @@
+// Randomized property test for the grouped engines (FiRunner::RunFaultyBatch
+// and FiRunner::RunFaultyPredicted) on tile layouts the fixed matrices do not
+// reach. Small non-square arrays with max_compute_rows between rows and
+// 2·rows make ragged workloads span several m-tiles under WS, and — once
+// N > max_compute_rows — under IS, where a cone column is an output row.
+//
+// For every site of every drawn campaign:
+//   - RunPreparedBatch records on kBatch and kPredicted (in randomly sized
+//     groups) equal the kDifferential record of the same experiment;
+//   - each engine's cone output, expanded over the golden result, equals the
+//     differential run's dense output.
+// Every iteration draws from its own seed, which the failure names.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "patterns/campaign.h"
+
+namespace saffire {
+namespace {
+
+CampaignConfig DrawCampaign(Rng& rng) {
+  CampaignConfig config;
+  ArrayConfig& array = config.accel.array;
+  array.rows = static_cast<std::int32_t>(rng.UniformInt(2, 8));
+  array.cols = static_cast<std::int32_t>(rng.UniformInt(2, 8));
+  config.accel.max_compute_rows =
+      static_cast<std::int32_t>(rng.UniformInt(array.rows, 2 * array.rows));
+  config.accel.acc_rows = config.accel.max_compute_rows;
+  config.accel.spad_rows =
+      config.accel.max_compute_rows + std::max(array.rows, array.cols);
+  config.accel.dram_bytes = 1 << 20;
+
+  config.workload.name = "grouped-property";
+  config.workload.m = rng.UniformInt(1, 40);
+  config.workload.k = rng.UniformInt(1, 40);
+  config.workload.n = rng.UniformInt(1, 40);
+  config.workload.input_fill = OperandFill::kRandom;
+  config.workload.weight_fill = OperandFill::kRandom;
+  config.workload.data_seed = rng();
+
+  const Dataflow dataflows[] = {Dataflow::kWeightStationary,
+                                Dataflow::kOutputStationary,
+                                Dataflow::kInputStationary};
+  config.dataflow = dataflows[rng.UniformInt(0, 2)];
+  const MacSignal signals[] = {MacSignal::kWeightOperand, MacSignal::kMulOut,
+                               MacSignal::kAdderOut, MacSignal::kActForward,
+                               MacSignal::kSouthForward};
+  config.signal = signals[rng.UniformInt(0, 4)];
+  config.bit =
+      static_cast<int>(rng.UniformInt(0, SignalWidth(config.signal, array) - 1));
+  config.polarity = rng.Bernoulli(0.5) ? StuckPolarity::kStuckAt1
+                                       : StuckPolarity::kStuckAt0;
+  config.engine = CampaignEngine::kBatch;
+  return config;
+}
+
+// The records of every site on `engine`, run as consecutive groups of
+// `lanes` experiments.
+std::vector<ExperimentRecord> GroupedRecords(const PreparedCampaign& prepared,
+                                             FiRunner& runner,
+                                             CampaignEngine engine,
+                                             std::size_t lanes) {
+  std::vector<ExperimentRecord> records;
+  for (std::size_t begin = 0; begin < prepared.faults.size(); begin += lanes) {
+    const std::size_t end = std::min(prepared.faults.size(), begin + lanes);
+    const std::vector<ExperimentRecord> group =
+        RunPreparedBatch(prepared, runner, begin, end, engine);
+    records.insert(records.end(), group.begin(), group.end());
+  }
+  return records;
+}
+
+TEST(GroupedEnginePropertyTest, MatchesDifferentialOnRandomTiledCampaigns) {
+  constexpr std::uint64_t kFirstSeed = 20231017;
+  constexpr int kIterations = 60;
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(iteration);
+    Rng rng(seed);
+    const CampaignConfig config = DrawCampaign(rng);
+    SCOPED_TRACE("iteration seed " + std::to_string(seed) + ": " +
+                 config.ToString() + ", max_compute_rows " +
+                 std::to_string(config.accel.max_compute_rows));
+
+    const PreparedCampaign prepared = PrepareCampaign(config);
+    const std::size_t sites = prepared.faults.size();
+    const auto lanes = static_cast<std::size_t>(
+        rng.UniformInt(1, static_cast<std::int64_t>(sites)));
+    FiRunner runner(config.accel);
+    const std::vector<ExperimentRecord> batch_records =
+        GroupedRecords(prepared, runner, CampaignEngine::kBatch, lanes);
+    const std::vector<ExperimentRecord> predicted_records =
+        GroupedRecords(prepared, runner, CampaignEngine::kPredicted, lanes);
+
+    const GoldenTrace& trace = *prepared.trace();
+    const RunResult& golden = prepared.golden();
+    const std::vector<ConeRunResult> batch_cones = runner.RunFaultyBatch(
+        config.workload, config.dataflow, prepared.faults, trace, golden);
+    const bool closed_form = PredictedEngineExact(config);
+    const std::vector<ConeRunResult> predicted_cones =
+        closed_form ? runner.RunFaultyPredicted(config.workload,
+                                                config.dataflow,
+                                                prepared.faults, trace, golden)
+                    : std::vector<ConeRunResult>{};
+
+    ASSERT_EQ(batch_records.size(), sites);
+    ASSERT_EQ(predicted_records.size(), sites);
+    for (std::size_t i = 0; i < sites; ++i) {
+      const FaultSpec& fault = prepared.faults[i];
+      SCOPED_TRACE(fault.ToString());
+      const ExperimentRecord want = RunPreparedExperimentWithEngine(
+          prepared, runner, i, CampaignEngine::kDifferential);
+      ASSERT_TRUE(batch_records[i] == want) << "batch record differs";
+      ASSERT_TRUE(predicted_records[i] == want) << "predicted record differs";
+
+      const RunResult dense = runner.RunFaultyDifferential(
+          config.workload, config.dataflow, {&fault, 1}, trace);
+      ASSERT_TRUE(ExpandCone(batch_cones[i].output, golden.output) ==
+                  dense.output)
+          << "batch cone differs";
+      if (closed_form) {
+        ASSERT_TRUE(ExpandCone(predicted_cones[i].output, golden.output) ==
+                    dense.output)
+            << "predicted cone differs";
+        ASSERT_TRUE(predicted_cones[i].output == batch_cones[i].output)
+            << "predicted and batch cones differ";
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace saffire
