@@ -32,29 +32,43 @@ Mlp::Mlp(std::int64_t inputs, std::int64_t hidden, std::int64_t outputs,
   }
 }
 
+namespace {
+
+// Adds the [1 × cols] bias row to every row of `t` (then ReLU when `relu`).
+void AddBiasRows(FloatTensor& t, const FloatTensor& bias, bool relu) {
+  const std::int64_t cols = t.dim(1);
+  SAFFIRE_ASSERT_MSG(bias.size() == cols, "bias " << bias.ShapeString());
+  const float* b = bias.data().data();
+  float* row = t.data().data();
+  for (std::int64_t r = 0; r < t.dim(0); ++r, row += cols) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      const float v = row[c] + b[c];
+      row[c] = relu ? std::max(0.0f, v) : v;
+    }
+  }
+}
+
+}  // namespace
+
 FloatTensor Mlp::Forward(const FloatTensor& batch) const {
   SAFFIRE_CHECK_MSG(batch.rank() == 2 && batch.dim(1) == inputs_,
                     "batch " << batch.ShapeString());
   FloatTensor z1 = GemmRef(batch, w1_);
-  for (std::int64_t r = 0; r < z1.dim(0); ++r) {
-    for (std::int64_t c = 0; c < z1.dim(1); ++c) {
-      z1(r, c) = std::max(0.0f, z1(r, c) + b1_(0, c));
-    }
-  }
+  AddBiasRows(z1, b1_, /*relu=*/true);
   FloatTensor z2 = GemmRef(z1, w2_);
-  for (std::int64_t r = 0; r < z2.dim(0); ++r) {
-    for (std::int64_t c = 0; c < z2.dim(1); ++c) {
-      z2(r, c) += b2_(0, c);
-    }
-  }
+  AddBiasRows(z2, b2_, /*relu=*/false);
   return z2;
 }
 
 double Mlp::TrainEpoch(const Dataset& dataset, double learning_rate,
                        std::int64_t batch_size, Rng& rng) {
   SAFFIRE_CHECK_MSG(batch_size > 0, "batch_size=" << batch_size);
-  SAFFIRE_CHECK_MSG(dataset.inputs.dim(1) == inputs_,
-                    "dataset width " << dataset.inputs.dim(1));
+  SAFFIRE_CHECK_MSG(dataset.inputs.rank() == 2 &&
+                        dataset.inputs.dim(1) == inputs_ &&
+                        dataset.inputs.dim(0) >= dataset.size(),
+                    "dataset inputs " << dataset.inputs.ShapeString()
+                                      << " for " << dataset.size()
+                                      << " labels");
   std::vector<std::int64_t> order(static_cast<std::size_t>(dataset.size()));
   for (std::size_t i = 0; i < order.size(); ++i) {
     order[i] = static_cast<std::int64_t>(i);
@@ -70,44 +84,36 @@ double Mlp::TrainEpoch(const Dataset& dataset, double learning_rate,
     std::vector<int> labels(static_cast<std::size_t>(size));
     for (std::int64_t i = 0; i < size; ++i) {
       const std::int64_t src = order[static_cast<std::size_t>(start + i)];
-      for (std::int64_t c = 0; c < inputs_; ++c) {
-        x(i, c) = dataset.inputs(src, c);
-      }
+      std::copy_n(dataset.inputs.data().data() + src * inputs_, inputs_,
+                  x.data().data() + i * inputs_);
       labels[static_cast<std::size_t>(i)] =
           dataset.labels[static_cast<std::size_t>(src)];
     }
 
     // Forward with cached activations.
-    FloatTensor z1 = GemmRef(x, w1_);
-    FloatTensor h = z1;
-    for (std::int64_t r = 0; r < h.dim(0); ++r) {
-      for (std::int64_t c = 0; c < h.dim(1); ++c) {
-        h(r, c) = std::max(0.0f, z1(r, c) + b1_(0, c));
-      }
-    }
+    FloatTensor h = GemmRef(x, w1_);
+    AddBiasRows(h, b1_, /*relu=*/true);
     FloatTensor logits = GemmRef(h, w2_);
-    for (std::int64_t r = 0; r < logits.dim(0); ++r) {
-      for (std::int64_t c = 0; c < logits.dim(1); ++c) {
-        logits(r, c) += b2_(0, c);
-      }
-    }
+    AddBiasRows(logits, b2_, /*relu=*/false);
 
     // Softmax + cross-entropy; dlogits = softmax − onehot.
     FloatTensor dlogits({size, outputs_});
     for (std::int64_t r = 0; r < size; ++r) {
-      float max_logit = logits(r, 0);
+      const float* logit = logits.data().data() + r * outputs_;
+      float* dlogit = dlogits.data().data() + r * outputs_;
+      float max_logit = logit[0];
       for (std::int64_t c = 1; c < outputs_; ++c) {
-        max_logit = std::max(max_logit, logits(r, c));
+        max_logit = std::max(max_logit, logit[c]);
       }
       double denom = 0.0;
       for (std::int64_t c = 0; c < outputs_; ++c) {
-        denom += std::exp(static_cast<double>(logits(r, c) - max_logit));
+        denom += std::exp(static_cast<double>(logit[c] - max_logit));
       }
       const int label = labels[static_cast<std::size_t>(r)];
       for (std::int64_t c = 0; c < outputs_; ++c) {
         const double p =
-            std::exp(static_cast<double>(logits(r, c) - max_logit)) / denom;
-        dlogits(r, c) = static_cast<float>(p) - (c == label ? 1.0f : 0.0f);
+            std::exp(static_cast<double>(logit[c] - max_logit)) / denom;
+        dlogit[c] = static_cast<float>(p) - (c == label ? 1.0f : 0.0f);
         if (c == label) total_loss += -std::log(std::max(p, 1e-12));
       }
     }
@@ -117,44 +123,55 @@ double Mlp::TrainEpoch(const Dataset& dataset, double learning_rate,
 
     // Gradients: dW2 = hᵀ·dlogits, db2 = Σrows dlogits,
     // dh = dlogits·W2ᵀ (gated by ReLU), dW1 = xᵀ·dh, db1 = Σrows dh.
+    // They accumulate row by row of the batch, yet each gradient element
+    // still sums over r in ascending order from 0, so training is
+    // bit-identical to per-element dot products.
     FloatTensor dh({size, hidden_});
+    FloatTensor grad_w1(w1_.shape());
+    FloatTensor grad_b1(b1_.shape());
+    FloatTensor grad_w2(w2_.shape());
+    FloatTensor grad_b2(b2_.shape());
+    float* g_b1 = grad_b1.data().data();
+    float* g_b2 = grad_b2.data().data();
     for (std::int64_t r = 0; r < size; ++r) {
+      const float* x_row = x.data().data() + r * inputs_;
+      const float* h_row = h.data().data() + r * hidden_;
+      const float* dlogit = dlogits.data().data() + r * outputs_;
+      float* dh_row = dh.data().data() + r * hidden_;
       for (std::int64_t c = 0; c < hidden_; ++c) {
+        const float* w2_row = w2_.data().data() + c * outputs_;
         float grad = 0.0f;
         for (std::int64_t o = 0; o < outputs_; ++o) {
-          grad += dlogits(r, o) * w2_(c, o);
+          grad += dlogit[o] * w2_row[o];
         }
-        dh(r, c) = h(r, c) > 0.0f ? grad : 0.0f;
-      }
-    }
-    for (std::int64_t c = 0; c < hidden_; ++c) {
-      for (std::int64_t o = 0; o < outputs_; ++o) {
-        float grad = 0.0f;
-        for (std::int64_t r = 0; r < size; ++r) {
-          grad += h(r, c) * dlogits(r, o);
+        dh_row[c] = h_row[c] > 0.0f ? grad : 0.0f;
+
+        float* g_w2 = grad_w2.data().data() + c * outputs_;
+        for (std::int64_t o = 0; o < outputs_; ++o) {
+          g_w2[o] += h_row[c] * dlogit[o];
         }
-        w2_(c, o) -= step * grad;
       }
-    }
-    for (std::int64_t o = 0; o < outputs_; ++o) {
-      float grad = 0.0f;
-      for (std::int64_t r = 0; r < size; ++r) grad += dlogits(r, o);
-      b2_(0, o) -= step * grad;
-    }
-    for (std::int64_t i = 0; i < inputs_; ++i) {
-      for (std::int64_t c = 0; c < hidden_; ++c) {
-        float grad = 0.0f;
-        for (std::int64_t r = 0; r < size; ++r) {
-          grad += x(r, i) * dh(r, c);
+      for (std::int64_t o = 0; o < outputs_; ++o) g_b2[o] += dlogit[o];
+      for (std::int64_t i = 0; i < inputs_; ++i) {
+        float* g_w1 = grad_w1.data().data() + i * hidden_;
+        for (std::int64_t c = 0; c < hidden_; ++c) {
+          g_w1[c] += x_row[i] * dh_row[c];
         }
-        w1_(i, c) -= step * grad;
       }
+      for (std::int64_t c = 0; c < hidden_; ++c) g_b1[c] += dh_row[c];
     }
-    for (std::int64_t c = 0; c < hidden_; ++c) {
-      float grad = 0.0f;
-      for (std::int64_t r = 0; r < size; ++r) grad += dh(r, c);
-      b1_(0, c) -= step * grad;
-    }
+
+    const auto descend = [step](FloatTensor& param, const FloatTensor& grad) {
+      const std::span<float> value = param.data();
+      const std::span<const float> delta = grad.data();
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        value[i] -= step * delta[i];
+      }
+    };
+    descend(w2_, grad_w2);
+    descend(b2_, grad_b2);
+    descend(w1_, grad_w1);
+    descend(b1_, grad_b1);
   }
   return total_loss / static_cast<double>(dataset.size());
 }

@@ -129,7 +129,7 @@ PreparedNetwork::PreparedNetwork(const NetworkSpec& spec) : spec_(spec) {
       Rng rng(spec_.seed + 2);
       mlp.TrainUntil(train, spec_.train_target, spec_.train_epochs, 0.1, rng);
       mlp_.emplace(mlp, train);
-      eval_inputs_ = eval.inputs;
+      eval_inputs_ = mlp_->QuantizeInputs(eval.inputs);
       labels_ = eval.labels;
 
       WorkloadSpec fc1;

@@ -146,9 +146,9 @@ class PreparedNetwork {
   // kExtraction operands.
   Int8Tensor ones_a_{{1, 1}};
   Int8Tensor ones_b_{{1, 1}};
-  // kMlp model + float evaluation inputs.
+  // kMlp model + evaluation inputs, quantized once at construction.
   std::optional<QuantizedMlp> mlp_;
-  FloatTensor eval_inputs_{{1, 1}};
+  Int8Tensor eval_inputs_{{1, 1}};
   // kCnn model + quantized evaluation images.
   std::optional<SmallCnn> cnn_;
   Int8Tensor cnn_inputs_{{1, 1, 1, 1}};

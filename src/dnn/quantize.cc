@@ -103,9 +103,16 @@ Int8Tensor QuantizedMlp::RequantizeHidden(const Int32Tensor& accum) const {
 
 Int32Tensor QuantizedMlp::LogitsWith(const FloatTensor& batch,
                                      const LayerGemm& gemm) const {
-  const Int8Tensor xq = QuantizeInputs(batch);
+  return LogitsWith(QuantizeInputs(batch), gemm);
+}
+
+Int32Tensor QuantizedMlp::LogitsWith(const Int8Tensor& quantized_batch,
+                                     const LayerGemm& gemm) const {
+  SAFFIRE_CHECK_MSG(
+      quantized_batch.rank() == 2 && quantized_batch.dim(1) == inputs_,
+      "batch " << quantized_batch.ShapeString());
   const Int8Tensor hq =
-      RequantizeHidden(AddBias(gemm(0, xq, w1q_), b1q_));
+      RequantizeHidden(AddBias(gemm(0, quantized_batch, w1q_), b1q_));
   return AddBias(gemm(1, hq, w2q_), b2q_);
 }
 

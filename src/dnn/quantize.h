@@ -53,8 +53,11 @@ class QuantizedMlp {
 
   // Inference parameterized over the per-layer GEMM executor (layer 0 =
   // input·w1, layer 1 = hidden·w2); every Predict* path below is this with
-  // a specific rung bound. LogitsWith returns the INT32 output logits.
+  // a specific rung bound. LogitsWith returns the INT32 output logits; the
+  // Int8Tensor overload takes a batch already quantized by QuantizeInputs.
   Int32Tensor LogitsWith(const FloatTensor& batch,
+                         const LayerGemm& gemm) const;
+  Int32Tensor LogitsWith(const Int8Tensor& quantized_batch,
                          const LayerGemm& gemm) const;
   std::vector<int> PredictWith(const FloatTensor& batch,
                                const LayerGemm& gemm) const;

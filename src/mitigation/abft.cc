@@ -56,24 +56,30 @@ struct Residuals {
   std::vector<std::int64_t> col;  // Σ_i C[i][j] − expected
 };
 
+// Shapes are checked by VerifyAndCorrect, the only caller.
 Residuals ComputeResiduals(const Int8Tensor& a, const Int8Tensor& b,
                            const Int32Tensor& c) {
   const std::int64_t m = a.dim(0);
   const std::int64_t k = a.dim(1);
   const std::int64_t n = b.dim(1);
+  const std::int8_t* a_data = a.data().data();
+  const std::int8_t* b_data = b.data().data();
+  const std::int32_t* c_data = c.data().data();
 
   // Host-side checksums in INT64: O(M·K + K·N) work versus the array's
-  // O(M·K·N).
+  // O(M·K·N). Every loop walks rows, and C is read once.
   std::vector<std::int64_t> b_rowsum(static_cast<std::size_t>(k), 0);
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      b_rowsum[static_cast<std::size_t>(kk)] += b(kk, j);
-    }
+    const std::int8_t* b_row = b_data + kk * n;
+    std::int64_t sum = 0;
+    for (std::int64_t j = 0; j < n; ++j) sum += b_row[j];
+    b_rowsum[static_cast<std::size_t>(kk)] = sum;
   }
   std::vector<std::int64_t> a_colsum(static_cast<std::size_t>(k), 0);
   for (std::int64_t i = 0; i < m; ++i) {
+    const std::int8_t* a_row = a_data + i * k;
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      a_colsum[static_cast<std::size_t>(kk)] += a(i, kk);
+      a_colsum[static_cast<std::size_t>(kk)] += a_row[kk];
     }
   }
 
@@ -81,28 +87,28 @@ Residuals ComputeResiduals(const Int8Tensor& a, const Int8Tensor& b,
   residuals.row.assign(static_cast<std::size_t>(m), 0);
   residuals.col.assign(static_cast<std::size_t>(n), 0);
   for (std::int64_t i = 0; i < m; ++i) {
+    const std::int8_t* a_row = a_data + i * k;
     std::int64_t expected = 0;
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      expected += static_cast<std::int64_t>(a(i, kk)) *
+      expected += static_cast<std::int64_t>(a_row[kk]) *
                   b_rowsum[static_cast<std::size_t>(kk)];
     }
+    const std::int32_t* c_row = c_data + i * n;
     std::int64_t actual = 0;
     for (std::int64_t j = 0; j < n; ++j) {
-      actual += c(i, j);
+      actual += c_row[j];
+      residuals.col[static_cast<std::size_t>(j)] += c_row[j];
     }
     residuals.row[static_cast<std::size_t>(i)] = actual - expected;
   }
-  for (std::int64_t j = 0; j < n; ++j) {
-    std::int64_t expected = 0;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      expected += a_colsum[static_cast<std::size_t>(kk)] *
-                  static_cast<std::int64_t>(b(kk, j));
+  // Column j's expected sum is Σ_kk (1ᵀ·A)[kk] · B[kk][j].
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const std::int8_t* b_row = b_data + kk * n;
+    const std::int64_t a_sum = a_colsum[static_cast<std::size_t>(kk)];
+    for (std::int64_t j = 0; j < n; ++j) {
+      residuals.col[static_cast<std::size_t>(j)] -=
+          a_sum * static_cast<std::int64_t>(b_row[j]);
     }
-    std::int64_t actual = 0;
-    for (std::int64_t i = 0; i < m; ++i) {
-      actual += c(i, j);
-    }
-    residuals.col[static_cast<std::size_t>(j)] = actual - expected;
   }
   return residuals;
 }

@@ -1,10 +1,19 @@
 #include "tensor/gemm.h"
 
+#include <cstdint>
+#include <type_traits>
+
 namespace saffire {
 namespace {
 
+// C += A·B in i-p-j order. The j loop only touches independent elements;
+// each C(i, j) still adds its products in ascending p (see gemm.h).
 template <typename In, typename Acc>
 void GemmInto(const Tensor<In>& a, const Tensor<In>& b, Tensor<Acc>& c) {
+  // int32 sums run in uint32_t so they wrap mod 2^32 like the array's
+  // 32-bit accumulator; a signed overflow would be undefined behaviour.
+  using Sum = std::conditional_t<std::is_same_v<Acc, std::int32_t>,
+                                 std::uint32_t, Acc>;
   SAFFIRE_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && c.rank() == 2,
                     "GEMM requires rank-2 tensors");
   const std::int64_t m = a.dim(0);
@@ -14,13 +23,17 @@ void GemmInto(const Tensor<In>& a, const Tensor<In>& b, Tensor<Acc>& c) {
                                            << b.ShapeString());
   SAFFIRE_CHECK_MSG(c.dim(0) == m && c.dim(1) == n,
                     "C is " << c.ShapeString());
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      Acc acc = c(i, j);
-      for (std::int64_t p = 0; p < k; ++p) {
-        acc += static_cast<Acc>(a(i, p)) * static_cast<Acc>(b(p, j));
+  const In* a_row = a.data().data();
+  Acc* c_row = c.data().data();
+  for (std::int64_t i = 0; i < m; ++i, a_row += k, c_row += n) {
+    const In* b_row = b.data().data();
+    for (std::int64_t p = 0; p < k; ++p, b_row += n) {
+      const auto a_ip = static_cast<Acc>(a_row[p]);
+      for (std::int64_t j = 0; j < n; ++j) {
+        c_row[j] = static_cast<Acc>(
+            static_cast<Sum>(c_row[j]) +
+            static_cast<Sum>(a_ip * static_cast<Acc>(b_row[j])));
       }
-      c(i, j) = acc;
     }
   }
 }

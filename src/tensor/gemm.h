@@ -6,12 +6,21 @@
 
 namespace saffire {
 
-// C[M×N] = A[M×K] · B[K×N] with INT8 operands and INT32 accumulation —
-// exactly the arithmetic the simulated array performs. Inner products are
-// accumulated left-to-right in k order, matching the row-by-row accumulation
-// order of the weight-stationary array (intermediate psum after row r equals
+// Every kernel below runs in i-p-j order: row p of B, scaled by A(i, p), is
+// added into row i of C, so the inner loop walks contiguous rows. Each
+// element C(i, j) still sums its products in ascending k (= p) order,
+// starting from its prior value, exactly as an i-j-p dot product would. That
+// per-element order is a contract: float results (the training path) must
+// not depend on the loop nest, and it matches the row-by-row accumulation
+// of the weight-stationary array (the intermediate psum after row r equals
 // the prefix sum over k ≤ r), so golden and simulated intermediate values
-// are comparable bit-for-bit.
+// are comparable bit-for-bit. Shapes are checked once per call; mismatches
+// throw std::invalid_argument.
+
+// C[M×N] = A[M×K] · B[K×N] with INT8 operands and INT32 accumulation —
+// exactly the arithmetic the simulated array performs, including overflow:
+// sums wrap mod 2^32 like the array's 32-bit accumulator (the kernel adds in
+// uint32_t, so a long K never hits signed-overflow undefined behaviour).
 Int32Tensor GemmRef(const Int8Tensor& a, const Int8Tensor& b);
 
 // C += A · B for INT32 accumulators; used when summing tile contributions

@@ -36,7 +36,6 @@ class Tensor {
       total *= dim;
     }
     data_.assign(static_cast<std::size_t>(total), T{});
-    ComputeStrides();
   }
 
   // Constructs a tensor filled with `value`.
@@ -159,15 +158,7 @@ class Tensor {
                                     d);
   }
 
-  void ComputeStrides() {
-    strides_.assign(shape_.size(), 1);
-    for (std::size_t i = shape_.size(); i-- > 1;) {
-      strides_[i - 1] = strides_[i] * shape_[i];
-    }
-  }
-
   std::vector<std::int64_t> shape_;
-  std::vector<std::int64_t> strides_;
   std::vector<T> data_;
 };
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "fi/injector.h"
+#include "tensor/gemm.h"
 
 namespace saffire {
 namespace {
@@ -211,6 +214,19 @@ TEST_F(QuantizedMlpTest, QuantizeInputsBounded) {
   const auto xq = quantized_->QuantizeInputs(test_->inputs);
   EXPECT_EQ(xq.dim(0), test_->size());
   EXPECT_EQ(xq.dim(1), kDigitPixels);
+}
+
+// A batch quantized once up front gives the same logits as quantizing it
+// inside every inference; a batch of the wrong width is refused.
+TEST_F(QuantizedMlpTest, LogitsWithQuantizedBatchMatchesFloatBatch) {
+  const LayerGemm host = [](int, const Int8Tensor& a, const Int8Tensor& b) {
+    return GemmRef(a, b);
+  };
+  const Int8Tensor xq = quantized_->QuantizeInputs(test_->inputs);
+  EXPECT_EQ(quantized_->LogitsWith(xq, host),
+            quantized_->LogitsWith(test_->inputs, host));
+  EXPECT_THROW(quantized_->LogitsWith(Int8Tensor({4, kDigitPixels + 1}), host),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.h"
 #include "fi/injector.h"
@@ -124,6 +125,71 @@ TEST(VerifyAndCorrectTest, CancellingDeltasEscapeRowChecksumButNotColumn) {
   EXPECT_TRUE(report.flagged_rows.empty());
   EXPECT_EQ(report.flagged_cols.size(), 2u);
   EXPECT_EQ(report.diagnosis, AbftDiagnosis::kComplex);
+}
+
+// Seeded property on non-square shapes (m, k and n pairwise distinct), so
+// the residuals cannot mix up their row, column and inner indices: a clean
+// product verifies, and a single-element, single-column or single-row
+// perturbation is diagnosed as such, flags exactly the perturbed rows and
+// columns, and is corrected back to GemmRef.
+TEST(VerifyAndCorrectTest, CorrectsPerturbationsOnRandomNonSquareShapes) {
+  Rng rng(15);
+  const auto nonzero_delta = [&rng] {
+    const auto magnitude = static_cast<std::int32_t>(rng.UniformInt(1, 5000));
+    return rng.Bernoulli(0.5) ? magnitude : -magnitude;
+  };
+  for (int iteration = 0; iteration < 40; ++iteration) {
+    std::int64_t m = 0;
+    std::int64_t k = 0;
+    std::int64_t n = 0;
+    while (m == k || k == n || m == n) {
+      m = rng.UniformInt(2, 40);
+      k = rng.UniformInt(1, 40);
+      n = rng.UniformInt(2, 40);
+    }
+    SCOPED_TRACE(::testing::Message() << "iteration " << iteration << ": "
+                                      << m << "x" << k << "x" << n);
+    const auto a = RandomInt8(rng, m, k);
+    const auto b = RandomInt8(rng, k, n);
+    const auto golden = GemmRef(a, b);
+
+    auto clean = golden;
+    EXPECT_EQ(VerifyAndCorrect(a, b, clean).diagnosis, AbftDiagnosis::kClean);
+    EXPECT_EQ(clean, golden);
+
+    const std::int64_t row = rng.UniformInt(0, m - 1);
+    const std::int64_t col = rng.UniformInt(0, n - 1);
+    auto element = golden;
+    element(row, col) += nonzero_delta();
+    const AbftReport element_report = VerifyAndCorrect(a, b, element);
+    EXPECT_EQ(element_report.diagnosis, AbftDiagnosis::kSingleElement);
+    EXPECT_EQ(element_report.flagged_rows, std::vector<std::int64_t>{row});
+    EXPECT_EQ(element_report.flagged_cols, std::vector<std::int64_t>{col});
+    EXPECT_TRUE(element_report.corrected());
+    EXPECT_EQ(element, golden);
+
+    const std::vector<std::int64_t> rows =
+        rng.SampleWithoutReplacement(m, rng.UniformInt(2, m));
+    auto column = golden;
+    for (const std::int64_t r : rows) column(r, col) += nonzero_delta();
+    const AbftReport column_report = VerifyAndCorrect(a, b, column);
+    EXPECT_EQ(column_report.diagnosis, AbftDiagnosis::kSingleColumn);
+    EXPECT_EQ(column_report.flagged_rows, rows);
+    EXPECT_EQ(column_report.flagged_cols, std::vector<std::int64_t>{col});
+    EXPECT_TRUE(column_report.corrected());
+    EXPECT_EQ(column, golden);
+
+    const std::vector<std::int64_t> cols =
+        rng.SampleWithoutReplacement(n, rng.UniformInt(2, n));
+    auto row_hit = golden;
+    for (const std::int64_t c : cols) row_hit(row, c) += nonzero_delta();
+    const AbftReport row_report = VerifyAndCorrect(a, b, row_hit);
+    EXPECT_EQ(row_report.diagnosis, AbftDiagnosis::kSingleRow);
+    EXPECT_EQ(row_report.flagged_rows, std::vector<std::int64_t>{row});
+    EXPECT_EQ(row_report.flagged_cols, cols);
+    EXPECT_TRUE(row_report.corrected());
+    EXPECT_EQ(row_hit, golden);
+  }
 }
 
 TEST(VerifyAndCorrectTest, RejectsShapeMismatch) {

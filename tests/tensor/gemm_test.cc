@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -66,6 +69,94 @@ TEST(GemmRefTest, ExtremeOperandValuesDoNotOverflowInt32) {
   const auto b = Int8Tensor::Full({16, 1}, -128);
   const auto c = GemmRef(a, b);
   EXPECT_EQ(c(0, 0), 16 * 128 * 128);
+}
+
+TEST(GemmRefTest, Int32AccumulationWrapsLikeTheArray) {
+  // 131,073 products of 128·128 sum to 2^31 + 2^14, one past what an int32
+  // holds; the result wraps mod 2^32 as the array's 32-bit accumulator
+  // does, instead of overflowing a signed sum.
+  constexpr std::int64_t kLongK = 131'073;
+  const auto a = Int8Tensor::Full({1, kLongK}, -128);
+  const auto b = Int8Tensor::Full({kLongK, 1}, -128);
+  EXPECT_EQ(GemmRef(a, b)(0, 0),
+            std::numeric_limits<std::int32_t>::min() + 16'384);
+}
+
+// The i-j-p dot-product loop GemmRef must stay bit-identical to: every
+// C(i, j) starts from its prior value and adds its products in ascending p.
+template <typename In, typename Acc>
+void NaiveGemmInto(const Tensor<In>& a, const Tensor<In>& b, Tensor<Acc>& c) {
+  for (std::int64_t i = 0; i < a.dim(0); ++i) {
+    for (std::int64_t j = 0; j < b.dim(1); ++j) {
+      Acc acc = c(i, j);
+      for (std::int64_t p = 0; p < a.dim(1); ++p) {
+        acc += static_cast<Acc>(a(i, p)) * static_cast<Acc>(b(p, j));
+      }
+      c(i, j) = acc;
+    }
+  }
+}
+
+FloatTensor RandomFloat(Rng& rng, std::int64_t rows, std::int64_t cols) {
+  FloatTensor t({rows, cols});
+  for (std::int64_t i = 0; i < t.size(); ++i) {
+    // Mixed magnitudes make float sums order-sensitive.
+    const int exponent = static_cast<int>(rng.UniformInt(-8, 8));
+    t.flat(i) = static_cast<float>(std::ldexp(rng.Normal(0.0, 1.0), exponent));
+  }
+  return t;
+}
+
+template <typename T>
+bool SameBytes(const Tensor<T>& x, const Tensor<T>& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data().data(), y.data().data(),
+                     x.data().size_bytes()) == 0;
+}
+
+TEST(GemmRefTest, MatchesNaiveOracleOnRandomShapes) {
+  Rng rng(1234);
+  bool unit_dim[3] = {false, false, false};
+  for (int iteration = 0; iteration < 150; ++iteration) {
+    // A quarter of the draws pin a dimension to 1.
+    const auto draw = [&rng] {
+      return rng.UniformInt(0, 3) == 0 ? std::int64_t{1}
+                                        : rng.UniformInt(1, 70);
+    };
+    const std::int64_t m = draw();
+    const std::int64_t k = draw();
+    const std::int64_t n = draw();
+    unit_dim[0] |= m == 1;
+    unit_dim[1] |= k == 1;
+    unit_dim[2] |= n == 1;
+    SCOPED_TRACE(::testing::Message() << "iteration " << iteration << ": "
+                                      << m << "x" << k << "x" << n);
+
+    const auto a = RandomInt8(rng, m, k);
+    const auto b = RandomInt8(rng, k, n);
+    Int32Tensor expected({m, n});
+    NaiveGemmInto(a, b, expected);
+    EXPECT_EQ(GemmRef(a, b), expected);
+
+    // Prior values far from the int32 limits, so the naive signed sum
+    // cannot overflow.
+    Int32Tensor prior({m, n});
+    for (std::int64_t i = 0; i < prior.size(); ++i) {
+      prior.flat(i) = static_cast<std::int32_t>(
+          rng.UniformInt(-1'000'000'000, 1'000'000'000));
+    }
+    Int32Tensor accumulated = prior;
+    GemmAccumulateRef(a, b, accumulated);
+    NaiveGemmInto(a, b, prior);
+    EXPECT_EQ(accumulated, prior);
+
+    const auto fa = RandomFloat(rng, m, k);
+    const auto fb = RandomFloat(rng, k, n);
+    FloatTensor fexpected({m, n});
+    NaiveGemmInto(fa, fb, fexpected);
+    EXPECT_TRUE(SameBytes(GemmRef(fa, fb), fexpected));
+  }
+  EXPECT_TRUE(unit_dim[0] && unit_dim[1] && unit_dim[2]);
 }
 
 TEST(GemmAccumulateRefTest, AddsIntoExisting) {
