@@ -5,14 +5,18 @@
 // an analytical perturbation).
 //
 // Before the timed benchmarks, a warm-up sweep prints the per-pattern-class
-// SDC and ABFT-coverage tables plus an explicit appfi-vs-cycle-accurate
-// speedup line (the ≥10x gate the fast rung is contracted to clear).
+// SDC and ABFT-coverage tables and the two rungs' sweep times, and checks
+// that the rungs agree: on the extraction network the appfi rung is
+// provably bit-exact, so every appfi record must be RungEquivalent to its
+// cycle-accurate counterpart, and the binary exits non-zero otherwise.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <iomanip>
 #include <iostream>
+#include <vector>
 
 #include "service/network_run.h"
 
@@ -139,9 +143,11 @@ void BM_NetworkSweep(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(sdc) / iterations);
 }
 
-// One sweep per rung, timed with a wall clock, for the explicit speedup
-// line and the per-class tables — runs once before the measured benchmarks.
-void PrintSummaryTables() {
+// One sweep per rung, timed with a wall clock, for the per-class tables,
+// the rung times and the rung-equivalence check — runs once before the
+// measured benchmarks. Returns false when any appfi record is not
+// RungEquivalent to the cycle-accurate record of the same experiment.
+bool PrintSummaryTables() {
   NetworkSweepSpec spec = ExtractionSpec();
   spec.abft = true;
 
@@ -150,28 +156,36 @@ void PrintSummaryTables() {
   std::array<std::int64_t, kNumPatternClasses> detected{};
   std::array<std::int64_t, kNumPatternClasses> corrected{};
 
-  const auto sweep = [&](NetworkRung rung, bool tally) {
+  const auto sweep = [&spec](NetworkRung rung,
+                             std::vector<NetworkRecord>* records) {
     spec.rung = rung;
     NetworkCollectorSink sink;
     const auto start = std::chrono::steady_clock::now();
     RunNetworkSweep(spec, sink);
     const auto elapsed = std::chrono::steady_clock::now() - start;
-    if (tally) {
-      for (const NetworkRecord& record : sink.records) {
-        const auto cls = static_cast<std::size_t>(record.pattern);
-        ++experiments[cls];
-        if (record.sdc) ++sdc[cls];
-        if (record.abft_diagnosis != AbftDiagnosis::kClean) ++detected[cls];
-        if (record.abft_corrected) ++corrected[cls];
-      }
-    }
+    if (records != nullptr) *records = std::move(sink.records);
     return std::chrono::duration<double, std::micro>(elapsed).count();
   };
 
   // Warm both paths once (model prep, metric registration), then time.
-  sweep(NetworkRung::kAppFi, /*tally=*/true);
-  const double appfi_us = sweep(NetworkRung::kAppFi, /*tally=*/false);
-  const double cycle_us = sweep(NetworkRung::kCycleAccurate, false);
+  std::vector<NetworkRecord> appfi;
+  std::vector<NetworkRecord> cycle;
+  sweep(NetworkRung::kAppFi, &appfi);
+  const double appfi_us = sweep(NetworkRung::kAppFi, nullptr);
+  const double cycle_us = sweep(NetworkRung::kCycleAccurate, &cycle);
+  for (const NetworkRecord& record : appfi) {
+    const auto cls = static_cast<std::size_t>(record.pattern);
+    ++experiments[cls];
+    if (record.sdc) ++sdc[cls];
+    if (record.abft_diagnosis != AbftDiagnosis::kClean) ++detected[cls];
+    if (record.abft_corrected) ++corrected[cls];
+  }
+  std::size_t equivalent = 0;
+  for (std::size_t i = 0; i < std::min(appfi.size(), cycle.size()); ++i) {
+    if (RungEquivalent(appfi[i], cycle[i])) ++equivalent;
+  }
+  const bool rungs_agree =
+      !appfi.empty() && appfi.size() == cycle.size() && equivalent == appfi.size();
 
   std::cout << "=== Network campaign: " << ToString(spec.network.kind)
             << ", stuck-at adder sweep, ABFT on ===\n\n";
@@ -190,8 +204,12 @@ void PrintSummaryTables() {
   std::cout << "\nappfi rung:          " << std::fixed
             << std::setprecision(0) << appfi_us << " us/sweep\n"
             << "cycle-accurate rung: " << cycle_us << " us/sweep\n"
-            << "speedup:             " << std::setprecision(1)
-            << cycle_us / appfi_us << "x (gate: >= 10x)\n\n";
+            << "ratio:               " << std::setprecision(1)
+            << cycle_us / appfi_us << "x\n"
+            << "rung equivalence:    " << equivalent << " of " << appfi.size()
+            << " appfi records (" << cycle.size() << " cycle-accurate)"
+            << (rungs_agree ? "" : "  FAILED") << "\n\n";
+  return rungs_agree;
 }
 
 // Per-policy recovery table, printed once before the measured benchmarks:
@@ -268,11 +286,11 @@ BENCHMARK(BM_MitigatedNetworkSweep)
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
-  PrintSummaryTables();
+  const bool rungs_agree = PrintSummaryTables();
   PrintMitigationTable();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return rungs_agree ? 0 : 1;
 }

@@ -93,7 +93,25 @@ class JsonParser {
     }
   }
 
+  // Counts one open array/object for as long as its parse runs.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(JsonParser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kJsonMaxDepth) {
+        ThrowParse(parser_.pos_, "nesting deeper than " +
+                                     std::to_string(kJsonMaxDepth) + " levels");
+      }
+    }
+    ~DepthGuard() { --parser_.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    JsonParser& parser_;
+  };
+
   JsonValue ParseObject() {
+    const DepthGuard guard(*this);
     Expect('{');
     JsonValue value;
     value.kind_ = JsonValue::Kind::kObject;
@@ -119,6 +137,7 @@ class JsonParser {
   }
 
   JsonValue ParseArray() {
+    const DepthGuard guard(*this);
     Expect('[');
     JsonValue value;
     value.kind_ = JsonValue::Kind::kArray;
@@ -243,6 +262,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects currently open
 };
 
 JsonValue JsonValue::Parse(std::string_view text) {

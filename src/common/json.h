@@ -18,6 +18,12 @@
 
 namespace saffire {
 
+// Deepest array/object nesting JsonValue::Parse accepts. The parser
+// recurses once per level, so the limit is what keeps a hostile document
+// (a spec or checkpoint line of nested brackets) from overflowing the
+// stack; saffire's own documents nest a handful of levels.
+inline constexpr int kJsonMaxDepth = 256;
+
 class JsonValue {
  public:
   enum class Kind : std::uint8_t {
@@ -30,7 +36,8 @@ class JsonValue {
   };
 
   // Parses one complete JSON document; throws std::invalid_argument on
-  // malformed input or trailing garbage.
+  // malformed input, trailing garbage, or nesting deeper than
+  // kJsonMaxDepth.
   static JsonValue Parse(std::string_view text);
 
   Kind kind() const { return kind_; }

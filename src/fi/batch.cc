@@ -41,6 +41,14 @@ std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
     const WorkloadSpec& workload, Dataflow dataflow,
     std::span<const FaultSpec> faults, const GoldenTrace& trace,
     const RunResult& golden) {
+  return RunFaultyBatch(Materialize(workload), dataflow, faults, trace,
+                        golden);
+}
+
+std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
+    const MaterializedWorkload& operands, Dataflow dataflow,
+    std::span<const FaultSpec> faults, const GoldenTrace& trace,
+    const RunResult& golden) {
   SAFFIRE_CHECK_MSG(!faults.empty(), "at least one fault required");
   const AccelConfig& config = accel_.config();
   const ArrayConfig& array = config.array;
@@ -53,7 +61,6 @@ std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
   const bool transposed = dataflow == Dataflow::kInputStationary;
 
   // The physical GEMM the accelerator executed (driver.cc).
-  const MaterializedWorkload operands = Materialize(workload);
   const Int8Tensor a = transposed ? Transpose(operands.b) : operands.a;
   const Int8Tensor b = transposed ? Transpose(operands.a) : operands.b;
   const std::int64_t m = a.dim(0);

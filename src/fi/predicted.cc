@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/bits.h"
 #include "common/check.h"
 #include "fi/cone.h"
 #include "fi/runner.h"
@@ -74,6 +73,32 @@ struct ForceSpec {
   }
 };
 
+// Loads one tile's operand block into a flat row-major copy, sign-extended
+// once at the operand width: block[r * cols + c] is
+// SignExtend(source(row0 + r, col0 + c), width). The region is bounds-checked
+// here, once per tile, so the closed-form loops below index the copy
+// unchecked instead of paying an accessor check and a SignExtend call per
+// element read.
+void LoadTile(const Int8Tensor& source, std::int64_t row0, std::int64_t col0,
+              std::int64_t rows, std::int64_t cols, int width,
+              std::vector<std::int32_t>& block) {
+  SAFFIRE_CHECK_MSG(source.rank() == 2 && rows > 0 && cols > 0 && row0 >= 0 &&
+                        col0 >= 0 && row0 + rows <= source.dim(0) &&
+                        col0 + cols <= source.dim(1),
+                    "tile (" << row0 << "," << col0 << ")+" << rows << "x"
+                             << cols << " out of " << source.ShapeString());
+  const std::int64_t stride = source.dim(1);
+  const std::int8_t* src = source.data().data() + row0 * stride + col0;
+  const int shift = 64 - width;
+  block.resize(static_cast<std::size_t>(rows * cols));
+  std::int32_t* dst = block.data();
+  for (std::int64_t r = 0; r < rows; ++r, src += stride) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      *dst++ = static_cast<std::int32_t>(SxWide(src[c], shift));
+    }
+  }
+}
+
 // Folds one tile's faulty collected value (golden chain output + delta,
 // re-wrapped at acc width) into the per-(mi, ni) accumulation cell with the
 // same uint32 wrap-add as AccumulatorMem::WriteBlock / fi/batch.cc.
@@ -91,6 +116,14 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
     const WorkloadSpec& workload, Dataflow dataflow,
     std::span<const FaultSpec> faults, const GoldenTrace& trace,
     const RunResult& golden) {
+  return RunFaultyPredicted(Materialize(workload), dataflow, faults, trace,
+                            golden);
+}
+
+std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
+    const MaterializedWorkload& operands, Dataflow dataflow,
+    std::span<const FaultSpec> faults, const GoldenTrace& trace,
+    const RunResult& golden) {
   SAFFIRE_CHECK_MSG(!faults.empty(), "at least one fault required");
   const AccelConfig& config = accel_.config();
   const ArrayConfig& array = config.array;
@@ -102,7 +135,6 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
   const bool ws = lowered == Dataflow::kWeightStationary;
   const bool transposed = dataflow == Dataflow::kInputStationary;
 
-  const MaterializedWorkload operands = Materialize(workload);
   const Int8Tensor a = transposed ? Transpose(operands.b) : operands.a;
   const Int8Tensor b = transposed ? Transpose(operands.a) : operands.b;
   const std::int64_t m = a.dim(0);
@@ -175,6 +207,10 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
   // values per fault, OS the single owned cell.
   std::vector<std::int32_t> acc_ws;
   std::vector<std::int32_t> acc_os;
+  // The current tile's operand blocks (LoadTile): a_tile is me×ke, b_tile
+  // ke×ne.
+  std::vector<std::int32_t> a_tile;
+  std::vector<std::int32_t> b_tile;
   // Per-tile golden partial-sum chains, one per fault column, shared by
   // every fault in that column (g[r * me + i]); rebuilt lazily per tile.
   std::vector<std::vector<std::int64_t>> col_chain(
@@ -200,8 +236,8 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
                : OutputStationaryStreamCycles(ke, array);
         SAFFIRE_CHECK_MSG(step0 + steps <= trace.steps(),
                           "replay overruns the recorded run");
-        const Int8Tensor a_blk = ExtractTilePadded(a, m0, k0, me, ke, me, ke);
-        const Int8Tensor b_blk = ExtractTilePadded(b, k0, n0, ke, ne, ke, ne);
+        LoadTile(a, m0, k0, me, ke, input_bits, a_tile);
+        LoadTile(b, k0, n0, ke, ne, input_bits, b_tile);
 
         if (ws) {
           for (auto& chain : col_chain) chain.clear();
@@ -210,28 +246,35 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
             const ForceSpec& force = forces[l];
             const std::int64_t c = fault.pe.col;
             const std::int64_t rf = fault.pe.row;
+            const bool in_col = c < ne;
             // Preloaded weight of the fault PE (0 outside the ke×ne block,
             // exactly like the scheduler's cleared preload).
             const std::int64_t w_val =
-                (rf < ke && c < ne)
-                    ? SignExtend(b_blk(rf, c), input_bits)
+                (rf < ke && in_col)
+                    ? b_tile[static_cast<std::size_t>(rf * ne + c)]
                     : 0;
-            // The golden chain for this fault column, shared per tile.
+            // The golden chain for this fault column, shared per tile. A
+            // column outside the block holds cleared weights, so its chain
+            // stays 0.
             std::vector<std::int64_t>& chain =
                 col_chain[static_cast<std::size_t>(c)];
             if (chain.empty()) {
               chain.assign(static_cast<std::size_t>(rows * me), 0);
-              for (std::int64_t i = 0; i < me; ++i) {
-                std::int64_t g = 0;
-                for (std::int64_t r = 0; r < rows; ++r) {
-                  if (r < ke) {
-                    const std::int64_t w_rc =
-                        (c < ne) ? SignExtend(b_blk(r, c), input_bits) : 0;
-                    const std::int64_t mul = SxWide(
-                        SignExtend(a_blk(i, r), input_bits) * w_rc, sx_prod);
-                    g = SxWide(g + mul, sx_acc);
+              if (in_col) {
+                for (std::int64_t i = 0; i < me; ++i) {
+                  const std::int32_t* a_row =
+                      a_tile.data() + static_cast<std::size_t>(i * ke);
+                  std::int64_t g = 0;
+                  for (std::int64_t r = 0; r < rows; ++r) {
+                    if (r < ke) {
+                      const std::int64_t mul = SxWide(
+                          std::int64_t{a_row[r]} *
+                              b_tile[static_cast<std::size_t>(r * ne + c)],
+                          sx_prod);
+                      g = SxWide(g + mul, sx_acc);
+                    }
+                    chain[static_cast<std::size_t>(r * me + i)] = g;
                   }
-                  chain[static_cast<std::size_t>(r * me + i)] = g;
                 }
               }
             }
@@ -239,6 +282,11 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
                 chain.data() + static_cast<std::size_t>(rf * me);
             const std::int64_t* g_out =
                 chain.data() + static_cast<std::size_t>((rows - 1) * me);
+            // The fault row's activation of wave i (0 past the block).
+            const auto a_at = [&](std::int64_t i) -> std::int64_t {
+              return rf < ke ? a_tile[static_cast<std::size_t>(i * ke + rf)]
+                             : 0;
+            };
 
             std::int32_t* cell = acc_ws.data() + l * static_cast<std::size_t>(me);
             std::uint64_t activ = 0;
@@ -249,8 +297,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
                 activ += static_cast<std::uint64_t>(steps) *
                          static_cast<std::uint64_t>(w_forced != w_val);
                 for (std::int64_t i = 0; i < me; ++i) {
-                  const std::int64_t a_in =
-                      rf < ke ? SignExtend(a_blk(i, rf), input_bits) : 0;
+                  const std::int64_t a_in = a_at(i);
                   const std::int64_t d =
                       SxWide(a_in * w_forced, sx_prod) -
                       SxWide(a_in * w_val, sx_prod);
@@ -263,9 +310,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
                 activ += static_cast<std::uint64_t>(steps - me) *
                          static_cast<std::uint64_t>(idle_forced != 0);
                 for (std::int64_t i = 0; i < me; ++i) {
-                  const std::int64_t a_in =
-                      rf < ke ? SignExtend(a_blk(i, rf), input_bits) : 0;
-                  const std::int64_t mul = SxWide(a_in * w_val, sx_prod);
+                  const std::int64_t mul = SxWide(a_at(i) * w_val, sx_prod);
                   const std::int64_t forced = force(mul);
                   activ += static_cast<std::uint64_t>(forced != mul);
                   cell[i] =
@@ -298,18 +343,22 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
             const std::int64_t c = fault.pe.col;
             const std::int64_t rf = fault.pe.row;
             const bool in_col = c < ne;
+            // The fault PE's west operands (its row of the A block), absent
+            // past the block's rows.
+            const std::int32_t* a_row =
+                rf < me ? a_tile.data() + static_cast<std::size_t>(rf * ke)
+                        : nullptr;
             std::uint64_t activ = 0;
             std::int64_t acc = 0;
             for (std::int64_t t = 0; t < steps; ++t) {
               const std::int64_t kk = t - rf - c;
               const bool valid = kk >= 0 && kk < ke;
               const std::int64_t a_in =
-                  (rf < me && valid)
-                      ? SignExtend(a_blk(rf, kk), input_bits)
-                      : 0;
+                  (a_row != nullptr && valid) ? a_row[kk] : 0;
               std::int64_t wop =
-                  (in_col && valid) ? SignExtend(b_blk(kk, c), input_bits)
-                                    : 0;
+                  (in_col && valid)
+                      ? b_tile[static_cast<std::size_t>(kk * ne + c)]
+                      : 0;
               if (fault.signal == MacSignal::kWeightOperand) {
                 const std::int64_t forced = force(wop);
                 activ += static_cast<std::uint64_t>(forced != wop);

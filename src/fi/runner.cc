@@ -3,6 +3,7 @@
 #include "fi/cone.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "systolic/timing.h"
 
 namespace saffire {
 namespace {
@@ -15,11 +16,34 @@ Dataflow LoweredDataflow(Dataflow dataflow) {
              : Dataflow::kWeightStationary;
 }
 
+// Steps the array takes to run `operands` under `dataflow`: the length of a
+// golden recording of the run, tile by tile as fi/batch.cc replays it.
+std::int64_t PlannedSteps(const MaterializedWorkload& operands,
+                          Dataflow dataflow, const AccelConfig& config) {
+  const bool transposed = dataflow == Dataflow::kInputStationary;
+  const Dataflow lowered = LoweredDataflow(dataflow);
+  const std::int64_t m = transposed ? operands.b.dim(1) : operands.a.dim(0);
+  const std::int64_t n = transposed ? operands.a.dim(0) : operands.b.dim(1);
+  const TileGrid grid =
+      Driver::PlanTiles(m, n, operands.a.dim(1), config, lowered);
+  std::int64_t steps = 0;
+  if (lowered == Dataflow::kWeightStationary) {
+    for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
+      steps += WeightStationaryStreamCycles(grid.TileRows(mi), config.array);
+    }
+    return steps * grid.n_tiles() * grid.k_tiles();
+  }
+  for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
+    steps += OutputStationaryStreamCycles(grid.TileDepth(ki), config.array);
+  }
+  return steps * grid.m_tiles() * grid.n_tiles();
+}
+
 }  // namespace
 
 RunResult FiRunner::RunGolden(const WorkloadSpec& workload,
                               Dataflow dataflow) {
-  return Run(workload, dataflow, nullptr);
+  return Run(Materialize(workload), dataflow, nullptr);
 }
 
 RunResult FiRunner::RunFaulty(const WorkloadSpec& workload, Dataflow dataflow,
@@ -27,17 +51,23 @@ RunResult FiRunner::RunFaulty(const WorkloadSpec& workload, Dataflow dataflow,
   SAFFIRE_SPAN("fi.faulty_run");
   FaultInjector injector(std::vector<FaultSpec>(faults.begin(), faults.end()),
                          accel_.config().array);
-  return Run(workload, dataflow, &injector);
+  return Run(Materialize(workload), dataflow, &injector);
 }
 
 RunResult FiRunner::RunGoldenRecorded(const WorkloadSpec& workload,
+                                      Dataflow dataflow, GoldenTrace* trace) {
+  return RunGoldenRecorded(Materialize(workload), dataflow, trace);
+}
+
+RunResult FiRunner::RunGoldenRecorded(const MaterializedWorkload& operands,
                                       Dataflow dataflow, GoldenTrace* trace) {
   SAFFIRE_SPAN("fi.golden_record");
   SystolicArray& array = accel_.array();
   array.BeginGoldenRecording(trace);
   RunResult result;
   try {
-    result = Run(workload, dataflow, nullptr);
+    trace->Reserve(PlannedSteps(operands, dataflow, accel_.config()));
+    result = Run(operands, dataflow, nullptr);
   } catch (...) {
     array.EndGoldenRecording();
     throw;
@@ -62,7 +92,7 @@ RunResult FiRunner::RunFaultyDifferential(const WorkloadSpec& workload,
   array.BeginDifferential(cone, &trace);
   RunResult result;
   try {
-    result = Run(workload, dataflow, &injector);
+    result = Run(Materialize(workload), dataflow, &injector);
   } catch (...) {
     array.EndDifferential();
     throw;
@@ -71,12 +101,10 @@ RunResult FiRunner::RunFaultyDifferential(const WorkloadSpec& workload,
   return result;
 }
 
-RunResult FiRunner::Run(const WorkloadSpec& workload, Dataflow dataflow,
-                        FaultInjector* injector) {
-  const MaterializedWorkload operands = Materialize(workload);
+RunResult FiRunner::Run(const MaterializedWorkload& operands,
+                        Dataflow dataflow, FaultInjector* injector) {
   ExecOptions options;
   options.dataflow = dataflow;
-  options.conv_lowering = workload.lowering;
 
   SystolicArray& array = accel_.array();
   const std::int64_t cycles_before = array.cycle();

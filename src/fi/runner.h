@@ -59,8 +59,15 @@ class FiRunner {
   // Fault-free execution that additionally records the golden trace needed
   // by RunFaultyDifferential (see systolic/golden_trace.h). Bit-identical
   // to RunGolden in every RunResult field.
+  //
+  // Like the grouped engines below, it also takes the physical GEMM
+  // operands directly, for callers whose operands come from somewhere other
+  // than a fill recipe (a network layer's golden inputs); the WorkloadSpec
+  // form is Materialize(workload) plus that overload.
   RunResult RunGoldenRecorded(const WorkloadSpec& workload, Dataflow dataflow,
                               GoldenTrace* trace);
+  RunResult RunGoldenRecorded(const MaterializedWorkload& operands,
+                              Dataflow dataflow, GoldenTrace* trace);
 
   // Faulty execution restricted to the faults' static influence cone
   // (fi/cone.h); array state outside the cone is replayed from `trace`,
@@ -95,6 +102,10 @@ class FiRunner {
                                             std::span<const FaultSpec> faults,
                                             const GoldenTrace& trace,
                                             const RunResult& golden);
+  std::vector<ConeRunResult> RunFaultyBatch(
+      const MaterializedWorkload& operands, Dataflow dataflow,
+      std::span<const FaultSpec> faults, const GoldenTrace& trace,
+      const RunResult& golden);
 
   // Closed-form faulty execution: emits the same per-fault results as
   // RunFaultyBatch without stepping the array at all, by propagating each
@@ -114,12 +125,16 @@ class FiRunner {
       const WorkloadSpec& workload, Dataflow dataflow,
       std::span<const FaultSpec> faults, const GoldenTrace& trace,
       const RunResult& golden);
+  std::vector<ConeRunResult> RunFaultyPredicted(
+      const MaterializedWorkload& operands, Dataflow dataflow,
+      std::span<const FaultSpec> faults, const GoldenTrace& trace,
+      const RunResult& golden);
 
   Accelerator& accel() { return accel_; }
   Driver& driver() { return driver_; }
 
  private:
-  RunResult Run(const WorkloadSpec& workload, Dataflow dataflow,
+  RunResult Run(const MaterializedWorkload& operands, Dataflow dataflow,
                 FaultInjector* injector);
 
   Accelerator accel_;

@@ -282,8 +282,11 @@ bool GroupedCampaignEngine(CampaignEngine engine) {
 }
 
 bool PredictedEngineExact(const CampaignConfig& config) {
-  return config.kind == FaultKind::kStuckAt &&
-         PredictorCoversSignal(config.signal);
+  return PredictedEngineExact(config.kind, config.signal);
+}
+
+bool PredictedEngineExact(FaultKind kind, MacSignal signal) {
+  return kind == FaultKind::kStuckAt && PredictorCoversSignal(signal);
 }
 
 bool SymmetryEligibleCampaign(const CampaignConfig& config) {

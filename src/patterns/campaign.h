@@ -121,6 +121,10 @@ bool GroupedCampaignEngine(CampaignEngine engine);
 // through the kBatch replay instead.
 bool PredictedEngineExact(const CampaignConfig& config);
 
+// The same rule for one fault model, for callers that run single faults on
+// the grouped engines outside a campaign (the network cycle rung).
+bool PredictedEngineExact(FaultKind kind, MacSignal signal);
+
 // True when CampaignConfig::symmetry can apply to `config`: permanent
 // stuck-at campaigns on a predictor-covered signal (kAdderOut / kMulOut /
 // kWeightOperand), where the site-equivalence partition is defined by the

@@ -4,15 +4,19 @@
 #include <array>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "accel/controller.h"
 #include "accel/driver.h"
 #include "common/log.h"
+#include "fi/cone.h"
 #include "fi/injector.h"
+#include "fi/runner.h"
 #include "mitigation/abft.h"
 #include "obs/metrics.h"
+#include "patterns/campaign.h"
 #include "patterns/corruption.h"
 #include "patterns/predictor.h"
 #include "service/chaos.h"
@@ -172,6 +176,57 @@ void SleepBackoff(const ResilienceOptions& res, std::uint64_t seed,
 
 // --- Experiment execution ---------------------------------------------------
 
+// The cycle rung's golden run of a campaign's first in-scope layer, recorded
+// on the array from the operands the host golden inference fed that layer.
+// With those operands a network fault experiment at that layer is exactly an
+// operator experiment, so the operator engines replay it against the trace
+// instead of stepping the array again (ENFOR-SA's cross-layer recipe with
+// the targeted layer on the cheapest exact engine).
+class RecordedLayer {
+ public:
+  // Throws saffire::InternalError when the array's golden output differs
+  // from `host_output`: every replayed fault is expanded over the recorded
+  // output, so a driver/host divergence would corrupt each record silently.
+  RecordedLayer(const AccelConfig& accel, Dataflow dataflow,
+                const Int8Tensor& a, const Int8Tensor& b,
+                const Int32Tensor& host_output)
+      : runner_(accel), dataflow_(dataflow), operands_{a, b} {
+    golden_ = runner_.RunGoldenRecorded(operands_, dataflow_, &trace_);
+    SAFFIRE_ASSERT_MSG(golden_.output == host_output,
+                       "the array's golden layer output differs from the "
+                       "host reference GEMM's");
+  }
+  // ExperimentContext holds its address for the campaign.
+  RecordedLayer(const RecordedLayer&) = delete;
+  RecordedLayer& operator=(const RecordedLayer&) = delete;
+
+  // True when a layer call streams exactly the recorded operands.
+  bool Recorded(const Int8Tensor& a, const Int8Tensor& b) const {
+    return a == operands_.a && b == operands_.b;
+  }
+
+  // The layer's output with `fault` installed, from one single-fault group
+  // routed like a kPredicted campaign: the closed form where it is exact,
+  // the lane-grid replay otherwise.
+  Int32Tensor Faulty(const FaultSpec& fault) {
+    const std::span<const FaultSpec> one(&fault, 1);
+    const std::vector<ConeRunResult> faulty =
+        PredictedEngineExact(fault.kind, fault.signal)
+            ? runner_.RunFaultyPredicted(operands_, dataflow_, one, trace_,
+                                         golden_)
+            : runner_.RunFaultyBatch(operands_, dataflow_, one, trace_,
+                                     golden_);
+    return ExpandCone(faulty.front().output, golden_.output);
+  }
+
+ private:
+  FiRunner runner_;
+  Dataflow dataflow_;
+  MaterializedWorkload operands_;
+  GoldenTrace trace_;
+  RunResult golden_;
+};
+
 // Per-experiment observations collected by the layer executor as inference
 // flows through it.
 struct LayerProbe {
@@ -199,6 +254,10 @@ struct ExperimentContext {
   // The first layer the fault applies to — where corruption enters from
   // clean inputs and the reach contract holds on both rungs.
   int first_scope;
+  // The campaign's recorded golden run of layer first_scope, once the cycle
+  // rung has run in this campaign (RunNetworkSweep records it); null until
+  // then.
+  RecordedLayer* first_layer = nullptr;
 };
 
 struct ExperimentResult {
@@ -368,30 +427,44 @@ ExperimentResult RunAppFiExperiment(
   return result;
 }
 
-// Ground truth: in-scope layers stream through the simulated accelerator
-// with the fault hook installed. Layers outside the fault scope run on the
-// host reference GEMM instead: the fault-free driver matches GemmRef bit
-// for bit (the driver equivalence invariant the golden inference rests on)
-// and a faulty layer leaves no state behind in the array, so only the
-// targeted layers pay for the detailed model. The mitigated inference
-// drives the same faulty array with the remapped workload, so rung
-// cross-validation gates the remap math end to end.
+// Ground truth: every in-scope layer runs with the fault installed on the
+// array. The first in-scope layer, whenever its operands equal the
+// campaign's recorded golden ones, replays on the operator engines
+// (RecordedLayer), which are bit-identical to a faulty Driver::Gemm on those
+// operands. Driver::Gemm with the fault hook still runs the later in-scope
+// layers of whole-network campaigns, whose inputs carry the fault's
+// corruption, and mitigated inferences whose plan remapped or pruned the
+// operands; the Accelerator is built only when one of those runs. Layers
+// outside the fault scope run on the host reference GEMM: the fault-free
+// driver matches GemmRef bit for bit (the driver equivalence invariant the
+// golden inference rests on) and a faulty layer leaves no state behind in
+// the array. The mitigated inference goes through the same executor with
+// the remapped workload, so rung cross-validation gates the remap math end
+// to end.
 ExperimentResult RunCycleExperiment(
     const ExperimentContext& context, const FaultSpec& fault,
     const std::vector<LayerMitigationPlan>& plans) {
-  Accelerator accelerator(context.spec.accel);
-  Driver driver(accelerator);
+  std::optional<Accelerator> accelerator;
+  std::optional<Driver> driver;
   FaultInjector hook({fault}, context.spec.accel.array);
   ExecOptions exec;
   exec.dataflow = context.campaign.dataflow;
 
-  const LayerGemm physical = [&context, &accelerator, &driver, &hook, &exec](
-                                 int layer, const Int8Tensor& a,
-                                 const Int8Tensor& b) {
+  const LayerGemm physical = [&context, &fault, &accelerator, &driver, &hook,
+                              &exec](int layer, const Int8Tensor& a,
+                                     const Int8Tensor& b) {
     if (!InScope(context.campaign, layer)) return GemmRef(a, b);
-    accelerator.array().InstallFaultHook(&hook);
-    Int32Tensor out = driver.Gemm(a, b, exec);
-    accelerator.array().ClearFaultHook();
+    if (layer == context.first_scope && context.first_layer != nullptr &&
+        context.first_layer->Recorded(a, b)) {
+      return context.first_layer->Faulty(fault);
+    }
+    if (!accelerator.has_value()) {
+      accelerator.emplace(context.spec.accel);
+      driver.emplace(*accelerator);
+    }
+    accelerator->array().InstallFaultHook(&hook);
+    Int32Tensor out = driver->Gemm(a, b, exec);
+    accelerator->array().ClearFaultHook();
     return out;
   };
   LayerProbe probe;
@@ -574,12 +647,16 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
   // share the model. The golden inference runs on the host reference GEMM,
   // which the fault-free accelerator matches bit-for-bit (the driver
   // equivalence invariant), so one golden serves every campaign. The
-  // per-layer weight operands are kept for the row-remap cost model.
+  // per-layer operands are kept: the weights for the row-remap cost model,
+  // both for the cycle rung's recorded first-layer run.
   const PreparedNetwork network(spec.network);
-  std::vector<Int8Tensor> golden_b(
+  std::vector<Int8Tensor> golden_a(
       static_cast<std::size_t>(network.layer_count()), Int8Tensor{{1, 1}});
+  std::vector<Int8Tensor> golden_b = golden_a;
   const PreparedNetwork::Inference golden = network.Run(
-      [&golden_b](int layer, const Int8Tensor& a, const Int8Tensor& b) {
+      [&golden_a, &golden_b](int layer, const Int8Tensor& a,
+                             const Int8Tensor& b) {
+        golden_a[static_cast<std::size_t>(layer)] = a;
         golden_b[static_cast<std::size_t>(layer)] = b;
         return GemmRef(a, b);
       });
@@ -622,6 +699,20 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
                               golden,        golden_correct, first_context,
                               injector,      golden_b,       first_scope};
 
+    // Recorded the first time the campaign runs an experiment on the cycle
+    // rung, outside the retry ladder so that a driver/host divergence fails
+    // the sweep; dropped at campaign end. An experiment demoted to the cycle
+    // rung inside the ladder before that runs every in-scope layer on the
+    // array, with identical records.
+    std::optional<RecordedLayer> first_layer;
+    const auto record_first_layer = [&] {
+      if (first_layer.has_value()) return;
+      const auto l = static_cast<std::size_t>(first_scope);
+      first_layer.emplace(spec.accel, campaign.dataflow, golden_a[l],
+                          golden_b[l], golden.layer_outputs[l]);
+      context.first_layer = &*first_layer;
+    };
+
     // A selfcheck mismatch or an exhausted appfi retry ladder demotes the
     // campaign's remainder to ground truth, mirroring the operator-level
     // engine ladder.
@@ -656,6 +747,7 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
 
       const NetworkRung rung =
           demoted ? NetworkRung::kCycleAccurate : spec.rung;
+      if (rung == NetworkRung::kCycleAccurate) record_first_layer();
       ExperimentResult result;
       NetworkFailedRecord failure;
       if (!RunExperimentResilient(context, fault, mit_plans,
@@ -670,6 +762,7 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
                            ei)) {
         ++outcome.selfchecks;
         SelfchecksCounter().Increment();
+        record_first_layer();
         const ExperimentResult truth =
             RunCycleExperiment(context, fault, mit_plans);
         const PredictedPattern& predicted = PredictPattern(

@@ -17,6 +17,13 @@ void GoldenTrace::Begin(std::int32_t rows, std::int32_t cols,
   acc_checkpoints_.clear();
 }
 
+void GoldenTrace::Reserve(std::int64_t steps) {
+  SAFFIRE_CHECK_MSG(steps >= 0, "steps=" << steps);
+  south_rows_.reserve(static_cast<std::size_t>(steps) *
+                      static_cast<std::size_t>(cols_));
+  step_cycles_.reserve(static_cast<std::size_t>(steps));
+}
+
 void GoldenTrace::AppendSouthRow(const std::int64_t* row, std::int64_t cycle) {
   south_rows_.insert(south_rows_.end(), row, row + cols_);
   step_cycles_.push_back(cycle);

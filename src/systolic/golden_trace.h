@@ -51,6 +51,11 @@ class GoldenTrace {
   void Begin(std::int32_t rows, std::int32_t cols,
              std::int64_t base_cycle = 0);
 
+  // Pre-sizes the per-Step buffers for a recording of `steps` Steps, so a
+  // run whose length is known up front records without regrowing them.
+  // Call after Begin(); it never changes what the trace holds.
+  void Reserve(std::int64_t steps);
+
   // Appends the registered bottom-row south outputs of one Step. `cycle` is
   // the hook-visible clock of that Step (the value fault hooks compare
   // transient strike cycles against).

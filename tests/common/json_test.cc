@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace saffire {
 namespace {
@@ -58,6 +59,37 @@ TEST(JsonParseTest, RejectsMalformedInput) {
   EXPECT_THROW(JsonValue::Parse("\"unterminated"), std::invalid_argument);
   EXPECT_THROW(JsonValue::Parse("truth"), std::invalid_argument);
   EXPECT_THROW(JsonValue::Parse("1 2"), std::invalid_argument);
+  // Hostile nesting is rejected before it can exhaust the stack.
+  constexpr std::size_t kDeep = 100000;
+  EXPECT_THROW(
+      JsonValue::Parse(std::string(kDeep, '[') + std::string(kDeep, ']')),
+      std::invalid_argument);
+  std::string objects;
+  for (std::size_t i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kDeep, '}');
+  EXPECT_THROW(JsonValue::Parse(objects), std::invalid_argument);
+}
+
+// Alternating object/array nesting `depth` levels deep around a 7.
+std::string NestedDocument(int depth) {
+  std::string open;
+  std::string close;
+  for (int level = 0; level < depth; ++level) {
+    open += level % 2 == 0 ? "{\"k\":" : "[";
+    close.insert(0, level % 2 == 0 ? "}" : "]");
+  }
+  return open + "7" + close;
+}
+
+TEST(JsonParseTest, NestingUpToTheLimitParses) {
+  const JsonValue document = JsonValue::Parse(NestedDocument(kJsonMaxDepth));
+  const JsonValue* value = &document;
+  for (int level = 0; level < kJsonMaxDepth; ++level) {
+    value = level % 2 == 0 ? &value->At("k") : &value->AsArray().at(0);
+  }
+  EXPECT_EQ(value->AsInt(), 7);
+  EXPECT_THROW(JsonValue::Parse(NestedDocument(kJsonMaxDepth + 1)),
+               std::invalid_argument);
 }
 
 TEST(JsonParseTest, KindMismatchThrows) {

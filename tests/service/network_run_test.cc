@@ -126,6 +126,21 @@ TEST(RunNetworkSweepTest, MlpRecordsCarryNetworkOutcomes) {
   EXPECT_TRUE(any_sdc);
 }
 
+// The cycle rung expands every fault over the array's recorded golden
+// layer output, so an array that disagrees with the host reference GEMM
+// must stop the sweep instead of filling it with wrong records. A 4-bit
+// operand path truncates the int8 operands the host's GEMM multiplies.
+TEST(RunNetworkSweepTest, CycleRungThrowsWhenTheArrayDivergesFromTheHost) {
+  NetworkSweepSpec spec = MlpSpec();
+  spec.accel.array.input_bits = 4;
+  spec.rung = NetworkRung::kCycleAccurate;
+  NetworkRunOptions options;
+  options.resilience.on_failure = OnFailure::kQuarantine;
+  NetworkCollectorSink sink;
+  EXPECT_THROW(RunNetworkSweep(spec, options, sink), InternalError);
+  EXPECT_TRUE(sink.records.empty());
+}
+
 TEST(RunNetworkSweepTest, AbftCorrectsSingleColumnFaultsEndToEnd) {
   NetworkSweepSpec spec = ExtractionSpec();
   spec.abft = true;
@@ -340,24 +355,29 @@ std::vector<NetworkRecord> EveryLayerOnTheArray(const NetworkSweepSpec& spec) {
   return records;
 }
 
-// Running out-of-scope layers on the host reference GEMM must not change a
-// single cycle-rung record, on either network, for every layer scope and
-// dataflow, with and without a mitigated second inference.
-void ExpectCycleRungMatchesEveryLayerReference(NetworkSweepSpec spec) {
+// The cycle rung runs out-of-scope layers on the host reference GEMM and
+// replays the first in-scope layer on the operator engines whenever its
+// operands are the golden ones (the closed form for the PE-local signals,
+// the lane-grid replay for the forwarding ones). Neither may change a single
+// record against the every-layer-on-the-array oracle, for every dataflow and
+// layer scope, with and without a mitigated second inference.
+void ExpectCycleRungMatchesEveryLayerReference(
+    NetworkSweepSpec spec, std::vector<MacSignal> signals,
+    std::vector<int> bits, std::vector<MitigationPolicy> mitigations) {
   spec.rung = NetworkRung::kCycleAccurate;
   spec.dataflows = {Dataflow::kWeightStationary, Dataflow::kOutputStationary,
                     Dataflow::kInputStationary};
+  spec.signals = std::move(signals);
+  spec.bits = std::move(bits);
   spec.layers = {-1, 0, 1};
-  spec.mitigations = {MitigationPolicy::kNone, MitigationPolicy::kColumnRemap};
-  spec.bits = {8, 24};
+  spec.mitigations = std::move(mitigations);
   spec.max_sites = 4;
   spec.abft = true;
   NetworkCollectorSink sink;
   const SweepOutcome outcome = RunNetworkSweep(spec, sink);
   EXPECT_TRUE(outcome.ok());
   const std::vector<NetworkRecord> reference = EveryLayerOnTheArray(spec);
-  // dataflows × bits × layers × mitigations × sites
-  ASSERT_EQ(sink.records.size(), 3u * 2u * 3u * 2u * 4u);
+  ASSERT_EQ(reference.size(), spec.CampaignCount() * 4u);
   ASSERT_EQ(sink.records.size(), reference.size());
   bool any_sdc = false;
   for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -369,17 +389,61 @@ void ExpectCycleRungMatchesEveryLayerReference(NetworkSweepSpec spec) {
   EXPECT_TRUE(any_sdc);  // the faults reach the logits somewhere
 }
 
-TEST(CycleRungReferenceTest, MlpRecordsMatchEveryLayerOnTheArray) {
-  ExpectCycleRungMatchesEveryLayerReference(MlpSpec());
-}
-
-TEST(CycleRungReferenceTest, CnnRecordsMatchEveryLayerOnTheArray) {
+NetworkSweepSpec CnnSpec() {
   NetworkSweepSpec spec;
   spec.accel = SmallAccel();
   spec.network.kind = NetworkKind::kCnn;
   spec.network.batch = 8;
   spec.network.conv_channels = 4;
-  ExpectCycleRungMatchesEveryLayerReference(spec);
+  return spec;
+}
+
+// Every MAC signal at in-width bits. The mitigated inference of
+// abft_correct keeps the golden operands, so it replays too; remap and
+// prune policies need the predictor, which the forwarding signals lack.
+const std::vector<MacSignal> kEverySignal = {
+    MacSignal::kWeightOperand, MacSignal::kMulOut, MacSignal::kAdderOut,
+    MacSignal::kActForward, MacSignal::kSouthForward};
+
+// The PE-local signals under the policies that rewrite a layer's operands:
+// remapped and pruned mitigated inferences must fall back to Driver::Gemm.
+const std::vector<MacSignal> kPeLocalSignals = {
+    MacSignal::kWeightOperand, MacSignal::kMulOut, MacSignal::kAdderOut};
+
+TEST(CycleRungReferenceTest, MlpRecordsMatchEveryLayerOnTheArray) {
+  ExpectCycleRungMatchesEveryLayerReference(
+      MlpSpec(), {MacSignal::kAdderOut}, {8, 24},
+      {MitigationPolicy::kNone, MitigationPolicy::kColumnRemap});
+}
+
+TEST(CycleRungReferenceTest, CnnRecordsMatchEveryLayerOnTheArray) {
+  ExpectCycleRungMatchesEveryLayerReference(
+      CnnSpec(), {MacSignal::kAdderOut}, {8, 24},
+      {MitigationPolicy::kNone, MitigationPolicy::kColumnRemap});
+}
+
+TEST(CycleRungReferenceTest, MlpEverySignalMatchesEveryLayerOnTheArray) {
+  ExpectCycleRungMatchesEveryLayerReference(
+      MlpSpec(), kEverySignal, {3, 7},
+      {MitigationPolicy::kNone, MitigationPolicy::kAbftCorrect});
+}
+
+TEST(CycleRungReferenceTest, CnnEverySignalMatchesEveryLayerOnTheArray) {
+  ExpectCycleRungMatchesEveryLayerReference(
+      CnnSpec(), kEverySignal, {3, 7},
+      {MitigationPolicy::kNone, MitigationPolicy::kAbftCorrect});
+}
+
+TEST(CycleRungReferenceTest, MlpRewrittenOperandsMatchEveryLayerOnTheArray) {
+  ExpectCycleRungMatchesEveryLayerReference(
+      MlpSpec(), kPeLocalSignals, {3, 7},
+      {MitigationPolicy::kPruneChannel, MitigationPolicy::kRowRemap});
+}
+
+TEST(CycleRungReferenceTest, CnnRewrittenOperandsMatchEveryLayerOnTheArray) {
+  ExpectCycleRungMatchesEveryLayerReference(
+      CnnSpec(), kPeLocalSignals, {3, 7},
+      {MitigationPolicy::kPruneChannel, MitigationPolicy::kRowRemap});
 }
 
 }  // namespace
