@@ -115,11 +115,7 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                                 options.benchmark_out_format +
                                 "' (only json)");
   }
-  if (options.metrics_format != "prom" && options.metrics_format != "json") {
-    throw std::invalid_argument("unknown --metrics-format '" +
-                                options.metrics_format +
-                                "' (expected prom|json)");
-  }
+  obs::CheckMetricsFormat(options.metrics_format);
   if (!options.simd.empty()) {
     ConfigureSimdFromString(options.simd, "--simd");
   }
@@ -134,8 +130,9 @@ inline void EnableBenchObservability(const BenchOptions& options) {
   if (!options.metrics_out.empty()) obs::SetPhaseMetricsEnabled(true);
 }
 
-// Writes the trace / metrics artifacts requested by the flags. Returns
-// false (after printing to stderr) if an output file cannot be opened.
+// Writes the trace / metrics artifacts requested by the flags (metrics
+// through obs::ExportMetrics, like the CLIs). Returns false (after printing
+// to stderr) if an output file cannot be written.
 inline bool ExportBenchObservability(const BenchOptions& options) {
   if (!options.trace_out.empty()) {
     obs::TraceSession::Instance().Stop();
@@ -147,23 +144,11 @@ inline bool ExportBenchObservability(const BenchOptions& options) {
     obs::TraceSession::Instance().WriteChromeTrace(out);
   }
   if (!options.metrics_out.empty()) {
-    const auto write = [&options](std::ostream& out) {
-      if (options.metrics_format == "json") {
-        obs::MetricsRegistry::Default().WriteJson(out);
-        out << "\n";
-      } else {
-        obs::MetricsRegistry::Default().WritePrometheus(out);
-      }
-    };
-    if (options.metrics_out == "-") {
-      write(std::cout);
-    } else {
-      std::ofstream out(options.metrics_out);
-      if (!out) {
-        std::cerr << "cannot open '" << options.metrics_out << "'\n";
-        return false;
-      }
-      write(out);
+    try {
+      obs::ExportMetrics(options.metrics_out, options.metrics_format);
+    } catch (const std::exception& error) {
+      std::cerr << error.what() << "\n";
+      return false;
     }
   }
   return true;

@@ -82,22 +82,19 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <set>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "common/atomic_file.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "patterns/report.h"
-#include "service/chaos.h"
 #include "service/checkpoint.h"
+#include "service/cli.h"
 #include "service/result_cache.h"
 #include "service/run.h"
-#include "service/signal.h"
 #include "service/sink.h"
 #include "systolic/simd_ops.h"
 
@@ -114,66 +111,47 @@ WorkloadSpec WorkloadByName(const std::string& name) {
   throw std::invalid_argument("unknown workload '" + name + "'");
 }
 
-// Flags that take a value, and flags that stand alone.
-const std::set<std::string>& ValueFlags() {
-  static const std::set<std::string> kFlags = {
-      "workload", "dataflow", "signal",    "polarity",  "bit",
-      "kind",     "fill",     "sites",     "seed",      "rows",
-      "cols",     "engine",   "threads",   "shards",    "shard",
-      "resume",   "spec",     "csv",       "jsonl",     "trace-out",
-      "metrics-out", "metrics-format", "simd", "result-cache",
-      "max-retries", "experiment-timeout-ms", "selfcheck-rate",
-      "on-failure"};
-  return kFlags;
+// The sweep-defining flags with their defaults, then the run flags.
+cli::Cli CampaignCli() {
+  return {"examples/campaign_cli.cpp",
+          {{"workload", "gemm16"}, {"dataflow", "ws"},
+           {"signal", "adder_out"}, {"polarity", "sa1"},
+           {"bit", "8"}, {"kind", "stuck"}, {"fill", "ones"},
+           {"sites", "0"}, {"seed", "1"}, {"rows", "16"}, {"cols", "16"},
+           {"engine", "differential"}, {"shards", "1"},
+           cli::Switch("symmetry")},
+          {{"threads", std::to_string(DefaultCampaignThreads())},
+           {"shard", "-1"}, {"trace-out", ""}, {"simd", ""},
+           {"result-cache", ""}, cli::Switch("progress"),
+           cli::Switch("no-result-cache")}};
 }
 
-const std::set<std::string>& BoolFlags() {
-  static const std::set<std::string> kFlags = {
-      "print-spec", "progress", "help", "symmetry", "no-result-cache"};
-  return kFlags;
-}
-
-SweepSpec SpecFromFlags(const std::map<std::string, std::string>& flags) {
-  const auto flag = [&](const std::string& key, const std::string& fallback) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  };
+SweepSpec SpecFromFlags(const cli::Args& flags) {
   SweepSpec spec;
   spec.accel.array.rows =
-      static_cast<std::int32_t>(ParseInt(flag("rows", "16")));
+      static_cast<std::int32_t>(ParseInt(flags.Get("rows")));
   spec.accel.array.cols =
-      static_cast<std::int32_t>(ParseInt(flag("cols", "16")));
+      static_cast<std::int32_t>(ParseInt(flags.Get("cols")));
 
-  const OperandFill fill = OperandFillFromString(flag("fill", "ones"));
-  spec.workloads.clear();
-  for (const std::string& name : Split(flag("workload", "gemm16"), ',')) {
-    WorkloadSpec workload = WorkloadByName(Trim(name));
-    workload.input_fill = fill;
-    workload.weight_fill = fill;
-    spec.workloads.push_back(std::move(workload));
-  }
-  spec.dataflows.clear();
-  for (const std::string& name : Split(flag("dataflow", "ws"), ',')) {
-    spec.dataflows.push_back(DataflowFromString(Trim(name)));
-  }
-  spec.signals.clear();
-  for (const std::string& name : Split(flag("signal", "adder_out"), ',')) {
-    spec.signals.push_back(MacSignalFromString(Trim(name)));
-  }
-  spec.polarities.clear();
-  for (const std::string& name : Split(flag("polarity", "sa1"), ',')) {
-    spec.polarities.push_back(StuckPolarityFromString(Trim(name)));
-  }
-  spec.bits.clear();
-  for (const std::string& text : Split(flag("bit", "8"), ',')) {
-    spec.bits.push_back(static_cast<int>(ParseInt(Trim(text))));
-  }
-  spec.kind = FaultKindFromString(flag("kind", "stuck"));
-  spec.max_sites = ParseInt(flag("sites", "0"));
-  spec.seed = static_cast<std::uint64_t>(ParseInt(flag("seed", "1")));
-  spec.engine = ParseCampaignEngine(flag("engine", "differential"));
-  spec.shards = static_cast<int>(ParseInt(flag("shards", "1")));
-  spec.symmetry = flags.count("symmetry") != 0;
+  const OperandFill fill = OperandFillFromString(flags.Get("fill"));
+  spec.workloads = cli::ParseList(
+      flags.Get("workload"), [fill](const std::string& name) {
+        WorkloadSpec workload = WorkloadByName(name);
+        workload.input_fill = fill;
+        workload.weight_fill = fill;
+        return workload;
+      });
+  spec.dataflows = cli::ParseList(flags.Get("dataflow"), DataflowFromString);
+  spec.signals = cli::ParseList(flags.Get("signal"), MacSignalFromString);
+  spec.polarities =
+      cli::ParseList(flags.Get("polarity"), StuckPolarityFromString);
+  spec.bits = cli::ParseList(flags.Get("bit"), cli::ParseIntItem);
+  spec.kind = FaultKindFromString(flags.Get("kind"));
+  spec.max_sites = ParseInt(flags.Get("sites"));
+  spec.seed = static_cast<std::uint64_t>(ParseInt(flags.Get("seed")));
+  spec.engine = ParseCampaignEngine(flags.Get("engine"));
+  spec.shards = static_cast<int>(ParseInt(flags.Get("shards")));
+  spec.symmetry = flags.Has("symmetry");
   return spec;
 }
 
@@ -210,319 +188,147 @@ std::string CampaignTitle(const CampaignConfig& config) {
   return title;
 }
 
+int RunCampaignCli(const cli::Args& args) {
+  // SIMD backend selection, resolved before any kernel runs. The flag wins;
+  // otherwise force the lazy SAFFIRE_SIMD read now so a bad value fails
+  // here instead of mid-sweep.
+  if (args.Has("simd")) {
+    ConfigureSimdFromString(args.Get("simd"), "--simd");
+  } else {
+    RequestedSimdMode();
+  }
+
+  const std::optional<SweepSpec> spec =
+      cli::LoadSpec(args, ParseSweepSpec, SpecFromFlags);
+  if (!spec.has_value()) return 0;
+  const CampaignPlan plan = BuildCampaignPlan(*spec);
+
+  SweepCheckpoint checkpoint;
+  CheckpointLoadStats load_stats;
+  if (args.Has("resume")) {
+    std::ifstream in = cli::OpenCheckpoint(args);
+    checkpoint = LoadSweepCheckpoint(in, &load_stats);
+    ValidateCheckpoint(checkpoint, plan);
+    cli::PrintResuming(args, load_stats.records, load_stats.dropped,
+                       "re-simulated");
+  }
+
+  CollectorSink collector;
+  std::vector<RecordSink*> sinks{&collector};
+  cli::FileSinks<CsvRecordSink, JsonlRecordSink> files(args, sinks);
+  std::unique_ptr<ProgressSink> progress_sink;
+  if (args.Has("progress")) {
+    progress_sink = std::make_unique<ProgressSink>(std::cerr);
+    sinks.push_back(progress_sink.get());
+  }
+  SymmetryStatsSink symmetry_stats;
+  sinks.push_back(&symmetry_stats);
+  TeeSink tee(sinks);
+
+  RunOptions options;
+  options.max_parallelism = static_cast<int>(ParseInt(args.Get("threads")));
+  if (options.max_parallelism < 1) {
+    throw std::invalid_argument("--threads must be >= 1");
+  }
+  options.only_shard = static_cast<int>(ParseInt(args.Get("shard")));
+  if (args.Has("resume")) options.checkpoint = &checkpoint;
+
+  // Result cache: constructed eagerly so a bad directory fails before any
+  // simulation. RunSweep itself skips the cache under --shard.
+  std::unique_ptr<ResultCache> result_cache;
+  const std::string& cache_dir = args.Get("result-cache");
+  if (!cache_dir.empty() && !args.Has("no-result-cache")) {
+    result_cache = std::make_unique<ResultCache>(cache_dir);
+    options.result_cache = result_cache.get();
+  }
+  options.resilience = cli::ResilienceFromFlags(args);
+
+  // Observability: validate the format before running anything, raise the
+  // span gates only for the outputs actually requested.
+  obs::CheckMetricsFormat(args.Get("metrics-format"));
+  const std::string& trace_path = args.Get("trace-out");
+  if (!trace_path.empty()) obs::TraceSession::Instance().Start();
+  if (!args.Get("metrics-out").empty()) obs::SetPhaseMetricsEnabled(true);
+
+  std::unique_ptr<chaos::FlakySink> flaky;
+  RecordSink& sink = cli::WithChaosSink<RecordSink>(tee, flaky);
+
+  // Cooperative SIGINT/SIGTERM drain: the handler flips the stop token, the
+  // executor finishes in-flight work and flushes every sink, and the exit
+  // code is 128+signo with the checkpoint resumable.
+  ScopedSignalDrain drain;
+  options.stop = drain.token();
+
+  CampaignExecutor& executor = CampaignExecutor::Shared();
+  const ExecutorStats before = executor.stats();
+  SweepOutcome outcome = RunSweep(plan, options, sink);
+  outcome.checkpoint_lines_dropped = load_stats.dropped;
+  const std::vector<CampaignResult> results = collector.TakeResults();
+  files.Commit();
+
+  if (!trace_path.empty()) {
+    obs::TraceSession::Instance().Stop();
+    std::ofstream trace_out(trace_path);
+    if (!trace_out) throw cli::UsageError("cannot open '" + trace_path + "'");
+    obs::TraceSession::Instance().WriteChromeTrace(trace_out);
+    std::cout << "wrote " << obs::TraceSession::Instance().event_count()
+              << " trace events to " << trace_path << "\n";
+  }
+  cli::ExportMetrics(args);
+
+  std::int64_t rows = 0;
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    if (results.size() > 1) {
+      std::cout << "=== campaign " << c << ": "
+                << CampaignTitle(plan.campaigns[c]) << " ===\n";
+    }
+    std::cout << RenderCampaignSummary(results[c]);
+    if (results.size() > 1) std::cout << "\n";
+    rows += static_cast<std::int64_t>(results[c].records.size());
+  }
+  if (!args.Get("csv").empty()) {
+    std::cout << "wrote " << rows << " rows to " << args.Get("csv") << "\n";
+  }
+  if (!args.Get("jsonl").empty()) {
+    std::cout << "wrote " << rows << " records to " << args.Get("jsonl")
+              << "\n";
+  }
+  const ExecutorStats after = executor.stats();
+  std::cout << "[executor] threads=" << after.pool_threads
+            << " experiments run="
+            << after.experiments_run - before.experiments_run
+            << " replayed="
+            << after.experiments_replayed - before.experiments_replayed
+            << " simulators constructed="
+            << after.simulators_constructed - before.simulators_constructed
+            << " reused="
+            << after.simulators_reused - before.simulators_reused << "\n";
+
+  if (result_cache != nullptr) {
+    std::cout << "[cache] dir=" << result_cache->dir()
+              << " hits=" << outcome.cache_hits
+              << " misses=" << outcome.cache_misses
+              << " stores=" << outcome.cache_stores << "\n";
+  }
+  if (spec->symmetry) {
+    std::cout << "[symmetry] classes=" << symmetry_stats.classes()
+              << " sites=" << symmetry_stats.sites();
+    if (symmetry_stats.classes() > 0) {
+      const double factor = static_cast<double>(symmetry_stats.sites()) /
+                            static_cast<double>(symmetry_stats.classes());
+      std::cout << " reduction=" << std::fixed << std::setprecision(2)
+                << factor << "x" << std::defaultfloat;
+    }
+    std::cout << "\n";
+  }
+  cli::PrintResilience(outcome, {"retries", "timeouts", "fallbacks",
+                                 "selfchecks", "mismatches", "quarantined",
+                                 "checkpoint_lines_dropped"});
+  return cli::ExitCode(args, outcome, drain);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (!StartsWith(key, "--")) {
-      std::cerr << "expected a --flag, got '" << key << "'\n";
-      return 1;
-    }
-    const std::string name = key.substr(2);
-    if (BoolFlags().count(name) != 0) {
-      flags[name] = std::string("1");
-      continue;
-    }
-    if (ValueFlags().count(name) == 0) {
-      std::cerr << "unknown flag '" << key << "'\n";
-      return 1;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << "flag '" << key << "' expects a value\n";
-      return 1;
-    }
-    flags[name] = argv[++i];
-  }
-  const auto flag = [&](const std::string& key, const std::string& fallback) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  };
-  if (flags.count("help") != 0) {
-    std::cout << "see the header comment of examples/campaign_cli.cpp for "
-                 "the flag reference\n";
-    return 0;
-  }
-
-  try {
-    // Chaos-under-test wiring (CI drives the real binary through injected
-    // failures): SAFFIRE_CHAOS installs the schedule before anything runs.
-    chaos::InstallFromEnv();
-
-    // SIMD backend selection, resolved before any kernel runs. The flag
-    // wins; otherwise force the lazy SAFFIRE_SIMD read now so a bad value
-    // fails here instead of mid-sweep.
-    if (flags.count("simd") != 0) {
-      ConfigureSimdFromString(flags.at("simd"), "--simd");
-    } else {
-      RequestedSimdMode();
-    }
-
-    SweepSpec spec;
-    if (flags.count("spec") != 0) {
-      for (const char* axis :
-           {"workload", "dataflow", "signal", "polarity", "bit", "kind",
-            "fill", "sites", "seed", "rows", "cols", "engine", "shards",
-            "symmetry"}) {
-        if (flags.count(axis) != 0) {
-          std::cerr << "--spec already defines the sweep; drop '--" << axis
-                    << "'\n";
-          return 1;
-        }
-      }
-      std::ifstream in(flags.at("spec"));
-      if (!in) {
-        std::cerr << "cannot open spec '" << flags.at("spec") << "'\n";
-        return 1;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      spec = ParseSweepSpec(text.str());
-    } else {
-      spec = SpecFromFlags(flags);
-    }
-    if (flags.count("print-spec") != 0) {
-      std::cout << spec.ToJson() << "\n";
-      return 0;
-    }
-
-    const CampaignPlan plan = BuildCampaignPlan(spec);
-
-    // Read the checkpoint fully before opening any output stream, so
-    // resuming from the file a sink is about to truncate is safe.
-    SweepCheckpoint checkpoint;
-    CheckpointLoadStats load_stats;
-    const bool resuming = flags.count("resume") != 0;
-    if (resuming) {
-      std::ifstream in(flags.at("resume"));
-      if (!in) {
-        std::cerr << "error: cannot open checkpoint '" << flags.at("resume")
-                  << "'\n";
-        return 1;
-      }
-      checkpoint = LoadSweepCheckpoint(in, &load_stats);
-      ValidateCheckpoint(checkpoint, plan);
-      std::cout << "resuming " << load_stats.records << " records from '"
-                << flags.at("resume") << "'";
-      if (load_stats.dropped > 0) {
-        std::cout << " (dropped " << load_stats.dropped
-                  << " corrupt lines; their experiments will be "
-                     "re-simulated)";
-      }
-      std::cout << "\n";
-    }
-
-    CollectorSink collector;
-    std::vector<RecordSink*> sinks{&collector};
-    const std::string csv_path = flag("csv", "");
-    std::unique_ptr<AtomicFileWriter> csv_writer;
-    std::unique_ptr<CsvRecordSink> csv_sink;
-    if (!csv_path.empty()) {
-      // Atomic: the CSV materializes only on success (or a drained stop) —
-      // a crash leaves the previous complete file.
-      csv_writer = std::make_unique<AtomicFileWriter>(csv_path);
-      csv_sink = std::make_unique<CsvRecordSink>(csv_writer->stream());
-      sinks.push_back(csv_sink.get());
-    }
-    std::ofstream jsonl_out;
-    const std::string jsonl_path = flag("jsonl", "");
-    std::unique_ptr<JsonlRecordSink> jsonl_sink;
-    if (!jsonl_path.empty()) {
-      jsonl_out.open(jsonl_path);
-      if (!jsonl_out) {
-        std::cerr << "cannot open '" << jsonl_path << "'\n";
-        return 1;
-      }
-      jsonl_sink = std::make_unique<JsonlRecordSink>(jsonl_out);
-      sinks.push_back(jsonl_sink.get());
-    }
-    std::unique_ptr<ProgressSink> progress_sink;
-    if (flags.count("progress") != 0) {
-      progress_sink = std::make_unique<ProgressSink>(std::cerr);
-      sinks.push_back(progress_sink.get());
-    }
-    SymmetryStatsSink symmetry_stats;
-    sinks.push_back(&symmetry_stats);
-    TeeSink tee(sinks);
-
-    RunOptions options;
-    options.max_parallelism = static_cast<int>(ParseInt(
-        flag("threads", std::to_string(DefaultCampaignThreads()))));
-    if (options.max_parallelism < 1) {
-      std::cerr << "error: --threads must be >= 1\n";
-      return 1;
-    }
-    options.only_shard = static_cast<int>(ParseInt(flag("shard", "-1")));
-    if (resuming) options.checkpoint = &checkpoint;
-
-    // Result cache: constructed eagerly so a bad directory fails before any
-    // simulation. RunSweep itself skips the cache under --shard.
-    std::unique_ptr<ResultCache> result_cache;
-    const std::string cache_dir = flag("result-cache", "");
-    if (!cache_dir.empty() && flags.count("no-result-cache") == 0) {
-      result_cache = std::make_unique<ResultCache>(cache_dir);
-      options.result_cache = result_cache.get();
-    }
-
-    // Resilience policy. Unlike the library default (abort), the CLI
-    // quarantines: a 49-hour sweep should not lose its night to one bad
-    // experiment.
-    options.resilience.max_retries =
-        static_cast<int>(ParseInt(flag("max-retries", "2")));
-    options.resilience.experiment_timeout_ms =
-        ParseInt(flag("experiment-timeout-ms", "0"));
-    options.resilience.selfcheck_rate =
-        ParseDouble(flag("selfcheck-rate", "0"));
-    options.resilience.on_failure =
-        ParseOnFailure(flag("on-failure", "quarantine"));
-
-    // Observability: validate the format before running anything, raise the
-    // span gates only for the outputs actually requested.
-    const std::string metrics_format = flag("metrics-format", "prom");
-    if (metrics_format != "prom" && metrics_format != "json") {
-      throw std::invalid_argument("unknown --metrics-format '" +
-                                  metrics_format + "' (expected prom|json)");
-    }
-    const std::string trace_path = flag("trace-out", "");
-    const std::string metrics_path = flag("metrics-out", "");
-    if (!trace_path.empty()) obs::TraceSession::Instance().Start();
-    if (!metrics_path.empty()) obs::SetPhaseMetricsEnabled(true);
-
-    // Chaos sink-failure wiring: wrap the tee so every Nth record delivery
-    // throws, exercising the executor's sink-error path end to end.
-    RecordSink* sink = &tee;
-    std::unique_ptr<chaos::FlakySink> flaky;
-    if (chaos::ActiveSpec().sink_throw_every > 0) {
-      flaky = std::make_unique<chaos::FlakySink>(
-          &tee, chaos::ActiveSpec().sink_throw_every);
-      sink = flaky.get();
-    }
-
-    // Cooperative SIGINT/SIGTERM drain: the handler flips the stop token,
-    // the executor finishes in-flight work and flushes every sink, and we
-    // exit 128+signo below with the checkpoint resumable.
-    ScopedSignalDrain drain;
-    options.stop = drain.token();
-
-    CampaignExecutor& executor = CampaignExecutor::Shared();
-    const ExecutorStats before = executor.stats();
-    SweepOutcome outcome = RunSweep(plan, options, *sink);
-    outcome.checkpoint_lines_dropped = load_stats.dropped;
-    const std::vector<CampaignResult> results = collector.TakeResults();
-    if (csv_writer != nullptr) {
-      // Commit even on a drained stop: resume rewrites the full CSV, so a
-      // partial-but-complete file beats no file.
-      csv_writer->Commit();
-    }
-
-    if (!trace_path.empty()) {
-      obs::TraceSession::Instance().Stop();
-      std::ofstream trace_out(trace_path);
-      if (!trace_out) {
-        std::cerr << "cannot open '" << trace_path << "'\n";
-        return 1;
-      }
-      obs::TraceSession::Instance().WriteChromeTrace(trace_out);
-      std::cout << "wrote " << obs::TraceSession::Instance().event_count()
-                << " trace events to " << trace_path << "\n";
-    }
-    if (!metrics_path.empty()) {
-      const auto write = [&](std::ostream& out) {
-        if (metrics_format == "json") {
-          obs::MetricsRegistry::Default().WriteJson(out);
-          out << "\n";
-        } else {
-          obs::MetricsRegistry::Default().WritePrometheus(out);
-        }
-      };
-      if (metrics_path == "-") {
-        write(std::cout);
-      } else {
-        AtomicFileWriter metrics_writer(metrics_path);
-        write(metrics_writer.stream());
-        metrics_writer.Commit();
-        std::cout << "wrote metrics (" << metrics_format << ") to "
-                  << metrics_path << "\n";
-      }
-    }
-
-    std::int64_t rows = 0;
-    for (std::size_t c = 0; c < results.size(); ++c) {
-      if (results.size() > 1) {
-        std::cout << "=== campaign " << c << ": "
-                  << CampaignTitle(plan.campaigns[c]) << " ===\n";
-      }
-      std::cout << RenderCampaignSummary(results[c]);
-      if (results.size() > 1) std::cout << "\n";
-      rows += static_cast<std::int64_t>(results[c].records.size());
-    }
-    if (!csv_path.empty()) {
-      std::cout << "wrote " << rows << " rows to " << csv_path << "\n";
-    }
-    if (!jsonl_path.empty()) {
-      std::cout << "wrote " << rows << " records to " << jsonl_path << "\n";
-    }
-    const ExecutorStats after = executor.stats();
-    std::cout << "[executor] threads=" << after.pool_threads
-              << " experiments run="
-              << after.experiments_run - before.experiments_run
-              << " replayed="
-              << after.experiments_replayed - before.experiments_replayed
-              << " simulators constructed="
-              << after.simulators_constructed - before.simulators_constructed
-              << " reused="
-              << after.simulators_reused - before.simulators_reused << "\n";
-
-    if (result_cache != nullptr) {
-      std::cout << "[cache] dir=" << result_cache->dir()
-                << " hits=" << outcome.cache_hits
-                << " misses=" << outcome.cache_misses
-                << " stores=" << outcome.cache_stores << "\n";
-    }
-    if (spec.symmetry) {
-      std::cout << "[symmetry] classes=" << symmetry_stats.classes()
-                << " sites=" << symmetry_stats.sites();
-      if (symmetry_stats.classes() > 0) {
-        const double factor =
-            static_cast<double>(symmetry_stats.sites()) /
-            static_cast<double>(symmetry_stats.classes());
-        std::cout << " reduction=" << std::fixed << std::setprecision(2)
-                  << factor << "x" << std::defaultfloat;
-      }
-      std::cout << "\n";
-    }
-
-    if (outcome.retries != 0 || outcome.fallbacks != 0 ||
-        outcome.quarantined != 0 || outcome.selfchecks != 0 ||
-        outcome.timeouts != 0 || outcome.checkpoint_lines_dropped != 0 ||
-        !outcome.ok()) {
-      std::cout << "[resilience] retries=" << outcome.retries
-                << " timeouts=" << outcome.timeouts
-                << " fallbacks=" << outcome.fallbacks
-                << " selfchecks=" << outcome.selfchecks
-                << " mismatches=" << outcome.selfcheck_mismatches
-                << " quarantined=" << outcome.quarantined
-                << " checkpoint_lines_dropped="
-                << outcome.checkpoint_lines_dropped << "\n";
-    }
-    if (drain.triggered()) {
-      std::cerr << "stopped by signal " << drain.signal_number()
-                << " after a clean drain";
-      if (!jsonl_path.empty()) {
-        std::cerr << "; resume with --resume " << jsonl_path;
-      }
-      std::cerr << "\n";
-      return 128 + drain.signal_number();
-    }
-    if (!outcome.ok()) {
-      std::cerr << "sweep completed with quarantined experiments or "
-                   "self-check mismatches (see [resilience] above)\n";
-      return 3;
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return cli::Main(argc, argv, CampaignCli(), RunCampaignCli);
 }

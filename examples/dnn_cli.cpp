@@ -64,112 +64,87 @@
 //   --metrics-out PATH   export the metrics registry (saffire.dnn.*);
 //                    '-' writes to stdout
 //   --metrics-format {prom|json}  exposition format (prom)
-// Shutdown and exit codes mirror campaign_cli: SIGINT/SIGTERM drain
-// cooperatively and exit 128+signo with the JSONL checkpoint resumable;
-// otherwise 0 for a healthy sweep, 3 when it completed but quarantined
-// experiments or hit self-check mismatches, 1 for errors. SAFFIRE_CHAOS
-// (service/chaos.h) injects deterministic failures for resilience testing.
+// Shutdown and exit codes are campaign_cli's (one front end, service/cli.h):
+// SIGINT/SIGTERM drain cooperatively and exit 128+signo with the JSONL
+// checkpoint resumable; otherwise 0 for a healthy sweep, 3 when it
+// completed but quarantined experiments or hit self-check mismatches, 1
+// for errors. SAFFIRE_CHAOS (service/chaos.h) injects deterministic
+// failures for resilience testing.
 #include <array>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <set>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "common/atomic_file.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
-#include "service/chaos.h"
+#include "service/cli.h"
 #include "service/network_run.h"
-#include "service/signal.h"
 
 namespace {
 
 using namespace saffire;
 
-const std::set<std::string>& ValueFlags() {
-  static const std::set<std::string> kFlags = {
-      "network",      "batch",        "hidden",      "train-samples",
-      "train-epochs", "conv-channels", "extraction-k", "extraction-n",
-      "net-seed",     "dataflow",     "signal",      "polarity",
-      "bit",          "layer",        "mitigation",  "sites",
-      "seed",         "rows",         "cols",        "rung",
-      "perturb-mode", "perturb-bit",  "perturb-delta", "selfcheck-rate",
-      "max-retries",  "experiment-timeout-ms", "on-failure", "resume",
-      "spec",         "csv",          "jsonl",       "metrics-out",
-      "metrics-format"};
-  return kFlags;
+// The sweep-defining flags with their defaults; every run flag is one the
+// front end shares.
+cli::Cli NetworkCli() {
+  return {"examples/dnn_cli.cpp",
+          {{"network", "mlp"}, {"batch", "32"}, {"hidden", "32"},
+           {"train-samples", "600"}, {"train-epochs", "80"},
+           {"conv-channels", "4"}, {"extraction-k", "16"},
+           {"extraction-n", "16"}, {"net-seed", "7"}, {"dataflow", "ws"},
+           {"signal", "adder_out"}, {"polarity", "sa1"}, {"bit", "8"},
+           {"layer", "-1"}, {"mitigation", "none"}, {"sites", "0"},
+           {"seed", "1"}, {"rows", "16"}, {"cols", "16"},
+           {"rung", "appfi"}, {"perturb-mode", "auto"},
+           {"perturb-bit", "8"}, {"perturb-delta", "0"},
+           cli::Switch("abft")},
+          {}};
 }
 
-const std::set<std::string>& BoolFlags() {
-  static const std::set<std::string> kFlags = {"abft", "print-spec", "help"};
-  return kFlags;
-}
-
-NetworkSweepSpec SpecFromFlags(
-    const std::map<std::string, std::string>& flags) {
-  const auto flag = [&](const std::string& key, const std::string& fallback) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  };
+NetworkSweepSpec SpecFromFlags(const cli::Args& flags) {
   NetworkSweepSpec spec;
   spec.accel.array.rows =
-      static_cast<std::int32_t>(ParseInt(flag("rows", "16")));
+      static_cast<std::int32_t>(ParseInt(flags.Get("rows")));
   spec.accel.array.cols =
-      static_cast<std::int32_t>(ParseInt(flag("cols", "16")));
+      static_cast<std::int32_t>(ParseInt(flags.Get("cols")));
 
-  spec.network.kind = ParseNetworkKind(flag("network", "mlp"));
-  spec.network.batch = ParseInt(flag("batch", "32"));
-  spec.network.hidden = ParseInt(flag("hidden", "32"));
-  spec.network.train_samples = ParseInt(flag("train-samples", "600"));
-  spec.network.train_epochs = ParseInt(flag("train-epochs", "80"));
-  spec.network.conv_channels = ParseInt(flag("conv-channels", "4"));
-  spec.network.extraction_k = ParseInt(flag("extraction-k", "16"));
-  spec.network.extraction_n = ParseInt(flag("extraction-n", "16"));
+  spec.network.kind = ParseNetworkKind(flags.Get("network"));
+  spec.network.batch = ParseInt(flags.Get("batch"));
+  spec.network.hidden = ParseInt(flags.Get("hidden"));
+  spec.network.train_samples = ParseInt(flags.Get("train-samples"));
+  spec.network.train_epochs = ParseInt(flags.Get("train-epochs"));
+  spec.network.conv_channels = ParseInt(flags.Get("conv-channels"));
+  spec.network.extraction_k = ParseInt(flags.Get("extraction-k"));
+  spec.network.extraction_n = ParseInt(flags.Get("extraction-n"));
   spec.network.seed =
-      static_cast<std::uint64_t>(ParseInt(flag("net-seed", "7")));
+      static_cast<std::uint64_t>(ParseInt(flags.Get("net-seed")));
 
-  spec.dataflows.clear();
-  for (const std::string& name : Split(flag("dataflow", "ws"), ',')) {
-    spec.dataflows.push_back(DataflowFromString(Trim(name)));
-  }
-  spec.signals.clear();
-  for (const std::string& name : Split(flag("signal", "adder_out"), ',')) {
-    spec.signals.push_back(MacSignalFromString(Trim(name)));
-  }
-  spec.polarities.clear();
-  for (const std::string& name : Split(flag("polarity", "sa1"), ',')) {
-    spec.polarities.push_back(StuckPolarityFromString(Trim(name)));
-  }
-  spec.bits.clear();
-  for (const std::string& text : Split(flag("bit", "8"), ',')) {
-    spec.bits.push_back(static_cast<int>(ParseInt(Trim(text))));
-  }
-  spec.layers.clear();
-  for (const std::string& text : Split(flag("layer", "-1"), ',')) {
-    spec.layers.push_back(static_cast<int>(ParseInt(Trim(text))));
-  }
-  spec.mitigations.clear();
-  for (const std::string& name : Split(flag("mitigation", "none"), ',')) {
-    spec.mitigations.push_back(ParseMitigationPolicy(Trim(name)));
-  }
+  spec.dataflows = cli::ParseList(flags.Get("dataflow"), DataflowFromString);
+  spec.signals = cli::ParseList(flags.Get("signal"), MacSignalFromString);
+  spec.polarities =
+      cli::ParseList(flags.Get("polarity"), StuckPolarityFromString);
+  spec.bits = cli::ParseList(flags.Get("bit"), cli::ParseIntItem);
+  spec.layers = cli::ParseList(flags.Get("layer"), cli::ParseIntItem);
+  spec.mitigations =
+      cli::ParseList(flags.Get("mitigation"), ParseMitigationPolicy);
 
-  spec.max_sites = ParseInt(flag("sites", "0"));
-  spec.seed = static_cast<std::uint64_t>(ParseInt(flag("seed", "1")));
-  spec.rung = ParseNetworkRung(flag("rung", "appfi"));
-  spec.abft = flags.count("abft") != 0;
+  spec.max_sites = ParseInt(flags.Get("sites"));
+  spec.seed = static_cast<std::uint64_t>(ParseInt(flags.Get("seed")));
+  spec.rung = ParseNetworkRung(flags.Get("rung"));
+  spec.abft = flags.Has("abft");
 
   // --perturb-mode goes through ParsePerturbMode, with "auto" layered on
   // top (the polarity-derived default).
-  const std::string mode = flag("perturb-mode", "auto");
+  const std::string& mode = flags.Get("perturb-mode");
   spec.perturb_auto = mode == "auto";
   if (!spec.perturb_auto) spec.perturb.mode = ParsePerturbMode(mode);
-  spec.perturb.bit = static_cast<int>(ParseInt(flag("perturb-bit", "8")));
+  spec.perturb.bit = static_cast<int>(ParseInt(flags.Get("perturb-bit")));
   spec.perturb.delta =
-      static_cast<std::int32_t>(ParseInt(flag("perturb-delta", "0")));
+      static_cast<std::int32_t>(ParseInt(flags.Get("perturb-delta")));
   return spec;
 }
 
@@ -288,219 +263,65 @@ class SummarySink : public NetworkRecordSink {
   bool any_mitigated_ = false;
 };
 
+int RunNetworkCli(const cli::Args& args) {
+  const std::optional<NetworkSweepSpec> spec =
+      cli::LoadSpec(args, ParseNetworkSweepSpec, SpecFromFlags);
+  if (!spec.has_value()) return 0;
+  spec->Validate();
+
+  NetworkCheckpoint checkpoint;
+  if (args.Has("resume")) {
+    std::ifstream in = cli::OpenCheckpoint(args);
+    checkpoint = LoadNetworkCheckpoint(in);
+    cli::PrintResuming(args,
+                       static_cast<std::int64_t>(checkpoint.records.size()),
+                       checkpoint.lines_dropped, "re-run");
+  }
+
+  SummarySink summary;
+  std::vector<NetworkRecordSink*> sinks{&summary};
+  cli::FileSinks<NetworkCsvSink, NetworkJsonlSink> files(args, sinks);
+  NetworkTeeSink tee(sinks);
+  std::unique_ptr<chaos::NetworkFlakySink> flaky;
+  NetworkRecordSink& sink = cli::WithChaosSink<NetworkRecordSink>(tee, flaky);
+
+  NetworkRunOptions options;
+  options.resilience = cli::ResilienceFromFlags(args);
+  if (args.Has("resume")) options.resume = &checkpoint;
+  obs::CheckMetricsFormat(args.Get("metrics-format"));
+
+  // Cooperative SIGINT/SIGTERM drain, exactly like campaign_cli: finish the
+  // in-flight experiment, flush sinks, exit 128+signo resumable.
+  ScopedSignalDrain drain;
+  options.stop = drain.token();
+
+  // RunNetworkSweep counts the resume's dropped lines itself.
+  const SweepOutcome outcome = RunNetworkSweep(*spec, options, sink);
+  files.Commit();
+
+  std::cout << "network=" << ToString(spec->network.kind)
+            << " rung=" << ToString(spec->rung)
+            << " abft=" << (spec->abft ? "on" : "off")
+            << " records=" << outcome.records << "\n\n";
+  summary.Print(std::cout);
+
+  if (!args.Get("csv").empty()) {
+    std::cout << "\nwrote " << outcome.records << " rows to "
+              << args.Get("csv") << "\n";
+  }
+  if (!args.Get("jsonl").empty()) {
+    std::cout << "\nwrote " << outcome.records << " records to "
+              << args.Get("jsonl") << "\n";
+  }
+  cli::ExportMetrics(args);
+  cli::PrintResilience(outcome, {"selfchecks", "mismatches", "retries",
+                                 "timeouts", "quarantined", "fallbacks",
+                                 "checkpoint_lines_dropped"});
+  return cli::ExitCode(args, outcome, drain);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (!StartsWith(key, "--")) {
-      std::cerr << "expected a --flag, got '" << key << "'\n";
-      return 1;
-    }
-    const std::string name = key.substr(2);
-    if (BoolFlags().count(name) != 0) {
-      flags[name] = std::string("1");
-      continue;
-    }
-    if (ValueFlags().count(name) == 0) {
-      std::cerr << "unknown flag '" << key << "'\n";
-      return 1;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << "flag '" << key << "' expects a value\n";
-      return 1;
-    }
-    flags[name] = argv[++i];
-  }
-  const auto flag = [&](const std::string& key, const std::string& fallback) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  };
-  if (flags.count("help") != 0) {
-    std::cout << "see the header comment of examples/dnn_cli.cpp for the "
-                 "flag reference\n";
-    return 0;
-  }
-
-  try {
-    chaos::InstallFromEnv();
-    NetworkSweepSpec spec;
-    if (flags.count("spec") != 0) {
-      for (const char* axis :
-           {"network", "batch", "hidden", "dataflow", "signal", "polarity",
-            "bit", "layer", "mitigation", "sites", "seed", "rows", "cols",
-            "rung", "abft", "perturb-mode"}) {
-        if (flags.count(axis) != 0) {
-          std::cerr << "--spec already defines the sweep; drop '--" << axis
-                    << "'\n";
-          return 1;
-        }
-      }
-      std::ifstream in(flags.at("spec"));
-      if (!in) {
-        std::cerr << "cannot open spec '" << flags.at("spec") << "'\n";
-        return 1;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      spec = ParseNetworkSweepSpec(text.str());
-    } else {
-      spec = SpecFromFlags(flags);
-    }
-    if (flags.count("print-spec") != 0) {
-      std::cout << spec.ToJson() << "\n";
-      return 0;
-    }
-    spec.Validate();
-
-    // Read the checkpoint fully before opening any output stream, so
-    // resuming from the file a sink is about to truncate is safe.
-    NetworkCheckpoint checkpoint;
-    const bool resuming = flags.count("resume") != 0;
-    if (resuming) {
-      std::ifstream in(flags.at("resume"));
-      if (!in) {
-        std::cerr << "error: cannot open checkpoint '" << flags.at("resume")
-                  << "'\n";
-        return 1;
-      }
-      checkpoint = LoadNetworkCheckpoint(in);
-      std::cout << "resuming " << checkpoint.records.size()
-                << " records from '" << flags.at("resume") << "'";
-      if (checkpoint.lines_dropped > 0) {
-        std::cout << " (dropped " << checkpoint.lines_dropped
-                  << " corrupt lines; their experiments will be re-run)";
-      }
-      std::cout << "\n";
-    }
-
-    SummarySink summary;
-    std::vector<NetworkRecordSink*> sinks{&summary};
-    const std::string csv_path = flag("csv", "");
-    std::unique_ptr<AtomicFileWriter> csv_writer;
-    std::unique_ptr<NetworkCsvSink> csv_sink;
-    if (!csv_path.empty()) {
-      csv_writer = std::make_unique<AtomicFileWriter>(csv_path);
-      csv_sink = std::make_unique<NetworkCsvSink>(csv_writer->stream());
-      sinks.push_back(csv_sink.get());
-    }
-    std::ofstream jsonl_out;
-    const std::string jsonl_path = flag("jsonl", "");
-    std::unique_ptr<NetworkJsonlSink> jsonl_sink;
-    if (!jsonl_path.empty()) {
-      jsonl_out.open(jsonl_path);
-      if (!jsonl_out) {
-        std::cerr << "cannot open '" << jsonl_path << "'\n";
-        return 1;
-      }
-      jsonl_sink = std::make_unique<NetworkJsonlSink>(
-          jsonl_out, /*flush_every_line=*/true);
-      sinks.push_back(jsonl_sink.get());
-    }
-    NetworkTeeSink tee(sinks);
-    // SAFFIRE_CHAOS wiring: when the schedule injects sink failures, route
-    // record delivery through the flaky decorator so resilience tests can
-    // drive the real binary through a sink crash and resume.
-    NetworkRecordSink* sink = &tee;
-    std::unique_ptr<chaos::NetworkFlakySink> flaky;
-    if (chaos::ActiveSpec().sink_throw_every > 0) {
-      flaky = std::make_unique<chaos::NetworkFlakySink>(
-          &tee, chaos::ActiveSpec().sink_throw_every);
-      sink = flaky.get();
-    }
-
-    NetworkRunOptions options;
-    options.resilience.selfcheck_rate =
-        ParseDouble(flag("selfcheck-rate", "0"));
-    options.resilience.max_retries =
-        static_cast<int>(ParseInt(flag("max-retries", "2")));
-    options.resilience.experiment_timeout_ms =
-        ParseInt(flag("experiment-timeout-ms", "0"));
-    options.resilience.on_failure =
-        ParseOnFailure(flag("on-failure", "quarantine"));
-    if (resuming) options.resume = &checkpoint;
-
-    const std::string metrics_format = flag("metrics-format", "prom");
-    if (metrics_format != "prom" && metrics_format != "json") {
-      throw std::invalid_argument("unknown --metrics-format '" +
-                                  metrics_format + "' (expected prom|json)");
-    }
-    const std::string metrics_path = flag("metrics-out", "");
-
-    // Cooperative SIGINT/SIGTERM drain, exactly like campaign_cli: finish
-    // the in-flight experiment, flush sinks, exit 128+signo resumable.
-    ScopedSignalDrain drain;
-    options.stop = drain.token();
-
-    SweepOutcome outcome = RunNetworkSweep(spec, options, *sink);
-    outcome.checkpoint_lines_dropped += checkpoint.lines_dropped;
-    if (csv_writer != nullptr) csv_writer->Commit();
-
-    std::cout << "network=" << ToString(spec.network.kind)
-              << " rung=" << ToString(spec.rung)
-              << " abft=" << (spec.abft ? "on" : "off")
-              << " records=" << outcome.records << "\n\n";
-    summary.Print(std::cout);
-
-    if (!csv_path.empty()) {
-      std::cout << "\nwrote " << outcome.records << " rows to " << csv_path
-                << "\n";
-    }
-    if (!jsonl_path.empty()) {
-      std::cout << "\nwrote " << outcome.records << " records to "
-                << jsonl_path << "\n";
-    }
-
-    if (!metrics_path.empty()) {
-      const auto write = [&](std::ostream& out) {
-        if (metrics_format == "json") {
-          obs::MetricsRegistry::Default().WriteJson(out);
-          out << "\n";
-        } else {
-          obs::MetricsRegistry::Default().WritePrometheus(out);
-        }
-      };
-      if (metrics_path == "-") {
-        write(std::cout);
-      } else {
-        AtomicFileWriter metrics_writer(metrics_path);
-        write(metrics_writer.stream());
-        metrics_writer.Commit();
-        std::cout << "wrote metrics (" << metrics_format << ") to "
-                  << metrics_path << "\n";
-      }
-    }
-
-    if (outcome.fallbacks != 0 || outcome.selfchecks != 0 ||
-        outcome.retries != 0 || outcome.timeouts != 0 ||
-        outcome.checkpoint_lines_dropped != 0 || !outcome.ok()) {
-      std::cout << "[resilience] selfchecks=" << outcome.selfchecks
-                << " mismatches=" << outcome.selfcheck_mismatches
-                << " retries=" << outcome.retries
-                << " timeouts=" << outcome.timeouts
-                << " quarantined=" << outcome.quarantined
-                << " fallbacks=" << outcome.fallbacks
-                << " checkpoint_lines_dropped="
-                << outcome.checkpoint_lines_dropped << "\n";
-    }
-    if (drain.triggered()) {
-      std::cerr << "stopped by signal " << drain.signal_number()
-                << " after a clean drain";
-      if (!jsonl_path.empty()) {
-        std::cerr << "; resume with --resume " << jsonl_path;
-      }
-      std::cerr << "\n";
-      return 128 + drain.signal_number();
-    }
-    if (!outcome.ok()) {
-      std::cerr << "sweep completed with quarantined experiments or "
-                   "self-check mismatches (see [resilience] above)\n";
-      return 3;
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return cli::Main(argc, argv, NetworkCli(), RunNetworkCli);
 }

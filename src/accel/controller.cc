@@ -30,6 +30,15 @@ std::string AccelConfig::ToString() const {
   return os.str();
 }
 
+std::string AccelConfig::Key() const {
+  std::ostringstream key;
+  key << array.rows << ',' << array.cols << ',' << array.input_bits << ','
+      << array.acc_bits << ';' << spad_rows << ',' << acc_rows << ','
+      << max_compute_rows << ',' << double_buffered_weights << ','
+      << dram_bytes;
+  return key.str();
+}
+
 Accelerator::Accelerator(const AccelConfig& config)
     : config_(config),
       dram_((config.Validate(), config.dram_bytes)),

@@ -36,6 +36,10 @@ struct AccelConfig {
 
   void Validate() const;
   std::string ToString() const;
+  // Every field, in the fixed text the persisted identities embed
+  // (CampaignKey, NetworkCampaignKey, GoldenRunCache keys): a change here
+  // orphans every checkpoint and result-cache entry on disk.
+  std::string Key() const;
 
   bool operator==(const AccelConfig&) const = default;
 };

@@ -91,4 +91,19 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
+std::string Fnv1aHex(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  std::string hex(16, '0');
+  static const char* kDigits = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i) {
+    hex[static_cast<std::size_t>(i)] = kDigits[hash & 0xF];
+    hash >>= 4;
+  }
+  return hex;
+}
+
 }  // namespace saffire

@@ -37,4 +37,8 @@ double ParseDouble(std::string_view text);
 // True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+// FNV-1a 64-bit hash of `text` as 16 lowercase hex digits — the content
+// address of persisted identities (CampaignContentHash, NetworkSweepHash).
+std::string Fnv1aHex(std::string_view text);
+
 }  // namespace saffire

@@ -1,6 +1,6 @@
 #include "fi/golden_cache.h"
 
-#include <sstream>
+#include <string>
 
 namespace saffire {
 
@@ -12,26 +12,8 @@ GoldenRunCache& GoldenRunCache::Instance() {
 std::string GoldenRunCache::Key(const AccelConfig& config,
                                 const WorkloadSpec& workload,
                                 Dataflow dataflow) {
-  // Serialize every field that feeds the simulation. WorkloadSpec::ToString
-  // is a display string (it omits data_seed, among others), so the key
-  // enumerates fields explicitly; `name` is excluded because it does not
-  // affect the data.
-  std::ostringstream key;
-  key << config.array.rows << ',' << config.array.cols << ','
-      << config.array.input_bits << ',' << config.array.acc_bits << ';'
-      << config.spad_rows << ',' << config.acc_rows << ','
-      << config.max_compute_rows << ',' << config.double_buffered_weights
-      << ',' << config.dram_bytes << ';' << static_cast<int>(dataflow) << ';'
-      << static_cast<int>(workload.op) << ',' << workload.m << ','
-      << workload.k << ',' << workload.n << ';' << workload.conv.batch << ','
-      << workload.conv.in_channels << ',' << workload.conv.height << ','
-      << workload.conv.width << ',' << workload.conv.out_channels << ','
-      << workload.conv.kernel_h << ',' << workload.conv.kernel_w << ','
-      << workload.conv.stride << ',' << workload.conv.pad << ';'
-      << static_cast<int>(workload.lowering) << ','
-      << static_cast<int>(workload.input_fill) << ','
-      << static_cast<int>(workload.weight_fill) << ',' << workload.data_seed;
-  return key.str();
+  return config.Key() + ';' + std::to_string(static_cast<int>(dataflow)) +
+         ';' + workload.Key();
 }
 
 std::shared_ptr<const GoldenRunCache::Entry> GoldenRunCache::GetOrCompute(

@@ -45,6 +45,17 @@ void WorkloadSpec::Validate() const {
   }
 }
 
+std::string WorkloadSpec::Key() const {
+  std::ostringstream key;
+  key << static_cast<int>(op) << ',' << m << ',' << k << ',' << n << ';'
+      << conv.batch << ',' << conv.in_channels << ',' << conv.height << ','
+      << conv.width << ',' << conv.out_channels << ',' << conv.kernel_h
+      << ',' << conv.kernel_w << ',' << conv.stride << ',' << conv.pad << ';'
+      << static_cast<int>(lowering) << ',' << static_cast<int>(input_fill)
+      << ',' << static_cast<int>(weight_fill) << ',' << data_seed;
+  return key.str();
+}
+
 std::string WorkloadSpec::ToString() const {
   std::ostringstream os;
   if (!name.empty()) os << name << ": ";

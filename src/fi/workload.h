@@ -57,6 +57,11 @@ struct WorkloadSpec {
 
   void Validate() const;
   std::string ToString() const;
+  // Every field that feeds the operands, in the fixed text the persisted
+  // identities embed (CampaignKey, GoldenRunCache keys). `name` is left out:
+  // it does not affect the data. ToString is a display string and omits
+  // data_seed, among others.
+  std::string Key() const;
 
   // Dimensions of the GEMM actually executed (after lowering for conv) —
   // the space in which fault patterns are extracted and classified.

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
+#include <stdexcept>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/json.h"
 
@@ -326,6 +329,32 @@ void MetricsRegistry::Reset() {
     }
     h.sum_.store(0.0, std::memory_order_relaxed);
   }
+}
+
+void CheckMetricsFormat(const std::string& format) {
+  if (format != "prom" && format != "json") {
+    throw std::invalid_argument("unknown --metrics-format '" + format +
+                                "' (expected prom|json)");
+  }
+}
+
+void ExportMetrics(const std::string& path, const std::string& format) {
+  CheckMetricsFormat(format);
+  const auto write = [&format](std::ostream& out) {
+    if (format == "json") {
+      MetricsRegistry::Default().WriteJson(out);
+      out << "\n";
+    } else {
+      MetricsRegistry::Default().WritePrometheus(out);
+    }
+  };
+  if (path == "-") {
+    write(std::cout);
+    return;
+  }
+  AtomicFileWriter writer(path);
+  write(writer.stream());
+  writer.Commit();
 }
 
 }  // namespace saffire::obs

@@ -179,4 +179,14 @@ class MetricsRegistry {
   std::map<std::string, std::pair<Kind, std::size_t>> index_;
 };
 
+// Throws std::invalid_argument unless `format` names an exposition format
+// ExportMetrics writes: "prom" (WritePrometheus) or "json" (WriteJson).
+void CheckMetricsFormat(const std::string& format);
+
+// Writes the default registry in `format` to `path`, or to stdout for "-".
+// A file is replaced atomically (common/atomic_file.h): a killed run leaves
+// the previous complete file, never a half-written one. This is the
+// --metrics-out export of every CLI and bench binary.
+void ExportMetrics(const std::string& path, const std::string& format);
+
 }  // namespace saffire::obs

@@ -60,14 +60,18 @@ std::string CampaignConfig::ToString() const {
 }
 
 std::vector<PeCoord> CampaignSites(const CampaignConfig& config) {
-  const std::vector<PeCoord> all = AllPeCoords(config.accel.array);
-  if (config.max_sites <= 0 ||
-      config.max_sites >= static_cast<std::int64_t>(all.size())) {
+  return SampleSites(config.accel.array, config.max_sites, config.seed);
+}
+
+std::vector<PeCoord> SampleSites(const ArrayConfig& array,
+                                 std::int64_t max_sites, std::uint64_t seed) {
+  const std::vector<PeCoord> all = AllPeCoords(array);
+  if (max_sites <= 0 || max_sites >= static_cast<std::int64_t>(all.size())) {
     return all;
   }
-  Rng rng(config.seed);
+  Rng rng(seed);
   const auto picks = rng.SampleWithoutReplacement(
-      static_cast<std::int64_t>(all.size()), config.max_sites);
+      static_cast<std::int64_t>(all.size()), max_sites);
   std::vector<PeCoord> sites;
   sites.reserve(picks.size());
   for (const std::int64_t index : picks) {

@@ -208,6 +208,12 @@ CampaignResult RunCampaignSerial(const CampaignConfig& config);
 // in execution order.
 std::vector<PeCoord> CampaignSites(const CampaignConfig& config);
 
+// The site selection behind CampaignSites: every PE in row-major order when
+// max_sites is 0 or covers the array, else a seeded uniform sample without
+// replacement.
+std::vector<PeCoord> SampleSites(const ArrayConfig& array,
+                                 std::int64_t max_sites, std::uint64_t seed);
+
 // --- Execution primitives ---------------------------------------------------
 // Everything below is shared by RunCampaignSerial and the campaign service
 // (service/executor.h): both paths run the exact same per-experiment code,

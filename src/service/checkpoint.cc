@@ -1,6 +1,7 @@
 #include "service/checkpoint.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -32,6 +33,71 @@ bool CheckpointLineCrcOk(const std::string& line) {
                           : (c | 0x20) - 'a' + 10);
   }
   return stored == Crc32(std::string_view(line).substr(0, pos));
+}
+
+void WriteSealedLine(std::ostream& out, std::string_view body, bool flush) {
+  // The loader re-derives the covered prefix by splitting at the last
+  // ,"crc":" occurrence (CheckpointLineCrcOk).
+  SAFFIRE_ASSERT_MSG(!body.empty() && body.back() == '}',
+                     "sealing a non-object checkpoint line");
+  const std::string_view prefix = body.substr(0, body.size() - 1);
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32(prefix));
+  out << prefix << ",\"crc\":\"" << crc << "\"}\n";
+  if (flush) {
+    // A resumable line is only worth anything if it reaches the disk
+    // before a crash.
+    static obs::Counter& flushes = obs::MetricsRegistry::Default().GetCounter(
+        "saffire.sink.jsonl_flushes",
+        "explicit stream flushes issued by JSONL sinks (checkpoint "
+        "durability)");
+    out << std::flush;
+    flushes.Increment();
+  }
+}
+
+CheckpointLoadStats ReadSealedLines(
+    std::istream& in, const char* label,
+    const std::function<bool(const JsonValue&)>& apply) {
+  CheckpointLoadStats counts;
+  std::string line;
+  std::int64_t line_number = 0;
+  while (std::getline(in, line)) {
+    ++line_number;
+    if (line.empty()) continue;
+    ++counts.lines;
+    if (!CheckpointLineCrcOk(line)) {
+      ++counts.dropped;
+      SAFFIRE_LOG_WARN << label << " line " << line_number
+                       << " failed its CRC seal, dropping it";
+      continue;
+    }
+    try {
+      if (apply(JsonValue::Parse(line))) ++counts.records;
+    } catch (const std::invalid_argument& error) {
+      // Truncated tail (a run killed mid-write), bit-rotted interior line
+      // that happened to keep or predate its seal, or content inconsistent
+      // with preceding lines — either way the line cannot be trusted, and
+      // re-simulating it is always safe.
+      ++counts.dropped;
+      SAFFIRE_LOG_WARN << label << " line " << line_number
+                       << " dropped: " << error.what();
+    }
+  }
+  if (counts.dropped > 0) {
+    // Surfaced as a metric too, so monitored fleets see on-disk corruption
+    // without scraping logs or the CLI's resume line.
+    static obs::Counter& dropped_lines =
+        obs::MetricsRegistry::Default().GetCounter(
+            "saffire.checkpoint.dropped_lines",
+            "corrupt or torn checkpoint lines dropped while loading");
+    dropped_lines.Increment(counts.dropped);
+    SAFFIRE_LOG_WARN << label << ": dropped " << counts.dropped << " of "
+                     << counts.lines
+                     << " lines; the affected experiments will be "
+                        "re-simulated";
+  }
+  return counts;
 }
 
 namespace {
@@ -173,47 +239,11 @@ std::int64_t SweepCheckpoint::TotalRecords() const {
 SweepCheckpoint LoadSweepCheckpoint(std::istream& in,
                                     CheckpointLoadStats* stats) {
   SweepCheckpoint checkpoint;
-  CheckpointLoadStats local;
-  CheckpointLoadStats& counts = stats != nullptr ? *stats : local;
-  counts = CheckpointLoadStats{};
-  std::string line;
-  std::int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    ++counts.lines;
-    if (!CheckpointLineCrcOk(line)) {
-      ++counts.dropped;
-      SAFFIRE_LOG_WARN << "checkpoint line " << line_number
-                       << " failed its CRC seal, dropping it";
-      continue;
-    }
-    try {
-      const JsonValue json = JsonValue::Parse(line);
-      if (ApplyLine(checkpoint, json)) ++counts.records;
-    } catch (const std::invalid_argument& error) {
-      // Truncated tail (a run killed mid-write), bit-rotted interior line
-      // that happened to keep or predate its seal, or content inconsistent
-      // with preceding lines — either way the line cannot be trusted, and
-      // re-simulating it is always safe.
-      ++counts.dropped;
-      SAFFIRE_LOG_WARN << "checkpoint line " << line_number
-                       << " dropped: " << error.what();
-    }
-  }
-  if (counts.dropped > 0) {
-    // Surfaced as a metric too, so monitored fleets see on-disk corruption
-    // without scraping logs or the CLI's resume line.
-    static obs::Counter& dropped_lines =
-        obs::MetricsRegistry::Default().GetCounter(
-            "saffire.checkpoint.dropped_lines",
-            "corrupt or torn checkpoint lines dropped while loading");
-    dropped_lines.Increment(counts.dropped);
-    SAFFIRE_LOG_WARN << "checkpoint: dropped " << counts.dropped << " of "
-                     << counts.lines
-                     << " lines; the affected experiments will be "
-                        "re-simulated";
-  }
+  const CheckpointLoadStats counts =
+      ReadSealedLines(in, "checkpoint", [&checkpoint](const JsonValue& json) {
+        return ApplyLine(checkpoint, json);
+      });
+  if (stats != nullptr) *stats = counts;
   return checkpoint;
 }
 

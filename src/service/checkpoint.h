@@ -4,13 +4,22 @@
 // interrupted multi-hour sweep (the paper reports 49 h of FPGA fault
 // injection, Sec. III-B) resumes from its last flushed line, and per-shard
 // JSONL files from split runs merge back into the full sweep.
+//
+// The sealed-JSONL layer underneath (WriteSealedLine, ReadSealedLines) is
+// shared by both sweep families: the network sweep's NetworkJsonlSink and
+// LoadNetworkCheckpoint (service/network_sweep.h) write and read their own
+// line types through the same two functions.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <istream>
 #include <map>
+#include <ostream>
 #include <string>
+#include <string_view>
 
+#include "common/json.h"
 #include "patterns/campaign.h"
 #include "service/sweep.h"
 
@@ -93,8 +102,24 @@ void ValidateCheckpoint(const SweepCheckpoint& checkpoint,
 
 // Verifies a single JSONL line's trailing "crc" seal when present; returns
 // false only on a failed or malformed seal (unsealed lines pass — format v1
-// files predate the seal). Shared by every sealed-JSONL loader, including
-// the network-sweep checkpoint (service/network_sweep.h).
+// files predate the seal).
 bool CheckpointLineCrcOk(const std::string& line);
+
+// Writes `body`, one complete JSON object, as a sealed line: its closing
+// brace gives way to a final "crc" member, the CRC-32 of everything before
+// it, so each line stays a standalone JSON object. `flush` makes the line
+// durable at once, for lines a resume needs (records, failures, the end
+// marker); each such flush counts in saffire.sink.jsonl_flushes.
+void WriteSealedLine(std::ostream& out, std::string_view body, bool flush);
+
+// Scans a sealed JSONL stream: every non-empty line that passes its seal
+// and parses is handed to `apply`, which returns whether it rehydrated a
+// record. Lines that fail the seal, the parse, or `apply` (by throwing
+// std::invalid_argument) are dropped, logged under `label` and counted in
+// the returned stats and in saffire.checkpoint.dropped_lines — never
+// thrown.
+CheckpointLoadStats ReadSealedLines(
+    std::istream& in, const char* label,
+    const std::function<bool(const JsonValue&)>& apply);
 
 }  // namespace saffire

@@ -6,7 +6,6 @@
 #include <exception>
 #include <iterator>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -35,29 +34,6 @@ std::int64_t MicrosBetween(std::chrono::steady_clock::time_point begin,
       .count();
 }
 
-// Sleeps the deterministic backoff delay before retry `attempt` (no-op
-// when the policy disables backoff).
-void SleepBackoff(const ResilienceOptions& res, std::uint64_t seed,
-                  std::size_t campaign_index, std::int64_t experiment_index,
-                  int attempt) {
-  const std::int64_t delay_ms =
-      BackoffDelayMs(res, seed, campaign_index, experiment_index, attempt);
-  if (delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
-}
-
-// Serializes an AccelConfig into the per-worker simulator cache key.
-std::string SimulatorKey(const AccelConfig& accel) {
-  std::ostringstream key;
-  key << accel.array.rows << ',' << accel.array.cols << ','
-      << accel.array.input_bits << ',' << accel.array.acc_bits << ','
-      << accel.spad_rows << ',' << accel.acc_rows << ','
-      << accel.max_compute_rows << ',' << accel.double_buffered_weights
-      << ',' << accel.dram_bytes;
-  return key.str();
-}
-
 }  // namespace
 
 // A worker's cached simulator. Capacity one: within a sweep, consecutive
@@ -74,7 +50,7 @@ struct CampaignExecutor::WorkerCache {
   // Returns a simulator for `accel`, setting *constructed to whether a new
   // one had to be built (vs a cache hit).
   FiRunner& Get(const AccelConfig& accel, bool* constructed) {
-    std::string want = SimulatorKey(accel);
+    std::string want = accel.Key();
     if (!runner.has_value() || key != want) {
       runner.emplace(accel);
       key = std::move(want);
@@ -174,6 +150,9 @@ struct CampaignExecutor::RunState {
   const std::atomic<bool>* stop = nullptr;
   // This run's tallies (guarded by the executor mutex), returned from Run().
   SweepOutcome outcome;
+  // Where the resilience ladder counts into `outcome` and the pool's
+  // saffire.resilience.* series.
+  ResilienceTally tally;
 
   bool Finished() const { return deliver_campaign == campaigns.size(); }
   bool StopRequested() const {
@@ -196,11 +175,10 @@ CampaignExecutor::CampaignExecutor(const ExecutorOptions& options)
   // Register this pool's instrument series, labelled by instance so
   // concurrent executors sharing a registry stay distinguishable.
   static std::atomic<int> pool_ids{0};
-  const std::string pool_label =
-      "pool=\"" + std::to_string(pool_ids.fetch_add(1)) + "\"";
+  pool_label_ = "pool=\"" + std::to_string(pool_ids.fetch_add(1)) + "\"";
   obs::MetricsRegistry& registry = *options_.metrics;
   const auto counter = [&](const char* name, const char* help) {
-    return &registry.GetCounter(name, help, pool_label);
+    return &registry.GetCounter(name, help, pool_label_);
   };
   metrics_.runs = counter("saffire.executor.runs", "Run() invocations");
   metrics_.campaigns_executed = counter("saffire.executor.campaigns_executed",
@@ -253,19 +231,19 @@ CampaignExecutor::CampaignExecutor(const ExecutorOptions& options)
               "differential engine");
   metrics_.queue_depth =
       &registry.GetGauge("saffire.executor.queue_depth",
-                         "claimable chunks across active runs", pool_label);
+                         "claimable chunks across active runs", pool_label_);
   metrics_.busy_workers =
       &registry.GetGauge("saffire.executor.busy_workers",
-                         "workers currently executing a task", pool_label);
+                         "workers currently executing a task", pool_label_);
   metrics_.chunk_seconds = &registry.GetHistogram(
       "saffire.executor.chunk_seconds", "wall time per executed chunk",
-      pool_label);
+      pool_label_);
   metrics_.worker_busy_us.reserve(static_cast<std::size_t>(options.threads));
   for (int i = 0; i < options.threads; ++i) {
     metrics_.worker_busy_us.push_back(&registry.GetCounter(
         "saffire.executor.worker_busy_us",
         "microseconds each worker spent executing tasks",
-        pool_label + ",worker=\"" + std::to_string(i) + "\""));
+        pool_label_ + ",worker=\"" + std::to_string(i) + "\""));
   }
 
   workers_.reserve(static_cast<std::size_t>(options.threads));
@@ -336,19 +314,7 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
   SAFFIRE_CHECK_MSG(
       options.max_parallelism >= 0 && options.max_parallelism <= 256,
       "max_parallelism=" << options.max_parallelism);
-  SAFFIRE_CHECK_MSG(options.resilience.max_retries >= 0,
-                    "max_retries=" << options.resilience.max_retries);
-  SAFFIRE_CHECK_MSG(options.resilience.experiment_timeout_ms >= 0,
-                    "experiment_timeout_ms="
-                        << options.resilience.experiment_timeout_ms);
-  SAFFIRE_CHECK_MSG(options.resilience.selfcheck_rate >= 0.0 &&
-                        options.resilience.selfcheck_rate <= 1.0,
-                    "selfcheck_rate=" << options.resilience.selfcheck_rate);
-  SAFFIRE_CHECK_MSG(options.resilience.backoff_base_ms >= 0 &&
-                        options.resilience.backoff_cap_ms >= 0,
-                    "backoff base=" << options.resilience.backoff_base_ms
-                                    << " cap="
-                                    << options.resilience.backoff_cap_ms);
+  options.resilience.Validate();
   for (const CampaignConfig& config : plan.campaigns) {
     config.accel.Validate();
     config.workload.Validate();
@@ -362,6 +328,7 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
   run.sink = &sink;
   run.resilience = options.resilience;
   run.stop = options.stop;
+  run.tally = {&run.outcome, &mutex_, options_.metrics, pool_label_};
   run.cap = options.max_parallelism == 0
                 ? static_cast<int>(workers_.size())
                 : std::min(options.max_parallelism,
@@ -740,9 +707,23 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
     const std::int64_t index =
         campaign.to_simulate[static_cast<std::size_t>(p)];
     ExperimentRecord record;
-    FailedRecord failure;
-    if (RunExperimentResilient(run, campaign_index, runner, index, rung,
-                               &record, &failure)) {
+    CampaignEngine current = rung;
+    LadderFailure failure;
+    const LadderSteps steps{
+        [&] {
+          record = RunPreparedExperimentWithEngine(
+              campaign.prepared, runner, static_cast<std::size_t>(index),
+              current);
+        },
+        [&](int /*attempts*/) {
+          const CampaignEngine next =
+              DemoteEngine(run, campaign_index, current);
+          if (next == current) return false;  // bottom of the ladder
+          current = next;
+          return true;
+        }};
+    if (RunResilient(res, run.tally, config.seed, campaign_index, index,
+                     "campaign", steps, &failure)) {
       // Replicated-record self-check: grouped runs cross-validate in their
       // batch loop below; here a record synthesized from a symmetry
       // representative is sampled against a direct run of the same rung
@@ -775,7 +756,8 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
       }
       chunk[static_cast<std::size_t>(p - begin)] = std::move(record);
     } else {
-      failures.push_back(std::move(failure));
+      failures.push_back({campaign_index, index, current, failure.attempts,
+                          failure.timed_out, std::move(failure.error)});
     }
   };
 
@@ -815,7 +797,7 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
       bool ok = false;
       for (int attempt = 0; attempt <= res.max_retries; ++attempt) {
         if (attempt > 0) {
-          NoteRetry(run);
+          run.tally.Retry();
           SleepBackoff(res, config.seed, campaign_index, first, attempt - 1);
         }
         try {
@@ -925,93 +907,6 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
   }
 }
 
-bool CampaignExecutor::RunExperimentResilient(
-    RunState& run, std::size_t campaign_index, FiRunner& runner,
-    std::int64_t index, CampaignEngine engine, ExperimentRecord* record,
-    FailedRecord* failure) {
-  CampaignState& campaign = run.campaigns[campaign_index];
-  const ResilienceOptions& res = run.resilience;
-  const std::uint64_t seed = campaign.prepared.config.seed;
-  int total_attempts = 0;
-  bool timed_out = false;
-  bool permanent = false;
-  std::exception_ptr last_error;
-  std::string last_what;
-  while (true) {
-    for (int attempt = 0; attempt <= res.max_retries; ++attempt) {
-      if (total_attempts > 0) {
-        NoteRetry(run);
-        SleepBackoff(res, seed, campaign_index, index, total_attempts - 1);
-      }
-      ++total_attempts;
-      try {
-        // Clock before the chaos hook so an injected stall lands inside the
-        // measured window, exactly like a real wedged attempt.
-        std::chrono::steady_clock::time_point start;
-        if (res.experiment_timeout_ms > 0) {
-          start = std::chrono::steady_clock::now();
-        }
-        chaos::OnExperimentAttempt(campaign_index, index, attempt);
-        ExperimentRecord result = RunPreparedExperimentWithEngine(
-            campaign.prepared, runner, static_cast<std::size_t>(index),
-            engine);
-        if (res.experiment_timeout_ms > 0) {
-          const std::int64_t elapsed_ms =
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-          if (elapsed_ms > res.experiment_timeout_ms) {
-            // The deadline guard is cooperative: the attempt already
-            // returned, but trusting one that stalled past its budget would
-            // let a single wedged site consume the sweep — classify it
-            // failed and retry.
-            NoteTimeout(run);
-            timed_out = true;
-            last_error = nullptr;
-            std::ostringstream os;
-            os << "experiment " << index << " exceeded the "
-               << res.experiment_timeout_ms << " ms deadline (took "
-               << elapsed_ms << " ms)";
-            last_what = os.str();
-            continue;
-          }
-        }
-        *record = std::move(result);
-        return true;
-      } catch (const std::invalid_argument& error) {
-        last_error = std::current_exception();
-        last_what = error.what();
-        timed_out = false;
-        permanent = true;  // the same config fails identically on any rung
-        break;
-      } catch (const std::exception& error) {
-        last_error = std::current_exception();
-        last_what = error.what();
-        timed_out = false;
-      }
-    }
-    if (permanent) break;
-    const CampaignEngine demoted = DemoteEngine(run, campaign_index, engine);
-    if (demoted == engine) break;  // bottom of the ladder
-    engine = demoted;
-  }
-  if (res.on_failure == OnFailure::kAbort) {
-    if (last_error != nullptr) std::rethrow_exception(last_error);
-    throw std::runtime_error(last_what);
-  }
-  failure->campaign_index = campaign_index;
-  failure->experiment_index = index;
-  failure->engine = engine;
-  failure->attempts = total_attempts;
-  failure->timed_out = timed_out;
-  failure->error = last_what;
-  NoteQuarantine(run);
-  SAFFIRE_LOG_WARN << "campaign " << campaign_index << " experiment " << index
-                   << ": quarantined after " << total_attempts
-                   << " attempts: " << last_what;
-  return false;
-}
-
 CampaignEngine CampaignExecutor::DemoteEngine(RunState& run,
                                               std::size_t campaign_index,
                                               CampaignEngine from) {
@@ -1027,18 +922,6 @@ CampaignEngine CampaignExecutor::DemoteEngine(RunState& run,
                    << ToString(from) << " to the " << ToString(*next)
                    << " engine";
   return *next;
-}
-
-void CampaignExecutor::NoteRetry(RunState& run) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++run.outcome.retries;
-  metrics_.retries->Increment();
-}
-
-void CampaignExecutor::NoteTimeout(RunState& run) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++run.outcome.timeouts;
-  metrics_.timeouts->Increment();
 }
 
 void CampaignExecutor::NoteSelfCheck(RunState& run, CampaignEngine engine) {
@@ -1062,12 +945,6 @@ void CampaignExecutor::NoteMismatch(RunState& run, std::size_t campaign_index,
                    << experiment_index
                    << ": batch self-check mismatch against the differential "
                       "engine";
-}
-
-void CampaignExecutor::NoteQuarantine(RunState& run) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++run.outcome.quarantined;
-  metrics_.quarantined->Increment();
 }
 
 void CampaignExecutor::AbandonUnclaimed(RunState& run) {

@@ -231,28 +231,17 @@ class CampaignExecutor {
   void PrepareWithPolicy(RunState& run, std::size_t campaign_index,
                          WorkerCache& cache,
                          std::unique_lock<std::mutex>& lock);
-  // Runs one experiment through the retry/fallback ladder. Returns true
-  // with *record on success; on exhaustion applies the run's on_failure
-  // policy — kQuarantine fills *failure and returns false, kAbort rethrows
-  // the final error.
-  bool RunExperimentResilient(RunState& run, std::size_t campaign_index,
-                              FiRunner& runner, std::int64_t index,
-                              CampaignEngine engine, ExperimentRecord* record,
-                              FailedRecord* failure);
   // Demotes the campaign's effective engine one ladder rung if it still sits
   // at `from`; returns the (possibly unchanged) engine to continue on.
   CampaignEngine DemoteEngine(RunState& run, std::size_t campaign_index,
                               CampaignEngine from);
-  // Tally helpers: bump the run's outcome (under `mutex_`) and the matching
-  // resilience counter.
-  void NoteRetry(RunState& run);
-  void NoteTimeout(RunState& run);
-  // `engine` is the rung whose record is being cross-validated; predicted
-  // checks additionally feed the "saffire.predict.selfchecks" series.
+  // Self-check tally helpers: bump the run's outcome (under `mutex_`) and
+  // the matching resilience counter. `engine` is the rung whose record is
+  // being cross-validated; predicted checks additionally feed the
+  // "saffire.predict.selfchecks" series.
   void NoteSelfCheck(RunState& run, CampaignEngine engine);
   void NoteMismatch(RunState& run, std::size_t campaign_index,
                     std::int64_t experiment_index);
-  void NoteQuarantine(RunState& run);
   // Retires every unclaimed chunk (queue-depth gauge included) and marks the
   // run finished — the error/stop abandonment path. Caller holds `mutex_`.
   void AbandonUnclaimed(RunState& run);
@@ -268,6 +257,8 @@ class CampaignExecutor {
   std::vector<RunState*> active_;  // runs with undelivered work
   bool shutdown_ = false;
   ExecutorOptions options_;
+  // pool="<instance>", the label set of every series this pool registers.
+  std::string pool_label_;
   Metrics metrics_;
   std::vector<std::thread> workers_;
 };

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <exception>
 #include <optional>
-#include <sstream>
-#include <thread>
 
 #include "accel/controller.h"
 #include "accel/driver.h"
@@ -115,31 +111,6 @@ obs::Counter& PatternCounter(PatternClass pattern) {
   return *counters[static_cast<std::size_t>(pattern)];
 }
 
-// The executor registers the saffire.resilience.* family with pool labels;
-// the network runner contributes its own series under layer="network" so
-// both layers surface through one metric name without colliding.
-obs::Counter& NetRetriesCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
-      "saffire.resilience.retries",
-      "failed experiment/batch attempts retried", "layer=\"network\"");
-  return counter;
-}
-
-obs::Counter& NetTimeoutsCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
-      "saffire.resilience.timeouts",
-      "experiment attempts that exceeded the deadline", "layer=\"network\"");
-  return counter;
-}
-
-obs::Counter& NetQuarantinedCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
-      "saffire.resilience.quarantined",
-      "experiments quarantined after exhausting every retry",
-      "layer=\"network\"");
-  return counter;
-}
-
 obs::Counter& MitigatedCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
       "saffire.dnn.mitigation.experiments",
@@ -160,18 +131,6 @@ obs::Counter& MitResidualSdcCounter() {
       "saffire.dnn.mitigation.residual_sdc",
       "mitigated inferences whose final logits still deviated from golden");
   return counter;
-}
-
-// Sleeps the deterministic backoff delay before retry `attempt` (no-op
-// when the policy disables backoff).
-void SleepBackoff(const ResilienceOptions& res, std::uint64_t seed,
-                  std::size_t campaign_index, std::int64_t experiment_index,
-                  int attempt) {
-  const std::int64_t delay_ms =
-      BackoffDelayMs(res, seed, campaign_index, experiment_index, attempt);
-  if (delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
 }
 
 // --- Experiment execution ---------------------------------------------------
@@ -490,111 +449,6 @@ ExperimentResult RunExperimentOnRung(
              : RunCycleExperiment(context, fault, plans);
 }
 
-// The network resilience ladder, mirroring the operator executor's
-// RunExperimentResilient: max_retries attempts per rung with deterministic
-// backoff, cooperative deadline classification, then demotion appfi →
-// cycle-accurate (the network's only fallback rung) and one more attempt
-// cycle. std::invalid_argument is permanent — the same spec fails
-// identically everywhere — and skips straight to the failure policy.
-// Returns true with *result filled, or false with *failure filled
-// (quarantine); under OnFailure::kAbort the final error is rethrown.
-bool RunExperimentResilient(const ExperimentContext& context,
-                            const FaultSpec& fault,
-                            const std::vector<LayerMitigationPlan>& plans,
-                            const ResilienceOptions& res, std::size_t ci,
-                            std::int64_t ei, NetworkRung rung, bool& demoted,
-                            SweepOutcome& outcome, ExperimentResult* result,
-                            NetworkFailedRecord* failure) {
-  int total_attempts = 0;
-  bool timed_out = false;
-  bool permanent = false;
-  std::exception_ptr last_error;
-  std::string last_what;
-  while (true) {
-    for (int attempt = 0; attempt <= res.max_retries; ++attempt) {
-      if (total_attempts > 0) {
-        ++outcome.retries;
-        NetRetriesCounter().Increment();
-        SleepBackoff(res, context.spec.seed, ci, ei, total_attempts - 1);
-      }
-      ++total_attempts;
-      try {
-        // Clock before the chaos hook so an injected stall lands inside the
-        // measured window, exactly like a real wedged attempt.
-        std::chrono::steady_clock::time_point start;
-        if (res.experiment_timeout_ms > 0) {
-          start = std::chrono::steady_clock::now();
-        }
-        chaos::OnExperimentAttempt(ci, ei, attempt);
-        ExperimentResult attempt_result =
-            RunExperimentOnRung(context, fault, plans, rung);
-        if (res.experiment_timeout_ms > 0) {
-          const std::int64_t elapsed_ms =
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-          if (elapsed_ms > res.experiment_timeout_ms) {
-            // Cooperative deadline: the attempt already returned, but
-            // trusting one that stalled past its budget would let a single
-            // wedged site consume the sweep — classify it failed and retry.
-            ++outcome.timeouts;
-            NetTimeoutsCounter().Increment();
-            timed_out = true;
-            last_error = nullptr;
-            std::ostringstream os;
-            os << "experiment " << ei << " exceeded the "
-               << res.experiment_timeout_ms << " ms deadline (took "
-               << elapsed_ms << " ms)";
-            last_what = os.str();
-            continue;
-          }
-        }
-        *result = std::move(attempt_result);
-        return true;
-      } catch (const std::invalid_argument& error) {
-        last_error = std::current_exception();
-        last_what = error.what();
-        timed_out = false;
-        permanent = true;  // the same spec fails identically on any rung
-        break;
-      } catch (const std::exception& error) {
-        last_error = std::current_exception();
-        last_what = error.what();
-        timed_out = false;
-      }
-    }
-    if (permanent) break;
-    if (rung == NetworkRung::kCycleAccurate) break;  // bottom of the ladder
-    rung = NetworkRung::kCycleAccurate;
-    if (!demoted) {
-      // Failure-driven demotion sticks for the campaign's remainder, like a
-      // selfcheck mismatch.
-      demoted = true;
-      ++outcome.fallbacks;
-      DemotionsCounter().Increment();
-      SAFFIRE_LOG_WARN << "network campaign " << ci
-                       << ": demoting to the cycle-accurate rung after "
-                       << total_attempts << " failed appfi attempts";
-    }
-  }
-  if (res.on_failure == OnFailure::kAbort) {
-    if (last_error != nullptr) std::rethrow_exception(last_error);
-    throw std::runtime_error(last_what);
-  }
-  failure->campaign_index = ci;
-  failure->experiment_index = ei;
-  failure->rung = rung;
-  failure->attempts = total_attempts;
-  failure->timed_out = timed_out;
-  failure->error = last_what;
-  ++outcome.quarantined;
-  NetQuarantinedCounter().Increment();
-  SAFFIRE_LOG_WARN << "network campaign " << ci << " experiment " << ei
-                   << ": quarantined after " << total_attempts
-                   << " attempts: " << last_what;
-  return false;
-}
-
 // Soundness check of the fast rung against ground truth: every corrupted
 // element the hardware produced at the first in-scope layer must lie inside
 // the analytically predicted reach.
@@ -638,6 +492,7 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
                              const NetworkRunOptions& options,
                              NetworkRecordSink& sink) {
   spec.Validate();
+  options.resilience.Validate();
   const NetworkCampaignPlan plan = BuildNetworkCampaignPlan(spec);
   if (options.resume != nullptr) {
     ValidateNetworkCheckpoint(*options.resume, spec, plan);
@@ -672,6 +527,12 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
   if (options.resume != nullptr) {
     outcome.checkpoint_lines_dropped = options.resume->lines_dropped;
   }
+  // The executor's saffire.resilience.* series carry pool labels; the
+  // network sweep counts under layer="network", so both surface through one
+  // metric name without colliding.
+  const ResilienceTally tally{&outcome, nullptr,
+                              &obs::MetricsRegistry::Default(),
+                              "layer=\"network\""};
   sink.OnSweepBegin(spec, plan);
 
   bool stop_requested = false;
@@ -713,10 +574,16 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
       context.first_layer = &*first_layer;
     };
 
-    // A selfcheck mismatch or an exhausted appfi retry ladder demotes the
-    // campaign's remainder to ground truth, mirroring the operator-level
-    // engine ladder.
+    // A selfcheck mismatch or an exhausted appfi rung demotes the
+    // campaign's remainder to ground truth.
     bool demoted = false;
+    const auto demote_campaign = [&] {
+      if (demoted) return false;
+      demoted = true;
+      ++outcome.fallbacks;
+      DemotionsCounter().Increment();
+      return true;
+    };
 
     for (std::int64_t ei = 0; ei < plan.experiments_per_campaign(); ++ei) {
       if (options.stop != nullptr &&
@@ -745,15 +612,29 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
       const std::vector<LayerMitigationPlan> mit_plans =
           BuildMitigationPlans(context, fault);
 
-      const NetworkRung rung =
-          demoted ? NetworkRung::kCycleAccurate : spec.rung;
+      NetworkRung rung = demoted ? NetworkRung::kCycleAccurate : spec.rung;
       if (rung == NetworkRung::kCycleAccurate) record_first_layer();
       ExperimentResult result;
-      NetworkFailedRecord failure;
-      if (!RunExperimentResilient(context, fault, mit_plans,
-                                  options.resilience, ci, ei, rung, demoted,
-                                  outcome, &result, &failure)) {
-        sink.OnExperimentFailed(failure);
+      LadderFailure failure;
+      const LadderSteps steps{
+          [&] { result = RunExperimentOnRung(context, fault, mit_plans, rung); },
+          [&](int attempts) {
+            if (rung == NetworkRung::kCycleAccurate) return false;
+            rung = NetworkRung::kCycleAccurate;
+            // Failure-driven demotion sticks for the campaign's remainder,
+            // like a selfcheck mismatch.
+            if (demote_campaign()) {
+              SAFFIRE_LOG_WARN
+                  << "network campaign " << ci
+                  << ": demoting to the cycle-accurate rung after "
+                  << attempts << " failed appfi attempts";
+            }
+            return true;
+          }};
+      if (!RunResilient(options.resilience, tally, spec.seed, ci, ei,
+                        "network campaign", steps, &failure)) {
+        sink.OnExperimentFailed({ci, ei, rung, failure.attempts,
+                                 failure.timed_out, failure.error});
         continue;
       }
 
@@ -783,11 +664,7 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
         if (mismatch) {
           ++outcome.selfcheck_mismatches;
           SelfcheckMismatchesCounter().Increment();
-          if (!demoted) {
-            demoted = true;
-            ++outcome.fallbacks;
-            DemotionsCounter().Increment();
-          }
+          demote_campaign();
           result = truth;  // keep the trusted record
         }
       }

@@ -31,12 +31,12 @@
 namespace saffire {
 
 struct NetworkRunOptions {
-  // Full resilience ladder, matching the operator executor: max_retries
-  // capped-backoff attempts per rung, cooperative experiment_timeout_ms
-  // deadlines, demotion appfi → cycle-accurate on an exhausted ladder, and
-  // on_failure routing exhausted experiments to quarantine
-  // (OnExperimentFailed + a re-simulatable "network-failed" checkpoint
-  // line) or abort.
+  // The shared resilience ladder (RunResilient, service/resilience.h) over
+  // the network's two rungs: max_retries capped-backoff attempts per rung,
+  // cooperative experiment_timeout_ms deadlines, demotion appfi →
+  // cycle-accurate on an exhausted rung, and on_failure routing exhausted
+  // experiments to quarantine (OnExperimentFailed + a re-simulatable
+  // "network-failed" checkpoint line) or abort. Validated before training.
   ResilienceOptions resilience;
   // Completed records replayed to the sink instead of re-executed. Must
   // have passed ValidateNetworkCheckpoint for this spec (RunNetworkSweep

@@ -6,9 +6,9 @@
 #include <sstream>
 
 #include "accel/config_json.h"
-#include "common/crc32.h"
 #include "common/json.h"
 #include "common/log.h"
+#include "common/strings.h"
 #include "service/checkpoint.h"
 
 namespace saffire {
@@ -254,21 +254,9 @@ NetworkCampaignPlan BuildNetworkCampaignPlan(const NetworkSweepSpec& spec) {
       }
     }
   }
-  // Same site-selection algorithm as CampaignSites (patterns/campaign.cc):
-  // exhaustive in row-major order, or a seeded uniform sample without
-  // replacement. One shared list — every campaign visits the same sites, so
-  // per-class comparisons across campaigns are paired.
-  const std::vector<PeCoord> all = AllPeCoords(spec.accel.array);
-  if (spec.max_sites == 0 ||
-      spec.max_sites >= static_cast<std::int64_t>(all.size())) {
-    plan.sites = all;
-  } else {
-    Rng rng(spec.seed);
-    for (const std::int64_t index : rng.SampleWithoutReplacement(
-             static_cast<std::int64_t>(all.size()), spec.max_sites)) {
-      plan.sites.push_back(all[static_cast<std::size_t>(index)]);
-    }
-  }
+  // CampaignSites' selection, shared by every campaign so that per-class
+  // comparisons across campaigns are paired.
+  plan.sites = SampleSites(spec.accel.array, spec.max_sites, spec.seed);
   return plan;
 }
 
@@ -280,11 +268,7 @@ std::string NetworkCampaignKey(const NetworkSweepSpec& spec,
   // finish an appfi checkpoint after a demotion.
   const NetworkSpec& n = spec.network;
   std::ostringstream key;
-  key << spec.accel.array.rows << ',' << spec.accel.array.cols << ','
-      << spec.accel.array.input_bits << ',' << spec.accel.array.acc_bits
-      << ';' << spec.accel.spad_rows << ',' << spec.accel.acc_rows << ','
-      << spec.accel.max_compute_rows << ','
-      << spec.accel.double_buffered_weights << ',' << spec.accel.dram_bytes
+  key << spec.accel.Key()
       << ';' << static_cast<int>(n.kind) << ',' << n.batch << ',' << n.seed
       << ',' << n.noise << ';' << n.extraction_k << ',' << n.extraction_n
       << ';' << n.hidden << ',' << n.train_samples << ',' << n.train_epochs
@@ -305,22 +289,10 @@ std::string NetworkCampaignKey(const NetworkSweepSpec& spec,
 }
 
 std::string NetworkSweepHash(const NetworkSweepSpec& spec) {
-  // FNV-1a 64-bit over a versioned domain prefix + the spec JSON (the full
-  // spec, rung included: a resume must describe the same sweep document,
-  // even though records themselves are rung-invariant).
-  const std::string key = "saffire-network-sweep-v1;" + spec.ToJson();
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : key) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  std::string hex(16, '0');
-  static const char* kDigits = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    hex[static_cast<std::size_t>(i)] = kDigits[hash & 0xF];
-    hash >>= 4;
-  }
-  return hex;
+  // Over a versioned domain prefix + the spec JSON (the full spec, rung
+  // included: a resume must describe the same sweep document, even though
+  // records themselves are rung-invariant).
+  return Fnv1aHex("saffire-network-sweep-v1;" + spec.ToJson());
 }
 
 bool RungEquivalent(const NetworkRecord& a, const NetworkRecord& b) {
@@ -362,18 +334,6 @@ void NetworkCsvSink::OnRecord(const NetworkRecord& record) {
        << record.mit_top1_flips << ',' << record.mit_correct_faulty << '\n';
 }
 
-void NetworkJsonlSink::WriteSealedLine(const std::string& body) {
-  // Identical sealing to JsonlRecordSink: strip the closing brace, append a
-  // final "crc" member over everything before it.
-  SAFFIRE_ASSERT_MSG(!body.empty() && body.back() == '}',
-                     "sealing a non-object checkpoint line");
-  const std::string prefix = body.substr(0, body.size() - 1);
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(prefix));
-  out_ << prefix << ",\"crc\":\"" << crc << "\"}\n";
-  if (flush_) out_ << std::flush;
-}
-
 void NetworkJsonlSink::OnSweepBegin(const NetworkSweepSpec& spec,
                                     const NetworkCampaignPlan& plan) {
   std::ostringstream line;
@@ -385,7 +345,7 @@ void NetworkJsonlSink::OnSweepBegin(const NetworkSweepSpec& spec,
       .Key("experiments").Int(plan.total_experiments())
       .Key("spec").String(spec.ToJson())
       .EndObject();
-  WriteSealedLine(line.str());
+  WriteSealedLine(out_, line.str(), /*flush=*/false);
 }
 
 void NetworkJsonlSink::OnCampaignBegin(const NetworkCampaignInfo& info) {
@@ -397,7 +357,7 @@ void NetworkJsonlSink::OnCampaignBegin(const NetworkCampaignInfo& info) {
       .Key("key").String(info.key)
       .Key("experiments").Int(info.experiments)
       .EndObject();
-  WriteSealedLine(line.str());
+  WriteSealedLine(out_, line.str(), /*flush=*/false);
 }
 
 void NetworkJsonlSink::OnRecord(const NetworkRecord& record) {
@@ -430,7 +390,7 @@ void NetworkJsonlSink::OnRecord(const NetworkRecord& record) {
       .Key("mit_top1_flips").Int(record.mit_top1_flips)
       .Key("mit_correct_faulty").Int(record.mit_correct_faulty)
       .EndObject();
-  WriteSealedLine(line.str());
+  WriteSealedLine(out_, line.str(), /*flush=*/true);
 }
 
 void NetworkJsonlSink::OnExperimentFailed(const NetworkFailedRecord& failed) {
@@ -448,7 +408,7 @@ void NetworkJsonlSink::OnExperimentFailed(const NetworkFailedRecord& failed) {
       .Key("timed_out").Bool(failed.timed_out)
       .Key("error").String(failed.error)
       .EndObject();
-  WriteSealedLine(line.str());
+  WriteSealedLine(out_, line.str(), /*flush=*/true);
 }
 
 void NetworkJsonlSink::OnSweepEnd(const SweepOutcome& outcome) {
@@ -465,7 +425,7 @@ void NetworkJsonlSink::OnSweepEnd(const SweepOutcome& outcome) {
       .Key("selfcheck_mismatches").Int(outcome.selfcheck_mismatches)
       .Key("stopped").Bool(outcome.stopped)
       .EndObject();
-  WriteSealedLine(line.str());
+  WriteSealedLine(out_, line.str(), /*flush=*/true);
 }
 
 // --- Checkpoint loading -----------------------------------------------------
@@ -520,53 +480,35 @@ NetworkRecord ParseNetworkRecordLine(const JsonValue& json) {
 
 NetworkCheckpoint LoadNetworkCheckpoint(std::istream& in) {
   NetworkCheckpoint checkpoint;
-  std::string line;
-  std::int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    if (!CheckpointLineCrcOk(line)) {
-      ++checkpoint.lines_dropped;
-      SAFFIRE_LOG_WARN << "network checkpoint line " << line_number
-                       << " failed its CRC seal, dropping it";
-      continue;
+  const auto apply = [&checkpoint](const JsonValue& json) {
+    const std::string& type = json.At("type").AsString();
+    if (type == "network-sweep") {
+      const std::string& hash = json.At("hash").AsString();
+      SAFFIRE_CHECK_MSG(
+          checkpoint.sweep_hash.empty() || checkpoint.sweep_hash == hash,
+          "header for a different sweep (hash mismatch)");
+      checkpoint.sweep_hash = hash;
+    } else if (type == "network-campaign") {
+      const auto index =
+          static_cast<std::size_t>(json.At("campaign").AsUint());
+      const std::string& key = json.At("key").AsString();
+      const auto [slot, inserted] =
+          checkpoint.campaign_keys.emplace(index, key);
+      SAFFIRE_CHECK_MSG(inserted || slot->second == key,
+                        "campaign " << index
+                                    << " appears twice with different keys");
+    } else if (type == "network-record") {
+      NetworkRecord record = ParseNetworkRecordLine(json);
+      checkpoint.records[{record.campaign_index, record.experiment_index}] =
+          record;
+      return true;
     }
-    try {
-      const JsonValue json = JsonValue::Parse(line);
-      const std::string& type = json.At("type").AsString();
-      if (type == "network-sweep") {
-        const std::string& hash = json.At("hash").AsString();
-        SAFFIRE_CHECK_MSG(
-            checkpoint.sweep_hash.empty() || checkpoint.sweep_hash == hash,
-            "header for a different sweep (hash mismatch)");
-        checkpoint.sweep_hash = hash;
-      } else if (type == "network-campaign") {
-        const auto index =
-            static_cast<std::size_t>(json.At("campaign").AsUint());
-        const std::string& key = json.At("key").AsString();
-        const auto [slot, inserted] =
-            checkpoint.campaign_keys.emplace(index, key);
-        SAFFIRE_CHECK_MSG(inserted || slot->second == key,
-                          "campaign " << index
-                                      << " appears twice with different keys");
-      } else if (type == "network-record") {
-        NetworkRecord record = ParseNetworkRecordLine(json);
-        checkpoint.records[{record.campaign_index,
-                            record.experiment_index}] = record;
-      }
-      // "network-sweep-end" and unknown future types carry no resumable
-      // state.
-    } catch (const std::invalid_argument& error) {
-      ++checkpoint.lines_dropped;
-      SAFFIRE_LOG_WARN << "network checkpoint line " << line_number
-                       << " dropped: " << error.what();
-    }
-  }
-  if (checkpoint.lines_dropped > 0) {
-    SAFFIRE_LOG_WARN << "network checkpoint: dropped "
-                     << checkpoint.lines_dropped
-                     << " lines; the affected experiments will be re-run";
-  }
+    // "network-failed", "network-sweep-end" and unknown future types carry
+    // no resumable state.
+    return false;
+  };
+  checkpoint.lines_dropped =
+      ReadSealedLines(in, "network checkpoint", apply).dropped;
   return checkpoint;
 }
 

@@ -259,17 +259,17 @@ class NetworkCsvSink : public NetworkRecordSink {
   std::vector<NetworkCampaign> campaigns_;
 };
 
-// Streams the sweep as CRC-sealed JSONL — the checkpoint format
-// LoadNetworkCheckpoint reads back. Line types: "network-sweep" (header,
-// spec hash), "network-campaign" (key guard), "network-record",
-// "network-failed" (quarantine marker; carries no resumable result, so the
-// loader skips it and a resume re-simulates the experiment).
+// Streams the sweep as CRC-sealed JSONL (WriteSealedLine,
+// service/checkpoint.h) — the checkpoint format LoadNetworkCheckpoint reads
+// back. Line types: "network-sweep" (header, spec hash), "network-campaign"
+// (key guard), "network-record", "network-failed" (quarantine marker;
+// carries no resumable result, so the loader skips it and a resume
+// re-simulates the experiment) and "network-sweep-end". Like
+// JsonlRecordSink, record, failed and end lines are flushed as they are
+// written.
 class NetworkJsonlSink : public NetworkRecordSink {
  public:
-  // flush_every_line makes each line durable immediately (checkpoints);
-  // leave it off for plain exports.
-  explicit NetworkJsonlSink(std::ostream& out, bool flush_every_line = false)
-      : out_(out), flush_(flush_every_line) {}
+  explicit NetworkJsonlSink(std::ostream& out) : out_(out) {}
   void OnSweepBegin(const NetworkSweepSpec& spec,
                     const NetworkCampaignPlan& plan) override;
   void OnCampaignBegin(const NetworkCampaignInfo& info) override;
@@ -278,10 +278,7 @@ class NetworkJsonlSink : public NetworkRecordSink {
   void OnSweepEnd(const SweepOutcome& outcome) override;
 
  private:
-  void WriteSealedLine(const std::string& body);
-
   std::ostream& out_;
-  bool flush_;
 };
 
 // Fans every callback out to several sinks in order.
@@ -326,9 +323,10 @@ struct NetworkCheckpoint {
   bool empty() const { return records.empty(); }
 };
 
-// Reads a stream of NetworkJsonlSink lines. Never throws on malformed,
-// truncated, or seal-failing lines — they are counted in lines_dropped and
-// skipped, so a checkpoint cut mid-line resumes cleanly.
+// Reads a stream of NetworkJsonlSink lines through ReadSealedLines
+// (service/checkpoint.h). Never throws on malformed, truncated, or
+// seal-failing lines — they are counted in lines_dropped and skipped, so a
+// checkpoint cut mid-line resumes cleanly.
 NetworkCheckpoint LoadNetworkCheckpoint(std::istream& in);
 
 // Resume identity guard: throws std::invalid_argument when the checkpoint

@@ -1,8 +1,15 @@
 #include "service/resilience.h"
 
 #include <algorithm>
+#include <chrono>
+#include <exception>
+#include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include "common/check.h"
+#include "common/log.h"
+#include "service/chaos.h"
 
 namespace saffire {
 
@@ -44,6 +51,17 @@ OnFailure ParseOnFailure(const std::string& name) {
                                << name << "' (expected quarantine|abort)");
 }
 
+void ResilienceOptions::Validate() const {
+  SAFFIRE_CHECK_MSG(max_retries >= 0, "max_retries=" << max_retries);
+  SAFFIRE_CHECK_MSG(experiment_timeout_ms >= 0,
+                    "experiment_timeout_ms=" << experiment_timeout_ms);
+  SAFFIRE_CHECK_MSG(selfcheck_rate >= 0.0 && selfcheck_rate <= 1.0,
+                    "selfcheck_rate=" << selfcheck_rate);
+  SAFFIRE_CHECK_MSG(backoff_base_ms >= 0 && backoff_cap_ms >= 0,
+                    "backoff base=" << backoff_base_ms
+                                    << " cap=" << backoff_cap_ms);
+}
+
 std::optional<CampaignEngine> FallbackEngine(CampaignEngine engine) {
   switch (engine) {
     case CampaignEngine::kPredicted:
@@ -74,6 +92,16 @@ std::int64_t BackoffDelayMs(const ResilienceOptions& options,
   return exponential + jitter;
 }
 
+void SleepBackoff(const ResilienceOptions& options, std::uint64_t seed,
+                  std::size_t campaign_index, std::int64_t experiment_index,
+                  int attempt) {
+  const std::int64_t delay_ms = BackoffDelayMs(options, seed, campaign_index,
+                                               experiment_index, attempt);
+  if (delay_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  }
+}
+
 bool SelfCheckSampled(double rate, std::uint64_t seed,
                       std::size_t campaign_index,
                       std::int64_t experiment_index) {
@@ -85,6 +113,114 @@ bool SelfCheckSampled(double rate, std::uint64_t seed,
   const double u =
       static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
   return u < rate;
+}
+
+namespace {
+
+// Bumps one outcome tally, under the run's lock if shared, and its series.
+// The series resolves at the first count, so a run that never retries
+// exports no network retry series.
+void Count(const ResilienceTally& tally, std::int64_t SweepOutcome::*field,
+           const char* name, const char* help) {
+  {
+    std::unique_lock<std::mutex> lock;
+    if (tally.mutex != nullptr) lock = std::unique_lock(*tally.mutex);
+    ++(tally.outcome->*field);
+  }
+  tally.registry->GetCounter(name, help, tally.labels).Increment();
+}
+
+}  // namespace
+
+void ResilienceTally::Retry() const {
+  Count(*this, &SweepOutcome::retries, "saffire.resilience.retries",
+        "failed experiment/batch attempts retried");
+}
+
+void ResilienceTally::Timeout() const {
+  Count(*this, &SweepOutcome::timeouts, "saffire.resilience.timeouts",
+        "experiment attempts that exceeded the deadline");
+}
+
+void ResilienceTally::Quarantine() const {
+  Count(*this, &SweepOutcome::quarantined, "saffire.resilience.quarantined",
+        "experiments quarantined after exhausting every retry");
+}
+
+bool RunResilient(const ResilienceOptions& options,
+                  const ResilienceTally& tally, std::uint64_t seed,
+                  std::size_t campaign_index, std::int64_t experiment_index,
+                  const char* label, const LadderSteps& steps,
+                  LadderFailure* failure) {
+  int total_attempts = 0;
+  bool timed_out = false;
+  bool permanent = false;
+  std::exception_ptr last_error;
+  std::string last_what;
+  do {
+    for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
+      if (total_attempts > 0) {
+        tally.Retry();
+        SleepBackoff(options, seed, campaign_index, experiment_index,
+                     total_attempts - 1);
+      }
+      ++total_attempts;
+      try {
+        // Clock before the chaos hook so an injected stall lands inside the
+        // measured window, exactly like a real wedged attempt.
+        std::chrono::steady_clock::time_point start;
+        if (options.experiment_timeout_ms > 0) {
+          start = std::chrono::steady_clock::now();
+        }
+        chaos::OnExperimentAttempt(campaign_index, experiment_index, attempt);
+        steps.attempt();
+        if (options.experiment_timeout_ms > 0) {
+          const std::int64_t elapsed_ms =
+              std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+          if (elapsed_ms > options.experiment_timeout_ms) {
+            // The deadline guard is cooperative: the attempt already
+            // returned, but trusting one that stalled past its budget would
+            // let a single wedged site consume the sweep — classify it
+            // failed and retry.
+            tally.Timeout();
+            timed_out = true;
+            last_error = nullptr;
+            std::ostringstream os;
+            os << "experiment " << experiment_index << " exceeded the "
+               << options.experiment_timeout_ms << " ms deadline (took "
+               << elapsed_ms << " ms)";
+            last_what = os.str();
+            continue;
+          }
+        }
+        return true;
+      } catch (const std::invalid_argument& error) {
+        last_error = std::current_exception();
+        last_what = error.what();
+        timed_out = false;
+        permanent = true;
+        break;
+      } catch (const std::exception& error) {
+        last_error = std::current_exception();
+        last_what = error.what();
+        timed_out = false;
+      }
+    }
+  } while (!permanent && steps.demote(total_attempts));
+  if (options.on_failure == OnFailure::kAbort) {
+    if (last_error != nullptr) std::rethrow_exception(last_error);
+    throw std::runtime_error(last_what);
+  }
+  failure->attempts = total_attempts;
+  failure->timed_out = timed_out;
+  failure->error = last_what;
+  tally.Quarantine();
+  SAFFIRE_LOG_WARN << label << ' ' << campaign_index << " experiment "
+                   << experiment_index << ": quarantined after "
+                   << total_attempts << " attempts: " << last_what;
+  return false;
 }
 
 }  // namespace saffire

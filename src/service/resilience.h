@@ -1,17 +1,22 @@
 // Resilience policy for sweep execution. The paper's 49-hour FPGA campaign
 // (Sec. III-B) only produced trustworthy Table I data because every
 // experiment either completed or was visibly rerun; this header defines the
-// native equivalent: what the executor does when an experiment throws,
-// stalls past its deadline, or an engine disagrees with its baseline —
-// retry with deterministic backoff, fall down the engine ladder, and
-// finally quarantine into a FailedRecord stream instead of silently losing
-// or poisoning records.
+// native equivalent: what a sweep does when an experiment throws, stalls
+// past its deadline, or a rung disagrees with its baseline — retry with
+// deterministic backoff, fall down the rung ladder, and finally quarantine
+// into a failed-record stream instead of silently losing or poisoning
+// records. One ladder (RunResilient) serves both sweep families: the
+// operator executor walks the engine ladder, the network sweep the appfi →
+// cycle-accurate rungs.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 
+#include "obs/metrics.h"
 #include "patterns/campaign.h"
 
 namespace saffire {
@@ -58,6 +63,11 @@ struct ResilienceOptions {
   // so reruns schedule identically. base 0 disables sleeping (tests).
   std::int64_t backoff_base_ms = 1;
   std::int64_t backoff_cap_ms = 100;
+
+  // Throws std::invalid_argument unless retries, the deadline and the
+  // backoff are non-negative and selfcheck_rate lies in [0, 1]. Both sweep
+  // families call it before running anything.
+  void Validate() const;
 };
 
 // One quarantined experiment: everything needed to audit the failure and to
@@ -125,10 +135,67 @@ std::int64_t BackoffDelayMs(const ResilienceOptions& options,
                             std::uint64_t seed, std::size_t campaign_index,
                             std::int64_t experiment_index, int attempt);
 
+// Sleeps BackoffDelayMs (no-op when the policy disables backoff).
+void SleepBackoff(const ResilienceOptions& options, std::uint64_t seed,
+                  std::size_t campaign_index, std::int64_t experiment_index,
+                  int attempt);
+
 // True when the deterministic self-check sample includes this experiment:
 // a seed-derived hash of (campaign, experiment) falls below `rate`.
 bool SelfCheckSampled(double rate, std::uint64_t seed,
                       std::size_t campaign_index,
                       std::int64_t experiment_index);
+
+// Where the ladder counts its work: the run's SweepOutcome and the
+// saffire.resilience.{retries,timeouts,quarantined} series under the sweep
+// family's `labels` (pool="N" for an executor, layer="network"). `mutex`,
+// when set, guards `outcome` (pool workers share one run); serial runs
+// leave it null.
+struct ResilienceTally {
+  SweepOutcome* outcome = nullptr;
+  std::mutex* mutex = nullptr;
+  obs::MetricsRegistry* registry = nullptr;
+  std::string labels;
+
+  void Retry() const;
+  void Timeout() const;
+  void Quarantine() const;
+};
+
+// A sweep family's half of one experiment's walk down the ladder.
+struct LadderSteps {
+  // One attempt on the current rung; throws on failure.
+  std::function<void()> attempt;
+  // Moves the experiment one rung down, given the attempts spent so far;
+  // false at the bottom of the ladder.
+  std::function<bool(int attempts)> demote;
+};
+
+// How an experiment that exhausted the ladder failed: what a family's
+// failed record carries besides its indices and final rung.
+struct LadderFailure {
+  int attempts = 0;
+  bool timed_out = false;
+  // what() of the final failure.
+  std::string error;
+};
+
+// Runs one experiment down the ladder: up to max_retries + 1 attempts per
+// rung, each preceded by chaos::OnExperimentAttempt inside the cooperative
+// deadline window, with deterministic backoff before every attempt after
+// the first (the backoff index counts attempts across rungs); then one
+// demote and the same again. A failure that throws std::invalid_argument
+// is permanent: the same config fails identically on any rung, so it skips
+// the remaining retries and rungs. Returns true once an attempt succeeds
+// within its deadline. On exhaustion, OnFailure::kAbort rethrows the final
+// error (a runtime_error naming the deadline when that was the last
+// failure); kQuarantine counts and logs the quarantine under `label`
+// ("campaign 3 experiment 5: quarantined after ..."), fills *failure and
+// returns false.
+bool RunResilient(const ResilienceOptions& options,
+                  const ResilienceTally& tally, std::uint64_t seed,
+                  std::size_t campaign_index, std::int64_t experiment_index,
+                  const char* label, const LadderSteps& steps,
+                  LadderFailure* failure);
 
 }  // namespace saffire

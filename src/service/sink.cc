@@ -1,14 +1,13 @@
 #include "service/sink.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/check.h"
-#include "common/crc32.h"
 #include "common/json.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "patterns/report.h"
+#include "service/checkpoint.h"
 
 namespace saffire {
 
@@ -26,13 +25,6 @@ obs::Counter& CsvRowsCounter() {
 obs::Counter& JsonlRecordsCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
       "saffire.sink.jsonl_records", "record lines written by JSONL sinks");
-  return counter;
-}
-
-obs::Counter& JsonlFlushesCounter() {
-  static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
-      "saffire.sink.jsonl_flushes",
-      "explicit stream flushes issued by JSONL sinks (checkpoint durability)");
   return counter;
 }
 
@@ -96,26 +88,6 @@ void CsvRecordSink::OnRecord(const CampaignBeginInfo& info,
 
 // --- JsonlRecordSink --------------------------------------------------------
 
-void JsonlRecordSink::WriteSealedLine(const std::string& body, bool flush) {
-  // The seal lives inside the object: strip the closing brace and append a
-  // final "crc" member computed over everything before it. Each line stays
-  // a standalone JSON object (downstream json.loads keeps working); the
-  // loader re-derives the covered prefix by splitting at the last ,"crc":"
-  // occurrence.
-  SAFFIRE_ASSERT_MSG(!body.empty() && body.back() == '}',
-                     "sealing a non-object checkpoint line");
-  const std::string prefix = body.substr(0, body.size() - 1);
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(prefix));
-  out_ << prefix << ",\"crc\":\"" << crc << "\"}\n";
-  // Flush per line: the file is a checkpoint, and a resumable line is only
-  // worth anything if it reaches the disk before a crash.
-  if (flush) {
-    out_ << std::flush;
-    JsonlFlushesCounter().Increment();
-  }
-}
-
 void JsonlRecordSink::OnSweepBegin(const CampaignPlan& plan) {
   std::ostringstream line;
   JsonWriter w(line);
@@ -124,7 +96,7 @@ void JsonlRecordSink::OnSweepBegin(const CampaignPlan& plan) {
       .Key("campaigns").Uint(plan.campaigns.size())
       .Key("experiments").Int(plan.total_experiments())
       .EndObject();
-  WriteSealedLine(line.str(), /*flush=*/false);
+  WriteSealedLine(out_, line.str(), /*flush=*/false);
 }
 
 void JsonlRecordSink::OnCampaignBegin(const CampaignBeginInfo& info) {
@@ -140,7 +112,7 @@ void JsonlRecordSink::OnCampaignBegin(const CampaignBeginInfo& info) {
       .Key("golden_cache_hit").Bool(info.golden_cache_hit)
       .Key("config").String(info.config->ToString())
       .EndObject();
-  WriteSealedLine(line.str(), /*flush=*/false);
+  WriteSealedLine(out_, line.str(), /*flush=*/false);
 }
 
 void JsonlRecordSink::OnRecord(const CampaignBeginInfo& info,
@@ -171,7 +143,7 @@ void JsonlRecordSink::OnRecord(const CampaignBeginInfo& info,
       .Key("pe_steps").Uint(record.pe_steps)
       .Key("pe_steps_skipped").Uint(record.pe_steps_skipped)
       .EndObject();
-  WriteSealedLine(line.str(), /*flush=*/true);
+  WriteSealedLine(out_, line.str(), /*flush=*/true);
   JsonlRecordsCounter().Increment();
 }
 
@@ -191,14 +163,14 @@ void JsonlRecordSink::OnExperimentFailed(const CampaignBeginInfo& info,
       .Key("timed_out").Bool(failure.timed_out)
       .Key("error").String(failure.error)
       .EndObject();
-  WriteSealedLine(line.str(), /*flush=*/true);
+  WriteSealedLine(out_, line.str(), /*flush=*/true);
 }
 
 void JsonlRecordSink::OnSweepEnd() {
   std::ostringstream line;
   JsonWriter w(line);
   w.BeginObject().Key("type").String("sweep_end").EndObject();
-  WriteSealedLine(line.str(), /*flush=*/true);
+  WriteSealedLine(out_, line.str(), /*flush=*/true);
 }
 
 // --- ProgressSink -----------------------------------------------------------

@@ -133,9 +133,10 @@ class CsvRecordSink : public RecordSink {
 // line — a "campaign" line per OnCampaignBegin carrying the CampaignKey
 // identity guard, then a "record" line per experiment and a "failed" line
 // per quarantined one. Every line is sealed with a trailing "crc" member
-// (CRC-32 of everything before it), so the loader can drop lines corrupted
-// on disk instead of resuming from poisoned data; each line stays a valid
-// standalone JSON object. The file doubles as a resumable checkpoint and a
+// (WriteSealedLine, service/checkpoint.h), so the loader can drop lines
+// corrupted on disk instead of resuming from poisoned data; each line stays
+// a valid standalone JSON object. Record, failed and end lines are flushed
+// as they are written. The file doubles as a resumable checkpoint and a
 // machine-readable result log.
 class JsonlRecordSink : public RecordSink {
  public:
@@ -150,10 +151,6 @@ class JsonlRecordSink : public RecordSink {
   void OnSweepEnd() override;
 
  private:
-  // Seals `body` (a complete JSON object) with the "crc" member and writes
-  // it as one line.
-  void WriteSealedLine(const std::string& body, bool flush);
-
   std::ostream& out_;
 };
 

@@ -6,6 +6,7 @@
 
 #include "accel/config_json.h"
 #include "common/json.h"
+#include "common/strings.h"
 
 namespace saffire {
 
@@ -245,27 +246,13 @@ CampaignPlan SingleCampaignPlan(const CampaignConfig& config) {
 }
 
 std::string CampaignKey(const CampaignConfig& config) {
-  // Mirrors GoldenRunCache::Key's philosophy: serialize every field that
-  // feeds the records, explicitly, so two configs collide iff their
-  // campaigns are bit-identical. The workload name is excluded (it does not
-  // affect the data); the engine is excluded too, because all engines
-  // produce identical records by contract.
-  const WorkloadSpec& w = config.workload;
+  // Every field that feeds the records, explicitly, so two configs collide
+  // iff their campaigns are bit-identical. The workload name is excluded
+  // (it does not affect the data); the engine is excluded too, because all
+  // engines produce identical records by contract.
   std::ostringstream key;
-  key << config.accel.array.rows << ',' << config.accel.array.cols << ','
-      << config.accel.array.input_bits << ',' << config.accel.array.acc_bits
-      << ';' << config.accel.spad_rows << ',' << config.accel.acc_rows << ','
-      << config.accel.max_compute_rows << ','
-      << config.accel.double_buffered_weights << ','
-      << config.accel.dram_bytes << ';' << static_cast<int>(config.dataflow)
-      << ';' << static_cast<int>(w.op) << ',' << w.m << ',' << w.k << ','
-      << w.n << ';' << w.conv.batch << ',' << w.conv.in_channels << ','
-      << w.conv.height << ',' << w.conv.width << ',' << w.conv.out_channels
-      << ',' << w.conv.kernel_h << ',' << w.conv.kernel_w << ','
-      << w.conv.stride << ',' << w.conv.pad << ';'
-      << static_cast<int>(w.lowering) << ','
-      << static_cast<int>(w.input_fill) << ','
-      << static_cast<int>(w.weight_fill) << ',' << w.data_seed << ';'
+  key << config.accel.Key() << ';' << static_cast<int>(config.dataflow)
+      << ';' << config.workload.Key() << ';'
       << static_cast<int>(config.kind) << ','
       << static_cast<int>(config.signal) << ',' << config.bit << ','
       << static_cast<int>(config.polarity) << ';' << config.max_sites << ','
@@ -274,22 +261,9 @@ std::string CampaignKey(const CampaignConfig& config) {
 }
 
 std::string CampaignContentHash(const CampaignConfig& config) {
-  // FNV-1a 64-bit over a versioned domain prefix + the full key. The
-  // version tag means a future key-format change moves every address
-  // instead of aliasing old cache entries.
-  const std::string key = "saffire-campaign-v1;" + CampaignKey(config);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : key) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  std::string hex(16, '0');
-  static const char* kDigits = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    hex[static_cast<std::size_t>(i)] = kDigits[hash & 0xF];
-    hash >>= 4;
-  }
-  return hex;
+  // The versioned domain prefix means a future key-format change moves
+  // every address instead of aliasing old cache entries.
+  return Fnv1aHex("saffire-campaign-v1;" + CampaignKey(config));
 }
 
 }  // namespace saffire

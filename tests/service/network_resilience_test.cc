@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "service/chaos.h"
@@ -96,7 +97,7 @@ TEST_F(NetworkResilienceTest, ExhaustedLadderQuarantinesAndResumes) {
   chaos_spec.experiment_throw_attempts = 99;  // beyond any ladder
   chaos::Install(chaos_spec);
   std::ostringstream jsonl;
-  NetworkJsonlSink jsonl_sink(jsonl, /*flush_every_line=*/true);
+  NetworkJsonlSink jsonl_sink(jsonl);
   NetworkCollectorSink collector;
   NetworkTeeSink tee({&jsonl_sink, &collector});
   const SweepOutcome outcome = RunNetworkSweep(spec, FastRetries(1), tee);
@@ -186,6 +187,22 @@ TEST_F(NetworkResilienceTest, LyingSelfCheckDemotesToGroundTruth) {
     EXPECT_TRUE(RungEquivalent(sink.records[i], clean.records[i]))
         << "record " << i;
   }
+}
+
+TEST_F(NetworkResilienceTest, RejectsInvalidResilienceOptions) {
+  const NetworkSweepSpec spec = ExtractionSpec();
+  NetworkCollectorSink sink;
+  NetworkRunOptions options;
+  options.resilience.max_retries = -1;
+  EXPECT_THROW(RunNetworkSweep(spec, options, sink), std::invalid_argument);
+  options = {};
+  options.resilience.selfcheck_rate = 1.5;
+  EXPECT_THROW(RunNetworkSweep(spec, options, sink), std::invalid_argument);
+  options = {};
+  options.resilience.experiment_timeout_ms = -3;
+  EXPECT_THROW(RunNetworkSweep(spec, options, sink), std::invalid_argument);
+  EXPECT_TRUE(sink.records.empty());
+  EXPECT_TRUE(sink.failures.empty());
 }
 
 }  // namespace

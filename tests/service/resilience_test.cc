@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "service/chaos.h"
@@ -316,6 +318,176 @@ TEST_F(ResilienceTest, RejectsInvalidResilienceOptions) {
   options.resilience.selfcheck_rate = 1.5;
   EXPECT_THROW(CampaignExecutor::Shared().Run(plan, sink, options),
                std::invalid_argument);
+}
+
+// --- The shared ladder, on a fake rung type ---------------------------------
+// RunResilient's contract, independent of either sweep family: a family
+// with three rungs (0 on top, 2 at the bottom) whose attempts fail as
+// scripted.
+
+struct FakeRungError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+class FakeFamily {
+ public:
+  explicit FakeFamily(ResilienceOptions options) : options_(options) {}
+
+  // Fails every attempt on rungs above `healthy_from` with `fail`.
+  std::function<void()> fail = [] { throw FakeRungError("fake rung down"); };
+  int healthy_from = 3;
+  int rung = 0;
+  int demotions = 0;
+  int attempts_seen = 0;
+  SweepOutcome outcome;
+  LadderFailure failure;
+
+  bool Run() {
+    obs::MetricsRegistry registry;
+    const ResilienceTally tally{&outcome, nullptr, &registry, "fake=\"1\""};
+    const LadderSteps steps{[this] {
+                              ++attempts_seen;
+                              if (rung < healthy_from) fail();
+                            },
+                            [this](int /*attempts*/) {
+                              if (rung == 2) return false;
+                              ++rung;
+                              ++demotions;
+                              return true;
+                            }};
+    return RunResilient(options_, tally, /*seed=*/5, /*campaign_index=*/1,
+                        /*experiment_index=*/7, "fake campaign", steps,
+                        &failure);
+  }
+
+ private:
+  ResilienceOptions options_;
+};
+
+ResilienceOptions Ladder(int max_retries, OnFailure on_failure) {
+  ResilienceOptions options;
+  options.max_retries = max_retries;
+  options.on_failure = on_failure;
+  options.backoff_base_ms = 0;
+  return options;
+}
+
+TEST(ResilienceLadderTest, RetriesEachRungThenDemotesOnceToAHealthyRung) {
+  FakeFamily family(Ladder(2, OnFailure::kAbort));
+  family.healthy_from = 1;
+  EXPECT_TRUE(family.Run());
+  EXPECT_EQ(family.rung, 1);
+  EXPECT_EQ(family.demotions, 1);
+  // Three attempts on rung 0, then the first on rung 1 succeeds; every
+  // attempt after the very first counts as a retry, across rungs.
+  EXPECT_EQ(family.attempts_seen, 4);
+  EXPECT_EQ(family.outcome.retries, 3);
+  EXPECT_EQ(family.outcome.quarantined, 0);
+}
+
+TEST(ResilienceLadderTest, BackoffIndexCountsAttemptsAcrossRungs) {
+  ResilienceOptions options = Ladder(1, OnFailure::kQuarantine);
+  options.backoff_base_ms = 32;
+  options.backoff_cap_ms = 10000;
+  FakeFamily family(options);
+  family.healthy_from = 1;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(family.Run());
+  const std::int64_t elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  // Two failed attempts on rung 0, success on rung 1: backoffs 0 and 1.
+  ASSERT_EQ(family.outcome.retries, 2);
+  const auto delay = [&options](int attempt) {
+    return BackoffDelayMs(options, 5, 1, 7, attempt);
+  };
+  const std::int64_t expected = delay(0) + delay(1);
+  // The fixture tells the indices apart: restarting the index on the new
+  // rung would sleep backoff 0 twice (less), starting it at 1 would sleep
+  // backoffs 1 and 2 (more than the slack below).
+  const std::int64_t slack_ms = 90;
+  ASSERT_LT(2 * delay(0), expected);
+  ASSERT_GE(delay(1) + delay(2), expected + slack_ms);
+  EXPECT_GE(elapsed_ms, expected);
+  EXPECT_LT(elapsed_ms, expected + slack_ms);
+}
+
+TEST(ResilienceLadderTest, DeadlineMissIsATimeoutAndIsRetried) {
+  ResilienceOptions options = Ladder(2, OnFailure::kQuarantine);
+  options.experiment_timeout_ms = 10;
+  FakeFamily family(options);
+  family.fail = [&family] {
+    if (family.attempts_seen == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    }
+  };
+  EXPECT_TRUE(family.Run());
+  EXPECT_EQ(family.attempts_seen, 2);
+  EXPECT_EQ(family.outcome.timeouts, 1);
+  EXPECT_EQ(family.outcome.retries, 1);
+  EXPECT_EQ(family.demotions, 0);
+}
+
+TEST(ResilienceLadderTest, InvalidArgumentIsPermanent) {
+  FakeFamily family(Ladder(5, OnFailure::kQuarantine));
+  family.fail = [] { throw std::invalid_argument("bad config"); };
+  EXPECT_FALSE(family.Run());
+  EXPECT_EQ(family.attempts_seen, 1);
+  EXPECT_EQ(family.outcome.retries, 0);
+  EXPECT_EQ(family.demotions, 0);
+  EXPECT_EQ(family.failure.attempts, 1);
+  EXPECT_EQ(family.failure.error, "bad config");
+  EXPECT_EQ(family.outcome.quarantined, 1);
+}
+
+TEST(ResilienceLadderTest, AbortRethrowsTheOriginalExceptionType) {
+  FakeFamily family(Ladder(1, OnFailure::kAbort));
+  EXPECT_THROW(family.Run(), FakeRungError);
+  EXPECT_EQ(family.rung, 2);
+  EXPECT_EQ(family.attempts_seen, 6);
+  EXPECT_EQ(family.outcome.quarantined, 0);
+}
+
+TEST(ResilienceLadderTest, QuarantineFillsTheFailureAtTheLadderBottom) {
+  FakeFamily family(Ladder(1, OnFailure::kQuarantine));
+  EXPECT_FALSE(family.Run());
+  // The family's rung is where its failed record comes from.
+  EXPECT_EQ(family.rung, 2);
+  EXPECT_EQ(family.demotions, 2);
+  EXPECT_EQ(family.failure.attempts, 6);
+  EXPECT_FALSE(family.failure.timed_out);
+  EXPECT_EQ(family.failure.error, "fake rung down");
+  EXPECT_EQ(family.outcome.retries, 5);
+  EXPECT_EQ(family.outcome.quarantined, 1);
+
+  // A final attempt that missed its deadline quarantines as timed out.
+  ResilienceOptions options = Ladder(0, OnFailure::kQuarantine);
+  options.experiment_timeout_ms = 1;
+  FakeFamily stalled(options);
+  stalled.fail = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  EXPECT_FALSE(stalled.Run());
+  EXPECT_EQ(stalled.failure.attempts, 3);
+  EXPECT_TRUE(stalled.failure.timed_out);
+  EXPECT_NE(stalled.failure.error.find("deadline"), std::string::npos);
+  EXPECT_EQ(stalled.outcome.timeouts, 3);
+}
+
+TEST(ResilienceLadderTest, ValidateRejectsOutOfRangeKnobs) {
+  EXPECT_NO_THROW(ResilienceOptions{}.Validate());
+  for (const auto& mutate : std::vector<void (*)(ResilienceOptions&)>{
+           [](ResilienceOptions& o) { o.max_retries = -1; },
+           [](ResilienceOptions& o) { o.experiment_timeout_ms = -3; },
+           [](ResilienceOptions& o) { o.selfcheck_rate = 1.5; },
+           [](ResilienceOptions& o) { o.selfcheck_rate = -0.1; },
+           [](ResilienceOptions& o) { o.backoff_base_ms = -1; },
+           [](ResilienceOptions& o) { o.backoff_cap_ms = -1; }}) {
+    ResilienceOptions options;
+    mutate(options);
+    EXPECT_THROW(options.Validate(), std::invalid_argument);
+  }
 }
 
 }  // namespace
