@@ -11,8 +11,8 @@
 //
 // The matrix runs as one CampaignPlan batch through the shared executor.
 // The trailing engine-comparison section re-runs the 16×16 WS GEMM campaign
-// under all five execution engines (reference / full / differential /
-// batch / predicted) and checks their results are bit-identical, recording
+// under all four execution engines (reference / differential / batch /
+// predicted) and checks their results are bit-identical, recording
 // the PE-step saving and the batch and predicted engines' speedups over
 // differential; those run as separate plans so each engine gets its own
 // wall clock.
@@ -177,9 +177,8 @@ int main(int argc, char** argv) {
     double batch_seconds = 0;
     double predicted_seconds = 0;
     for (const CampaignEngine engine :
-         {CampaignEngine::kReference, CampaignEngine::kFull,
-          CampaignEngine::kDifferential, CampaignEngine::kBatch,
-          CampaignEngine::kPredicted}) {
+         {CampaignEngine::kReference, CampaignEngine::kDifferential,
+          CampaignEngine::kBatch, CampaignEngine::kPredicted}) {
       CampaignConfig config;
       config.accel = PaperAccel();
       config.workload = Gemm16x16();

@@ -23,8 +23,8 @@
 //   --seed N         sampling seed         (1)
 //   --rows N --cols N  array dimensions    (16x16)
 // Execution:
-//   --engine {differential|full|reference|batch|predicted}  execution
-//                    engine (differential); also accepted in --spec JSON
+//   --engine {differential|reference|batch|predicted}  execution engine
+//                    (differential); also accepted in --spec JSON
 //   --simd {auto|avx2|scalar}  SIMD backend for the batch datapath (auto);
 //                    the SAFFIRE_SIMD environment variable takes the same
 //                    values and applies when the flag is absent

@@ -18,8 +18,8 @@ namespace {
 
 // The one engine-name table: ToString and ParseCampaignEngine round-trip
 // through it exactly, indexed by the enum value.
-constexpr const char* kEngineNames[] = {"differential", "full", "reference",
-                                        "batch", "predicted"};
+constexpr const char* kEngineNames[] = {"differential", "reference", "batch",
+                                        "predicted"};
 
 }  // namespace
 
@@ -36,8 +36,8 @@ CampaignEngine ParseCampaignEngine(const std::string& name) {
   }
   SAFFIRE_CHECK_MSG(false, "unknown campaign engine '"
                                << name
-                               << "' (expected differential|full|reference|"
-                                  "batch|predicted)");
+                               << "' (expected differential|reference|batch|"
+                                  "predicted)");
 }
 
 int DefaultCampaignThreads() {
@@ -457,7 +457,7 @@ ExperimentRecord RunPreparedExperimentDirect(const PreparedCampaign& prepared,
   }
   // The trace is consulted for the *effective* engine, not the configured
   // one: a batch campaign demoted to differential replays the same cached
-  // trace, while a demotion to full ignores it.
+  // trace, while a demotion to reference ignores it.
   const GoldenTrace* trace =
       prepared.cached != nullptr && engine == CampaignEngine::kDifferential
           ? &prepared.cached->trace

@@ -27,19 +27,18 @@ namespace saffire {
 // only in cost, which the pe_steps / pe_steps_skipped counters quantify.
 enum class CampaignEngine : std::uint8_t {
   // Fault-cone differential runs (fi/cone.h) against a cached golden trace;
-  // fast-path kernels for unhooked columns. The default.
+  // fast-path kernels for unhooked columns. The default, and the oracle
+  // --selfcheck-rate cross-validates the grouped engines against.
   kDifferential = 0,
-  // Full faulty runs (every PE simulated) with fast-path kernels and the
-  // golden-run cache.
-  kFull = 1,
-  // Everything through the instrumented reference Step() loop, golden runs
-  // recomputed per campaign — the pre-optimization behavior, kept as the
-  // baseline the other engines are validated against.
-  kReference = 2,
+  // Everything through the instrumented reference Step() loop, every PE
+  // simulated, golden runs recomputed per campaign — the pre-optimization
+  // behavior, kept as the ground truth the other engines are validated
+  // against and as the bottom of the demotion ladder.
+  kReference = 1,
   // Lane-parallel batched replay (systolic/lane_grid.h): up to
   // CampaignConfig::batch_lanes experiments per array pass, each lane
   // restricted to its fault cone, diffed against the cached golden trace.
-  kBatch = 3,
+  kBatch = 2,
   // Algebraic short circuit (fi/predicted.cc): when the campaign's
   // (kind, signal) combination is provably exact — permanent stuck-at
   // faults on the PE-local kWeightOperand / kMulOut / kAdderOut signals,
@@ -47,13 +46,13 @@ enum class CampaignEngine : std::uint8_t {
   // corruption delta without stepping the array at all. Everything else
   // (transients, forwarding signals) is residue and silently runs through
   // the kBatch replay, so the engine is safe to request unconditionally.
-  kPredicted = 4,
+  kPredicted = 3,
 };
 
 std::string ToString(CampaignEngine engine);
 
-// Parses the names produced by ToString ("differential"/"full"/"reference"/
-// "batch"/"predicted" — one shared table, exact round-trip); throws
+// Parses the names produced by ToString ("differential"/"reference"/"batch"/
+// "predicted" — one shared table, exact round-trip); throws
 // std::invalid_argument on unknown names.
 CampaignEngine ParseCampaignEngine(const std::string& name);
 
@@ -155,7 +154,7 @@ struct ExperimentRecord {
   std::int64_t cycles = 0;
   // Cost of this faulty run: PE evaluations executed, and evaluations the
   // differential engine replayed from the golden trace instead of
-  // recomputing (0 under kFull/kReference). Their sum is engine-invariant.
+  // recomputing (0 under kReference). Their sum is engine-invariant.
   std::uint64_t pe_steps = 0;
   std::uint64_t pe_steps_skipped = 0;
 
@@ -334,12 +333,13 @@ ExperimentRecord RunPreparedExperiment(const PreparedCampaign& prepared,
 
 // Same, but on an explicit engine instead of prepared.config.engine — the
 // graceful-degradation path (service/resilience.h): a campaign demoted down
-// the predicted→batch→differential→full ladder re-runs experiments on the
-// fallback engine without re-preparing. `engine` must be reachable from the
-// configured one: kDifferential needs the cached golden trace (absent under
-// kReference preparation), kBatch and kPredicted require config.engine to
-// be one of the two grouped engines. All reachable engines produce
-// bit-identical records.
+// the predicted→batch→differential→reference ladder re-runs experiments on
+// the fallback engine without re-preparing. `engine` must be reachable from
+// the configured one: kDifferential needs the cached golden trace (absent
+// under kReference preparation), kBatch and kPredicted require
+// config.engine to be one of the two grouped engines; kReference is
+// reachable from every campaign. All reachable engines produce identical
+// records apart from the pe_steps / pe_steps_skipped split.
 ExperimentRecord RunPreparedExperimentWithEngine(
     const PreparedCampaign& prepared, FiRunner& runner, std::size_t index,
     CampaignEngine engine);

@@ -19,13 +19,26 @@ namespace saffire {
 
 namespace {
 
-// Set while a thread is executing inside a pool worker; a nested Run() from
-// such a thread executes inline instead of queueing work its own pool can
-// never pick up.
-thread_local bool t_is_pool_worker = false;
+// The executor whose run this thread is inside: set for good on pool
+// workers, and on a Run() caller from taking the run gate until it returns.
+// A Run() on that executor from such a thread is a nested run.
+thread_local const CampaignExecutor* t_inside_run = nullptr;
 
-// Sentinel worker index for threads outside the pool (inline nested runs).
-constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
+// Marks the calling thread as inside `executor`'s run for its lifetime,
+// restoring the previous mark (a worker of another executor) on exit.
+class InsideRun {
+ public:
+  explicit InsideRun(const CampaignExecutor* executor)
+      : previous_(t_inside_run) {
+    t_inside_run = executor;
+  }
+  ~InsideRun() { t_inside_run = previous_; }
+  InsideRun(const InsideRun&) = delete;
+  InsideRun& operator=(const InsideRun&) = delete;
+
+ private:
+  const CampaignExecutor* previous_;
+};
 
 // Microseconds between two steady_clock points, for busy-time counters.
 std::int64_t MicrosBetween(std::chrono::steady_clock::time_point begin,
@@ -43,9 +56,9 @@ std::int64_t MicrosBetween(std::chrono::steady_clock::time_point begin,
 struct CampaignExecutor::WorkerCache {
   std::string key;
   std::optional<FiRunner> runner;
-  // Pool worker index owning this cache, kNoWorker for inline nested runs —
-  // the identity behind the steal counter and per-worker busy time.
-  std::size_t worker_index = kNoWorker;
+  // Pool worker index owning this cache — the identity behind the steal
+  // counter and per-worker busy time.
+  std::size_t worker_index = 0;
 
   // Returns a simulator for `accel`, setting *constructed to whether a new
   // one had to be built (vs a cache hit).
@@ -82,9 +95,9 @@ struct CampaignState {
   // before a demotion may still finish on the old engine — harmless, since
   // every rung produces identical records.
   CampaignEngine engine = CampaignEngine::kDifferential;
-  // Worker that ran PrepareOne (kNoWorker before preparation / inline);
-  // chunks claimed by any other worker count as steals.
-  std::size_t prepared_by = static_cast<std::size_t>(-1);
+  // Worker that ran PrepareOne; chunks claimed by any other worker count as
+  // steals.
+  std::size_t prepared_by = 0;
 
   // Indices this run delivers (in-shard ∪ checkpointed), ascending, and the
   // subset to simulate (deliverable minus checkpointed).
@@ -133,12 +146,12 @@ struct CampaignState {
 }  // namespace
 
 // One Run() invocation's shared state, living on the calling thread's
-// stack; workers hold pointers only while it is registered in `active_`.
+// stack; workers reach it only while it is the executor's `current_` run.
 struct CampaignExecutor::RunState {
   const CampaignPlan* plan = nullptr;
   RecordSink* sink = nullptr;
   int cap = 0;               // max workers serving this run
-  int active_workers = 0;    // workers currently executing its tasks
+  int running_tasks = 0;     // workers currently executing its tasks
   std::size_t next_prepare = 0;
   std::vector<CampaignState> campaigns;
   std::size_t deliver_campaign = 0;  // canonical delivery frontier
@@ -160,23 +173,15 @@ struct CampaignExecutor::RunState {
   }
 };
 
-CampaignExecutor::CampaignExecutor(const ExecutorOptions& options)
-    : options_(options) {
+CampaignExecutor::CampaignExecutor(const ExecutorOptions& options) {
   SAFFIRE_CHECK_MSG(options.threads >= 1 && options.threads <= 256,
                     "threads=" << options.threads);
-  SAFFIRE_CHECK_MSG(options.lookahead >= 1,
-                    "lookahead=" << options.lookahead);
-  SAFFIRE_CHECK_MSG(options.batch_lanes >= 0,
-                    "batch_lanes=" << options.batch_lanes);
-  if (options_.metrics == nullptr) {
-    options_.metrics = &obs::MetricsRegistry::Default();
-  }
 
   // Register this pool's instrument series, labelled by instance so
-  // concurrent executors sharing a registry stay distinguishable.
+  // concurrent executors sharing the registry stay distinguishable.
   static std::atomic<int> pool_ids{0};
   pool_label_ = "pool=\"" + std::to_string(pool_ids.fetch_add(1)) + "\"";
-  obs::MetricsRegistry& registry = *options_.metrics;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   const auto counter = [&](const char* name, const char* help) {
     return &registry.GetCounter(name, help, pool_label_);
   };
@@ -297,14 +302,16 @@ ExecutorStats CampaignExecutor::stats() const {
   return stats;
 }
 
-std::int64_t CampaignExecutor::EffectiveBatchLanes(
-    const CampaignConfig& config) const {
-  if (options_.batch_lanes <= 0) return config.batch_lanes;
-  return std::min(config.batch_lanes, options_.batch_lanes);
-}
-
 SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
                                    const RunOptions& options) {
+  if (t_inside_run == this) {
+    // Queueing onto the pool this thread is inside would deadlock: a worker
+    // would wait on itself, a caller on a run that cannot finish until its
+    // sink callback returns.
+    throw std::logic_error(
+        "CampaignExecutor::Run called from inside a run of the same "
+        "executor; nested runs are not supported");
+  }
   SAFFIRE_CHECK_MSG(!plan.campaigns.empty(), "empty campaign plan");
   SAFFIRE_CHECK_MSG(plan.campaigns.size() == plan.site_counts.size(),
                     "malformed plan: " << plan.campaigns.size()
@@ -314,6 +321,15 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
   SAFFIRE_CHECK_MSG(
       options.max_parallelism >= 0 && options.max_parallelism <= 256,
       "max_parallelism=" << options.max_parallelism);
+  const bool shard_planned =
+      options.only_shard == -1 ||
+      std::any_of(plan.shards.begin(), plan.shards.end(),
+                  [&](const PlannedShard& shard) {
+                    return shard.shard_index == options.only_shard;
+                  });
+  SAFFIRE_CHECK_MSG(shard_planned,
+                    "only_shard=" << options.only_shard
+                                  << " is neither -1 nor a shard of the plan");
   options.resilience.Validate();
   for (const CampaignConfig& config : plan.campaigns) {
     config.accel.Validate();
@@ -328,7 +344,8 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
   run.sink = &sink;
   run.resilience = options.resilience;
   run.stop = options.stop;
-  run.tally = {&run.outcome, &mutex_, options_.metrics, pool_label_};
+  run.tally = {&run.outcome, &mutex_, &obs::MetricsRegistry::Default(),
+               pool_label_};
   run.cap = options.max_parallelism == 0
                 ? static_cast<int>(workers_.size())
                 : std::min(options.max_parallelism,
@@ -400,72 +417,33 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
     }
   }
 
+  // One plan at a time: the gate is held from OnSweepBegin to OnSweepEnd,
+  // so a caller on another thread waits here for the running plan.
+  const std::lock_guard<std::mutex> gate(run_mutex_);
+  const InsideRun inside(this);
   sink.OnSweepBegin(plan);
-
-  if (t_is_pool_worker) {
-    // Nested Run() from inside a pool worker: execute inline, serially —
-    // queueing onto a pool we are currently occupying risks deadlock.
-    WorkerCache cache;
-    std::unique_lock<std::mutex> lock(mutex_);
-    metrics_.runs->Increment();
-    metrics_.campaigns_replayed->Increment(replay_only_campaigns);
-    metrics_.experiments_replayed->Increment(replayed_experiments);
-    for (std::size_t c = 0;
-         c < run.campaigns.size() && !run.StopRequested(); ++c) {
-      CampaignState& campaign = run.campaigns[c];
-      if (campaign.stage == CampaignState::Stage::kReplayOnly) continue;
-      campaign.stage = CampaignState::Stage::kPreparing;
-      PrepareWithPolicy(run, c, cache, lock);
-      if (run.error != nullptr) break;
-      while (campaign.HasClaimableChunk() && !run.StopRequested() &&
-             run.error == nullptr) {
-        const std::size_t chunk = campaign.next_chunk++;
-        const CampaignEngine engine = campaign.engine;
-        metrics_.queue_depth->Add(-1);
-        lock.unlock();
-        try {
-          RunChunk(run, c, cache, campaign.chunk_bounds[chunk],
-                   campaign.chunk_bounds[chunk + 1], engine);
-          lock.lock();
-        } catch (...) {
-          lock.lock();
-          if (run.error == nullptr) run.error = std::current_exception();
-        }
-        ++campaign.chunks_finished;
-      }
-    }
-    Deliver(run, lock);
-    SAFFIRE_ASSERT_MSG(run.Finished(), "inline run left campaigns behind");
-    const SweepOutcome outcome = run.outcome;
-    const std::exception_ptr error = run.error;
-    lock.unlock();
-    if (error != nullptr) std::rethrow_exception(error);
-    sink.OnSweepEnd();
-    return outcome;
-  }
-
   {
     std::unique_lock<std::mutex> lock(mutex_);
     metrics_.runs->Increment();
     metrics_.campaigns_replayed->Increment(replay_only_campaigns);
     metrics_.experiments_replayed->Increment(replayed_experiments);
-    active_.push_back(&run);
+    current_ = &run;
     // A replay-only prefix has no tasks to trigger its delivery; push the
     // frontier from here before handing off to the workers.
     Deliver(run, lock);
     work_ready_.notify_all();
     const auto finished = [&run] {
-      return run.Finished() && run.active_workers == 0 && !run.delivering;
+      return run.Finished() && run.running_tasks == 0 && !run.delivering;
     };
     // wait_for instead of wait: a stop request can arrive while no worker
-    // holds a task of this run (all parked, or serving other runs), in
-    // which case nobody else will push the frontier to its drained state —
-    // the waiter itself does, on the next poll tick.
+    // holds a task of this run (all parked), in which case nobody else will
+    // push the frontier to its drained state — the waiter itself does, on
+    // the next poll tick.
     while (!finished()) {
       run.done_cv.wait_for(lock, std::chrono::milliseconds(50), finished);
       if (!finished() && run.StopRequested()) Deliver(run, lock);
     }
-    active_.erase(std::find(active_.begin(), active_.end(), &run));
+    current_ = nullptr;
   }
   if (run.error != nullptr) std::rethrow_exception(run.error);
   sink.OnSweepEnd();
@@ -473,7 +451,7 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
 }
 
 void CampaignExecutor::WorkerLoop(std::size_t worker_index) {
-  t_is_pool_worker = true;
+  t_inside_run = this;
   WorkerCache cache;
   cache.worker_index = worker_index;
   std::unique_lock<std::mutex> lock(mutex_);
@@ -485,81 +463,80 @@ void CampaignExecutor::WorkerLoop(std::size_t worker_index) {
 
 bool CampaignExecutor::RunOneTask(WorkerCache& cache,
                                   std::unique_lock<std::mutex>& lock) {
-  // Scan active runs for work, respecting each run's worker cap — this scan
-  // is the work-stealing: a worker serves whichever run (and whichever
-  // campaign within it) has a claimable task. Chunks of already-prepared
-  // campaigns take priority over preparing new ones so a run's in-flight
-  // memory (golden traces + record buffers) stays bounded.
-  for (RunState* run : active_) {
-    if (run->active_workers >= run->cap || run->error != nullptr ||
-        run->StopRequested()) {
+  // Claim a task of the current run within its worker cap — this is the
+  // work-stealing: a worker serves whichever campaign has a claimable task.
+  // Chunks of already-prepared campaigns take priority over preparing new
+  // ones so the run's in-flight memory (golden traces + record buffers)
+  // stays bounded.
+  if (current_ == nullptr) return false;
+  RunState& run = *current_;
+  if (run.running_tasks >= run.cap || run.error != nullptr ||
+      run.StopRequested()) {
+    return false;
+  }
+
+  // Pass 1: a claimable chunk from any ready campaign.
+  for (std::size_t c = 0; c < run.campaigns.size(); ++c) {
+    CampaignState& campaign = run.campaigns[c];
+    if (campaign.stage != CampaignState::Stage::kReady ||
+        !campaign.HasClaimableChunk()) {
       continue;
     }
-
-    // Pass 1: a claimable chunk from any ready campaign.
-    for (std::size_t c = 0; c < run->campaigns.size(); ++c) {
-      CampaignState& campaign = run->campaigns[c];
-      if (campaign.stage != CampaignState::Stage::kReady ||
-          !campaign.HasClaimableChunk()) {
-        continue;
-      }
-      const std::size_t chunk = campaign.next_chunk++;
-      const CampaignEngine engine = campaign.engine;
-      ++run->active_workers;
-      metrics_.busy_workers->Add(1);
-      metrics_.queue_depth->Add(-1);
-      if (campaign.prepared_by != cache.worker_index) {
-        metrics_.chunks_stolen->Increment();
-      }
-      lock.unlock();
-      try {
-        RunChunk(*run, c, cache, campaign.chunk_bounds[chunk],
-                 campaign.chunk_bounds[chunk + 1], engine);
-        lock.lock();
-      } catch (...) {
-        lock.lock();
-        if (run->error == nullptr) run->error = std::current_exception();
-      }
-      ++campaign.chunks_finished;
-      --run->active_workers;
-      metrics_.busy_workers->Add(-1);
-      Deliver(*run, lock);
-      work_ready_.notify_all();
-      return true;
-    }
-
-    // Pass 2: prepare the next campaign, with bounded lookahead so at most
-    // cap + lookahead campaigns hold prepared state at once.
-    if (run->next_prepare >= run->campaigns.size()) continue;
-    int in_flight = 0;
-    for (const CampaignState& campaign : run->campaigns) {
-      if (campaign.stage == CampaignState::Stage::kPreparing ||
-          (campaign.stage == CampaignState::Stage::kReady &&
-           !campaign.AllChunksDone())) {
-        ++in_flight;
-      }
-    }
-    if (in_flight > run->cap + (options_.lookahead - 1)) continue;
-    // Replay-only campaigns never need preparing; skip past them.
-    while (run->next_prepare < run->campaigns.size() &&
-           run->campaigns[run->next_prepare].stage !=
-               CampaignState::Stage::kPending) {
-      ++run->next_prepare;
-    }
-    if (run->next_prepare >= run->campaigns.size()) continue;
-    const std::size_t c = run->next_prepare++;
-    run->campaigns[c].stage = CampaignState::Stage::kPreparing;
-    run->campaigns[c].prepared_by = cache.worker_index;
-    ++run->active_workers;
+    const std::size_t chunk = campaign.next_chunk++;
+    const CampaignEngine engine = campaign.engine;
+    ++run.running_tasks;
     metrics_.busy_workers->Add(1);
-    PrepareWithPolicy(*run, c, cache, lock);
-    --run->active_workers;
+    metrics_.queue_depth->Add(-1);
+    if (campaign.prepared_by != cache.worker_index) {
+      metrics_.chunks_stolen->Increment();
+    }
+    lock.unlock();
+    try {
+      RunChunk(run, c, cache, campaign.chunk_bounds[chunk],
+               campaign.chunk_bounds[chunk + 1], engine);
+      lock.lock();
+    } catch (...) {
+      lock.lock();
+      if (run.error == nullptr) run.error = std::current_exception();
+    }
+    ++campaign.chunks_finished;
+    --run.running_tasks;
     metrics_.busy_workers->Add(-1);
-    Deliver(*run, lock);
+    Deliver(run, lock);
     work_ready_.notify_all();
     return true;
   }
-  return false;
+
+  // Pass 2: prepare the next campaign, keeping at most cap + 1 campaigns
+  // with prepared state at once.
+  if (run.next_prepare >= run.campaigns.size()) return false;
+  int in_flight = 0;
+  for (const CampaignState& campaign : run.campaigns) {
+    if (campaign.stage == CampaignState::Stage::kPreparing ||
+        (campaign.stage == CampaignState::Stage::kReady &&
+         !campaign.AllChunksDone())) {
+      ++in_flight;
+    }
+  }
+  if (in_flight > run.cap) return false;
+  // Replay-only campaigns never need preparing; skip past them.
+  while (run.next_prepare < run.campaigns.size() &&
+         run.campaigns[run.next_prepare].stage !=
+             CampaignState::Stage::kPending) {
+    ++run.next_prepare;
+  }
+  if (run.next_prepare >= run.campaigns.size()) return false;
+  const std::size_t c = run.next_prepare++;
+  run.campaigns[c].stage = CampaignState::Stage::kPreparing;
+  run.campaigns[c].prepared_by = cache.worker_index;
+  ++run.running_tasks;
+  metrics_.busy_workers->Add(1);
+  PrepareWithPolicy(run, c, cache, lock);
+  --run.running_tasks;
+  metrics_.busy_workers->Add(-1);
+  Deliver(run, lock);
+  work_ready_.notify_all();
+  return true;
 }
 
 void CampaignExecutor::PrepareWithPolicy(RunState& run,
@@ -658,7 +635,7 @@ void CampaignExecutor::PrepareOne(RunState& run, std::size_t campaign_index,
     // Align chunks to whole batches so a chunk never splits a canonical
     // batch_lanes-sized group across workers (RunChunk batches within its
     // chunk only).
-    const std::int64_t lanes = EffectiveBatchLanes(config);
+    const std::int64_t lanes = config.batch_lanes;
     chunk_size = ((chunk_size + lanes - 1) / lanes) * lanes;
   }
   campaign.chunk_bounds.clear();
@@ -675,10 +652,8 @@ void CampaignExecutor::PrepareOne(RunState& run, std::size_t campaign_index,
         static_cast<std::int64_t>(campaign.chunk_bounds.size()) - 1);
   }
   lock.unlock();
-  if (cache.worker_index != kNoWorker) {
-    metrics_.worker_busy_us[cache.worker_index]->Increment(
-        MicrosBetween(busy_start, std::chrono::steady_clock::now()));
-  }
+  metrics_.worker_busy_us[cache.worker_index]->Increment(
+      MicrosBetween(busy_start, std::chrono::steady_clock::now()));
 }
 
 void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
@@ -729,7 +704,7 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
       // representative is sampled against a direct run of the same rung
       // engine, which bypasses the memo by construction. Same rung, not
       // kDifferential: this check validates the symmetry class, and
-      // engines legitimately differ in occupancy fields (a full-engine
+      // engines legitimately differ in occupancy fields (a reference-engine
       // record never skips PE steps, a differential one does).
       if (res.selfcheck_rate > 0.0 && campaign.prepared.SymmetryActive() &&
           campaign.prepared.symmetry_rep_of[static_cast<std::size_t>(
@@ -771,7 +746,7 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
     // only, never record content. The predicted engine follows the same
     // grouping; its closed-form groups never touch a lane, so they stay out
     // of the occupancy counters (matching RunCampaignSerial).
-    const std::int64_t lanes = EffectiveBatchLanes(config);
+    const std::int64_t lanes = config.batch_lanes;
     std::int64_t p = begin;
     while (p < end) {
       const std::int64_t first =
@@ -902,9 +877,7 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
       end - begin - static_cast<std::int64_t>(failures.size()));
   lock.unlock();
   metrics_.chunk_seconds->Observe(static_cast<double>(busy_us) * 1e-6);
-  if (cache.worker_index != kNoWorker) {
-    metrics_.worker_busy_us[cache.worker_index]->Increment(busy_us);
-  }
+  metrics_.worker_busy_us[cache.worker_index]->Increment(busy_us);
 }
 
 CampaignEngine CampaignExecutor::DemoteEngine(RunState& run,
@@ -995,7 +968,7 @@ void CampaignExecutor::Deliver(RunState& run,
     // published: records a worker was holding at the stop are delivered
     // (and checkpointed) before the run is declared stopped, which is what
     // makes --resume continue exactly where the drain ended.
-    const bool stop_drained = run.StopRequested() && run.active_workers == 0;
+    const bool stop_drained = run.StopRequested() && run.running_tasks == 0;
     CampaignState& campaign = run.campaigns[run.deliver_campaign];
     if (campaign.stage != CampaignState::Stage::kReady &&
         campaign.stage != CampaignState::Stage::kReplayOnly) {

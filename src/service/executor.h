@@ -1,6 +1,7 @@
 // The campaign execution service: one persistent worker pool that runs
-// whole CampaignPlans, work-stealing across every campaign in a batch, and
-// streams records to RecordSinks in a deterministic canonical order.
+// whole CampaignPlans, one plan at a time, work-stealing across every
+// campaign in the plan, and streams records to RecordSinks in a
+// deterministic canonical order.
 //
 // Why a service instead of a spawn-per-call model:
 // a paper-scale sweep is hundreds of campaigns (Sec. III-B), and per-call
@@ -75,39 +76,26 @@ struct ExecutorStats {
   std::int64_t predict_selfchecks = 0;
 };
 
-// Construction-time configuration of a CampaignExecutor. One struct instead
-// of positional arguments so new knobs (and the observability flags that
-// feed them) thread through a single place.
+// Construction-time configuration of a CampaignExecutor. The executor's
+// instruments go to obs::MetricsRegistry::Default(), each series labelled
+// pool="<instance>" so concurrent pools stay distinguishable.
 struct ExecutorOptions {
   // Worker pool size, [1, 256].
   int threads = DefaultCampaignThreads();
-  // Campaigns a run may hold prepared beyond its worker cap, >= 1. Each
-  // prepared campaign pins its golden trace and record buffer, so this
-  // bounds in-flight memory; 1 reproduces the pre-options behavior (at most
-  // cap + 1 campaigns in flight).
-  int lookahead = 1;
-  // Cap on lanes per batch-engine array pass; 0 keeps each campaign's
-  // configured CampaignConfig::batch_lanes. A smaller cap changes occupancy
-  // counters and cost only — record streams are lane-count invariant.
-  std::int64_t batch_lanes = 0;
-  // Registry receiving the executor's instruments; nullptr means
-  // obs::MetricsRegistry::Default(). Each executor labels its series
-  // pool="<instance>" so concurrent pools stay distinguishable.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class CampaignExecutor;
 class ResultCache;
 
 struct RunOptions {
-  // Cap on workers serving this run; 0 means the whole pool. Kept as a cap
-  // (not an exact count) so a 1-thread run on a busy pool still means
-  // "at most one experiment in flight", which is what determinism tests
-  // exercise.
+  // Cap on workers serving this run; 0 means the whole pool. A cap of 1
+  // means "at most one experiment in flight", which is what determinism
+  // tests exercise.
   int max_parallelism = 0;
-  // Restrict execution to one plan shard index per campaign (-1 = all).
-  // Records outside the shard are delivered only if the checkpoint covers
-  // them — the multi-process split workflow.
+  // Restrict execution to one plan shard index per campaign (-1 = all);
+  // any other value must be a shard_index of plan.shards. Records outside
+  // the shard are delivered only if the checkpoint covers them — the
+  // multi-process split workflow.
   int only_shard = -1;
   // Previously completed records to replay instead of re-simulating.
   // Validated against the plan (ValidateCheckpoint) before anything runs.
@@ -136,10 +124,11 @@ struct RunOptions {
   const std::atomic<bool>* stop = nullptr;
 };
 
-// The persistent executor. Thread-safe: concurrent Run() calls interleave
-// their campaigns on the shared pool. A Run() issued from inside a pool
-// worker (a sink or experiment that recursively runs campaigns) executes
-// inline on the calling thread instead of deadlocking on its own pool.
+// The persistent executor. It runs one plan at a time: a Run() from another
+// thread waits until the running plan returns, and a Run() from a thread
+// already inside a run of this executor (a pool worker, or the caller during
+// its own sink callbacks) throws std::logic_error instead of deadlocking on
+// its own pool.
 class CampaignExecutor {
  public:
   explicit CampaignExecutor(const ExecutorOptions& options = {});
@@ -156,7 +145,7 @@ class CampaignExecutor {
   //
   // Failure semantics (service/resilience.h): a throwing experiment is
   // retried with deterministic backoff, then its campaign falls down the
-  // engine ladder (predicted→batch→differential→full), and only exhaustion
+  // engine ladder (predicted→batch→differential→reference), and only exhaustion
   // applies ResilienceOptions::on_failure — abort (rethrow after in-flight work
   // drains, preserving the original exception) or quarantine (deliver a
   // FailedRecord via RecordSink::OnExperimentFailed and keep going). A
@@ -175,7 +164,6 @@ class CampaignExecutor {
   // series).
   ExecutorStats stats() const;
   int threads() const { return static_cast<int>(workers_.size()); }
-  const ExecutorOptions& options() const { return options_; }
 
  private:
   struct RunState;
@@ -204,7 +192,7 @@ class CampaignExecutor {
     obs::Counter* selfcheck_mismatches = nullptr;
     obs::Counter* timeouts = nullptr;
     obs::Counter* predict_selfchecks = nullptr;
-    // Claimable-but-unclaimed chunks across active runs.
+    // Claimable-but-unclaimed chunks of the current run.
     obs::Gauge* queue_depth = nullptr;
     // Workers currently executing a task (vs parked on the condvar).
     obs::Gauge* busy_workers = nullptr;
@@ -215,7 +203,7 @@ class CampaignExecutor {
   };
 
   void WorkerLoop(std::size_t worker_index);
-  // Claims the next task of any active run; returns false when idle.
+  // Claims the next task of the current run; returns false when idle.
   bool RunOneTask(WorkerCache& cache, std::unique_lock<std::mutex>& lock);
   // Executes experiments [begin, end) of a prepared campaign on `engine`
   // (the campaign's effective engine at claim time — demotion may move it
@@ -248,15 +236,14 @@ class CampaignExecutor {
   // Delivers every ready record at the canonical frontier. Caller holds
   // `mutex_`; delivery drops it around sink callbacks.
   void Deliver(RunState& run, std::unique_lock<std::mutex>& lock);
-  // The batch-lane width RunChunk/PrepareOne use for `config`, after the
-  // executor-level cap.
-  std::int64_t EffectiveBatchLanes(const CampaignConfig& config) const;
 
+  // Held by the calling thread for a whole Run(), OnSweepBegin through
+  // OnSweepEnd: the one-plan-at-a-time gate other callers queue on.
+  std::mutex run_mutex_;
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;
-  std::vector<RunState*> active_;  // runs with undelivered work
+  RunState* current_ = nullptr;  // the run workers serve, while it has work
   bool shutdown_ = false;
-  ExecutorOptions options_;
   // pool="<instance>", the label set of every series this pool registers.
   std::string pool_label_;
   Metrics metrics_;

@@ -69,8 +69,7 @@ std::optional<CampaignEngine> FallbackEngine(CampaignEngine engine) {
     case CampaignEngine::kBatch:
       return CampaignEngine::kDifferential;
     case CampaignEngine::kDifferential:
-      return CampaignEngine::kFull;
-    case CampaignEngine::kFull:
+      return CampaignEngine::kReference;
     case CampaignEngine::kReference:
       return std::nullopt;
   }

@@ -94,7 +94,7 @@ struct SweepOutcome {
   std::int64_t quarantined = 0;
   // Failed attempts that were retried (any rung).
   std::int64_t retries = 0;
-  // Campaign engine demotions (predicted→batch→differential→full).
+  // Campaign engine demotions (predicted→batch→differential→reference).
   std::int64_t fallbacks = 0;
   // Batch/predicted records cross-validated, and how many disagreed.
   std::int64_t selfchecks = 0;
@@ -121,11 +121,11 @@ struct SweepOutcome {
   }
 };
 
-// The graceful-degradation ladder: predicted → batch → differential → full;
-// the per-experiment engines have no cheaper-but-equivalent sibling to fall
-// back to (reference IS the baseline), so they return nullopt. Every rung
-// produces bit-identical records by construction, which is what makes
-// demotion invisible in the output.
+// The graceful-degradation ladder: predicted → batch → differential →
+// reference. It ends at the oracle: reference IS the baseline the other
+// rungs are validated against, so it returns nullopt. Every rung produces
+// the same records by construction (only the pe_steps / pe_steps_skipped
+// split differs), which is what makes demotion invisible in the output.
 std::optional<CampaignEngine> FallbackEngine(CampaignEngine engine);
 
 // Backoff before retry `attempt` (0-based) of the given experiment:

@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "patterns/campaign.h"
 #include "service/run.h"
@@ -73,8 +74,8 @@ void ExpectSameRecords(const CampaignResult& want, const CampaignResult& got,
 
 TEST(CampaignEngineNameTest, RoundTripsEveryEngine) {
   for (const CampaignEngine engine :
-       {CampaignEngine::kDifferential, CampaignEngine::kFull,
-        CampaignEngine::kReference, CampaignEngine::kBatch}) {
+       {CampaignEngine::kDifferential, CampaignEngine::kReference,
+        CampaignEngine::kBatch, CampaignEngine::kPredicted}) {
     EXPECT_EQ(ParseCampaignEngine(ToString(engine)), engine)
         << ToString(engine);
   }
@@ -82,8 +83,19 @@ TEST(CampaignEngineNameTest, RoundTripsEveryEngine) {
 }
 
 TEST(CampaignEngineNameTest, RejectsUnknownNames) {
-  for (const char* name : {"", "Batch", "BATCH", "batched", "lane", "fast"}) {
-    EXPECT_THROW(ParseCampaignEngine(name), std::invalid_argument) << name;
+  // "full" named a removed engine; it is rejected like any unknown name,
+  // with the error listing the engines that remain.
+  for (const char* name :
+       {"", "Batch", "BATCH", "batched", "lane", "fast", "full"}) {
+    try {
+      ParseCampaignEngine(name);
+      ADD_FAILURE() << "'" << name << "' parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("differential|reference|batch|predicted"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

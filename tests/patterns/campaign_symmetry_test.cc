@@ -95,7 +95,7 @@ TEST(CampaignSymmetryTest, SerialMatchesExhaustiveAcrossMatrix) {
          {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
       for (const CampaignEngine engine :
            {CampaignEngine::kDifferential, CampaignEngine::kBatch,
-            CampaignEngine::kPredicted, CampaignEngine::kFull}) {
+            CampaignEngine::kPredicted, CampaignEngine::kReference}) {
         CampaignConfig config = BaseConfig();
         config.dataflow = dataflow;
         config.polarity = polarity;

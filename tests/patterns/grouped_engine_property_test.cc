@@ -8,7 +8,11 @@
 //   - RunPreparedBatch records on kBatch and kPredicted (in randomly sized
 //     groups) equal the kDifferential record of the same experiment;
 //   - each engine's cone output, expanded over the golden result, equals the
-//     differential run's dense output.
+//     differential run's dense output;
+//   - the kReference record, the bottom of the demotion ladder run on the
+//     same prepared campaign and simulator, equals the differential record
+//     in every field but the pe_steps split: reference simulates every PE,
+//     so it skips none and its pe_steps is the differential sum.
 // Every iteration draws from its own seed, which the failure names.
 #include <gtest/gtest.h>
 
@@ -129,6 +133,15 @@ TEST(GroupedEnginePropertyTest, MatchesDifferentialOnRandomTiledCampaigns) {
         ASSERT_TRUE(predicted_cones[i].output == batch_cones[i].output)
             << "predicted and batch cones differ";
       }
+
+      ExperimentRecord reference = RunPreparedExperimentWithEngine(
+          prepared, runner, i, CampaignEngine::kReference);
+      ASSERT_EQ(reference.pe_steps_skipped, 0u);
+      ASSERT_EQ(reference.pe_steps, want.pe_steps + want.pe_steps_skipped)
+          << "reference pe_steps differ from the differential sum";
+      reference.pe_steps = want.pe_steps;
+      reference.pe_steps_skipped = want.pe_steps_skipped;
+      ASSERT_TRUE(reference == want) << "reference record differs";
     }
   }
 }

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "service/sink.h"
 
@@ -70,8 +75,7 @@ TEST(ExecutorTest, EnginesAgreeThroughTheExecutor) {
   spec.max_sites = 10;
   std::vector<std::vector<CampaignResult>> per_engine;
   for (const CampaignEngine engine :
-       {CampaignEngine::kDifferential, CampaignEngine::kFull,
-        CampaignEngine::kReference}) {
+       {CampaignEngine::kDifferential, CampaignEngine::kReference}) {
     spec.engine = engine;
     per_engine.push_back(RunPlan(BuildCampaignPlan(spec)));
   }
@@ -158,21 +162,39 @@ TEST(ExecutorTest, ReusesSimulatorsAcrossBatch) {
             plan.total_experiments());
 }
 
-TEST(ExecutorTest, NestedRunFromSinkExecutesInline) {
-  // A sink that launches a nested Run() from inside a pool-worker callback:
-  // this must execute inline instead of deadlocking on the pool.
+TEST(ExecutorTest, NestedRunThrowsInsteadOfHanging) {
+  // A sink that starts a nested Run() on `target` from OnSweepBegin, which
+  // runs on the caller's thread, or from OnCampaignEnd, which runs on a
+  // pool worker. Nested on the executor serving the sink, the call throws
+  // and the outer Run() rethrows it instead of deadlocking on its own pool;
+  // on another executor it simply runs.
   class NestedSink : public RecordSink {
    public:
-    explicit NestedSink(CampaignPlan inner) : inner_(std::move(inner)) {}
-    void OnCampaignEnd(const CampaignBeginInfo& /*info*/) override {
-      CollectorSink collector;
-      CampaignExecutor::Shared().Run(inner_, collector);
-      nested_records_ = collector.results().at(0).records.size();
+    NestedSink(CampaignExecutor& target, CampaignPlan inner,
+               bool from_sweep_begin)
+        : target_(target),
+          inner_(std::move(inner)),
+          from_sweep_begin_(from_sweep_begin) {}
+    void OnSweepBegin(const CampaignPlan& /*plan*/) override {
+      if (from_sweep_begin_) RunInner();
     }
+    void OnCampaignEnd(const CampaignBeginInfo& /*info*/) override {
+      if (!from_sweep_begin_) RunInner();
+    }
+    int nested_calls() const { return nested_calls_; }
     std::size_t nested_records() const { return nested_records_; }
 
    private:
+    void RunInner() {
+      ++nested_calls_;
+      CollectorSink collector;
+      target_.Run(inner_, collector);
+      nested_records_ += collector.results().at(0).records.size();
+    }
+    CampaignExecutor& target_;
     CampaignPlan inner_;
+    bool from_sweep_begin_;
+    int nested_calls_ = 0;
     std::size_t nested_records_ = 0;
   };
 
@@ -180,9 +202,95 @@ TEST(ExecutorTest, NestedRunFromSinkExecutesInline) {
   outer.max_sites = 2;
   SweepSpec inner = BaseSpec();
   inner.max_sites = 3;
-  NestedSink sink(BuildCampaignPlan(inner));
-  CampaignExecutor::Shared().Run(BuildCampaignPlan(outer), sink);
+  const CampaignPlan outer_plan = BuildCampaignPlan(outer);
+  const CampaignPlan inner_plan = BuildCampaignPlan(inner);
+  CampaignExecutor executor(ExecutorOptions{.threads = 2});
+  for (const bool from_sweep_begin : {true, false}) {
+    SCOPED_TRACE(from_sweep_begin ? "OnSweepBegin" : "OnCampaignEnd");
+    NestedSink sink(executor, inner_plan, from_sweep_begin);
+    try {
+      executor.Run(outer_plan, sink);
+      ADD_FAILURE() << "the nested Run() did not throw";
+    } catch (const std::logic_error& error) {
+      EXPECT_NE(std::string(error.what()).find("nested runs"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(sink.nested_calls(), 1);
+  }
+  // The failed runs released the executor, and a run nested on another
+  // executor completes.
+  CampaignExecutor other(ExecutorOptions{.threads = 1});
+  NestedSink sink(other, inner_plan, /*from_sweep_begin=*/false);
+  executor.Run(outer_plan, sink);
   EXPECT_EQ(sink.nested_records(), 3u);
+}
+
+TEST(ExecutorTest, ConcurrentRunsExecuteOneAtATime) {
+  // Two threads submit different plans to one executor at once. Each gets
+  // the records of a solo run, and the runs never overlap: the second
+  // run's OnSweepBegin follows the first run's OnSweepEnd.
+  class LoggingSink : public CollectorSink {
+   public:
+    LoggingSink(std::string name, std::mutex& mutex,
+                std::vector<std::string>& log)
+        : name_(std::move(name)), mutex_(mutex), log_(log) {}
+    void OnSweepBegin(const CampaignPlan& plan) override {
+      Log("begin");
+      // Hold the run open long enough for the other thread to arrive.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      CollectorSink::OnSweepBegin(plan);
+    }
+    void OnSweepEnd() override {
+      CollectorSink::OnSweepEnd();
+      Log("end");
+    }
+
+   private:
+    void Log(const char* event) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      log_.push_back(name_ + " " + event);
+    }
+    std::string name_;
+    std::mutex& mutex_;
+    std::vector<std::string>& log_;
+  };
+
+  SweepSpec first = BaseSpec();
+  first.bits = {8, 31};
+  SweepSpec second = BaseSpec();
+  second.polarities = {StuckPolarity::kStuckAt0};
+  second.max_sites = 20;
+  const CampaignPlan plans[] = {BuildCampaignPlan(first),
+                                BuildCampaignPlan(second)};
+  CampaignExecutor executor(ExecutorOptions{.threads = 2});
+  std::vector<CampaignResult> solo[2];
+  for (int i = 0; i < 2; ++i) {
+    CollectorSink collector;
+    executor.Run(plans[i], collector);
+    solo[i] = collector.TakeResults();
+  }
+
+  std::mutex mutex;
+  std::vector<std::string> log;
+  LoggingSink sinks[] = {{"a", mutex, log}, {"b", mutex, log}};
+  std::thread other([&] { executor.Run(plans[1], sinks[1]); });
+  executor.Run(plans[0], sinks[0]);
+  other.join();
+
+  for (int i = 0; i < 2; ++i) {
+    const std::vector<CampaignResult> results = sinks[i].TakeResults();
+    ASSERT_EQ(results.size(), solo[i].size()) << "plan " << i;
+    for (std::size_t c = 0; c < results.size(); ++c) {
+      ExpectIdentical(solo[i][c], results[c]);
+    }
+  }
+  ASSERT_EQ(log.size(), 4u);
+  const std::string first_run = log[0].substr(0, 1);
+  const std::string second_run = first_run == "a" ? "b" : "a";
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     first_run + " begin", first_run + " end",
+                     second_run + " begin", second_run + " end"}));
 }
 
 TEST(ExecutorTest, RejectsInvalidOptionsAndPlans) {
@@ -197,6 +305,18 @@ TEST(ExecutorTest, RejectsInvalidOptionsAndPlans) {
                std::invalid_argument);
   EXPECT_THROW(CampaignExecutor::Shared().Run(CampaignPlan{}, sink),
                std::invalid_argument);
+  // only_shard must be -1 or a shard index the plan has.
+  SweepSpec sharded = BaseSpec();
+  sharded.shards = 2;
+  const CampaignPlan sharded_plan = BuildCampaignPlan(sharded);
+  for (const int shard : {5, -2}) {
+    RunOptions shard_options;
+    shard_options.only_shard = shard;
+    EXPECT_THROW(
+        CampaignExecutor::Shared().Run(sharded_plan, sink, shard_options),
+        std::invalid_argument)
+        << "only_shard=" << shard;
+  }
   EXPECT_THROW(CampaignExecutor(ExecutorOptions{.threads = 0}),
                std::invalid_argument);
 }

@@ -89,14 +89,13 @@ class ResilienceTest : public ::testing::Test {
   }
 };
 
-TEST(ResiliencePureTest, FallbackLadderEndsAtFull) {
+TEST(ResiliencePureTest, FallbackLadderEndsAtReference) {
   EXPECT_EQ(FallbackEngine(CampaignEngine::kPredicted),
             CampaignEngine::kBatch);
   EXPECT_EQ(FallbackEngine(CampaignEngine::kBatch),
             CampaignEngine::kDifferential);
   EXPECT_EQ(FallbackEngine(CampaignEngine::kDifferential),
-            CampaignEngine::kFull);
-  EXPECT_EQ(FallbackEngine(CampaignEngine::kFull), std::nullopt);
+            CampaignEngine::kReference);
   EXPECT_EQ(FallbackEngine(CampaignEngine::kReference), std::nullopt);
 }
 
@@ -189,7 +188,7 @@ TEST_F(ResilienceTest, ExhaustedFaultsQuarantineAtTheLadderBottom) {
 
   EXPECT_EQ(outcome.quarantined, 2);
   EXPECT_EQ(outcome.records, 4);
-  EXPECT_GE(outcome.fallbacks, 1);  // differential -> full, once
+  EXPECT_GE(outcome.fallbacks, 1);  // differential -> reference, once
   EXPECT_FALSE(outcome.ok());
 
   // The frontier stays canonical: failures occupy their record's slot.
@@ -199,7 +198,7 @@ TEST_F(ResilienceTest, ExhaustedFaultsQuarantineAtTheLadderBottom) {
     EXPECT_EQ(sink.events()[i].failed, i == 0 || i == 3) << "index " << i;
   }
   for (const FailedRecord& failure : sink.failures()) {
-    EXPECT_EQ(failure.engine, CampaignEngine::kFull);
+    EXPECT_EQ(failure.engine, CampaignEngine::kReference);
     EXPECT_GE(failure.attempts, 2);
     EXPECT_FALSE(failure.error.empty());
   }

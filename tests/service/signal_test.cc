@@ -83,8 +83,8 @@ TEST(SignalTest, SecondLiveInstanceIsRejectedWithoutPoisoningTheCount) {
 
 TEST(SignalTest, ResumeAfterSigtermReproducesTheCsvForEveryEngine) {
   for (const CampaignEngine engine :
-       {CampaignEngine::kDifferential, CampaignEngine::kFull,
-        CampaignEngine::kReference, CampaignEngine::kBatch}) {
+       {CampaignEngine::kDifferential, CampaignEngine::kReference,
+        CampaignEngine::kBatch}) {
     SCOPED_TRACE(ToString(engine));
     const CampaignPlan plan = BuildCampaignPlan(BaseSpec(engine));
 

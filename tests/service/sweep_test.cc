@@ -138,7 +138,7 @@ TEST(SweepSpecTest, JsonRoundTrip) {
   spec.kind = FaultKind::kTransientFlip;
   spec.max_sites = 12;
   spec.seed = 99;
-  spec.engine = CampaignEngine::kFull;
+  spec.engine = CampaignEngine::kReference;
   spec.shards = 4;
 
   const SweepSpec parsed = ParseSweepSpec(spec.ToJson());
