@@ -128,10 +128,8 @@ cli::Cli CampaignCli() {
 
 SweepSpec SpecFromFlags(const cli::Args& flags) {
   SweepSpec spec;
-  spec.accel.array.rows =
-      static_cast<std::int32_t>(ParseInt(flags.Get("rows")));
-  spec.accel.array.cols =
-      static_cast<std::int32_t>(ParseInt(flags.Get("cols")));
+  spec.accel.array.rows = NarrowInt<std::int32_t>(ParseInt(flags.Get("rows")));
+  spec.accel.array.cols = NarrowInt<std::int32_t>(ParseInt(flags.Get("cols")));
 
   const OperandFill fill = OperandFillFromString(flags.Get("fill"));
   spec.workloads = cli::ParseList(
@@ -148,9 +146,9 @@ SweepSpec SpecFromFlags(const cli::Args& flags) {
   spec.bits = cli::ParseList(flags.Get("bit"), cli::ParseIntItem);
   spec.kind = FaultKindFromString(flags.Get("kind"));
   spec.max_sites = ParseInt(flags.Get("sites"));
-  spec.seed = static_cast<std::uint64_t>(ParseInt(flags.Get("seed")));
+  spec.seed = NarrowInt<std::uint64_t>(ParseInt(flags.Get("seed")));
   spec.engine = ParseCampaignEngine(flags.Get("engine"));
-  spec.shards = static_cast<int>(ParseInt(flags.Get("shards")));
+  spec.shards = NarrowInt<int>(ParseInt(flags.Get("shards")));
   spec.symmetry = flags.Has("symmetry");
   return spec;
 }
@@ -226,11 +224,11 @@ int RunCampaignCli(const cli::Args& args) {
   TeeSink tee(sinks);
 
   RunOptions options;
-  options.max_parallelism = static_cast<int>(ParseInt(args.Get("threads")));
+  options.max_parallelism = NarrowInt<int>(ParseInt(args.Get("threads")));
   if (options.max_parallelism < 1) {
     throw std::invalid_argument("--threads must be >= 1");
   }
-  options.only_shard = static_cast<int>(ParseInt(args.Get("shard")));
+  options.only_shard = NarrowInt<int>(ParseInt(args.Get("shard")));
   if (args.Has("resume")) options.checkpoint = &checkpoint;
 
   // Result cache: constructed eagerly so a bad directory fails before any

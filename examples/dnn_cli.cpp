@@ -107,10 +107,8 @@ cli::Cli NetworkCli() {
 
 NetworkSweepSpec SpecFromFlags(const cli::Args& flags) {
   NetworkSweepSpec spec;
-  spec.accel.array.rows =
-      static_cast<std::int32_t>(ParseInt(flags.Get("rows")));
-  spec.accel.array.cols =
-      static_cast<std::int32_t>(ParseInt(flags.Get("cols")));
+  spec.accel.array.rows = NarrowInt<std::int32_t>(ParseInt(flags.Get("rows")));
+  spec.accel.array.cols = NarrowInt<std::int32_t>(ParseInt(flags.Get("cols")));
 
   spec.network.kind = ParseNetworkKind(flags.Get("network"));
   spec.network.batch = ParseInt(flags.Get("batch"));
@@ -120,8 +118,7 @@ NetworkSweepSpec SpecFromFlags(const cli::Args& flags) {
   spec.network.conv_channels = ParseInt(flags.Get("conv-channels"));
   spec.network.extraction_k = ParseInt(flags.Get("extraction-k"));
   spec.network.extraction_n = ParseInt(flags.Get("extraction-n"));
-  spec.network.seed =
-      static_cast<std::uint64_t>(ParseInt(flags.Get("net-seed")));
+  spec.network.seed = NarrowInt<std::uint64_t>(ParseInt(flags.Get("net-seed")));
 
   spec.dataflows = cli::ParseList(flags.Get("dataflow"), DataflowFromString);
   spec.signals = cli::ParseList(flags.Get("signal"), MacSignalFromString);
@@ -133,7 +130,7 @@ NetworkSweepSpec SpecFromFlags(const cli::Args& flags) {
       cli::ParseList(flags.Get("mitigation"), ParseMitigationPolicy);
 
   spec.max_sites = ParseInt(flags.Get("sites"));
-  spec.seed = static_cast<std::uint64_t>(ParseInt(flags.Get("seed")));
+  spec.seed = NarrowInt<std::uint64_t>(ParseInt(flags.Get("seed")));
   spec.rung = ParseNetworkRung(flags.Get("rung"));
   spec.abft = flags.Has("abft");
 
@@ -142,9 +139,9 @@ NetworkSweepSpec SpecFromFlags(const cli::Args& flags) {
   const std::string& mode = flags.Get("perturb-mode");
   spec.perturb_auto = mode == "auto";
   if (!spec.perturb_auto) spec.perturb.mode = ParsePerturbMode(mode);
-  spec.perturb.bit = static_cast<int>(ParseInt(flags.Get("perturb-bit")));
+  spec.perturb.bit = NarrowInt<int>(ParseInt(flags.Get("perturb-bit")));
   spec.perturb.delta =
-      static_cast<std::int32_t>(ParseInt(flags.Get("perturb-delta")));
+      NarrowInt<std::int32_t>(ParseInt(flags.Get("perturb-delta")));
   return spec;
 }
 

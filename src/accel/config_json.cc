@@ -1,5 +1,7 @@
 #include "accel/config_json.h"
 
+#include "common/strings.h"
+
 namespace saffire {
 
 void WriteAccelJson(JsonWriter& w, const AccelConfig& accel) {
@@ -18,16 +20,15 @@ void WriteAccelJson(JsonWriter& w, const AccelConfig& accel) {
 
 AccelConfig ParseAccelJson(const JsonValue& json) {
   AccelConfig accel;
-  accel.array.rows = static_cast<std::int32_t>(json.At("rows").AsInt());
-  accel.array.cols = static_cast<std::int32_t>(json.At("cols").AsInt());
+  accel.array.rows = NarrowInt<std::int32_t>(json.At("rows").AsInt());
+  accel.array.cols = NarrowInt<std::int32_t>(json.At("cols").AsInt());
   accel.array.input_bits =
-      static_cast<std::int32_t>(json.At("input_bits").AsInt());
-  accel.array.acc_bits =
-      static_cast<std::int32_t>(json.At("acc_bits").AsInt());
-  accel.spad_rows = static_cast<std::int32_t>(json.At("spad_rows").AsInt());
-  accel.acc_rows = static_cast<std::int32_t>(json.At("acc_rows").AsInt());
+      NarrowInt<std::int32_t>(json.At("input_bits").AsInt());
+  accel.array.acc_bits = NarrowInt<std::int32_t>(json.At("acc_bits").AsInt());
+  accel.spad_rows = NarrowInt<std::int32_t>(json.At("spad_rows").AsInt());
+  accel.acc_rows = NarrowInt<std::int32_t>(json.At("acc_rows").AsInt());
   accel.max_compute_rows =
-      static_cast<std::int32_t>(json.At("max_compute_rows").AsInt());
+      NarrowInt<std::int32_t>(json.At("max_compute_rows").AsInt());
   accel.double_buffered_weights =
       json.At("double_buffered_weights").AsBool();
   accel.dram_bytes = json.At("dram_bytes").AsInt();

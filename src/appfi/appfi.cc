@@ -5,6 +5,7 @@
 #include "accel/config_json.h"
 #include "common/check.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "fi/runner.h"
 #include "patterns/corruption.h"
 
@@ -114,9 +115,8 @@ AppFiSpec ParseAppFiSpec(const std::string& json) {
                       "unknown appfi perturb key '" << key << "'");
   }
   spec.perturb.mode = ParsePerturbMode(perturb.At("mode").AsString());
-  spec.perturb.bit = static_cast<int>(perturb.At("bit").AsInt());
-  spec.perturb.delta =
-      static_cast<std::int32_t>(perturb.At("delta").AsInt());
+  spec.perturb.bit = NarrowInt<int>(perturb.At("bit").AsInt());
+  spec.perturb.delta = NarrowInt<std::int32_t>(perturb.At("delta").AsInt());
   spec.Validate();
   return spec;
 }

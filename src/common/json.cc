@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -283,10 +284,12 @@ std::uint64_t JsonValue::AsUint() const {
   SAFFIRE_CHECK_MSG(kind_ == Kind::kNumber, "json value is not a number");
   SAFFIRE_CHECK_MSG(!scalar_.empty() && scalar_[0] != '-',
                     "negative value '" << scalar_ << "'");
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(scalar_.c_str(), &end, 10);
-  SAFFIRE_CHECK_MSG(end == scalar_.c_str() + scalar_.size(),
-                    "not an integer: '" << scalar_ << "'");
+  // Fails, rather than saturates, past UINT64_MAX.
+  std::uint64_t value = 0;
+  const char* end = scalar_.data() + scalar_.size();
+  const auto [ptr, ec] = std::from_chars(scalar_.data(), end, value);
+  SAFFIRE_CHECK_MSG(ec == std::errc() && ptr == end,
+                    "not an unsigned 64-bit integer: '" << scalar_ << "'");
   return value;
 }
 

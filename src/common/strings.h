@@ -2,9 +2,13 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "common/check.h"
 
 namespace saffire {
 
@@ -29,6 +33,19 @@ std::string PadRight(std::string_view text, std::size_t width);
 
 // Parses a signed integer; throws std::invalid_argument on trailing junk.
 std::int64_t ParseInt(std::string_view text);
+
+// Narrows an integer parsed as 64 bits (ParseInt, JsonValue::AsInt) to the
+// type the caller stores; throws std::invalid_argument naming the value
+// when T cannot hold it, so an out-of-range input fails instead of wrapping
+// around (a negative value for an unsigned T included).
+template <typename T>
+T NarrowInt(std::int64_t value) {
+  SAFFIRE_CHECK_MSG(std::in_range<T>(value),
+                    "integer " << value << " is out of range ["
+                               << std::numeric_limits<T>::min() << ", "
+                               << std::numeric_limits<T>::max() << "]");
+  return static_cast<T>(value);
+}
 
 // Parses a decimal floating-point value ("0.25"); throws
 // std::invalid_argument on trailing junk.

@@ -48,10 +48,16 @@ RunResult FiRunner::RunGolden(const WorkloadSpec& workload,
 
 RunResult FiRunner::RunFaulty(const WorkloadSpec& workload, Dataflow dataflow,
                               std::span<const FaultSpec> faults) {
+  return RunFaulty(Materialize(workload), dataflow, faults);
+}
+
+RunResult FiRunner::RunFaulty(const MaterializedWorkload& operands,
+                              Dataflow dataflow,
+                              std::span<const FaultSpec> faults) {
   SAFFIRE_SPAN("fi.faulty_run");
   FaultInjector injector(std::vector<FaultSpec>(faults.begin(), faults.end()),
                          accel_.config().array);
-  return Run(Materialize(workload), dataflow, &injector);
+  return Run(operands, dataflow, &injector);
 }
 
 RunResult FiRunner::RunGoldenRecorded(const WorkloadSpec& workload,

@@ -52,8 +52,11 @@ class FiRunner {
   // Execution with the given fault(s) installed for the whole run. The
   // injector is installed before the first instruction and removed after
   // the last, so permanent faults span every tile invocation — the source
-  // of the paper's multi-tile fault patterns.
+  // of the paper's multi-tile fault patterns. The WorkloadSpec form is
+  // Materialize(workload) plus the operand overload.
   RunResult RunFaulty(const WorkloadSpec& workload, Dataflow dataflow,
+                      std::span<const FaultSpec> faults);
+  RunResult RunFaulty(const MaterializedWorkload& operands, Dataflow dataflow,
                       std::span<const FaultSpec> faults);
 
   // Fault-free execution that additionally records the golden trace needed

@@ -1,9 +1,13 @@
 #include "patterns/dictionary.h"
 
-#include <cctype>
+#include <algorithm>
+#include <initializer_list>
+#include <map>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/json.h"
+#include "common/strings.h"
 
 namespace saffire {
 
@@ -34,122 +38,46 @@ FaultDictionary BuildFaultDictionary(const WorkloadSpec& workload,
 
 namespace {
 
-void EmitString(std::ostringstream& os, std::string_view text) {
-  os << '"';
-  for (const char c : text) {
-    SAFFIRE_CHECK_MSG(c != '"' && c != '\\' &&
-                          static_cast<unsigned char>(c) >= 0x20,
-                      "unsupported character in dictionary string");
-    os << c;
-  }
-  os << '"';
-}
-
 template <typename Pair>
-void EmitPairArray(std::ostringstream& os, const std::vector<Pair>& pairs,
-                   auto first, auto second) {
-  os << '[';
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (i != 0) os << ',';
-    os << '[' << first(pairs[i]) << ',' << second(pairs[i]) << ']';
+void WritePairs(JsonWriter& w, const std::vector<Pair>& pairs) {
+  w.BeginArray();
+  for (const Pair& pair : pairs) {
+    w.BeginArray().Int(pair.row).Int(pair.col).EndArray();
   }
-  os << ']';
+  w.EndArray();
 }
 
-// --- Minimal parser for the emitted subset ---------------------------------
-
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view text) : text_(text) {}
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char Peek() {
-    SkipWhitespace();
-    SAFFIRE_CHECK_MSG(pos_ < text_.size(), "unexpected end of JSON");
-    return text_[pos_];
-  }
-
-  void Expect(char c) {
-    SAFFIRE_CHECK_MSG(Peek() == c, "expected '" << c << "' at offset "
-                                                << pos_ << ", got '"
-                                                << text_[pos_] << "'");
-    ++pos_;
-  }
-
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (true) {
-      SAFFIRE_CHECK_MSG(pos_ < text_.size(), "unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      SAFFIRE_CHECK_MSG(c != '\\', "escapes unsupported");
-      out.push_back(c);
-    }
-    return out;
-  }
-
-  std::int64_t ParseInt() {
-    SkipWhitespace();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    SAFFIRE_CHECK_MSG(pos_ > start && (text_[start] != '-' || pos_ > start + 1),
-                      "expected integer at offset " << start);
-    return std::stoll(std::string(text_.substr(start, pos_ - start)));
-  }
-
-  // Parses the key of an object member and positions after the ':'.
-  std::string ParseKey() {
-    const std::string key = ParseString();
-    Expect(':');
-    return key;
-  }
-
-  void ExpectEnd() {
-    SkipWhitespace();
-    SAFFIRE_CHECK_MSG(pos_ == text_.size(),
-                      "trailing characters at offset " << pos_);
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-template <typename Element>
-std::vector<Element> ParsePairArray(JsonCursor& cursor, auto make) {
+// [[row,col],...] back into coordinates, through `make(row, col)`.
+template <typename Element, typename Make>
+std::vector<Element> ReadPairs(const JsonValue& json, Make make) {
   std::vector<Element> out;
-  cursor.Expect('[');
-  if (cursor.Consume(']')) return out;
-  do {
-    cursor.Expect('[');
-    const std::int64_t first = cursor.ParseInt();
-    cursor.Expect(',');
-    const std::int64_t second = cursor.ParseInt();
-    cursor.Expect(']');
-    out.push_back(make(first, second));
-  } while (cursor.Consume(','));
-  cursor.Expect(']');
+  for (const JsonValue& pair : json.AsArray()) {
+    const std::vector<JsonValue>& items = pair.AsArray();
+    SAFFIRE_CHECK_MSG(items.size() == 2, "expected a [row,col] pair");
+    out.push_back(make(items[0].AsInt(), items[1].AsInt()));
+  }
   return out;
+}
+
+// Rejects an empty `json` object and any member outside `fields`: every
+// object ToJson emits has at least one member, and none other.
+void CheckFields(const JsonValue& json, const char* what,
+                 std::initializer_list<std::string_view> fields) {
+  const std::map<std::string, JsonValue>& members = json.AsObject();
+  SAFFIRE_CHECK_MSG(!members.empty(), "empty " << what << " object");
+  for (const auto& member : members) {
+    SAFFIRE_CHECK_MSG(
+        std::find(fields.begin(), fields.end(), member.first) != fields.end(),
+        "unknown " << what << " field '" << member.first << "'");
+  }
+}
+
+// Stores member `name` of `json` in `field` when it is present.
+template <typename T>
+void ReadInt(const JsonValue& json, const std::string& name, T& field) {
+  if (const JsonValue* value = json.Find(name)) {
+    field = NarrowInt<T>(value->AsInt());
+  }
 }
 
 PatternClass PatternClassFromString(const std::string& name) {
@@ -160,119 +88,89 @@ PatternClass PatternClassFromString(const std::string& name) {
   SAFFIRE_CHECK_MSG(false, "unknown pattern class '" << name << "'");
 }
 
+SiteEquivalenceClass ClassFromJson(const JsonValue& json) {
+  CheckFields(json, "class", {"pattern", "sites", "coords"});
+  SiteEquivalenceClass equivalence;
+  if (const JsonValue* pattern = json.Find("pattern")) {
+    equivalence.prediction.pattern =
+        PatternClassFromString(pattern->AsString());
+  }
+  if (const JsonValue* sites = json.Find("sites")) {
+    equivalence.members = ReadPairs<PeCoord>(
+        *sites, [](std::int64_t row, std::int64_t col) {
+          return PeCoord{NarrowInt<std::int32_t>(row),
+                         NarrowInt<std::int32_t>(col)};
+        });
+  }
+  if (const JsonValue* coords = json.Find("coords")) {
+    equivalence.prediction.coords = ReadPairs<MatrixCoord>(
+        *coords, [](std::int64_t row, std::int64_t col) {
+          return MatrixCoord{row, col};
+        });
+  }
+  SAFFIRE_CHECK_MSG(!equivalence.members.empty(), "class without sites");
+  equivalence.representative = equivalence.members.front();
+  return equivalence;
+}
+
 }  // namespace
 
 std::string ToJson(const FaultDictionary& dictionary) {
   std::ostringstream os;
-  os << "{\"workload\":";
-  EmitString(os, dictionary.workload_name);
-  os << ",\"dataflow\":";
-  EmitString(os, ToString(dictionary.dataflow));
-  os << ",\"array\":{\"rows\":" << dictionary.array_rows
-     << ",\"cols\":" << dictionary.array_cols << "}"
-     << ",\"gemm\":{\"m\":" << dictionary.gemm_m
-     << ",\"k\":" << dictionary.gemm_k << ",\"n\":" << dictionary.gemm_n
-     << "},\"classes\":[";
-  for (std::size_t i = 0; i < dictionary.classes.size(); ++i) {
-    const SiteEquivalenceClass& equivalence = dictionary.classes[i];
-    if (i != 0) os << ',';
-    os << "{\"pattern\":";
-    EmitString(os, ToString(equivalence.prediction.pattern));
-    os << ",\"sites\":";
-    EmitPairArray(os, equivalence.members,
-                  [](const PeCoord& pe) { return pe.row; },
-                  [](const PeCoord& pe) { return pe.col; });
-    os << ",\"coords\":";
-    EmitPairArray(os, equivalence.prediction.coords,
-                  [](const MatrixCoord& coord) { return coord.row; },
-                  [](const MatrixCoord& coord) { return coord.col; });
-    os << '}';
+  JsonWriter w(os);
+  w.BeginObject()
+      .Key("workload").String(dictionary.workload_name)
+      .Key("dataflow").String(ToString(dictionary.dataflow))
+      .Key("array").BeginObject()
+          .Key("rows").Int(dictionary.array_rows)
+          .Key("cols").Int(dictionary.array_cols)
+      .EndObject()
+      .Key("gemm").BeginObject()
+          .Key("m").Int(dictionary.gemm_m)
+          .Key("k").Int(dictionary.gemm_k)
+          .Key("n").Int(dictionary.gemm_n)
+      .EndObject()
+      .Key("classes").BeginArray();
+  for (const SiteEquivalenceClass& equivalence : dictionary.classes) {
+    w.BeginObject()
+        .Key("pattern").String(ToString(equivalence.prediction.pattern))
+        .Key("sites");
+    WritePairs(w, equivalence.members);
+    w.Key("coords");
+    WritePairs(w, equivalence.prediction.coords);
+    w.EndObject();
   }
-  os << "]}";
+  w.EndArray().EndObject();
   return os.str();
 }
 
 FaultDictionary FaultDictionaryFromJson(std::string_view json) {
-  JsonCursor cursor(json);
+  const JsonValue root = JsonValue::Parse(json);
+  CheckFields(root, "dictionary",
+              {"workload", "dataflow", "array", "gemm", "classes"});
   FaultDictionary dictionary;
-  cursor.Expect('{');
-  do {
-    const std::string key = cursor.ParseKey();
-    if (key == "workload") {
-      dictionary.workload_name = cursor.ParseString();
-    } else if (key == "dataflow") {
-      dictionary.dataflow = DataflowFromString(cursor.ParseString());
-    } else if (key == "array") {
-      cursor.Expect('{');
-      do {
-        const std::string field = cursor.ParseKey();
-        const auto value = static_cast<std::int32_t>(cursor.ParseInt());
-        if (field == "rows") {
-          dictionary.array_rows = value;
-        } else if (field == "cols") {
-          dictionary.array_cols = value;
-        } else {
-          SAFFIRE_CHECK_MSG(false, "unknown array field '" << field << "'");
-        }
-      } while (cursor.Consume(','));
-      cursor.Expect('}');
-    } else if (key == "gemm") {
-      cursor.Expect('{');
-      do {
-        const std::string field = cursor.ParseKey();
-        const std::int64_t value = cursor.ParseInt();
-        if (field == "m") {
-          dictionary.gemm_m = value;
-        } else if (field == "k") {
-          dictionary.gemm_k = value;
-        } else if (field == "n") {
-          dictionary.gemm_n = value;
-        } else {
-          SAFFIRE_CHECK_MSG(false, "unknown gemm field '" << field << "'");
-        }
-      } while (cursor.Consume(','));
-      cursor.Expect('}');
-    } else if (key == "classes") {
-      cursor.Expect('[');
-      if (!cursor.Consume(']')) {
-        do {
-          SiteEquivalenceClass equivalence;
-          cursor.Expect('{');
-          do {
-            const std::string field = cursor.ParseKey();
-            if (field == "pattern") {
-              equivalence.prediction.pattern =
-                  PatternClassFromString(cursor.ParseString());
-            } else if (field == "sites") {
-              equivalence.members = ParsePairArray<PeCoord>(
-                  cursor, [](std::int64_t row, std::int64_t col) {
-                    return PeCoord{static_cast<std::int32_t>(row),
-                                   static_cast<std::int32_t>(col)};
-                  });
-            } else if (field == "coords") {
-              equivalence.prediction.coords = ParsePairArray<MatrixCoord>(
-                  cursor, [](std::int64_t row, std::int64_t col) {
-                    return MatrixCoord{row, col};
-                  });
-            } else {
-              SAFFIRE_CHECK_MSG(false, "unknown class field '" << field
-                                                               << "'");
-            }
-          } while (cursor.Consume(','));
-          cursor.Expect('}');
-          SAFFIRE_CHECK_MSG(!equivalence.members.empty(),
-                            "class without sites");
-          equivalence.representative = equivalence.members.front();
-          dictionary.classes.push_back(std::move(equivalence));
-        } while (cursor.Consume(','));
-        cursor.Expect(']');
-      }
-    } else {
-      SAFFIRE_CHECK_MSG(false, "unknown dictionary field '" << key << "'");
+  if (const JsonValue* workload = root.Find("workload")) {
+    dictionary.workload_name = workload->AsString();
+  }
+  if (const JsonValue* dataflow = root.Find("dataflow")) {
+    dictionary.dataflow = DataflowFromString(dataflow->AsString());
+  }
+  if (const JsonValue* array = root.Find("array")) {
+    CheckFields(*array, "array", {"rows", "cols"});
+    ReadInt(*array, "rows", dictionary.array_rows);
+    ReadInt(*array, "cols", dictionary.array_cols);
+  }
+  if (const JsonValue* gemm = root.Find("gemm")) {
+    CheckFields(*gemm, "gemm", {"m", "k", "n"});
+    ReadInt(*gemm, "m", dictionary.gemm_m);
+    ReadInt(*gemm, "k", dictionary.gemm_k);
+    ReadInt(*gemm, "n", dictionary.gemm_n);
+  }
+  if (const JsonValue* classes = root.Find("classes")) {
+    for (const JsonValue& equivalence : classes->AsArray()) {
+      dictionary.classes.push_back(ClassFromJson(equivalence));
     }
-  } while (cursor.Consume(','));
-  cursor.Expect('}');
-  cursor.ExpectEnd();
+  }
   return dictionary;
 }
 

@@ -52,9 +52,10 @@ FaultDictionary BuildFaultDictionary(const WorkloadSpec& workload,
 // Serializes to the schema above (deterministic field and class order).
 std::string ToJson(const FaultDictionary& dictionary);
 
-// Parses a dictionary back. Accepts exactly the subset of JSON ToJson
-// emits (objects, arrays, strings, integers, arbitrary whitespace); throws
-// std::invalid_argument on malformed input.
+// Parses a dictionary back through JsonValue::Parse. Accepts the schema
+// above, any member of it omitted; throws std::invalid_argument on
+// malformed JSON, an unknown or empty object, a class without sites, or an
+// integer its field cannot hold.
 FaultDictionary FaultDictionaryFromJson(std::string_view json);
 
 }  // namespace saffire

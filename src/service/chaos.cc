@@ -50,19 +50,19 @@ ChaosSpec ParseChaosSpec(const std::string& text) {
     const std::string key = Trim(kv[0]);
     const std::int64_t value = ParseInt(kv[1]);
     if (key == "experiment_throw_every") {
-      spec.experiment_throw_every = static_cast<int>(value);
+      spec.experiment_throw_every = NarrowInt<int>(value);
     } else if (key == "experiment_throw_attempts") {
-      spec.experiment_throw_attempts = static_cast<int>(value);
+      spec.experiment_throw_attempts = NarrowInt<int>(value);
     } else if (key == "batch_fail_every") {
-      spec.batch_fail_every = static_cast<int>(value);
+      spec.batch_fail_every = NarrowInt<int>(value);
     } else if (key == "stall_every") {
-      spec.stall_every = static_cast<int>(value);
+      spec.stall_every = NarrowInt<int>(value);
     } else if (key == "stall_ms") {
       spec.stall_ms = value;
     } else if (key == "selfcheck_lie_every") {
-      spec.selfcheck_lie_every = static_cast<int>(value);
+      spec.selfcheck_lie_every = NarrowInt<int>(value);
     } else if (key == "sink_throw_every") {
-      spec.sink_throw_every = static_cast<int>(value);
+      spec.sink_throw_every = NarrowInt<int>(value);
     } else {
       SAFFIRE_CHECK_MSG(false, "unknown chaos key '" << key << "'");
     }

@@ -8,6 +8,7 @@
 #include "common/crc32.h"
 #include "common/json.h"
 #include "common/log.h"
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace saffire {
@@ -107,15 +108,15 @@ namespace {
 // smuggle out-of-range values into downstream switch statements.
 ExperimentRecord ParseRecordLine(const JsonValue& json) {
   ExperimentRecord record;
-  record.fault.pe.row = static_cast<std::int32_t>(json.At("pe_row").AsInt());
-  record.fault.pe.col = static_cast<std::int32_t>(json.At("pe_col").AsInt());
+  record.fault.pe.row = NarrowInt<std::int32_t>(json.At("pe_row").AsInt());
+  record.fault.pe.col = NarrowInt<std::int32_t>(json.At("pe_col").AsInt());
 
   const std::int64_t signal = json.At("signal").AsInt();
   SAFFIRE_CHECK_MSG(signal >= 0 && signal < kNumMacSignals,
                     "signal " << signal << " out of range");
   record.fault.signal = static_cast<MacSignal>(signal);
 
-  record.fault.bit = static_cast<int>(json.At("bit").AsInt());
+  record.fault.bit = NarrowInt<int>(json.At("bit").AsInt());
 
   const std::int64_t polarity = json.At("polarity").AsInt();
   SAFFIRE_CHECK_MSG(polarity == 0 || polarity == 1,

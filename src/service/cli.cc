@@ -129,7 +129,7 @@ void PrintResuming(const Args& args, std::int64_t records,
 
 ResilienceOptions ResilienceFromFlags(const Args& args) {
   ResilienceOptions options;
-  options.max_retries = static_cast<int>(ParseInt(args.Get("max-retries")));
+  options.max_retries = NarrowInt<int>(ParseInt(args.Get("max-retries")));
   options.experiment_timeout_ms = ParseInt(args.Get("experiment-timeout-ms"));
   options.selfcheck_rate = ParseDouble(args.Get("selfcheck-rate"));
   options.on_failure = ParseOnFailure(args.Get("on-failure"));

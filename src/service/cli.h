@@ -107,7 +107,7 @@ auto ParseList(const std::string& text, Parse parse) {
 
 // An integer item of a ParseList axis.
 inline int ParseIntItem(const std::string& text) {
-  return static_cast<int>(ParseInt(text));
+  return NarrowInt<int>(ParseInt(text));
 }
 
 // The sweep, from the --spec file or from the sweep-defining flags. Returns

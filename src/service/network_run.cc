@@ -4,11 +4,8 @@
 #include <array>
 #include <optional>
 
-#include "accel/controller.h"
-#include "accel/driver.h"
 #include "common/log.h"
 #include "fi/cone.h"
-#include "fi/injector.h"
 #include "fi/runner.h"
 #include "mitigation/abft.h"
 #include "obs/metrics.h"
@@ -135,45 +132,48 @@ obs::Counter& MitResidualSdcCounter() {
 
 // --- Experiment execution ---------------------------------------------------
 
-// The cycle rung's golden run of a campaign's first in-scope layer, recorded
-// on the array from the operands the host golden inference fed that layer.
-// With those operands a network fault experiment at that layer is exactly an
-// operator experiment, so the operator engines replay it against the trace
-// instead of stepping the array again (ENFOR-SA's cross-layer recipe with
-// the targeted layer on the cheapest exact engine).
-class RecordedLayer {
+// The cycle-accurate rung of one campaign: the campaign's one FiRunner, and
+// on it the golden run of the first in-scope layer, recorded on the array
+// from the operands the host golden inference fed that layer. A layer call
+// that streams exactly those operands is an operator experiment, so the
+// operator engines replay it against the trace instead of stepping the array
+// again (ENFOR-SA's cross-layer recipe with the targeted layer on the
+// cheapest exact engine). Every other in-scope call — a later layer of a
+// whole-network campaign, whose inputs carry the fault's corruption, or a
+// mitigated inference whose plan remapped or pruned the operands — runs on
+// the same array with the fault installed.
+class CycleRung {
  public:
   // Throws saffire::InternalError when the array's golden output differs
   // from `host_output`: every replayed fault is expanded over the recorded
   // output, so a driver/host divergence would corrupt each record silently.
-  RecordedLayer(const AccelConfig& accel, Dataflow dataflow,
-                const Int8Tensor& a, const Int8Tensor& b,
-                const Int32Tensor& host_output)
-      : runner_(accel), dataflow_(dataflow), operands_{a, b} {
-    golden_ = runner_.RunGoldenRecorded(operands_, dataflow_, &trace_);
+  CycleRung(const AccelConfig& accel, Dataflow dataflow, const Int8Tensor& a,
+            const Int8Tensor& b, const Int32Tensor& host_output)
+      : runner_(accel), dataflow_(dataflow), recorded_{a, b} {
+    golden_ = runner_.RunGoldenRecorded(recorded_, dataflow_, &trace_);
     SAFFIRE_ASSERT_MSG(golden_.output == host_output,
                        "the array's golden layer output differs from the "
                        "host reference GEMM's");
   }
   // ExperimentContext holds its address for the campaign.
-  RecordedLayer(const RecordedLayer&) = delete;
-  RecordedLayer& operator=(const RecordedLayer&) = delete;
+  CycleRung(const CycleRung&) = delete;
+  CycleRung& operator=(const CycleRung&) = delete;
 
-  // True when a layer call streams exactly the recorded operands.
-  bool Recorded(const Int8Tensor& a, const Int8Tensor& b) const {
-    return a == operands_.a && b == operands_.b;
-  }
-
-  // The layer's output with `fault` installed, from one single-fault group
-  // routed like a kPredicted campaign: the closed form where it is exact,
-  // the lane-grid replay otherwise.
-  Int32Tensor Faulty(const FaultSpec& fault) {
+  // The layer's output with `fault` installed. A replay is one single-fault
+  // group routed like a kPredicted campaign: the closed form where it is
+  // exact, the lane-grid replay otherwise.
+  Int32Tensor Gemm(const Int8Tensor& a, const Int8Tensor& b,
+                   const FaultSpec& fault) {
     const std::span<const FaultSpec> one(&fault, 1);
+    if (!(a == recorded_.a && b == recorded_.b)) {
+      return runner_.RunFaulty(MaterializedWorkload{a, b}, dataflow_, one)
+          .output;
+    }
     const std::vector<ConeRunResult> faulty =
         PredictedEngineExact(fault.kind, fault.signal)
-            ? runner_.RunFaultyPredicted(operands_, dataflow_, one, trace_,
+            ? runner_.RunFaultyPredicted(recorded_, dataflow_, one, trace_,
                                          golden_)
-            : runner_.RunFaultyBatch(operands_, dataflow_, one, trace_,
+            : runner_.RunFaultyBatch(recorded_, dataflow_, one, trace_,
                                      golden_);
     return ExpandCone(faulty.front().output, golden_.output);
   }
@@ -181,7 +181,7 @@ class RecordedLayer {
  private:
   FiRunner runner_;
   Dataflow dataflow_;
-  MaterializedWorkload operands_;
+  MaterializedWorkload recorded_;
   GoldenTrace trace_;
   RunResult golden_;
 };
@@ -213,10 +213,9 @@ struct ExperimentContext {
   // The first layer the fault applies to — where corruption enters from
   // clean inputs and the reach contract holds on both rungs.
   int first_scope;
-  // The campaign's recorded golden run of layer first_scope, once the cycle
-  // rung has run in this campaign (RunNetworkSweep records it); null until
-  // then.
-  RecordedLayer* first_layer = nullptr;
+  // The campaign's cycle rung, once RunNetworkSweep has built it; every
+  // experiment on that rung runs after the build.
+  CycleRung* cycle = nullptr;
 };
 
 struct ExperimentResult {
@@ -317,17 +316,53 @@ void RunMitigatedInference(const ExperimentContext& context,
   }
 }
 
-ExperimentResult FinishExperiment(const ExperimentContext& context,
-                                  const FaultSpec& fault, NetworkRung rung,
-                                  const PreparedNetwork::Inference& faulty,
-                                  const LayerProbe& probe) {
+// One experiment on `rung`: the faulty inference, then the mitigated one
+// when the campaign has plans, both through the same physical executor.
+// Only that executor's in-scope layers depend on the rung:
+//   kAppFi          — the clean host GEMM with the predicted reach perturbed
+//                     in; under mitigation the injector perturbs the
+//                     remapped (physical) coordinates, and RestoreOutput
+//                     permutes them back.
+//   kCycleAccurate  — the campaign's CycleRung, which must have been built:
+//                     ground truth, so rung cross-validation gates the
+//                     remap math end to end.
+// Layers outside the fault scope run on the host reference GEMM on both
+// rungs: the fault-free array matches GemmRef bit for bit (the driver
+// equivalence invariant the golden inference rests on), and a faulty layer
+// leaves no state behind in the array.
+ExperimentResult RunExperiment(const ExperimentContext& context,
+                               const FaultSpec& fault,
+                               const std::vector<LayerMitigationPlan>& plans,
+                               NetworkRung rung) {
+  const LayerGemm physical = [&context, &fault, rung](int layer,
+                                                      const Int8Tensor& a,
+                                                      const Int8Tensor& b) {
+    if (!InScope(context.campaign, layer)) return GemmRef(a, b);
+    if (rung == NetworkRung::kCycleAccurate) {
+      return context.cycle->Gemm(a, b, fault);
+    }
+    const WorkloadSpec& workload = context.network.layer_workload(layer);
+    const Int32Tensor out = GemmRef(a, b);
+    return context.spec.perturb_auto
+               ? context.injector.InjectForFault(out, workload, fault)
+               : context.injector.Inject(out, workload, fault);
+  };
+  LayerProbe probe;
+  const LayerGemm gemm = [&context, &physical, &probe](
+                             int layer, const Int8Tensor& a,
+                             const Int8Tensor& b) {
+    Int32Tensor out = physical(layer, a, b);
+    ObserveLayer(context, probe, layer, a, b, out);
+    return out;
+  };
+  const PreparedNetwork::Inference faulty = context.network.Run(gemm);
   SAFFIRE_CHECK_MSG(probe.captured, "first in-scope layer never executed");
+
   ExperimentResult result;
   result.first_map = ExtractCorruption(
       context.golden
           .layer_outputs[static_cast<std::size_t>(context.first_scope)],
       probe.first_faulty);
-
   NetworkRecord& record = result.record;
   record.fault = fault;
   record.rung = rung;
@@ -349,104 +384,8 @@ ExperimentResult FinishExperiment(const ExperimentContext& context,
   record.abft_diagnosis = probe.worst;
   record.abft_corrections = probe.corrections;
   record.abft_corrected = probe.any_detected && probe.all_verified;
+  RunMitigatedInference(context, plans, physical, record);
   return result;
-}
-
-// The fast rung: clean host GEMMs with the predicted reach perturbed in.
-// The same physical executor serves the baseline and the mitigated
-// inference — under mitigation the injector perturbs the remapped
-// (physical) coordinates, and RestoreOutput permutes them back.
-ExperimentResult RunAppFiExperiment(
-    const ExperimentContext& context, const FaultSpec& fault,
-    const std::vector<LayerMitigationPlan>& plans) {
-  const LayerGemm physical = [&context, &fault](int layer,
-                                                const Int8Tensor& a,
-                                                const Int8Tensor& b) {
-    Int32Tensor out = GemmRef(a, b);
-    if (InScope(context.campaign, layer)) {
-      const WorkloadSpec& workload = context.network.layer_workload(layer);
-      out = context.spec.perturb_auto
-                ? context.injector.InjectForFault(out, workload, fault)
-                : context.injector.Inject(out, workload, fault);
-    }
-    return out;
-  };
-  LayerProbe probe;
-  const LayerGemm gemm = [&context, &physical, &probe](
-                             int layer, const Int8Tensor& a,
-                             const Int8Tensor& b) {
-    Int32Tensor out = physical(layer, a, b);
-    ObserveLayer(context, probe, layer, a, b, out);
-    return out;
-  };
-  const PreparedNetwork::Inference faulty = context.network.Run(gemm);
-  ExperimentResult result =
-      FinishExperiment(context, fault, NetworkRung::kAppFi, faulty, probe);
-  RunMitigatedInference(context, plans, physical, result.record);
-  return result;
-}
-
-// Ground truth: every in-scope layer runs with the fault installed on the
-// array. The first in-scope layer, whenever its operands equal the
-// campaign's recorded golden ones, replays on the operator engines
-// (RecordedLayer), which are bit-identical to a faulty Driver::Gemm on those
-// operands. Driver::Gemm with the fault hook still runs the later in-scope
-// layers of whole-network campaigns, whose inputs carry the fault's
-// corruption, and mitigated inferences whose plan remapped or pruned the
-// operands; the Accelerator is built only when one of those runs. Layers
-// outside the fault scope run on the host reference GEMM: the fault-free
-// driver matches GemmRef bit for bit (the driver equivalence invariant the
-// golden inference rests on) and a faulty layer leaves no state behind in
-// the array. The mitigated inference goes through the same executor with
-// the remapped workload, so rung cross-validation gates the remap math end
-// to end.
-ExperimentResult RunCycleExperiment(
-    const ExperimentContext& context, const FaultSpec& fault,
-    const std::vector<LayerMitigationPlan>& plans) {
-  std::optional<Accelerator> accelerator;
-  std::optional<Driver> driver;
-  FaultInjector hook({fault}, context.spec.accel.array);
-  ExecOptions exec;
-  exec.dataflow = context.campaign.dataflow;
-
-  const LayerGemm physical = [&context, &fault, &accelerator, &driver, &hook,
-                              &exec](int layer, const Int8Tensor& a,
-                                     const Int8Tensor& b) {
-    if (!InScope(context.campaign, layer)) return GemmRef(a, b);
-    if (layer == context.first_scope && context.first_layer != nullptr &&
-        context.first_layer->Recorded(a, b)) {
-      return context.first_layer->Faulty(fault);
-    }
-    if (!accelerator.has_value()) {
-      accelerator.emplace(context.spec.accel);
-      driver.emplace(*accelerator);
-    }
-    accelerator->array().InstallFaultHook(&hook);
-    Int32Tensor out = driver->Gemm(a, b, exec);
-    accelerator->array().ClearFaultHook();
-    return out;
-  };
-  LayerProbe probe;
-  const LayerGemm gemm = [&context, &physical, &probe](
-                             int layer, const Int8Tensor& a,
-                             const Int8Tensor& b) {
-    Int32Tensor out = physical(layer, a, b);
-    ObserveLayer(context, probe, layer, a, b, out);
-    return out;
-  };
-  const PreparedNetwork::Inference faulty = context.network.Run(gemm);
-  ExperimentResult result = FinishExperiment(
-      context, fault, NetworkRung::kCycleAccurate, faulty, probe);
-  RunMitigatedInference(context, plans, physical, result.record);
-  return result;
-}
-
-ExperimentResult RunExperimentOnRung(
-    const ExperimentContext& context, const FaultSpec& fault,
-    const std::vector<LayerMitigationPlan>& plans, NetworkRung rung) {
-  return rung == NetworkRung::kAppFi
-             ? RunAppFiExperiment(context, fault, plans)
-             : RunCycleExperiment(context, fault, plans);
 }
 
 // Soundness check of the fast rung against ground truth: every corrupted
@@ -560,18 +499,19 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
                               golden,        golden_correct, first_context,
                               injector,      golden_b,       first_scope};
 
-    // Recorded the first time the campaign runs an experiment on the cycle
-    // rung, outside the retry ladder so that a driver/host divergence fails
-    // the sweep; dropped at campaign end. An experiment demoted to the cycle
-    // rung inside the ladder before that runs every in-scope layer on the
-    // array, with identical records.
-    std::optional<RecordedLayer> first_layer;
-    const auto record_first_layer = [&] {
-      if (first_layer.has_value()) return;
+    // Built the first time the campaign needs the cycle rung, and only
+    // outside a ladder attempt: before the ladder when an experiment starts
+    // on that rung, in the ladder's demote step, and before a selfcheck. A
+    // driver/host divergence therefore fails the sweep (a throw from the
+    // demote step escapes RunResilient) before any cycle-rung result is
+    // delivered; dropped at campaign end.
+    std::optional<CycleRung> cycle;
+    const auto cycle_rung = [&] {
+      if (cycle.has_value()) return;
       const auto l = static_cast<std::size_t>(first_scope);
-      first_layer.emplace(spec.accel, campaign.dataflow, golden_a[l],
-                          golden_b[l], golden.layer_outputs[l]);
-      context.first_layer = &*first_layer;
+      cycle.emplace(spec.accel, campaign.dataflow, golden_a[l], golden_b[l],
+                    golden.layer_outputs[l]);
+      context.cycle = &*cycle;
     };
 
     // A selfcheck mismatch or an exhausted appfi rung demotes the
@@ -613,13 +553,14 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
           BuildMitigationPlans(context, fault);
 
       NetworkRung rung = demoted ? NetworkRung::kCycleAccurate : spec.rung;
-      if (rung == NetworkRung::kCycleAccurate) record_first_layer();
+      if (rung == NetworkRung::kCycleAccurate) cycle_rung();
       ExperimentResult result;
       LadderFailure failure;
       const LadderSteps steps{
-          [&] { result = RunExperimentOnRung(context, fault, mit_plans, rung); },
+          [&] { result = RunExperiment(context, fault, mit_plans, rung); },
           [&](int attempts) {
             if (rung == NetworkRung::kCycleAccurate) return false;
+            cycle_rung();
             rung = NetworkRung::kCycleAccurate;
             // Failure-driven demotion sticks for the campaign's remainder,
             // like a selfcheck mismatch.
@@ -643,9 +584,9 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
                            ei)) {
         ++outcome.selfchecks;
         SelfchecksCounter().Increment();
-        record_first_layer();
-        const ExperimentResult truth =
-            RunCycleExperiment(context, fault, mit_plans);
+        cycle_rung();
+        const ExperimentResult truth = RunExperiment(
+            context, fault, mit_plans, NetworkRung::kCycleAccurate);
         const PredictedPattern& predicted = PredictPattern(
             network.layer_workload(first_scope), spec.accel,
             campaign.dataflow, fault);

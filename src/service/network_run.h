@@ -8,9 +8,13 @@
 //                     per in-scope layer (appfi/appfi.h). Orders of
 //                     magnitude faster than simulation; the paper's
 //                     application-level-injector use case.
-//   kCycleAccurate  — every experiment drives the simulated accelerator
-//                     with the fault installed on the array, and the real
-//                     corrupted tensors propagate through the network.
+//   kCycleAccurate  — every in-scope layer runs with the fault installed on
+//                     the simulated array, and the real corrupted tensors
+//                     propagate through the network. Each campaign reaches
+//                     the array through its one FiRunner: the first
+//                     in-scope layer's golden operands replay on the
+//                     operator engines against a recorded golden run, any
+//                     other in-scope GEMM runs FiRunner::RunFaulty.
 //
 // Cross-validation (ResilienceOptions::selfcheck_rate): a seed-deterministic
 // sample of appfi-rung experiments is re-run on the cycle-accurate rung.

@@ -207,11 +207,11 @@ NetworkSweepSpec ParseNetworkSweepSpec(const std::string& json) {
   }
   spec.bits.clear();
   for (const JsonValue& bit : root.At("bits").AsArray()) {
-    spec.bits.push_back(static_cast<int>(bit.AsInt()));
+    spec.bits.push_back(NarrowInt<int>(bit.AsInt()));
   }
   spec.layers.clear();
   for (const JsonValue& layer : root.At("layers").AsArray()) {
-    spec.layers.push_back(static_cast<int>(layer.AsInt()));
+    spec.layers.push_back(NarrowInt<int>(layer.AsInt()));
   }
   spec.mitigations.clear();
   for (const JsonValue& mitigation : root.At("mitigations").AsArray()) {
@@ -224,9 +224,9 @@ NetworkSweepSpec ParseNetworkSweepSpec(const std::string& json) {
   const std::string& mode = root.At("perturb_mode").AsString();
   spec.perturb_auto = mode == "auto";
   if (!spec.perturb_auto) spec.perturb.mode = ParsePerturbMode(mode);
-  spec.perturb.bit = static_cast<int>(root.At("perturb_bit").AsInt());
+  spec.perturb.bit = NarrowInt<int>(root.At("perturb_bit").AsInt());
   spec.perturb.delta =
-      static_cast<std::int32_t>(root.At("perturb_delta").AsInt());
+      NarrowInt<std::int32_t>(root.At("perturb_delta").AsInt());
   spec.Validate();
   return spec;
 }
@@ -438,13 +438,13 @@ NetworkRecord ParseNetworkRecordLine(const JsonValue& json) {
       static_cast<std::size_t>(json.At("campaign").AsUint());
   record.experiment_index = json.At("experiment").AsInt();
   record.fault.kind = FaultKind::kStuckAt;
-  record.fault.pe.row = static_cast<std::int32_t>(json.At("pe_row").AsInt());
-  record.fault.pe.col = static_cast<std::int32_t>(json.At("pe_col").AsInt());
+  record.fault.pe.row = NarrowInt<std::int32_t>(json.At("pe_row").AsInt());
+  record.fault.pe.col = NarrowInt<std::int32_t>(json.At("pe_col").AsInt());
   const std::int64_t signal = json.At("signal").AsInt();
   SAFFIRE_CHECK_MSG(signal >= 0 && signal < kNumMacSignals,
                     "signal " << signal << " out of range");
   record.fault.signal = static_cast<MacSignal>(signal);
-  record.fault.bit = static_cast<int>(json.At("bit").AsInt());
+  record.fault.bit = NarrowInt<int>(json.At("bit").AsInt());
   const std::int64_t polarity = json.At("polarity").AsInt();
   SAFFIRE_CHECK_MSG(polarity == 0 || polarity == 1,
                     "polarity " << polarity << " out of range");

@@ -154,13 +154,13 @@ SweepSpec ParseSweepSpec(const std::string& json) {
   }
   spec.bits.clear();
   for (const JsonValue& bit : root.At("bits").AsArray()) {
-    spec.bits.push_back(static_cast<int>(bit.AsInt()));
+    spec.bits.push_back(NarrowInt<int>(bit.AsInt()));
   }
   spec.kind = FaultKindFromString(root.At("kind").AsString());
   spec.max_sites = root.At("max_sites").AsInt();
   spec.seed = root.At("seed").AsUint();
   spec.engine = ParseCampaignEngine(root.At("engine").AsString());
-  spec.shards = static_cast<int>(root.At("shards").AsInt());
+  spec.shards = NarrowInt<int>(root.At("shards").AsInt());
   // Optional for back-compat: spec files written before the symmetry flag
   // existed parse with it off.
   const JsonValue* symmetry = root.Find("symmetry");

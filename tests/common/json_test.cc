@@ -30,6 +30,16 @@ TEST(JsonParseTest, Int64RoundTripsExactly) {
   EXPECT_EQ(JsonValue::Parse(std::to_string(umax)).AsUint(), umax);
 }
 
+TEST(JsonParseTest, AsUintRejectsOverflow) {
+  // 2^64 and beyond used to saturate silently to UINT64_MAX.
+  EXPECT_THROW(JsonValue::Parse("18446744073709551616").AsUint(),
+               std::invalid_argument);
+  EXPECT_THROW(JsonValue::Parse("99999999999999999999").AsUint(),
+               std::invalid_argument);
+  const std::uint64_t umax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(JsonValue::Parse(std::to_string(umax)).AsUint(), umax);
+}
+
 TEST(JsonParseTest, StringEscapes) {
   EXPECT_EQ(JsonValue::Parse(R"("a\"b\\c\nd\te")").AsString(),
             "a\"b\\c\nd\te");

@@ -65,6 +65,23 @@ TEST(ParseIntTest, RejectsJunk) {
   EXPECT_THROW(ParseInt("abc"), std::invalid_argument);
 }
 
+TEST(NarrowIntTest, RejectsValuesTheTypeCannotHold) {
+  EXPECT_EQ(NarrowInt<int>(-2147483648LL), -2147483647 - 1);
+  EXPECT_EQ(NarrowInt<std::int32_t>(2147483647), 2147483647);
+  EXPECT_EQ(NarrowInt<std::uint64_t>(0), 0u);
+  EXPECT_THROW(NarrowInt<int>(4294967296LL), std::invalid_argument);
+  EXPECT_THROW(NarrowInt<int>(-2147483649LL), std::invalid_argument);
+  EXPECT_THROW(NarrowInt<std::uint64_t>(-1), std::invalid_argument);
+  try {
+    NarrowInt<std::int32_t>(4294967304LL);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("4294967304"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(StartsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("saffire", "saf"));
   EXPECT_TRUE(StartsWith("saffire", ""));

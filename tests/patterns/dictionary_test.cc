@@ -87,6 +87,34 @@ TEST(FaultDictionaryTest, ParserRejectsMalformedInput) {
           "{\"classes\":[{\"pattern\":\"masked\",\"sites\":[],"
           "\"coords\":[]}]}"),
       std::invalid_argument);
+  // Integers their field cannot hold fail instead of overflowing or
+  // wrapping around.
+  EXPECT_THROW(
+      FaultDictionaryFromJson(
+          "{\"workload\":\"w\",\"dataflow\":\"WS\",\"array\":"
+          "{\"rows\":99999999999999999999,\"cols\":16}}"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      FaultDictionaryFromJson(
+          "{\"workload\":\"w\",\"dataflow\":\"WS\",\"array\":"
+          "{\"rows\":4294967312,\"cols\":16}}"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      FaultDictionaryFromJson(
+          "{\"classes\":[{\"pattern\":\"masked\","
+          "\"sites\":[[4294967296,1]],\"coords\":[]}]}"),
+      std::invalid_argument);
+}
+
+TEST(FaultDictionaryTest, NamesWithQuotesAndBackslashesRoundTrip) {
+  auto dictionary = BuildFaultDictionary(Gemm16x16(), TestConfig(),
+                                         Dataflow::kWeightStationary);
+  dictionary.workload_name = "gemm \"tiled\" \\ v2";
+  const std::string json = ToJson(dictionary);
+  EXPECT_NE(json.find(R"("workload":"gemm \"tiled\" \\ v2")"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(FaultDictionaryFromJson(json), dictionary);
 }
 
 TEST(FaultDictionaryTest, MaskedClassSerializesEmptyCoords) {

@@ -41,6 +41,9 @@ TEST_F(ChaosTest, ParsesSpecsAndRejectsUnknownKeys) {
   EXPECT_THROW(chaos::ParseChaosSpec("warp_core_breach=1"),
                std::invalid_argument);
   EXPECT_THROW(chaos::ParseChaosSpec("stall_ms"), std::invalid_argument);
+  // 2^32 + 4 used to wrap around to every 4th experiment.
+  EXPECT_THROW(chaos::ParseChaosSpec("stall_every=4294967300"),
+               std::invalid_argument);
 }
 
 TEST_F(ChaosTest, InstallsFromTheEnvironment) {

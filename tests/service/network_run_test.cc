@@ -13,6 +13,7 @@
 #include "fi/injector.h"
 #include "mitigation/abft.h"
 #include "patterns/corruption.h"
+#include "service/chaos.h"
 #include "tensor/gemm.h"
 
 namespace saffire {
@@ -54,6 +55,16 @@ NetworkSweepSpec MlpSpec() {
   spec.max_sites = 3;
   return spec;
 }
+
+// Installs a chaos schedule for one scope: schedules are process-global,
+// so a test clears its own on every way out.
+class ScopedChaos {
+ public:
+  explicit ScopedChaos(const chaos::ChaosSpec& spec) { chaos::Install(spec); }
+  ~ScopedChaos() { chaos::Clear(); }
+  ScopedChaos(const ScopedChaos&) = delete;
+  ScopedChaos& operator=(const ScopedChaos&) = delete;
+};
 
 TEST(RunNetworkSweepTest, ExtractionRungsAreEquivalent) {
   NetworkSweepSpec spec = ExtractionSpec();
@@ -139,6 +150,27 @@ TEST(RunNetworkSweepTest, CycleRungThrowsWhenTheArrayDivergesFromTheHost) {
   NetworkCollectorSink sink;
   EXPECT_THROW(RunNetworkSweep(spec, options, sink), InternalError);
   EXPECT_TRUE(sink.records.empty());
+}
+
+// An appfi experiment demoted mid-ladder builds the cycle rung in the
+// ladder's demote step, so the same divergence stops the sweep there, before
+// the demoted experiment delivers a record or a failed record.
+TEST(RunNetworkSweepTest, DemotionThrowsWhenTheArrayDivergesFromTheHost) {
+  NetworkSweepSpec spec = MlpSpec();
+  spec.accel.array.input_bits = 4;
+  spec.rung = NetworkRung::kAppFi;
+  chaos::ChaosSpec chaos_spec;
+  chaos_spec.experiment_throw_every = 1;  // every appfi attempt fails once
+  chaos_spec.experiment_throw_attempts = 1;
+  const ScopedChaos scoped_chaos(chaos_spec);
+  NetworkRunOptions options;
+  options.resilience.max_retries = 0;
+  options.resilience.backoff_base_ms = 0;
+  options.resilience.on_failure = OnFailure::kQuarantine;
+  NetworkCollectorSink sink;
+  EXPECT_THROW(RunNetworkSweep(spec, options, sink), InternalError);
+  EXPECT_TRUE(sink.records.empty());
+  EXPECT_TRUE(sink.failures.empty());
 }
 
 TEST(RunNetworkSweepTest, AbftCorrectsSingleColumnFaultsEndToEnd) {
@@ -406,7 +438,7 @@ const std::vector<MacSignal> kEverySignal = {
     MacSignal::kActForward, MacSignal::kSouthForward};
 
 // The PE-local signals under the policies that rewrite a layer's operands:
-// remapped and pruned mitigated inferences must fall back to Driver::Gemm.
+// remapped and pruned mitigated inferences must run FiRunner::RunFaulty.
 const std::vector<MacSignal> kPeLocalSignals = {
     MacSignal::kWeightOperand, MacSignal::kMulOut, MacSignal::kAdderOut};
 

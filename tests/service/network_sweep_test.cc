@@ -173,6 +173,18 @@ TEST(NetworkSweepSpecTest, ParseRejectsUnknownKeys) {
   EXPECT_THROW(ParseNetworkSweepSpec(nested), std::invalid_argument);
 }
 
+TEST(NetworkSweepSpecTest, ParseRejectsIntegersThatDoNotFit) {
+  NetworkSweepSpec spec = BaseSpec();
+  spec.layers = {0};
+  std::string json = spec.ToJson();
+  const std::string layers = "\"layers\":[0]";
+  const std::string::size_type at = json.find(layers);
+  ASSERT_NE(at, std::string::npos);
+  // 2^32 used to narrow to layer 0.
+  json.replace(at, layers.size(), "\"layers\":[4294967296]");
+  EXPECT_THROW(ParseNetworkSweepSpec(json), std::invalid_argument);
+}
+
 TEST(NetworkCampaignPlanTest, ExpandsWithLayerInnermost) {
   NetworkSweepSpec spec = BaseSpec();
   spec.network.kind = NetworkKind::kMlp;
@@ -324,6 +336,31 @@ TEST(NetworkJsonlSinkTest, LoaderDropsDamagedLinesWithoutThrowing) {
   ASSERT_EQ(checkpoint.records.size(), 1u);
   EXPECT_EQ(checkpoint.records.begin()->first,
             (std::pair<std::size_t, std::int64_t>{0, 0}));
+}
+
+// A record whose PE row does not fit its field is damaged like any other
+// line: dropped and counted, never wrapped into a valid-looking site.
+TEST(NetworkJsonlSinkTest, LoaderDropsLinesWithIntegersThatDoNotFit) {
+  const NetworkSweepSpec spec = BaseSpec();
+  std::ostringstream out;
+  NetworkJsonlSink sink(out);
+  sink.OnSweepBegin(spec, BuildNetworkCampaignPlan(spec));
+  sink.OnRecord(SampleRecord());
+
+  // Unsealed lines are accepted, so dropping the seal isolates the value.
+  std::string text = out.str();
+  const std::string row = "\"pe_row\":2,";
+  const std::string::size_type at = text.find(row);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, row.size(), "\"pe_row\":4294967298,");
+  const std::string::size_type seal = text.rfind(",\"crc\":\"");
+  ASSERT_NE(seal, std::string::npos);
+  text.erase(seal, text.find('}', seal) - seal);
+
+  std::istringstream in(text);
+  const NetworkCheckpoint checkpoint = LoadNetworkCheckpoint(in);
+  EXPECT_EQ(checkpoint.lines_dropped, 1);
+  EXPECT_TRUE(checkpoint.records.empty());
 }
 
 TEST(NetworkCheckpointTest, ValidateRejectsForeignSweeps) {

@@ -186,6 +186,18 @@ TEST(SweepSpecTest, ParseRejectsUnknownKeys) {
   EXPECT_THROW(ParseSweepSpec(json), std::invalid_argument);
 }
 
+TEST(SweepSpecTest, ParseRejectsIntegersThatDoNotFit) {
+  SweepSpec spec = BaseSpec();
+  spec.bits = {8};
+  std::string json = spec.ToJson();
+  const std::string bits = "\"bits\":[8]";
+  const std::string::size_type at = json.find(bits);
+  ASSERT_NE(at, std::string::npos);
+  // 2^32 + 8 used to narrow to bit 8.
+  json.replace(at, bits.size(), "\"bits\":[4294967304]");
+  EXPECT_THROW(ParseSweepSpec(json), std::invalid_argument);
+}
+
 TEST(CampaignKeyTest, DistinguishesConfigs) {
   CampaignConfig a;
   a.accel = SmallAccel();
