@@ -88,8 +88,6 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "patterns/report.h"
 #include "service/checkpoint.h"
 #include "service/cli.h"
@@ -121,7 +119,7 @@ cli::Cli CampaignCli() {
            {"engine", "differential"}, {"shards", "1"},
            cli::Switch("symmetry")},
           {{"threads", std::to_string(DefaultCampaignThreads())},
-           {"shard", "-1"}, {"trace-out", ""}, {"simd", ""},
+           {"shard", "-1"}, {"simd", ""},
            {"result-cache", ""}, cli::Switch("progress"),
            cli::Switch("no-result-cache")}};
 }
@@ -241,12 +239,7 @@ int RunCampaignCli(const cli::Args& args) {
   }
   options.resilience = cli::ResilienceFromFlags(args);
 
-  // Observability: validate the format before running anything, raise the
-  // span gates only for the outputs actually requested.
-  obs::CheckMetricsFormat(args.Get("metrics-format"));
-  const std::string& trace_path = args.Get("trace-out");
-  if (!trace_path.empty()) obs::TraceSession::Instance().Start();
-  if (!args.Get("metrics-out").empty()) obs::SetPhaseMetricsEnabled(true);
+  cli::StartObservability(args);
 
   std::unique_ptr<chaos::FlakySink> flaky;
   RecordSink& sink = cli::WithChaosSink<RecordSink>(tee, flaky);
@@ -264,14 +257,7 @@ int RunCampaignCli(const cli::Args& args) {
   const std::vector<CampaignResult> results = collector.TakeResults();
   files.Commit();
 
-  if (!trace_path.empty()) {
-    obs::TraceSession::Instance().Stop();
-    std::ofstream trace_out(trace_path);
-    if (!trace_out) throw cli::UsageError("cannot open '" + trace_path + "'");
-    obs::TraceSession::Instance().WriteChromeTrace(trace_out);
-    std::cout << "wrote " << obs::TraceSession::Instance().event_count()
-              << " trace events to " << trace_path << "\n";
-  }
+  cli::WriteTrace(args);
   cli::ExportMetrics(args);
 
   std::int64_t rows = 0;

@@ -61,8 +61,12 @@
 //   --print-spec     print the spec as JSON and exit without running
 //   --csv PATH       per-experiment CSV (atomic: tmp + rename)
 //   --jsonl PATH     CRC-sealed JSONL stream (doubles as a checkpoint)
-//   --metrics-out PATH   export the metrics registry (saffire.dnn.*);
-//                    '-' writes to stdout
+//   --trace-out PATH     record spans (dnn.experiment, dnn.layer, dnn.abft,
+//                    dnn.mitigated_inference, dnn.cycle_rung) and write
+//                    Chrome trace_event JSON (chrome://tracing, Perfetto)
+//   --metrics-out PATH   export the metrics registry (saffire.dnn.* and the
+//                    saffire.phase.seconds span histograms); '-' writes to
+//                    stdout
 //   --metrics-format {prom|json}  exposition format (prom)
 // Shutdown and exit codes are campaign_cli's (one front end, service/cli.h):
 // SIGINT/SIGTERM drain cooperatively and exit 128+signo with the JSONL
@@ -80,7 +84,6 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "obs/metrics.h"
 #include "service/cli.h"
 #include "service/network_run.h"
 
@@ -285,7 +288,7 @@ int RunNetworkCli(const cli::Args& args) {
   NetworkRunOptions options;
   options.resilience = cli::ResilienceFromFlags(args);
   if (args.Has("resume")) options.resume = &checkpoint;
-  obs::CheckMetricsFormat(args.Get("metrics-format"));
+  cli::StartObservability(args);
 
   // Cooperative SIGINT/SIGTERM drain, exactly like campaign_cli: finish the
   // in-flight experiment, flush sinks, exit 128+signo resumable.
@@ -310,6 +313,7 @@ int RunNetworkCli(const cli::Args& args) {
     std::cout << "\nwrote " << outcome.records << " records to "
               << args.Get("jsonl") << "\n";
   }
+  cli::WriteTrace(args);
   cli::ExportMetrics(args);
   cli::PrintResilience(outcome, {"selfchecks", "mismatches", "retries",
                                  "timeouts", "quarantined", "fallbacks",

@@ -143,18 +143,4 @@ Int8Tensor AccumulatorMem::ReadBlockQuantized(std::int32_t row0,
 
 void AccumulatorMem::Clear() { std::fill(data_.begin(), data_.end(), 0); }
 
-std::int8_t Requantize(std::int32_t value, Activation activation,
-                       std::int32_t shift) {
-  SAFFIRE_CHECK_MSG(shift >= 0 && shift < 32, "shift=" << shift);
-  std::int64_t v = value;
-  if (activation == Activation::kRelu && v < 0) v = 0;
-  if (shift > 0) {
-    // Round half away from zero, like Gemmini's rounding shift.
-    const std::int64_t half = std::int64_t{1} << (shift - 1);
-    v = (v >= 0) ? ((v + half) >> shift) : (-((-v + half) >> shift));
-  }
-  v = std::clamp<std::int64_t>(v, -128, 127);
-  return static_cast<std::int8_t>(v);
-}
-
 }  // namespace saffire

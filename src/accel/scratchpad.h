@@ -7,10 +7,12 @@
 // hooks); all injected faults live in the MAC datapath.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "accel/isa.h"
+#include "common/check.h"
 #include "tensor/tensor.h"
 
 namespace saffire {
@@ -75,10 +77,30 @@ class AccumulatorMem {
   std::vector<std::int32_t> data_;
 };
 
-// The MVOUT8 scalar path, exposed for direct testing: activation →
-// round-to-nearest-even-free rounding shift (round half away from zero) →
-// saturation to [−128, 127].
-std::int8_t Requantize(std::int32_t value, Activation activation,
-                       std::int32_t shift);
+// Throws std::invalid_argument unless `shift` is a valid requantization
+// shift, 0 ≤ shift < 32.
+inline void CheckRequantShift(std::int32_t shift) {
+  SAFFIRE_CHECK_MSG(shift >= 0 && shift < 32, "shift=" << shift);
+}
+
+// The MVOUT8 scalar path, shared by the accumulator's requantizing read and
+// the host epilogues that must match it: activation → rounding shift (round
+// half away from zero) → saturation to [−128, 127]. Inline, so a loop that
+// calls CheckRequantShift once before requantizing with one shift pays
+// neither a call nor a range check per element: the compiler proves the
+// inlined check redundant.
+inline std::int8_t Requantize(std::int32_t value, Activation activation,
+                              std::int32_t shift) {
+  CheckRequantShift(shift);
+  std::int64_t v = value;
+  if (activation == Activation::kRelu && v < 0) v = 0;
+  if (shift > 0) {
+    // Round half away from zero, like Gemmini's rounding shift.
+    const std::int64_t half = std::int64_t{1} << (shift - 1);
+    v = (v >= 0) ? ((v + half) >> shift) : (-((-v + half) >> shift));
+  }
+  v = std::clamp<std::int64_t>(v, -128, 127);
+  return static_cast<std::int8_t>(v);
+}
 
 }  // namespace saffire

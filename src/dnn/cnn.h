@@ -38,7 +38,7 @@ class SmallCnn {
   std::int64_t classes() const { return classes_; }
   // Dense-head weights [K·(P/2)·(Q/2) × classes] — row k·(P/2)·(Q/2) + p·(Q/2)
   // + q consumes pooled position (p, q) of conv channel k (the flatten
-  // order of ForwardWith), which is what channel-salience analysis needs.
+  // order of ForwardLowered), which is what channel-salience analysis needs.
   const Int8Tensor& dense_weights() const { return dense_; }
 
   // Activations captured after every stage of one forward pass.
@@ -56,12 +56,15 @@ class SmallCnn {
                     const ExecOptions& options) const;
 
   // Forward pass parameterized over the per-layer GEMM executor
-  // (dnn/quantize.h): layer 0 is the im2col-lowered convolution GEMM
-  // (A[NPQ×CRS]·W[CRS×K], folded back to N×K×P×Q on the host), layer 1 the
-  // dense head. Bit-identical to Forward for every executor that computes
-  // the exact product (convolution is exact integer math, so the lowering
-  // choice cannot change values).
-  LayerTaps ForwardWith(const Int8Tensor& input, const LayerGemm& gemm) const;
+  // (dnn/quantize.h), on an input batch already lowered by Im2Col: layer 0
+  // is the convolution GEMM patches[NPQ×CRS]·W[CRS×K] (W flattened once at
+  // construction; the product is folded back to N×K×P×Q on the host),
+  // layer 1 the dense head. A caller that runs one batch many times lowers
+  // it once. Bit-identical to Forward on the unlowered batch for every
+  // executor that computes the exact product (convolution is exact integer
+  // math, so the lowering choice cannot change values).
+  LayerTaps ForwardLowered(const Int8Tensor& patches,
+                           const LayerGemm& gemm) const;
 
   // Fraction of elements in `faulty` differing from `golden` (same shape).
   template <typename T>
@@ -78,10 +81,15 @@ class SmallCnn {
   }
 
  private:
+  // The host epilogue of both forward paths: ReLU + rounding shift, 2×2
+  // max-pooling and the dense head, from the N×K×P×Q conv accumulators.
+  void FinishForward(LayerTaps& taps, const LayerGemm& gemm) const;
+
   ConvParams conv_;
   std::int64_t classes_;
   std::int32_t conv_shift_;
   Int8Tensor kernel_{{1, 1, 1, 1}};   // K×C×R×S
+  Int8Tensor weights_{{1, 1}};        // FlattenKernel(kernel_): [CRS × K]
   Int8Tensor dense_{{1, 1}};          // [K·(P/2)·(Q/2) × classes]
 };
 

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "tensor/conv.h"
+#include "tensor/im2col.h"
 
 namespace saffire {
 
@@ -156,9 +157,10 @@ PreparedNetwork::PreparedNetwork(const NetworkSpec& spec) : spec_(spec) {
       const ConvParams conv = DigitConv(spec_.batch, spec_.conv_channels);
       cnn_.emplace(conv, kDigitClasses, spec_.seed);
       float scale = 1.0f;
-      cnn_inputs_ = QuantizeSymmetric(eval.inputs, scale)
-                        .Reshape({spec_.batch, 1, std::int64_t{8},
-                                  std::int64_t{8}});
+      cnn_patches_ = Im2Col(QuantizeSymmetric(eval.inputs, scale)
+                                .Reshape({spec_.batch, 1, std::int64_t{8},
+                                          std::int64_t{8}}),
+                            conv);
       labels_ = eval.labels;
 
       WorkloadSpec conv_layer;
@@ -261,7 +263,7 @@ PreparedNetwork::Inference PreparedNetwork::Run(const LayerGemm& gemm) const {
       inference.logits = mlp_->LogitsWith(eval_inputs_, capture);
       break;
     case NetworkKind::kCnn:
-      inference.logits = cnn_->ForwardWith(cnn_inputs_, capture).logits;
+      inference.logits = cnn_->ForwardLowered(cnn_patches_, capture).logits;
       break;
   }
   inference.top1 = ArgmaxRows(inference.logits);

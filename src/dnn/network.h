@@ -149,9 +149,10 @@ class PreparedNetwork {
   // kMlp model + evaluation inputs, quantized once at construction.
   std::optional<QuantizedMlp> mlp_;
   Int8Tensor eval_inputs_{{1, 1}};
-  // kCnn model + quantized evaluation images.
+  // kCnn model + the quantized evaluation images, lowered by Im2Col once
+  // here so no inference re-lowers the fixed batch.
   std::optional<SmallCnn> cnn_;
-  Int8Tensor cnn_inputs_{{1, 1, 1, 1}};
+  Int8Tensor cnn_patches_{{1, 1}};
 };
 
 // Fraction of `predictions` agreeing with `labels` (sizes must match).

@@ -81,22 +81,35 @@ Int8Tensor QuantizedMlp::QuantizeInputs(const FloatTensor& batch) const {
 
 Int32Tensor QuantizedMlp::AddBias(const Int32Tensor& accum,
                                   const Int32Tensor& bias) const {
-  SAFFIRE_CHECK(accum.rank() == 2 && bias.dim(1) == accum.dim(1));
+  SAFFIRE_CHECK(accum.rank() == 2 && bias.rank() == 2 &&
+                bias.dim(1) == accum.dim(1));
+  // Shapes are checked above; the bias row is added along raw rows, wrapping
+  // mod 2^32 like the accumulator (a stuck high bit can sit near INT32_MAX).
   Int32Tensor out = accum;
-  for (std::int64_t r = 0; r < out.dim(0); ++r) {
-    for (std::int64_t c = 0; c < out.dim(1); ++c) {
-      out(r, c) += bias(0, c);
+  const std::int64_t cols = out.dim(1);
+  const std::int32_t* b = bias.data().data();
+  std::int32_t* row = out.data().data();
+  for (std::int64_t r = 0; r < out.dim(0); ++r, row += cols) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      row[c] = static_cast<std::int32_t>(static_cast<std::uint32_t>(row[c]) +
+                                         static_cast<std::uint32_t>(b[c]));
     }
   }
   return out;
 }
 
 Int8Tensor QuantizedMlp::RequantizeHidden(const Int32Tensor& accum) const {
+  // Locals, not members: the int8 stores below may alias any object, so a
+  // member would be reloaded and re-checked per element.
+  const std::int64_t size = accum.size();
+  const std::int32_t shift = layer1_shift_;
+  CheckRequantShift(shift);
   Int8Tensor out(accum.shape());
-  for (std::int64_t i = 0; i < accum.size(); ++i) {
+  const std::int32_t* in = accum.data().data();
+  std::int8_t* hidden = out.data().data();
+  for (std::int64_t i = 0; i < size; ++i) {
     // Identical arithmetic to the accelerator's MVOUT8 stage.
-    out.flat(i) =
-        Requantize(accum.flat(i), Activation::kRelu, layer1_shift_);
+    hidden[i] = Requantize(in[i], Activation::kRelu, shift);
   }
   return out;
 }

@@ -56,59 +56,28 @@ struct Residuals {
   std::vector<std::int64_t> col;  // Σ_i C[i][j] − expected
 };
 
-// Shapes are checked by VerifyAndCorrect, the only caller.
-Residuals ComputeResiduals(const Int8Tensor& a, const Int8Tensor& b,
+// Shapes are checked by VerifyAndCorrect, the only caller. C is read once,
+// row by row.
+Residuals ComputeResiduals(const AbftChecksums& checksums,
                            const Int32Tensor& c) {
-  const std::int64_t m = a.dim(0);
-  const std::int64_t k = a.dim(1);
-  const std::int64_t n = b.dim(1);
-  const std::int8_t* a_data = a.data().data();
-  const std::int8_t* b_data = b.data().data();
-  const std::int32_t* c_data = c.data().data();
-
-  // Host-side checksums in INT64: O(M·K + K·N) work versus the array's
-  // O(M·K·N). Every loop walks rows, and C is read once.
-  std::vector<std::int64_t> b_rowsum(static_cast<std::size_t>(k), 0);
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const std::int8_t* b_row = b_data + kk * n;
-    std::int64_t sum = 0;
-    for (std::int64_t j = 0; j < n; ++j) sum += b_row[j];
-    b_rowsum[static_cast<std::size_t>(kk)] = sum;
-  }
-  std::vector<std::int64_t> a_colsum(static_cast<std::size_t>(k), 0);
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int8_t* a_row = a_data + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      a_colsum[static_cast<std::size_t>(kk)] += a_row[kk];
-    }
-  }
-
+  const std::int64_t m = c.dim(0);
+  const std::int64_t n = c.dim(1);
+  const std::int32_t* c_row = c.data().data();
   Residuals residuals;
   residuals.row.assign(static_cast<std::size_t>(m), 0);
   residuals.col.assign(static_cast<std::size_t>(n), 0);
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int8_t* a_row = a_data + i * k;
-    std::int64_t expected = 0;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      expected += static_cast<std::int64_t>(a_row[kk]) *
-                  b_rowsum[static_cast<std::size_t>(kk)];
-    }
-    const std::int32_t* c_row = c_data + i * n;
+  for (std::int64_t i = 0; i < m; ++i, c_row += n) {
     std::int64_t actual = 0;
     for (std::int64_t j = 0; j < n; ++j) {
       actual += c_row[j];
       residuals.col[static_cast<std::size_t>(j)] += c_row[j];
     }
-    residuals.row[static_cast<std::size_t>(i)] = actual - expected;
+    residuals.row[static_cast<std::size_t>(i)] =
+        actual - checksums.row[static_cast<std::size_t>(i)];
   }
-  // Column j's expected sum is Σ_kk (1ᵀ·A)[kk] · B[kk][j].
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const std::int8_t* b_row = b_data + kk * n;
-    const std::int64_t a_sum = a_colsum[static_cast<std::size_t>(kk)];
-    for (std::int64_t j = 0; j < n; ++j) {
-      residuals.col[static_cast<std::size_t>(j)] -=
-          a_sum * static_cast<std::int64_t>(b_row[j]);
-    }
+  for (std::int64_t j = 0; j < n; ++j) {
+    residuals.col[static_cast<std::size_t>(j)] -=
+        checksums.col[static_cast<std::size_t>(j)];
   }
   return residuals;
 }
@@ -131,6 +100,51 @@ std::vector<std::int64_t> NonZeroIndices(
 
 }  // namespace
 
+AbftChecksums ComputeAbftChecksums(const Int8Tensor& a,
+                                   const Int8Tensor& b) {
+  SAFFIRE_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0),
+                    "A " << a.ShapeString() << " B " << b.ShapeString());
+  const std::int64_t m = a.dim(0);
+  const std::int64_t k = a.dim(1);
+  const std::int64_t n = b.dim(1);
+  const std::int8_t* a_data = a.data().data();
+  const std::int8_t* b_data = b.data().data();
+
+  // Host-side checksums in INT64: O(M·K + K·N) work versus the array's
+  // O(M·K·N). Every loop walks rows.
+  std::vector<std::int64_t> b_rowsum(static_cast<std::size_t>(k), 0);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const std::int8_t* b_row = b_data + kk * n;
+    std::int64_t sum = 0;
+    for (std::int64_t j = 0; j < n; ++j) sum += b_row[j];
+    b_rowsum[static_cast<std::size_t>(kk)] = sum;
+  }
+  AbftChecksums checksums;
+  checksums.row.assign(static_cast<std::size_t>(m), 0);
+  std::vector<std::int64_t> a_colsum(static_cast<std::size_t>(k), 0);
+  for (std::int64_t i = 0; i < m; ++i) {
+    const std::int8_t* a_row = a_data + i * k;
+    std::int64_t expected = 0;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      expected += static_cast<std::int64_t>(a_row[kk]) *
+                  b_rowsum[static_cast<std::size_t>(kk)];
+      a_colsum[static_cast<std::size_t>(kk)] += a_row[kk];
+    }
+    checksums.row[static_cast<std::size_t>(i)] = expected;
+  }
+  // Column j's expected sum is Σ_kk (1ᵀ·A)[kk] · B[kk][j].
+  checksums.col.assign(static_cast<std::size_t>(n), 0);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const std::int8_t* b_row = b_data + kk * n;
+    const std::int64_t a_sum = a_colsum[static_cast<std::size_t>(kk)];
+    for (std::int64_t j = 0; j < n; ++j) {
+      checksums.col[static_cast<std::size_t>(j)] +=
+          a_sum * static_cast<std::int64_t>(b_row[j]);
+    }
+  }
+  return checksums;
+}
+
 AbftReport VerifyAndCorrect(const Int8Tensor& a, const Int8Tensor& b,
                             Int32Tensor& c) {
   SAFFIRE_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && c.rank() == 2 &&
@@ -138,7 +152,19 @@ AbftReport VerifyAndCorrect(const Int8Tensor& a, const Int8Tensor& b,
                         c.dim(1) == b.dim(1),
                     "A " << a.ShapeString() << " B " << b.ShapeString()
                          << " C " << c.ShapeString());
-  const Residuals residuals = ComputeResiduals(a, b, c);
+  return VerifyAndCorrect(ComputeAbftChecksums(a, b), c);
+}
+
+AbftReport VerifyAndCorrect(const AbftChecksums& checksums, Int32Tensor& c) {
+  SAFFIRE_CHECK_MSG(c.rank() == 2 &&
+                        c.dim(0) == static_cast<std::int64_t>(
+                                        checksums.row.size()) &&
+                        c.dim(1) == static_cast<std::int64_t>(
+                                        checksums.col.size()),
+                    "C " << c.ShapeString() << " for checksums of "
+                         << checksums.row.size() << " rows and "
+                         << checksums.col.size() << " columns");
+  const Residuals residuals = ComputeResiduals(checksums, c);
 
   AbftReport report;
   report.flagged_rows = NonZeroIndices(residuals.row);
@@ -185,7 +211,7 @@ AbftReport VerifyAndCorrect(const Int8Tensor& a, const Int8Tensor& b,
     return report;
   }
 
-  const Residuals recheck = ComputeResiduals(a, b, c);
+  const Residuals recheck = ComputeResiduals(checksums, c);
   report.verified_after_correction =
       AllZero(recheck.row) && AllZero(recheck.col);
   return report;

@@ -80,10 +80,27 @@ class AbftGemm {
   Driver& driver_;
 };
 
-// Verification core, exposed for tests and for checking externally
-// produced results: flags every row i with Σ_j C[i][j] ≠ (A·(B·1))[i] and
-// every column j with Σ_i C[i][j] ≠ ((1ᵀ·A)·B)[j]; diagnoses and corrects
-// in place.
+// The fault-free half of the check: every row's and every column's expected
+// sum of C = A·B in INT64, ΣA(i, k)·(B·1)[k] per row i and
+// Σ(1ᵀ·A)[k]·B(k, j) per column j. O(M·K + K·N) work that depends on the
+// operands only, so a caller that verifies many outputs of the same A and B
+// computes it once.
+struct AbftChecksums {
+  std::vector<std::int64_t> row;  // size M
+  std::vector<std::int64_t> col;  // size N
+};
+AbftChecksums ComputeAbftChecksums(const Int8Tensor& a, const Int8Tensor& b);
+
+// Verification core: flags every row i with Σ_j C[i][j] ≠ checksums.row[i]
+// and every column j with Σ_i C[i][j] ≠ checksums.col[j]; diagnoses,
+// corrects in place and re-verifies against the same checksums. Throws
+// std::invalid_argument unless C is checksums.row.size() ×
+// checksums.col.size().
+AbftReport VerifyAndCorrect(const AbftChecksums& checksums, Int32Tensor& c);
+
+// The operand form, for tests and externally produced results:
+// VerifyAndCorrect(ComputeAbftChecksums(a, b), c) after checking that C is
+// A's rows × B's columns.
 AbftReport VerifyAndCorrect(const Int8Tensor& a, const Int8Tensor& b,
                             Int32Tensor& c);
 

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace saffire::cli {
 
@@ -14,7 +15,7 @@ namespace {
 // The flags every sweep CLI takes, beyond its own.
 std::vector<Flag> SharedFlags() {
   return {{"spec", ""}, Switch("print-spec"), Switch("help"), {"resume", ""},
-          {"csv", ""}, {"jsonl", ""}, {"metrics-out", ""},
+          {"csv", ""}, {"jsonl", ""}, {"trace-out", ""}, {"metrics-out", ""},
           {"metrics-format", "prom"}, {"max-retries", "2"},
           {"experiment-timeout-ms", "0"}, {"selfcheck-rate", "0"},
           {"on-failure", "quarantine"}};
@@ -134,6 +135,24 @@ ResilienceOptions ResilienceFromFlags(const Args& args) {
   options.selfcheck_rate = ParseDouble(args.Get("selfcheck-rate"));
   options.on_failure = ParseOnFailure(args.Get("on-failure"));
   return options;
+}
+
+void StartObservability(const Args& args) {
+  obs::CheckMetricsFormat(args.Get("metrics-format"));
+  if (!args.Get("trace-out").empty()) obs::TraceSession::Instance().Start();
+  if (!args.Get("metrics-out").empty()) obs::SetPhaseMetricsEnabled(true);
+}
+
+void WriteTrace(const Args& args) {
+  const std::string& path = args.Get("trace-out");
+  if (path.empty()) return;
+  obs::TraceSession& session = obs::TraceSession::Instance();
+  session.Stop();
+  std::ofstream out(path);
+  if (!out) throw UsageError("cannot open '" + path + "'");
+  session.WriteChromeTrace(out);
+  std::cout << "wrote " << session.event_count() << " trace events to "
+            << path << "\n";
 }
 
 void ExportMetrics(const Args& args) {

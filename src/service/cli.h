@@ -2,7 +2,7 @@
 // (operator sweeps) and examples/dnn_cli.cpp (network sweeps). It owns the
 // argv grammar, the --spec file and its exclusivity with the sweep-defining
 // flags, the four resilience flags, the --csv/--jsonl files, the
-// --metrics-out export, and the exit policy:
+// --trace-out and --metrics-out exports, and the exit policy:
 //   0         a healthy sweep;
 //   1         an error (a usage error prints its message alone, anything
 //             else "error: <what>");
@@ -59,8 +59,8 @@ struct Cli {
   // Args::SpecFlags), and each one is rejected beside --spec.
   std::vector<Flag> spec_flags;
   // Flags that steer the run, beyond the ones every sweep CLI has: spec,
-  // print-spec, help, resume, csv, jsonl, metrics-out, metrics-format and
-  // the resilience flags.
+  // print-spec, help, resume, csv, jsonl, trace-out, metrics-out,
+  // metrics-format and the resilience flags.
   std::vector<Flag> run_flags;
 };
 
@@ -185,6 +185,14 @@ Sink& WithChaosSink(Sink& tee, std::unique_ptr<Flaky>& flaky) {
   flaky = std::make_unique<Flaky>(&tee, every);
   return *flaky;
 }
+
+// Validates --metrics-format and raises only the span gates the requested
+// outputs need: trace events for --trace-out, the saffire.phase.seconds
+// histograms for --metrics-out. Call before the sweep runs.
+void StartObservability(const Args& args);
+
+// Writes --trace-out, when given, as Chrome trace_event JSON and says where.
+void WriteTrace(const Args& args);
 
 // Writes --metrics-out, when given, in --metrics-format (obs::ExportMetrics)
 // and says where.

@@ -9,6 +9,7 @@
 #include "fi/runner.h"
 #include "mitigation/abft.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "patterns/campaign.h"
 #include "patterns/corruption.h"
 #include "patterns/predictor.h"
@@ -186,6 +187,17 @@ class CycleRung {
   RunResult golden_;
 };
 
+// One layer of the golden inference: the operands the host fed it and their
+// ABFT checksums (its output is Inference::layer_outputs). Every experiment
+// diffs against them: a layer whose weights equal `b` costs only the rows
+// where its input differs from `a` (GemmDeltaRef), and a layer whose
+// operands both equal these reuses `checksums`.
+struct GoldenLayer {
+  Int8Tensor a{{1, 1}};
+  Int8Tensor b{{1, 1}};
+  AbftChecksums checksums;
+};
+
 // Per-experiment observations collected by the layer executor as inference
 // flows through it.
 struct LayerProbe {
@@ -207,9 +219,9 @@ struct ExperimentContext {
   std::int64_t golden_correct;
   const ClassifyContext& first_context;
   const NetworkFi& injector;
-  // Fault-free per-layer weight operands, captured from the golden run —
-  // the row-remap planner's cost input.
-  const std::vector<Int8Tensor>& golden_b;
+  // Per layer, the golden operands and checksums; the weights are also the
+  // row-remap planner's cost input.
+  const std::vector<GoldenLayer>& golden_layers;
   // The first layer the fault applies to — where corruption enters from
   // clean inputs and the reach contract holds on both rungs.
   int first_scope;
@@ -243,9 +255,37 @@ std::vector<LayerMitigationPlan> BuildMitigationPlans(
         context.campaign.mitigation, context.network.layer_workload(layer),
         context.spec.accel, context.campaign.dataflow, fault,
         context.network.channel_salience(layer),
-        &context.golden_b[static_cast<std::size_t>(layer)]);
+        &context.golden_layers[static_cast<std::size_t>(layer)].b);
   }
   return plans;
+}
+
+// The fault-free host product a·b of `layer`. While the weights equal the
+// golden ones — always outside a remapping or pruning plan — it is the
+// golden output plus the rows the input's difference reaches, bit for bit
+// GemmRef's (tensor/gemm.h); a plan that rewrote the weights pays the full
+// product.
+Int32Tensor HostGemm(const ExperimentContext& context, int layer,
+                     const Int8Tensor& a, const Int8Tensor& b) {
+  const auto l = static_cast<std::size_t>(layer);
+  const GoldenLayer& golden = context.golden_layers[l];
+  if (!(b == golden.b)) return GemmRef(a, b);
+  return GemmDeltaRef(a, golden.a, b, context.golden.layer_outputs[l]);
+}
+
+// ABFT verify-and-correct of `out` = a·b, reusing the layer's golden
+// checksums when both operands are the golden ones (the conv input always
+// is).
+AbftReport VerifyLayer(const ExperimentContext& context, int layer,
+                       const Int8Tensor& a, const Int8Tensor& b,
+                       Int32Tensor& out) {
+  SAFFIRE_SPAN("dnn.abft");
+  const GoldenLayer& golden =
+      context.golden_layers[static_cast<std::size_t>(layer)];
+  if (a == golden.a && b == golden.b) {
+    return VerifyAndCorrect(golden.checksums, out);
+  }
+  return VerifyAndCorrect(a, b, out);
 }
 
 // Shared per-layer bookkeeping: capture the raw first-scope output, then
@@ -259,7 +299,7 @@ void ObserveLayer(const ExperimentContext& context, LayerProbe& probe,
     probe.captured = true;
   }
   if (context.spec.abft) {
-    const AbftReport report = VerifyAndCorrect(a, b, out);
+    const AbftReport report = VerifyLayer(context, layer, a, b, out);
     probe.worst = std::max(probe.worst, report.diagnosis);
     probe.corrections += report.corrections;
     if (report.detected()) {
@@ -279,6 +319,7 @@ void RunMitigatedInference(const ExperimentContext& context,
                            const LayerGemm& physical,
                            NetworkRecord& record) {
   if (plans.empty()) return;
+  SAFFIRE_SPAN("dnn.mitigated_inference");
   Int32Tensor mit_first{{1, 1}};
   bool captured = false;
   const PreparedNetwork::LayerObserver observe =
@@ -287,7 +328,7 @@ void RunMitigatedInference(const ExperimentContext& context,
           Int32Tensor& out) {
         if (context.spec.abft ||
             plans[static_cast<std::size_t>(layer)].abft) {
-          (void)VerifyAndCorrect(a, b, out);
+          (void)VerifyLayer(context, layer, a, b, out);
         }
         if (layer == context.first_scope && !captured) {
           mit_first = out;
@@ -326,23 +367,27 @@ void RunMitigatedInference(const ExperimentContext& context,
 //   kCycleAccurate  — the campaign's CycleRung, which must have been built:
 //                     ground truth, so rung cross-validation gates the
 //                     remap math end to end.
-// Layers outside the fault scope run on the host reference GEMM on both
-// rungs: the fault-free array matches GemmRef bit for bit (the driver
-// equivalence invariant the golden inference rests on), and a faulty layer
-// leaves no state behind in the array.
+// Layers outside the fault scope run on the host GEMM on both rungs (the
+// golden output plus the input's delta, HostGemm): the fault-free array
+// matches GemmRef bit for bit (the driver equivalence invariant the golden
+// inference rests on), and a faulty layer leaves no state behind in the
+// array.
 ExperimentResult RunExperiment(const ExperimentContext& context,
                                const FaultSpec& fault,
                                const std::vector<LayerMitigationPlan>& plans,
                                NetworkRung rung) {
+  SAFFIRE_SPAN("dnn.experiment");
   const LayerGemm physical = [&context, &fault, rung](int layer,
                                                       const Int8Tensor& a,
                                                       const Int8Tensor& b) {
-    if (!InScope(context.campaign, layer)) return GemmRef(a, b);
-    if (rung == NetworkRung::kCycleAccurate) {
+    SAFFIRE_SPAN("dnn.layer");
+    const bool in_scope = InScope(context.campaign, layer);
+    if (in_scope && rung == NetworkRung::kCycleAccurate) {
       return context.cycle->Gemm(a, b, fault);
     }
+    Int32Tensor out = HostGemm(context, layer, a, b);
+    if (!in_scope) return out;
     const WorkloadSpec& workload = context.network.layer_workload(layer);
-    const Int32Tensor out = GemmRef(a, b);
     return context.spec.perturb_auto
                ? context.injector.InjectForFault(out, workload, fault)
                : context.injector.Inject(out, workload, fault);
@@ -441,17 +486,20 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
   // share the model. The golden inference runs on the host reference GEMM,
   // which the fault-free accelerator matches bit-for-bit (the driver
   // equivalence invariant), so one golden serves every campaign. The
-  // per-layer operands are kept: the weights for the row-remap cost model,
-  // both for the cycle rung's recorded first-layer run.
+  // per-layer operands are kept, with their ABFT checksums: every
+  // experiment's host GEMMs and checks diff against them, the weights feed
+  // the row-remap cost model, and both feed the cycle rung's recorded
+  // first-layer run.
   const PreparedNetwork network(spec.network);
-  std::vector<Int8Tensor> golden_a(
-      static_cast<std::size_t>(network.layer_count()), Int8Tensor{{1, 1}});
-  std::vector<Int8Tensor> golden_b = golden_a;
+  std::vector<GoldenLayer> golden_layers(
+      static_cast<std::size_t>(network.layer_count()));
   const PreparedNetwork::Inference golden = network.Run(
-      [&golden_a, &golden_b](int layer, const Int8Tensor& a,
-                             const Int8Tensor& b) {
-        golden_a[static_cast<std::size_t>(layer)] = a;
-        golden_b[static_cast<std::size_t>(layer)] = b;
+      [&golden_layers](int layer, const Int8Tensor& a, const Int8Tensor& b) {
+        GoldenLayer& golden_layer =
+            golden_layers[static_cast<std::size_t>(layer)];
+        golden_layer.a = a;
+        golden_layer.b = b;
+        golden_layer.checksums = ComputeAbftChecksums(a, b);
         return GemmRef(a, b);
       });
   std::int64_t golden_correct = -1;
@@ -497,7 +545,7 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
 
     ExperimentContext context{spec,          campaign,       network,
                               golden,        golden_correct, first_context,
-                              injector,      golden_b,       first_scope};
+                              injector,      golden_layers,  first_scope};
 
     // Built the first time the campaign needs the cycle rung, and only
     // outside a ladder attempt: before the ladder when an experiment starts
@@ -508,9 +556,10 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
     std::optional<CycleRung> cycle;
     const auto cycle_rung = [&] {
       if (cycle.has_value()) return;
+      SAFFIRE_SPAN("dnn.cycle_rung");
       const auto l = static_cast<std::size_t>(first_scope);
-      cycle.emplace(spec.accel, campaign.dataflow, golden_a[l], golden_b[l],
-                    golden.layer_outputs[l]);
+      cycle.emplace(spec.accel, campaign.dataflow, golden_layers[l].a,
+                    golden_layers[l].b, golden.layer_outputs[l]);
       context.cycle = &*cycle;
     };
 

@@ -1,6 +1,7 @@
 #include "tensor/gemm.h"
 
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 namespace saffire {
@@ -49,6 +50,39 @@ Int32Tensor GemmRef(const Int8Tensor& a, const Int8Tensor& b) {
 void GemmAccumulateRef(const Int8Tensor& a, const Int8Tensor& b,
                        Int32Tensor& c) {
   GemmInto(a, b, c);
+}
+
+Int32Tensor GemmDeltaRef(const Int8Tensor& a, const Int8Tensor& golden_a,
+                         const Int8Tensor& b, const Int32Tensor& golden_c) {
+  SAFFIRE_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && golden_c.rank() == 2 &&
+                        golden_a.shape() == a.shape() &&
+                        b.dim(0) == a.dim(1) && golden_c.dim(0) == a.dim(0) &&
+                        golden_c.dim(1) == b.dim(1),
+                    "A " << a.ShapeString() << " golden A "
+                         << golden_a.ShapeString() << " B " << b.ShapeString()
+                         << " golden C " << golden_c.ShapeString());
+  Int32Tensor c = golden_c;
+  const std::int64_t k = a.dim(1);
+  const std::int64_t n = b.dim(1);
+  const std::int8_t* a_row = a.data().data();
+  const std::int8_t* g_row = golden_a.data().data();
+  if (std::memcmp(a_row, g_row, a.data().size()) == 0) return c;
+  std::int32_t* c_row = c.data().data();
+  for (std::int64_t i = 0; i < a.dim(0);
+       ++i, a_row += k, g_row += k, c_row += n) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      // |Δ| ≤ 255 and |B| ≤ 128, so each term fits int32; the sum wraps.
+      const std::int32_t delta = a_row[p] - g_row[p];
+      if (delta == 0) continue;
+      const std::int8_t* b_row = b.data().data() + p * n;
+      for (std::int64_t j = 0; j < n; ++j) {
+        c_row[j] = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(c_row[j]) +
+            static_cast<std::uint32_t>(delta * b_row[j]));
+      }
+    }
+  }
+  return c;
 }
 
 FloatTensor GemmRef(const FloatTensor& a, const FloatTensor& b) {

@@ -28,6 +28,18 @@ Int32Tensor GemmRef(const Int8Tensor& a, const Int8Tensor& b);
 void GemmAccumulateRef(const Int8Tensor& a, const Int8Tensor& b,
                        Int32Tensor& c);
 
+// golden_c + (a − golden_a) · b mod 2^32: A·B recomputed only where `a`
+// differs from `golden_a`, one scaled row of B per differing element. int32
+// sums live in the ring of integers mod 2^32, where every reordering and
+// regrouping of the terms gives the same value, so whenever
+// golden_c == GemmRef(golden_a, b) the result equals GemmRef(a, b) bit for
+// bit. That holds for `b` by content, not by origin: a caller that
+// recorded golden_c from some weights may pass any tensor equal to them.
+// a and golden_a must both be M×K, b K×N and golden_c M×N; mismatches throw
+// std::invalid_argument.
+Int32Tensor GemmDeltaRef(const Int8Tensor& a, const Int8Tensor& golden_a,
+                         const Int8Tensor& b, const Int32Tensor& golden_c);
+
 // Float GEMM for the DNN training path (not accelerated).
 FloatTensor GemmRef(const FloatTensor& a, const FloatTensor& b);
 

@@ -12,23 +12,28 @@ Int8Tensor Im2Col(const Int8Tensor& input, const ConvParams& params) {
                                    << params.ToString());
   const std::int64_t out_h = params.out_height();
   const std::int64_t out_w = params.out_width();
+  const std::int64_t plane = params.height * params.width;
+  // Shapes are checked above; the loops walk raw rows. Padding positions
+  // keep the zero the tensor was created with.
   Int8Tensor patches({params.gemm_rows(), params.gemm_inner()});
-  std::int64_t row = 0;
+  const std::int8_t* image = input.data().data();
+  std::int8_t* row = patches.data().data();
   for (std::int64_t n = 0; n < params.batch; ++n) {
     for (std::int64_t p = 0; p < out_h; ++p) {
-      for (std::int64_t q = 0; q < out_w; ++q, ++row) {
-        std::int64_t col = 0;
+      for (std::int64_t q = 0; q < out_w; ++q) {
         for (std::int64_t c = 0; c < params.in_channels; ++c) {
+          const std::int8_t* channel =
+              image + (n * params.in_channels + c) * plane;
           for (std::int64_t r = 0; r < params.kernel_h; ++r) {
-            for (std::int64_t s = 0; s < params.kernel_w; ++s, ++col) {
-              const std::int64_t h = p * params.stride + r - params.pad;
-              const std::int64_t w = q * params.stride + s - params.pad;
-              if (h < 0 || h >= params.height || w < 0 || w >= params.width) {
-                patches(row, col) = 0;  // zero padding
-              } else {
-                patches(row, col) = input(n, c, h, w);
+            const std::int64_t h = p * params.stride + r - params.pad;
+            if (h >= 0 && h < params.height) {
+              const std::int8_t* line = channel + h * params.width;
+              for (std::int64_t s = 0; s < params.kernel_w; ++s) {
+                const std::int64_t w = q * params.stride + s - params.pad;
+                if (w >= 0 && w < params.width) row[s] = line[w];
               }
             }
+            row += params.kernel_w;
           }
         }
       }
@@ -69,16 +74,19 @@ Int32Tensor FoldGemmOutput(const Int32Tensor& gemm_out,
                                          << params.ToString());
   const std::int64_t out_h = params.out_height();
   const std::int64_t out_w = params.out_width();
-  Int32Tensor output({params.batch, params.out_channels, out_h, out_w});
-  std::int64_t row = 0;
+  const std::int64_t channels = params.out_channels;
+  const std::int64_t pixels = out_h * out_w;
+  // Per image, a (P·Q)×K to K×(P·Q) transpose over raw rows.
+  Int32Tensor output({params.batch, channels, out_h, out_w});
+  const std::int32_t* in = gemm_out.data().data();
+  std::int32_t* out = output.data().data();
   for (std::int64_t n = 0; n < params.batch; ++n) {
-    for (std::int64_t p = 0; p < out_h; ++p) {
-      for (std::int64_t q = 0; q < out_w; ++q, ++row) {
-        for (std::int64_t k = 0; k < params.out_channels; ++k) {
-          output(n, k, p, q) = gemm_out(row, k);
-        }
+    for (std::int64_t pq = 0; pq < pixels; ++pq, in += channels) {
+      for (std::int64_t k = 0; k < channels; ++k) {
+        out[k * pixels + pq] = in[k];
       }
     }
+    out += channels * pixels;
   }
   return output;
 }

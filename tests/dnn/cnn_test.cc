@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "fi/injector.h"
+#include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/shift_gemm.h"
 
 namespace saffire {
@@ -60,6 +64,86 @@ TEST(MaxPool2x2Test, DropsOddEdges) {
   EXPECT_EQ(out.ShapeString(), "(1, 2, 2, 3)");
   EXPECT_THROW(MaxPool2x2(Int8Tensor({1, 1, 1, 4})), std::invalid_argument);
   EXPECT_THROW(MaxPool2x2(Int8Tensor({2, 4})), std::invalid_argument);
+}
+
+TEST(MaxPool2x2Test, MatchesPerElementMaximaOnRandomShapes) {
+  Rng rng(5);
+  for (int iteration = 0; iteration < 30; ++iteration) {
+    Int8Tensor input({rng.UniformInt(1, 3), rng.UniformInt(1, 4),
+                      rng.UniformInt(2, 9), rng.UniformInt(2, 9)});
+    for (std::int64_t i = 0; i < input.size(); ++i) {
+      input.flat(i) = static_cast<std::int8_t>(rng.UniformInt(-128, 127));
+    }
+    const Int8Tensor out = MaxPool2x2(input);
+    ASSERT_EQ(out.shape(),
+              (std::vector<std::int64_t>{input.dim(0), input.dim(1),
+                                         input.dim(2) / 2, input.dim(3) / 2}));
+    for (std::int64_t n = 0; n < out.dim(0); ++n) {
+      for (std::int64_t k = 0; k < out.dim(1); ++k) {
+        for (std::int64_t y = 0; y < out.dim(2); ++y) {
+          for (std::int64_t x = 0; x < out.dim(3); ++x) {
+            const std::int8_t expected = std::max(
+                {input(n, k, 2 * y, 2 * x), input(n, k, 2 * y, 2 * x + 1),
+                 input(n, k, 2 * y + 1, 2 * x),
+                 input(n, k, 2 * y + 1, 2 * x + 1)});
+            EXPECT_EQ(out(n, k, y, x), expected);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The lowered forward (Im2Col once, the flattened kernel, the host folding,
+// requantization and pooling loops) against Forward without a driver, whose
+// convolution is the direct ConvRef loop and never lowers: every tap must
+// match on random geometries and images over the whole int8 range.
+TEST(SmallCnnTest, LoweredForwardMatchesDirectConvolutionOnEveryTap) {
+  Rng rng(77);
+  const LayerGemm host = [](int /*layer*/, const Int8Tensor& a,
+                            const Int8Tensor& b) { return GemmRef(a, b); };
+  for (int iteration = 0; iteration < 12; ++iteration) {
+    ConvParams conv;
+    conv.batch = rng.UniformInt(1, 3);
+    conv.in_channels = rng.UniformInt(1, 3);
+    conv.height = rng.UniformInt(5, 12);
+    conv.width = rng.UniformInt(5, 12);
+    conv.out_channels = rng.UniformInt(1, 6);
+    conv.kernel_h = rng.UniformInt(1, 3);
+    conv.kernel_w = rng.UniformInt(1, 3);
+    conv.stride = rng.UniformInt(1, 2);
+    conv.pad = rng.UniformInt(0, 1);
+    SCOPED_TRACE(conv.ToString());
+    const SmallCnn cnn(conv, rng.UniformInt(2, 10), rng());
+    Int8Tensor image(
+        {conv.batch, conv.in_channels, conv.height, conv.width});
+    for (std::int64_t i = 0; i < image.size(); ++i) {
+      image.flat(i) = static_cast<std::int8_t>(rng.UniformInt(-128, 127));
+    }
+    const SmallCnn::LayerTaps direct =
+        cnn.Forward(image, nullptr, ExecOptions{});
+    const SmallCnn::LayerTaps lowered =
+        cnn.ForwardLowered(Im2Col(image, conv), host);
+    EXPECT_EQ(lowered.conv_raw, direct.conv_raw);
+    EXPECT_EQ(lowered.conv_act, direct.conv_act);
+    EXPECT_EQ(lowered.pooled, direct.pooled);
+    EXPECT_EQ(lowered.logits, direct.logits);
+  }
+}
+
+TEST(SmallCnnTest, ForwardLoweredRejectsMalformedPatches) {
+  ConvParams conv = PaperConv();
+  const SmallCnn cnn(conv, 10, 7);
+  const LayerGemm host = [](int /*layer*/, const Int8Tensor& a,
+                            const Int8Tensor& b) { return GemmRef(a, b); };
+  const std::int64_t rows = conv.gemm_rows();
+  const std::int64_t inner = conv.gemm_inner();
+  EXPECT_NO_THROW(cnn.ForwardLowered(Int8Tensor({rows, inner}), host));
+  EXPECT_THROW(cnn.ForwardLowered(Int8Tensor({rows, inner + 1}), host),
+               std::invalid_argument);
+  EXPECT_THROW(cnn.ForwardLowered(Int8Tensor({rows + 1, inner}), host),
+               std::invalid_argument);
+  EXPECT_THROW(cnn.ForwardLowered(TestImage(1), host), std::invalid_argument);
 }
 
 TEST(SmallCnnTest, ShapesAndDeterminism) {

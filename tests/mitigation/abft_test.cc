@@ -192,6 +192,102 @@ TEST(VerifyAndCorrectTest, CorrectsPerturbationsOnRandomNonSquareShapes) {
   }
 }
 
+void ExpectSameReport(const AbftReport& got, const AbftReport& want) {
+  EXPECT_EQ(got.diagnosis, want.diagnosis);
+  EXPECT_EQ(got.flagged_rows, want.flagged_rows);
+  EXPECT_EQ(got.flagged_cols, want.flagged_cols);
+  EXPECT_EQ(got.corrections, want.corrections);
+  EXPECT_EQ(got.verified_after_correction, want.verified_after_correction);
+}
+
+// The checksum form, with one set of checksums reused across many outputs
+// of the same operands, must behave exactly like the operand form: same
+// report field by field, same corrected C. The checksums themselves are
+// checked against the row and column sums of the golden product.
+TEST(VerifyAndCorrectTest, ReusedChecksumsMatchTheOperandForm) {
+  Rng rng(31);
+  int diagnoses_seen[5] = {0, 0, 0, 0, 0};
+  for (int iteration = 0; iteration < 40; ++iteration) {
+    const std::int64_t m = rng.UniformInt(1, 30);
+    const std::int64_t k = rng.UniformInt(1, 30);
+    const std::int64_t n = rng.UniformInt(1, 30);
+    SCOPED_TRACE(::testing::Message() << "iteration " << iteration << ": "
+                                      << m << "x" << k << "x" << n);
+    const auto a = RandomInt8(rng, m, k);
+    const auto b = RandomInt8(rng, k, n);
+    const auto golden = GemmRef(a, b);
+    const AbftChecksums checksums = ComputeAbftChecksums(a, b);
+    ASSERT_EQ(checksums.row.size(), static_cast<std::size_t>(m));
+    ASSERT_EQ(checksums.col.size(), static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < m; ++i) {
+      std::int64_t sum = 0;
+      for (std::int64_t j = 0; j < n; ++j) sum += golden(i, j);
+      EXPECT_EQ(checksums.row[static_cast<std::size_t>(i)], sum);
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::int64_t sum = 0;
+      for (std::int64_t i = 0; i < m; ++i) sum += golden(i, j);
+      EXPECT_EQ(checksums.col[static_cast<std::size_t>(j)], sum);
+    }
+
+    // Clean, one element, part of one column, part of one row, and
+    // scattered elements (complex, or whatever their rows and columns
+    // diagnose).
+    for (int shape = 0; shape < 5; ++shape) {
+      auto corrupted = golden;
+      const std::int64_t row = rng.UniformInt(0, m - 1);
+      const std::int64_t col = rng.UniformInt(0, n - 1);
+      const auto hit = [&](std::int64_t r, std::int64_t c) {
+        corrupted(r, c) += static_cast<std::int32_t>(
+            rng.Bernoulli(0.5) ? rng.UniformInt(1, 9000)
+                               : -rng.UniformInt(1, 9000));
+      };
+      if (shape == 1) hit(row, col);
+      if (shape == 2) {
+        for (const std::int64_t r :
+             rng.SampleWithoutReplacement(m, rng.UniformInt(1, m))) {
+          hit(r, col);
+        }
+      }
+      if (shape == 3) {
+        for (const std::int64_t c :
+             rng.SampleWithoutReplacement(n, rng.UniformInt(1, n))) {
+          hit(row, c);
+        }
+      }
+      if (shape == 4) {
+        for (int hits = 0; hits < 4; ++hits) {
+          hit(rng.UniformInt(0, m - 1), rng.UniformInt(0, n - 1));
+        }
+      }
+      auto by_operands = corrupted;
+      auto by_checksums = corrupted;
+      const AbftReport want = VerifyAndCorrect(a, b, by_operands);
+      const AbftReport got = VerifyAndCorrect(checksums, by_checksums);
+      ExpectSameReport(got, want);
+      EXPECT_EQ(by_checksums, by_operands);
+      ++diagnoses_seen[static_cast<int>(got.diagnosis)];
+    }
+  }
+  for (int diagnosis = 0; diagnosis < 5; ++diagnosis) {
+    EXPECT_GT(diagnoses_seen[diagnosis], 0)
+        << ToString(static_cast<AbftDiagnosis>(diagnosis));
+  }
+}
+
+TEST(VerifyAndCorrectTest, ChecksumFormRejectsShapeMismatch) {
+  const AbftChecksums checksums =
+      ComputeAbftChecksums(Int8Tensor({2, 3}), Int8Tensor({3, 4}));
+  auto wide = Int32Tensor({2, 5});
+  auto tall = Int32Tensor({3, 4});
+  auto cube = Int32Tensor({2, 4, 1});
+  EXPECT_THROW(VerifyAndCorrect(checksums, wide), std::invalid_argument);
+  EXPECT_THROW(VerifyAndCorrect(checksums, tall), std::invalid_argument);
+  EXPECT_THROW(VerifyAndCorrect(checksums, cube), std::invalid_argument);
+  EXPECT_THROW(ComputeAbftChecksums(Int8Tensor({2, 3}), Int8Tensor({2, 3})),
+               std::invalid_argument);
+}
+
 TEST(VerifyAndCorrectTest, RejectsShapeMismatch) {
   auto c = Int32Tensor({2, 2});
   EXPECT_THROW(

@@ -1,17 +1,22 @@
 // RunNetworkSweep end-to-end: rung equivalence on the extraction network,
 // selfcheck cross-validation, network-level outcome fields, ABFT coverage,
-// checkpoint resume, cooperative stop, and the cycle rung's records against
-// an every-layer-on-the-array reference.
+// checkpoint resume, cooperative stop, the sweep's trace spans, and each
+// rung's records against a reference that recomputes every layer (on the
+// array for the cycle rung, on the host for the appfi rung).
 #include "service/network_run.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "accel/driver.h"
 #include "fi/injector.h"
 #include "mitigation/abft.h"
+#include "obs/trace.h"
 #include "patterns/corruption.h"
 #include "service/chaos.h"
 #include "tensor/gemm.h"
@@ -249,12 +254,24 @@ TEST(RunNetworkSweepTest, CooperativeStopDrainsCleanly) {
   EXPECT_TRUE(sink.records.empty());
 }
 
-// Test-local oracle for the cycle rung: every layer of every inference
-// streams through Driver::Gemm on one fresh Accelerator per experiment,
-// with the fault hook installed on in-scope layers only. RunNetworkSweep
-// runs out-of-scope layers on the host reference GEMM instead; this path
-// keeps the array in the loop for them.
-std::vector<NetworkRecord> EveryLayerOnTheArray(const NetworkSweepSpec& spec) {
+// Builds the executor that both inferences of one experiment share, with
+// `fault` applied to the campaign's in-scope layers.
+using MakePhysical = std::function<LayerGemm(
+    const PreparedNetwork& network, const NetworkCampaign& campaign,
+    const FaultSpec& fault)>;
+
+bool InScope(const NetworkCampaign& campaign, int layer) {
+  return campaign.layer == -1 || campaign.layer == layer;
+}
+
+// Test-local oracle records on `rung`: every layer of every inference is
+// recomputed from scratch by the executor `make_physical` builds, and ABFT
+// runs in its operand form. RunNetworkSweep instead diffs fault-free work
+// against the golden inference (GemmDeltaRef, reused checksums) and replays
+// the cycle rung's first in-scope layer on the operator engines.
+std::vector<NetworkRecord> ReferenceRecords(const NetworkSweepSpec& spec,
+                                            NetworkRung rung,
+                                            const MakePhysical& make_physical) {
   const NetworkCampaignPlan plan = BuildNetworkCampaignPlan(spec);
   const PreparedNetwork network(spec.network);
   const auto layers = static_cast<std::size_t>(network.layer_count());
@@ -277,9 +294,6 @@ std::vector<NetworkRecord> EveryLayerOnTheArray(const NetworkSweepSpec& spec) {
   std::vector<NetworkRecord> records;
   for (std::size_t ci = 0; ci < plan.campaigns.size(); ++ci) {
     const NetworkCampaign& campaign = plan.campaigns[ci];
-    const auto in_scope = [&campaign](int layer) {
-      return campaign.layer == -1 || campaign.layer == layer;
-    };
     const int first = campaign.layer == -1 ? 0 : campaign.layer;
     const auto first_index = static_cast<std::size_t>(first);
     const ClassifyContext context = MakeClassifyContext(
@@ -294,7 +308,7 @@ std::vector<NetworkRecord> EveryLayerOnTheArray(const NetworkSweepSpec& spec) {
       if (campaign.mitigation != MitigationPolicy::kNone) {
         plans.resize(layers);
         for (int layer = 0; layer < network.layer_count(); ++layer) {
-          if (!in_scope(layer)) continue;
+          if (!InScope(campaign, layer)) continue;
           const auto l = static_cast<std::size_t>(layer);
           plans[l] = PlanLayerMitigation(
               campaign.mitigation, network.layer_workload(layer), spec.accel,
@@ -302,25 +316,13 @@ std::vector<NetworkRecord> EveryLayerOnTheArray(const NetworkSweepSpec& spec) {
               &golden_b[l]);
         }
       }
-
-      Accelerator accelerator(spec.accel);
-      Driver driver(accelerator);
-      FaultInjector hook({fault}, spec.accel.array);
-      ExecOptions exec;
-      exec.dataflow = campaign.dataflow;
-      const LayerGemm physical = [&](int layer, const Int8Tensor& a,
-                                     const Int8Tensor& b) {
-        if (in_scope(layer)) accelerator.array().InstallFaultHook(&hook);
-        Int32Tensor out = driver.Gemm(a, b, exec);
-        accelerator.array().ClearFaultHook();
-        return out;
-      };
+      const LayerGemm physical = make_physical(network, campaign, fault);
 
       NetworkRecord record;
       record.campaign_index = ci;
       record.experiment_index = ei;
       record.fault = fault;
-      record.rung = NetworkRung::kCycleAccurate;
+      record.rung = rung;
       record.batch = network.batch();
       record.abft_on = spec.abft;
 
@@ -385,6 +387,68 @@ std::vector<NetworkRecord> EveryLayerOnTheArray(const NetworkSweepSpec& spec) {
     }
   }
   return records;
+}
+
+// One experiment's array: a fresh Accelerator, its Driver and the fault's
+// hook, destroyed together in reverse order.
+struct ArrayUnderTest {
+  ArrayUnderTest(const AccelConfig& config, const FaultSpec& fault)
+      : accelerator(config), driver(accelerator), hook({fault}, config.array) {}
+  Accelerator accelerator;
+  Driver driver;
+  FaultInjector hook;
+};
+
+// The cycle rung's oracle: every layer of every inference streams through
+// Driver::Gemm on one fresh Accelerator per experiment, with the fault hook
+// installed on in-scope layers only. RunNetworkSweep runs out-of-scope
+// layers on the host instead; this path keeps the array in the loop for
+// them.
+std::vector<NetworkRecord> EveryLayerOnTheArray(const NetworkSweepSpec& spec) {
+  return ReferenceRecords(
+      spec, NetworkRung::kCycleAccurate,
+      [&spec](const PreparedNetwork& /*network*/,
+              const NetworkCampaign& campaign, const FaultSpec& fault) {
+        const auto array = std::make_shared<ArrayUnderTest>(spec.accel, fault);
+        ExecOptions exec;
+        exec.dataflow = campaign.dataflow;
+        return LayerGemm([array, exec, campaign](int layer,
+                                                 const Int8Tensor& a,
+                                                 const Int8Tensor& b) {
+          if (InScope(campaign, layer)) {
+            array->accelerator.array().InstallFaultHook(&array->hook);
+          }
+          Int32Tensor out = array->driver.Gemm(a, b, exec);
+          array->accelerator.array().ClearFaultHook();
+          return out;
+        });
+      });
+}
+
+// The appfi rung's oracle: every layer of every inference is a full
+// GemmRef, and the in-scope ones get the fault's predicted reach perturbed
+// in, exactly as the rung defines them.
+std::vector<NetworkRecord> EveryLayerOnTheHost(const NetworkSweepSpec& spec) {
+  return ReferenceRecords(
+      spec, NetworkRung::kAppFi,
+      [&spec](const PreparedNetwork& network, const NetworkCampaign& campaign,
+              const FaultSpec& fault) {
+        AppFiSpec fi_spec;
+        fi_spec.accel = spec.accel;
+        fi_spec.dataflow = campaign.dataflow;
+        fi_spec.perturb = spec.perturb;
+        const auto injector = std::make_shared<NetworkFi>(fi_spec);
+        return LayerGemm([&spec, &network, injector, campaign, fault](
+                             int layer, const Int8Tensor& a,
+                             const Int8Tensor& b) {
+          Int32Tensor out = GemmRef(a, b);
+          if (!InScope(campaign, layer)) return out;
+          const WorkloadSpec& workload = network.layer_workload(layer);
+          return spec.perturb_auto
+                     ? injector->InjectForFault(out, workload, fault)
+                     : injector->Inject(out, workload, fault);
+        });
+      });
 }
 
 // The cycle rung runs out-of-scope layers on the host reference GEMM and
@@ -476,6 +540,82 @@ TEST(CycleRungReferenceTest, CnnRewrittenOperandsMatchEveryLayerOnTheArray) {
   ExpectCycleRungMatchesEveryLayerReference(
       CnnSpec(), kPeLocalSignals, {3, 7},
       {MitigationPolicy::kPruneChannel, MitigationPolicy::kRowRemap});
+}
+
+// The appfi rung computes out-of-scope layers and its in-scope GEMMs as the
+// golden output plus the input's delta (GemmDeltaRef) and reuses the golden
+// ABFT checksums whenever a layer's operands are the golden ones. Neither
+// may change a record against full recomputation, for every dataflow, layer
+// scope and mitigation policy, with ABFT on and off.
+void ExpectAppFiRungMatchesEveryLayerReference(NetworkSweepSpec spec) {
+  spec.rung = NetworkRung::kAppFi;
+  spec.dataflows = {Dataflow::kWeightStationary, Dataflow::kOutputStationary,
+                    Dataflow::kInputStationary};
+  spec.signals = {MacSignal::kAdderOut};
+  spec.polarities = {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1};
+  spec.bits = {8, 24};
+  spec.layers = {-1, 0, 1};
+  spec.mitigations = {MitigationPolicy::kNone, MitigationPolicy::kColumnRemap,
+                      MitigationPolicy::kRowRemap,
+                      MitigationPolicy::kPruneChannel,
+                      MitigationPolicy::kAbftCorrect};
+  spec.max_sites = 4;
+  for (const bool abft : {false, true}) {
+    SCOPED_TRACE(abft ? "abft on" : "abft off");
+    spec.abft = abft;
+    NetworkCollectorSink sink;
+    const SweepOutcome outcome = RunNetworkSweep(spec, sink);
+    EXPECT_TRUE(outcome.ok());
+    const std::vector<NetworkRecord> reference = EveryLayerOnTheHost(spec);
+    ASSERT_EQ(reference.size(), spec.CampaignCount() * 4u);
+    ASSERT_EQ(sink.records.size(), reference.size());
+    bool any_sdc = false;
+    bool any_mitigated_sdc = false;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(sink.records[i], reference[i])
+          << "campaign " << reference[i].campaign_index << " experiment "
+          << reference[i].experiment_index;
+      any_sdc = any_sdc || reference[i].sdc;
+      any_mitigated_sdc = any_mitigated_sdc || reference[i].mit_sdc;
+    }
+    EXPECT_TRUE(any_sdc);
+    EXPECT_TRUE(any_mitigated_sdc);
+  }
+}
+
+TEST(AppFiRungReferenceTest, MlpRecordsMatchEveryLayerOnTheHost) {
+  ExpectAppFiRungMatchesEveryLayerReference(MlpSpec());
+}
+
+TEST(AppFiRungReferenceTest, CnnRecordsMatchEveryLayerOnTheHost) {
+  ExpectAppFiRungMatchesEveryLayerReference(CnnSpec());
+}
+
+// Span names are the sweep's per-layer cost breakdown (dnn_cli
+// --trace-out): a traced MLP sweep that builds the cycle rung, runs ABFT
+// and a mitigated inference emits every one of them.
+TEST(RunNetworkSweepTest, TracedSweepEmitsEveryNetworkSpan) {
+  NetworkSweepSpec spec = MlpSpec();
+  spec.rung = NetworkRung::kCycleAccurate;
+  spec.layers = {-1};
+  spec.mitigations = {MitigationPolicy::kColumnRemap};
+  spec.abft = true;
+  obs::TraceSession& session = obs::TraceSession::Instance();
+  session.Start();
+  NetworkCollectorSink sink;
+  const SweepOutcome outcome = RunNetworkSweep(spec, sink);
+  session.Stop();
+  std::ostringstream trace;
+  session.WriteChromeTrace(trace);
+  session.Clear();
+  EXPECT_TRUE(outcome.ok());
+  for (const char* name :
+       {"dnn.experiment", "dnn.layer", "dnn.abft", "dnn.mitigated_inference",
+        "dnn.cycle_rung"}) {
+    EXPECT_NE(trace.str().find("\"name\":\"" + std::string(name) + "\""),
+              std::string::npos)
+        << name;
+  }
 }
 
 }  // namespace

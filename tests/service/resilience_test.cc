@@ -413,12 +413,15 @@ TEST(ResilienceLadderTest, BackoffIndexCountsAttemptsAcrossRungs) {
 }
 
 TEST(ResilienceLadderTest, DeadlineMissIsATimeoutAndIsRetried) {
+  // The second attempt does no work, yet a loaded host can deschedule it
+  // for tens of milliseconds: the deadline leaves it that margin, and the
+  // first attempt stalls for three times the deadline.
   ResilienceOptions options = Ladder(2, OnFailure::kQuarantine);
-  options.experiment_timeout_ms = 10;
+  options.experiment_timeout_ms = 100;
   FakeFamily family(options);
   family.fail = [&family] {
     if (family.attempts_seen == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
     }
   };
   EXPECT_TRUE(family.Run());

@@ -159,6 +159,87 @@ TEST(GemmRefTest, MatchesNaiveOracleOnRandomShapes) {
   EXPECT_TRUE(unit_dim[0] && unit_dim[1] && unit_dim[2]);
 }
 
+// GemmDeltaRef against a full GemmRef, byte for byte: `a` is golden_a with
+// `changed` of its elements redrawn (0 = none, a.size() = all).
+void ExpectDeltaMatchesFull(Rng& rng, const Int8Tensor& golden_a,
+                            const Int8Tensor& b, std::int64_t changed) {
+  Int8Tensor a = golden_a;
+  for (const std::int64_t index :
+       rng.SampleWithoutReplacement(a.size(), changed)) {
+    a.flat(index) = static_cast<std::int8_t>(rng.UniformInt(-128, 127));
+  }
+  const Int32Tensor golden_c = GemmRef(golden_a, b);
+  // A copy of the weights: GemmDeltaRef needs them equal, not the same
+  // object.
+  const Int8Tensor b_copy = b;
+  EXPECT_TRUE(SameBytes(GemmDeltaRef(a, golden_a, b_copy, golden_c),
+                        GemmRef(a, b)))
+      << changed << " of " << a.size() << " input elements changed";
+}
+
+TEST(GemmDeltaRefTest, MatchesGemmRefOnZeroSparseAndDenseDeltas) {
+  Rng rng(2027);
+  for (int iteration = 0; iteration < 120; ++iteration) {
+    const auto draw = [&rng] {
+      return rng.UniformInt(0, 3) == 0 ? std::int64_t{1}
+                                        : rng.UniformInt(1, 40);
+    };
+    const std::int64_t m = draw();
+    const std::int64_t k = draw();
+    const std::int64_t n = draw();
+    SCOPED_TRACE(::testing::Message() << "iteration " << iteration << ": "
+                                      << m << "x" << k << "x" << n);
+    const auto golden_a = RandomInt8(rng, m, k);
+    const auto b = RandomInt8(rng, k, n);
+    const std::int64_t size = m * k;
+    ExpectDeltaMatchesFull(rng, golden_a, b, 0);
+    ExpectDeltaMatchesFull(rng, golden_a, b, 1);
+    ExpectDeltaMatchesFull(rng, golden_a, b, rng.UniformInt(1, size));
+    ExpectDeltaMatchesFull(rng, golden_a, b, size);
+  }
+}
+
+TEST(GemmDeltaRefTest, WrapsModTwoToTheThirtyTwoLikeGemmRef) {
+  // Both the golden product and the faulty one wrap: a long K of extreme
+  // operands, with deltas of up to ±255 that move sums across the int32
+  // limits in both directions.
+  constexpr std::int64_t kLongK = 131'073;
+  Rng rng(9);
+  const auto golden_a = Int8Tensor::Full({2, kLongK}, -128);
+  auto b = Int8Tensor::Full({kLongK, 3}, -128);
+  b(5, 1) = 127;
+  ExpectDeltaMatchesFull(rng, golden_a, b, 0);
+  ExpectDeltaMatchesFull(rng, golden_a, b, 17);
+  ExpectDeltaMatchesFull(rng, golden_a, b, kLongK);
+
+  // A golden product far from the limits whose faulty product wraps.
+  Int8Tensor zeros({1, kLongK});
+  const auto a = Int8Tensor::Full({1, kLongK}, -128);
+  const Int32Tensor delta = GemmDeltaRef(a, zeros, b, GemmRef(zeros, b));
+  EXPECT_TRUE(SameBytes(delta, GemmRef(a, b)));
+  EXPECT_EQ(delta(0, 0), std::numeric_limits<std::int32_t>::min() + 16'384);
+}
+
+TEST(GemmDeltaRefTest, RejectsShapeMismatches) {
+  const Int8Tensor a({2, 3});
+  const Int8Tensor b({3, 4});
+  const Int32Tensor c({2, 4});
+  EXPECT_NO_THROW(GemmDeltaRef(a, a, b, c));
+  EXPECT_THROW(GemmDeltaRef(a, Int8Tensor({3, 2}), b, c),
+               std::invalid_argument);
+  EXPECT_THROW(GemmDeltaRef(a, Int8Tensor({2, 3, 1}), b, c),
+               std::invalid_argument);
+  EXPECT_THROW(GemmDeltaRef(a, a, Int8Tensor({4, 4}), c),
+               std::invalid_argument);
+  EXPECT_THROW(GemmDeltaRef(a, a, b, Int32Tensor({2, 5})),
+               std::invalid_argument);
+  EXPECT_THROW(GemmDeltaRef(a, a, b, Int32Tensor({3, 4})),
+               std::invalid_argument);
+  EXPECT_THROW(GemmDeltaRef(Int8Tensor({2, 3, 1}), Int8Tensor({2, 3, 1}), b,
+                            c),
+               std::invalid_argument);
+}
+
 TEST(GemmAccumulateRefTest, AddsIntoExisting) {
   const auto a = Int8Tensor::FromRows({{1, 1}});
   const auto b = Int8Tensor::FromRows({{2}, {3}});
