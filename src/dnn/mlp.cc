@@ -202,11 +202,14 @@ namespace {
 template <typename T>
 std::vector<int> ArgmaxRowsImpl(const Tensor<T>& logits) {
   SAFFIRE_CHECK(logits.rank() == 2);
-  std::vector<int> out(static_cast<std::size_t>(logits.dim(0)));
-  for (std::int64_t r = 0; r < logits.dim(0); ++r) {
+  const std::int64_t rows = logits.dim(0);
+  const std::int64_t cols = logits.dim(1);
+  std::vector<int> out(static_cast<std::size_t>(rows));
+  const T* row = logits.data().data();
+  for (std::int64_t r = 0; r < rows; ++r, row += cols) {
     std::int64_t best = 0;
-    for (std::int64_t c = 1; c < logits.dim(1); ++c) {
-      if (logits(r, c) > logits(r, best)) best = c;
+    for (std::int64_t c = 1; c < cols; ++c) {
+      if (row[c] > row[best]) best = c;
     }
     out[static_cast<std::size_t>(r)] = static_cast<int>(best);
   }

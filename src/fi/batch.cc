@@ -25,53 +25,28 @@
 #include "tensor/transpose.h"
 
 namespace saffire {
-namespace {
-
-// The physical array dataflow a run executes (see runner.cc): the driver
-// lowers IS onto the WS datapath with transposed operands.
-Dataflow LoweredDataflow(Dataflow dataflow) {
-  return dataflow == Dataflow::kOutputStationary
-             ? Dataflow::kOutputStationary
-             : Dataflow::kWeightStationary;
-}
-
-}  // namespace
 
 std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
     const WorkloadSpec& workload, Dataflow dataflow,
     std::span<const FaultSpec> faults, const GoldenTrace& trace,
     const RunResult& golden) {
-  return RunFaultyBatch(Materialize(workload), dataflow, faults, trace,
-                        golden);
-}
-
-std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
-    const MaterializedWorkload& operands, Dataflow dataflow,
-    std::span<const FaultSpec> faults, const GoldenTrace& trace,
-    const RunResult& golden) {
   SAFFIRE_CHECK_MSG(!faults.empty(), "at least one fault required");
   const AccelConfig& config = accel_.config();
   const ArrayConfig& array = config.array;
-  SAFFIRE_CHECK_MSG(trace.rows() == array.rows && trace.cols() == array.cols,
-                    "trace recorded on " << trace.rows() << "x"
-                                         << trace.cols());
 
   const Dataflow lowered = LoweredDataflow(dataflow);
   const bool ws = lowered == Dataflow::kWeightStationary;
   const bool transposed = dataflow == Dataflow::kInputStationary;
 
   // The physical GEMM the accelerator executed (driver.cc).
+  const MaterializedWorkload operands = Materialize(workload);
   const Int8Tensor a = transposed ? Transpose(operands.b) : operands.a;
   const Int8Tensor b = transposed ? Transpose(operands.a) : operands.b;
   const std::int64_t m = a.dim(0);
   const std::int64_t k = a.dim(1);
   const std::int64_t n = b.dim(1);
   const TileGrid grid = Driver::PlanTiles(m, n, k, config, lowered);
-  SAFFIRE_CHECK_MSG(
-      trace.checkpoints() == grid.total_tiles() + 1,
-      "trace has " << trace.checkpoints() << " checkpoints for "
-                   << grid.total_tiles()
-                   << " tiles — workload/dataflow mismatch");
+  CheckTraceMatchesSchedule(trace, grid, lowered, array);
   SAFFIRE_CHECK_MSG(golden.output.rank() == 2 &&
                         golden.output.dim(0) == (transposed ? n : m) &&
                         golden.output.dim(1) == (transposed ? m : n),
@@ -125,7 +100,6 @@ std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
 
   SAFFIRE_SPAN("fi.batch.replay");
   std::int64_t step0 = 0;
-  std::int64_t tile_index = 0;
   std::vector<std::int64_t> rel_cycles;
   // Per-(mi, ni) accumulator planes over each lane's cone columns,
   // total_width × me, mirroring AccumulatorMem::WriteBlock across ki.
@@ -140,15 +114,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
       for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
         const std::int64_t k0 = grid.DepthStart(ki);
         const std::int64_t ke = grid.TileDepth(ki);
-        SAFFIRE_CHECK_MSG(trace.StepsAtCheckpoint(tile_index) == step0,
-                          "tile " << tile_index << " starts at step "
-                                  << trace.StepsAtCheckpoint(tile_index)
-                                  << ", replay expected " << step0);
-        const std::int64_t steps =
-            ws ? WeightStationaryStreamCycles(me, array)
-               : OutputStationaryStreamCycles(ke, array);
-        SAFFIRE_CHECK_MSG(step0 + steps <= trace.steps(),
-                          "replay overruns the recorded run");
+        const std::int64_t steps = TileSteps(grid, mi, ki, lowered, array);
         rel_cycles.resize(static_cast<std::size_t>(steps));
         for (std::int64_t t = 0; t < steps; ++t) {
           rel_cycles[static_cast<std::size_t>(t)] =
@@ -181,7 +147,6 @@ std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
           }
         }
         step0 += steps;
-        ++tile_index;
       }
       // Each accumulator column is rows [m0, m0 + me) of one cone column
       // (ConeOutput's layout: index ni·width + (c − lo), `m` values each).
@@ -206,11 +171,6 @@ std::vector<ConeRunResult> FiRunner::RunFaultyBatch(
       }
     }
   }
-  SAFFIRE_CHECK_MSG(step0 == trace.steps() &&
-                        trace.StepsAtCheckpoint(grid.total_tiles()) == step0,
-                    "replay covered " << step0 << " of " << trace.steps()
-                                      << " recorded steps");
-
   // The differential engine's counter split, reproduced exactly: every
   // recorded Step evaluates rows × cone-width PEs and skips the rest.
   const auto num_pes = static_cast<std::uint64_t>(array.num_pes());

@@ -3,8 +3,52 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "systolic/timing.h"
 
 namespace saffire {
+
+Dataflow LoweredDataflow(Dataflow dataflow) {
+  return dataflow == Dataflow::kOutputStationary
+             ? Dataflow::kOutputStationary
+             : Dataflow::kWeightStationary;
+}
+
+std::int64_t TileSteps(const TileGrid& grid, std::int64_t mi, std::int64_t ki,
+                       Dataflow dataflow, const ArrayConfig& config) {
+  return dataflow == Dataflow::kWeightStationary
+             ? WeightStationaryStreamCycles(grid.TileRows(mi), config)
+             : OutputStationaryStreamCycles(grid.TileDepth(ki), config);
+}
+
+void CheckTraceMatchesSchedule(const GoldenTrace& trace, const TileGrid& grid,
+                               Dataflow dataflow, const ArrayConfig& config) {
+  SAFFIRE_CHECK_MSG(trace.rows() == config.rows && trace.cols() == config.cols,
+                    "trace recorded on " << trace.rows() << "x"
+                                         << trace.cols());
+  SAFFIRE_CHECK_MSG(
+      trace.checkpoints() == grid.total_tiles() + 1,
+      "trace has " << trace.checkpoints() << " checkpoints for "
+                   << grid.total_tiles()
+                   << " tiles — workload/dataflow mismatch");
+  std::int64_t step0 = 0;
+  std::int64_t tile_index = 0;
+  for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
+    for (std::int64_t ni = 0; ni < grid.n_tiles(); ++ni) {
+      for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
+        SAFFIRE_CHECK_MSG(trace.StepsAtCheckpoint(tile_index) == step0,
+                          "tile " << tile_index << " starts at step "
+                                  << trace.StepsAtCheckpoint(tile_index)
+                                  << ", schedule expected " << step0);
+        step0 += TileSteps(grid, mi, ki, dataflow, config);
+        ++tile_index;
+      }
+    }
+  }
+  SAFFIRE_CHECK_MSG(step0 == trace.steps() &&
+                        trace.StepsAtCheckpoint(grid.total_tiles()) == step0,
+                    "schedule covers " << step0 << " of " << trace.steps()
+                                       << " recorded steps");
+}
 
 ColumnCone FaultCone(std::span<const FaultSpec> faults, Dataflow dataflow,
                      const ArrayConfig& config) {
@@ -57,21 +101,23 @@ Int32Tensor ExpandCone(const ConeOutput& cone, const Int32Tensor& golden) {
                     "cone of " << cone.columns.size() << " columns × "
                                << cone.rows << " rows vs golden "
                                << golden.ShapeString());
+  // Shapes checked once; the copy is walked through raw rows. Under IS a
+  // cone column is one contiguous output row.
   Int32Tensor dense = golden;
-  for (std::size_t j = 0; j < cone.columns.size(); ++j) {
-    const std::int64_t col = cone.columns[j];
+  const std::int64_t stride = golden.dim(1);
+  std::int32_t* const out = dense.data().data();
+  const std::int32_t* values = cone.values.data();
+  for (const std::int64_t col : cone.columns) {
     SAFFIRE_CHECK_MSG(col >= 0 && col < golden.dim(col_dim),
                       "cone column " << col);
-    for (std::int64_t i = 0; i < cone.rows; ++i) {
-      const std::int32_t value =
-          cone.values[j * static_cast<std::size_t>(cone.rows) +
-                      static_cast<std::size_t>(i)];
-      if (cone.transposed) {
-        dense(col, i) = value;
-      } else {
-        dense(i, col) = value;
+    if (cone.transposed) {
+      std::copy_n(values, cone.rows, out + col * stride);
+    } else {
+      for (std::int64_t i = 0; i < cone.rows; ++i) {
+        out[i * stride + col] = values[i];
       }
     }
+    values += cone.rows;
   }
   return dense;
 }

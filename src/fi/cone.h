@@ -41,8 +41,25 @@
 
 namespace saffire {
 
+// The physical array dataflow a run executes: the driver lowers IS onto the
+// WS datapath with transposed operands (accel/driver.cc).
+Dataflow LoweredDataflow(Dataflow dataflow);
+
+// Steps the array streams for reduction tile ki of m-tile mi of `grid`
+// under the physical `dataflow`: WS streams the tile's rows past its
+// preloaded weights, OS the tile's depth.
+std::int64_t TileSteps(const TileGrid& grid, std::int64_t mi, std::int64_t ki,
+                       Dataflow dataflow, const ArrayConfig& config);
+
+// Throws unless `trace` was recorded on `config` for the tile schedule of
+// `grid` under the physical `dataflow`: one checkpoint per tile plus the
+// end, each tile starting on the step the schedule puts it on, and the same
+// step total. The grouped engines check a cached trace with it.
+void CheckTraceMatchesSchedule(const GoldenTrace& trace, const TileGrid& grid,
+                               Dataflow dataflow, const ArrayConfig& config);
+
 // Union of the per-fault cones. `faults` must be non-empty and `dataflow`
-// must be a physical array dataflow (WS or OS; lower IS first).
+// must be a physical array dataflow (WS or OS; LoweredDataflow first).
 ColumnCone FaultCone(std::span<const FaultSpec> faults, Dataflow dataflow,
                      const ArrayConfig& config);
 

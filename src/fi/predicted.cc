@@ -1,6 +1,7 @@
 // FiRunner::RunFaultyPredicted: the algebraic short circuit under the
-// campaign layer's kPredicted rung — per-fault results bit-identical to
-// RunFaultyBatch, computed in closed form instead of stepping the array.
+// campaign layer's kPredicted rung and the network cycle rung's PE-local
+// faults — per-fault results bit-identical to RunFaultyBatch, computed in
+// closed form instead of stepping the array.
 //
 // Why this is exact (the FLARE observation, PAPERS.md): a permanent
 // stuck-at on one of the PE-local signals (weight operand, multiplier
@@ -9,7 +10,8 @@
 // nothing but width-wrapped additions. A wrapped addition propagates an
 // additive delta unchanged modulo 2^acc_bits, so the faulty tile output is
 // the golden output plus a delta that depends only on the fault, the
-// operands, and the schedule — no cycle-accurate stepping required.
+// operands, and the schedule — no cycle-accurate stepping and no golden
+// trace required, for any operands.
 //
 // Weight-stationary (including IS, which the driver lowers onto the WS
 // datapath with transposed operands): output wave i of fault column c is
@@ -33,6 +35,10 @@
 //
 // Per-(mi, ni) outputs accumulate across reduction tiles with the same
 // uint32 wrap-add as AccumulatorMem::WriteBlock, mirroring fi/batch.cc.
+// Sums that can leave the int64 range at an accumulator width of 64 bits
+// (a forced adder output near ±2^63) are taken modulo 2^64 in uint64
+// before the sign-extension at acc width, which is exact for any width up
+// to 64.
 #include <algorithm>
 #include <vector>
 
@@ -55,10 +61,10 @@ inline std::int64_t SxWide(std::int64_t value, int shift) {
          shift;
 }
 
-Dataflow LoweredDataflow(Dataflow dataflow) {
-  return dataflow == Dataflow::kOutputStationary
-             ? Dataflow::kOutputStationary
-             : Dataflow::kWeightStationary;
+// a + b modulo 2^64, without signed overflow.
+inline std::int64_t WrapAdd(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
 }
 
 // One fault's stuck-at masking, pre-lowered exactly like the lane kernel's
@@ -99,11 +105,16 @@ void LoadTile(const Int8Tensor& source, std::int64_t row0, std::int64_t col0,
   }
 }
 
-// Folds one tile's faulty collected value (golden chain output + delta,
-// re-wrapped at acc width) into the per-(mi, ni) accumulation cell with the
-// same uint32 wrap-add as AccumulatorMem::WriteBlock / fi/batch.cc.
-inline std::int32_t Accumulate(std::int32_t cell, std::int64_t faulty_wide,
+// Folds one tile's faulty collected value (golden chain output `out` plus
+// the delta forced − clean, re-wrapped at acc width) into the per-(mi, ni)
+// accumulation cell with the same uint32 wrap-add as
+// AccumulatorMem::WriteBlock / fi/batch.cc.
+inline std::int32_t Accumulate(std::int32_t cell, std::int64_t out,
+                               std::int64_t forced, std::int64_t clean,
                                std::int64_t ki, int sx_acc) {
+  const auto faulty_wide = static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(out) + static_cast<std::uint64_t>(forced) -
+      static_cast<std::uint64_t>(clean));
   const auto value = static_cast<std::int32_t>(SxWide(faulty_wide, sx_acc));
   return ki > 0 ? static_cast<std::int32_t>(static_cast<std::uint32_t>(cell) +
                                             static_cast<std::uint32_t>(value))
@@ -116,20 +127,27 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
     const WorkloadSpec& workload, Dataflow dataflow,
     std::span<const FaultSpec> faults, const GoldenTrace& trace,
     const RunResult& golden) {
-  return RunFaultyPredicted(Materialize(workload), dataflow, faults, trace,
-                            golden);
+  const MaterializedWorkload operands = Materialize(workload);
+  const bool transposed = dataflow == Dataflow::kInputStationary;
+  const Dataflow lowered = LoweredDataflow(dataflow);
+  CheckTraceMatchesSchedule(
+      trace,
+      Driver::PlanTiles(transposed ? operands.b.dim(1) : operands.a.dim(0),
+                        transposed ? operands.a.dim(0) : operands.b.dim(1),
+                        operands.a.dim(1), accel_.config(), lowered),
+      lowered, accel_.config().array);
+  std::vector<ConeRunResult> results =
+      RunFaultyPredicted(operands, dataflow, faults, golden.output);
+  for (ConeRunResult& result : results) result.cycles = golden.cycles;
+  return results;
 }
 
 std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
     const MaterializedWorkload& operands, Dataflow dataflow,
-    std::span<const FaultSpec> faults, const GoldenTrace& trace,
-    const RunResult& golden) {
+    std::span<const FaultSpec> faults, const Int32Tensor& golden) {
   SAFFIRE_CHECK_MSG(!faults.empty(), "at least one fault required");
   const AccelConfig& config = accel_.config();
   const ArrayConfig& array = config.array;
-  SAFFIRE_CHECK_MSG(trace.rows() == array.rows && trace.cols() == array.cols,
-                    "trace recorded on " << trace.rows() << "x"
-                                         << trace.cols());
 
   const Dataflow lowered = LoweredDataflow(dataflow);
   const bool ws = lowered == Dataflow::kWeightStationary;
@@ -141,15 +159,10 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
   const std::int64_t k = a.dim(1);
   const std::int64_t n = b.dim(1);
   const TileGrid grid = Driver::PlanTiles(m, n, k, config, lowered);
-  SAFFIRE_CHECK_MSG(
-      trace.checkpoints() == grid.total_tiles() + 1,
-      "trace has " << trace.checkpoints() << " checkpoints for "
-                   << grid.total_tiles()
-                   << " tiles — workload/dataflow mismatch");
-  SAFFIRE_CHECK_MSG(golden.output.rank() == 2 &&
-                        golden.output.dim(0) == (transposed ? n : m) &&
-                        golden.output.dim(1) == (transposed ? m : n),
-                    "golden output " << golden.output.ShapeString());
+  SAFFIRE_CHECK_MSG(golden.rank() == 2 &&
+                        golden.dim(0) == (transposed ? n : m) &&
+                        golden.dim(1) == (transposed ? m : n),
+                    "golden output " << golden.ShapeString());
 
   // Lower each fault, rejecting anything outside the provably-exact set.
   std::vector<ForceSpec> forces(faults.size());
@@ -176,7 +189,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
     ConeOutput& out = results[l].output;
     out = MakeConeOutput(cone, grid, transposed);
     if (!ws) {
-      const std::span<const std::int32_t> g = golden.output.data();
+      const std::span<const std::int32_t> g = golden.data();
       for (std::size_t j = 0; j < out.columns.size(); ++j) {
         for (std::int64_t i = 0; i < m; ++i) {
           out.values[j * static_cast<std::size_t>(m) +
@@ -185,7 +198,6 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
         }
       }
     }
-    results[l].cycles = golden.cycles;
     const std::int64_t bit = std::int64_t{1} << fault.bit;
     if (fault.polarity == StuckPolarity::kStuckAt0) {
       forces[l].and_mask = ~bit;
@@ -202,7 +214,6 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
   const auto rows = static_cast<std::int64_t>(array.rows);
 
   std::int64_t step0 = 0;
-  std::int64_t tile_index = 0;
   // Per-(mi, ni) accumulation across ki: WS tracks the fault column's me
   // values per fault, OS the single owned cell.
   std::vector<std::int32_t> acc_ws;
@@ -227,15 +238,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
       for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
         const std::int64_t k0 = grid.DepthStart(ki);
         const std::int64_t ke = grid.TileDepth(ki);
-        SAFFIRE_CHECK_MSG(trace.StepsAtCheckpoint(tile_index) == step0,
-                          "tile " << tile_index << " starts at step "
-                                  << trace.StepsAtCheckpoint(tile_index)
-                                  << ", replay expected " << step0);
-        const std::int64_t steps =
-            ws ? WeightStationaryStreamCycles(me, array)
-               : OutputStationaryStreamCycles(ke, array);
-        SAFFIRE_CHECK_MSG(step0 + steps <= trace.steps(),
-                          "replay overruns the recorded run");
+        const std::int64_t steps = TileSteps(grid, mi, ki, lowered, array);
         LoadTile(a, m0, k0, me, ke, input_bits, a_tile);
         LoadTile(b, k0, n0, ke, ne, input_bits, b_tile);
 
@@ -298,10 +301,10 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
                          static_cast<std::uint64_t>(w_forced != w_val);
                 for (std::int64_t i = 0; i < me; ++i) {
                   const std::int64_t a_in = a_at(i);
-                  const std::int64_t d =
-                      SxWide(a_in * w_forced, sx_prod) -
-                      SxWide(a_in * w_val, sx_prod);
-                  cell[i] = Accumulate(cell[i], g_out[i] + d, ki, sx_acc);
+                  cell[i] = Accumulate(cell[i], g_out[i],
+                                       SxWide(a_in * w_forced, sx_prod),
+                                       SxWide(a_in * w_val, sx_prod), ki,
+                                       sx_acc);
                 }
                 break;
               }
@@ -314,8 +317,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
                   const std::int64_t forced = force(mul);
                   activ += static_cast<std::uint64_t>(forced != mul);
                   cell[i] =
-                      Accumulate(cell[i], g_out[i] + (forced - mul), ki,
-                                 sx_acc);
+                      Accumulate(cell[i], g_out[i], forced, mul, ki, sx_acc);
                 }
                 break;
               }
@@ -328,8 +330,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
                   const std::int64_t forced = force(g);
                   activ += static_cast<std::uint64_t>(forced != g);
                   cell[i] =
-                      Accumulate(cell[i], g_out[i] + (forced - g), ki,
-                                 sx_acc);
+                      Accumulate(cell[i], g_out[i], forced, g, ki, sx_acc);
                 }
                 break;
               }
@@ -370,7 +371,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
                 activ += static_cast<std::uint64_t>(forced != mul);
                 mul = forced;
               }
-              std::int64_t adder = SxWide(acc + mul, sx_acc);
+              std::int64_t adder = SxWide(WrapAdd(acc, mul), sx_acc);
               if (fault.signal == MacSignal::kAdderOut) {
                 const std::int64_t forced = force(adder);
                 activ += static_cast<std::uint64_t>(forced != adder);
@@ -391,7 +392,6 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
         }
 
         step0 += steps;
-        ++tile_index;
       }
 
       // Write the accumulated faulty values back into cone column ni, rows
@@ -414,15 +414,9 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
       }
     }
   }
-  SAFFIRE_CHECK_MSG(step0 == trace.steps() &&
-                        trace.StepsAtCheckpoint(grid.total_tiles()) == step0,
-                    "closed form covered " << step0 << " of "
-                                           << trace.steps()
-                                           << " recorded steps");
-
   // The batch engine's counter split, reproduced exactly (cone width 1).
   const auto num_pes = static_cast<std::uint64_t>(array.num_pes());
-  const auto total_steps = static_cast<std::uint64_t>(trace.steps());
+  const auto total_steps = static_cast<std::uint64_t>(step0);
   const auto active = static_cast<std::uint64_t>(array.rows);
   for (std::size_t l = 0; l < results.size(); ++l) {
     results[l].pe_steps = total_steps * active;

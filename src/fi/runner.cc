@@ -3,18 +3,9 @@
 #include "fi/cone.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "systolic/timing.h"
 
 namespace saffire {
 namespace {
-
-// The physical array dataflow a run executes: the driver lowers IS onto the
-// WS datapath with transposed operands (accel/driver.cc).
-Dataflow LoweredDataflow(Dataflow dataflow) {
-  return dataflow == Dataflow::kOutputStationary
-             ? Dataflow::kOutputStationary
-             : Dataflow::kWeightStationary;
-}
 
 // Steps the array takes to run `operands` under `dataflow`: the length of a
 // golden recording of the run, tile by tile as fi/batch.cc replays it.
@@ -27,23 +18,24 @@ std::int64_t PlannedSteps(const MaterializedWorkload& operands,
   const TileGrid grid =
       Driver::PlanTiles(m, n, operands.a.dim(1), config, lowered);
   std::int64_t steps = 0;
-  if (lowered == Dataflow::kWeightStationary) {
-    for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
-      steps += WeightStationaryStreamCycles(grid.TileRows(mi), config.array);
+  for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
+    for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
+      steps += TileSteps(grid, mi, ki, lowered, config.array);
     }
-    return steps * grid.n_tiles() * grid.k_tiles();
   }
-  for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
-    steps += OutputStationaryStreamCycles(grid.TileDepth(ki), config.array);
-  }
-  return steps * grid.m_tiles() * grid.n_tiles();
+  return steps * grid.n_tiles();
 }
 
 }  // namespace
 
 RunResult FiRunner::RunGolden(const WorkloadSpec& workload,
                               Dataflow dataflow) {
-  return Run(Materialize(workload), dataflow, nullptr);
+  return RunGolden(Materialize(workload), dataflow);
+}
+
+RunResult FiRunner::RunGolden(const MaterializedWorkload& operands,
+                              Dataflow dataflow) {
+  return Run(operands, dataflow, nullptr);
 }
 
 RunResult FiRunner::RunFaulty(const WorkloadSpec& workload, Dataflow dataflow,
@@ -62,11 +54,7 @@ RunResult FiRunner::RunFaulty(const MaterializedWorkload& operands,
 
 RunResult FiRunner::RunGoldenRecorded(const WorkloadSpec& workload,
                                       Dataflow dataflow, GoldenTrace* trace) {
-  return RunGoldenRecorded(Materialize(workload), dataflow, trace);
-}
-
-RunResult FiRunner::RunGoldenRecorded(const MaterializedWorkload& operands,
-                                      Dataflow dataflow, GoldenTrace* trace) {
+  const MaterializedWorkload operands = Materialize(workload);
   SAFFIRE_SPAN("fi.golden_record");
   SystolicArray& array = accel_.array();
   array.BeginGoldenRecording(trace);

@@ -46,8 +46,11 @@ class FiRunner {
  public:
   explicit FiRunner(const AccelConfig& config) : accel_(config), driver_(accel_) {}
 
-  // Fault-free execution.
+  // Fault-free execution. The WorkloadSpec form is Materialize(workload)
+  // plus the operand overload, which takes the physical GEMM operands
+  // directly (a network layer's inputs), like RunFaulty's.
   RunResult RunGolden(const WorkloadSpec& workload, Dataflow dataflow);
+  RunResult RunGolden(const MaterializedWorkload& operands, Dataflow dataflow);
 
   // Execution with the given fault(s) installed for the whole run. The
   // injector is installed before the first instruction and removed after
@@ -60,17 +63,11 @@ class FiRunner {
                       std::span<const FaultSpec> faults);
 
   // Fault-free execution that additionally records the golden trace needed
-  // by RunFaultyDifferential (see systolic/golden_trace.h). Bit-identical
-  // to RunGolden in every RunResult field.
-  //
-  // Like the grouped engines below, it also takes the physical GEMM
-  // operands directly, for callers whose operands come from somewhere other
-  // than a fill recipe (a network layer's golden inputs); the WorkloadSpec
-  // form is Materialize(workload) plus that overload.
+  // by RunFaultyDifferential and RunFaultyBatch (see
+  // systolic/golden_trace.h). Bit-identical to RunGolden in every RunResult
+  // field.
   RunResult RunGoldenRecorded(const WorkloadSpec& workload, Dataflow dataflow,
                               GoldenTrace* trace);
-  RunResult RunGoldenRecorded(const MaterializedWorkload& operands,
-                              Dataflow dataflow, GoldenTrace* trace);
 
   // Faulty execution restricted to the faults' static influence cone
   // (fi/cone.h); array state outside the cone is replayed from `trace`,
@@ -105,10 +102,6 @@ class FiRunner {
                                             std::span<const FaultSpec> faults,
                                             const GoldenTrace& trace,
                                             const RunResult& golden);
-  std::vector<ConeRunResult> RunFaultyBatch(
-      const MaterializedWorkload& operands, Dataflow dataflow,
-      std::span<const FaultSpec> faults, const GoldenTrace& trace,
-      const RunResult& golden);
 
   // Closed-form faulty execution: emits the same per-fault results as
   // RunFaultyBatch without stepping the array at all, by propagating each
@@ -120,7 +113,16 @@ class FiRunner {
   // Everything else must go through RunFaultyBatch (the campaign layer's
   // kPredicted rung routes the residue there automatically).
   //
-  // Equal to RunFaultyBatch in every field, the cone output included: a
+  // The operand form is trace-free: it needs only the physical GEMM
+  // operands, any of them, and `golden`, their fault-free product as the
+  // array computes it (the network cycle rung passes the host product of
+  // whatever operands reach a PE-local fault's layer). ExpandCone(result.output, golden) and
+  // fault_activations equal RunFaulty's on the same operands, and
+  // pe_steps + pe_steps_skipped equals RunFaulty's pe_steps; cycles stay 0.
+  // The WorkloadSpec form is Materialize(workload) plus the operand form
+  // with golden.cycles, after CheckTraceMatchesSchedule (fi/cone.h), so a
+  // cached trace of another workload throws. It equals RunFaultyBatch in
+  // every field, the cone output included: a
   // PE-local fault's cone is its own column in every n-tile, and under OS
   // the cells of that column the fault does not own carry golden values
   // (tests/patterns/grouped_engine_property_test.cc).
@@ -130,8 +132,7 @@ class FiRunner {
       const RunResult& golden);
   std::vector<ConeRunResult> RunFaultyPredicted(
       const MaterializedWorkload& operands, Dataflow dataflow,
-      std::span<const FaultSpec> faults, const GoldenTrace& trace,
-      const RunResult& golden);
+      std::span<const FaultSpec> faults, const Int32Tensor& golden);
 
   Accelerator& accel() { return accel_; }
   Driver& driver() { return driver_; }

@@ -133,60 +133,6 @@ obs::Counter& MitResidualSdcCounter() {
 
 // --- Experiment execution ---------------------------------------------------
 
-// The cycle-accurate rung of one campaign: the campaign's one FiRunner, and
-// on it the golden run of the first in-scope layer, recorded on the array
-// from the operands the host golden inference fed that layer. A layer call
-// that streams exactly those operands is an operator experiment, so the
-// operator engines replay it against the trace instead of stepping the array
-// again (ENFOR-SA's cross-layer recipe with the targeted layer on the
-// cheapest exact engine). Every other in-scope call — a later layer of a
-// whole-network campaign, whose inputs carry the fault's corruption, or a
-// mitigated inference whose plan remapped or pruned the operands — runs on
-// the same array with the fault installed.
-class CycleRung {
- public:
-  // Throws saffire::InternalError when the array's golden output differs
-  // from `host_output`: every replayed fault is expanded over the recorded
-  // output, so a driver/host divergence would corrupt each record silently.
-  CycleRung(const AccelConfig& accel, Dataflow dataflow, const Int8Tensor& a,
-            const Int8Tensor& b, const Int32Tensor& host_output)
-      : runner_(accel), dataflow_(dataflow), recorded_{a, b} {
-    golden_ = runner_.RunGoldenRecorded(recorded_, dataflow_, &trace_);
-    SAFFIRE_ASSERT_MSG(golden_.output == host_output,
-                       "the array's golden layer output differs from the "
-                       "host reference GEMM's");
-  }
-  // ExperimentContext holds its address for the campaign.
-  CycleRung(const CycleRung&) = delete;
-  CycleRung& operator=(const CycleRung&) = delete;
-
-  // The layer's output with `fault` installed. A replay is one single-fault
-  // group routed like a kPredicted campaign: the closed form where it is
-  // exact, the lane-grid replay otherwise.
-  Int32Tensor Gemm(const Int8Tensor& a, const Int8Tensor& b,
-                   const FaultSpec& fault) {
-    const std::span<const FaultSpec> one(&fault, 1);
-    if (!(a == recorded_.a && b == recorded_.b)) {
-      return runner_.RunFaulty(MaterializedWorkload{a, b}, dataflow_, one)
-          .output;
-    }
-    const std::vector<ConeRunResult> faulty =
-        PredictedEngineExact(fault.kind, fault.signal)
-            ? runner_.RunFaultyPredicted(recorded_, dataflow_, one, trace_,
-                                         golden_)
-            : runner_.RunFaultyBatch(recorded_, dataflow_, one, trace_,
-                                     golden_);
-    return ExpandCone(faulty.front().output, golden_.output);
-  }
-
- private:
-  FiRunner runner_;
-  Dataflow dataflow_;
-  MaterializedWorkload recorded_;
-  GoldenTrace trace_;
-  RunResult golden_;
-};
-
 // One layer of the golden inference: the operands the host fed it and their
 // ABFT checksums (its output is Inference::layer_outputs). Every experiment
 // diffs against them: a layer whose weights equal `b` costs only the rows
@@ -225,9 +171,9 @@ struct ExperimentContext {
   // The first layer the fault applies to — where corruption enters from
   // clean inputs and the reach contract holds on both rungs.
   int first_scope;
-  // The campaign's cycle rung, once RunNetworkSweep has built it; every
-  // experiment on that rung runs after the build.
-  CycleRung* cycle = nullptr;
+  // The campaign's cycle-rung FiRunner, once RunNetworkSweep has built and
+  // checked it; every experiment on that rung runs after the build.
+  FiRunner* cycle = nullptr;
 };
 
 struct ExperimentResult {
@@ -364,9 +310,14 @@ void RunMitigatedInference(const ExperimentContext& context,
 //                     in; under mitigation the injector perturbs the
 //                     remapped (physical) coordinates, and RestoreOutput
 //                     permutes them back.
-//   kCycleAccurate  — the campaign's CycleRung, which must have been built:
-//                     ground truth, so rung cross-validation gates the
-//                     remap math end to end.
+//   kCycleAccurate  — ground truth, so rung cross-validation gates the
+//                     remap math end to end. A PE-local fault starts from
+//                     the same host product, perturbed by the closed form
+//                     (fi/predicted.cc): exact on any operands, since the
+//                     fault perturbs only its own MAC stage and its delta
+//                     reaches the outputs through wrapped additions. Any
+//                     other fault steps the campaign's FiRunner
+//                     (RunFaulty), which must have been built.
 // Layers outside the fault scope run on the host GEMM on both rungs (the
 // golden output plus the input's delta, HostGemm): the fault-free array
 // matches GemmRef bit for bit (the driver equivalence invariant the golden
@@ -377,16 +328,27 @@ ExperimentResult RunExperiment(const ExperimentContext& context,
                                const std::vector<LayerMitigationPlan>& plans,
                                NetworkRung rung) {
   SAFFIRE_SPAN("dnn.experiment");
-  const LayerGemm physical = [&context, &fault, rung](int layer,
-                                                      const Int8Tensor& a,
-                                                      const Int8Tensor& b) {
+  const bool pe_local = PredictedEngineExact(fault.kind, fault.signal);
+  const LayerGemm physical = [&context, &fault, rung, pe_local](
+                                 int layer, const Int8Tensor& a,
+                                 const Int8Tensor& b) {
     SAFFIRE_SPAN("dnn.layer");
     const bool in_scope = InScope(context.campaign, layer);
-    if (in_scope && rung == NetworkRung::kCycleAccurate) {
-      return context.cycle->Gemm(a, b, fault);
+    const bool cycle = in_scope && rung == NetworkRung::kCycleAccurate;
+    const Dataflow dataflow = context.campaign.dataflow;
+    if (cycle && !pe_local) {
+      return context.cycle
+          ->RunFaulty(MaterializedWorkload{a, b}, dataflow, {&fault, 1})
+          .output;
     }
     Int32Tensor out = HostGemm(context, layer, a, b);
     if (!in_scope) return out;
+    if (cycle) {
+      const std::vector<ConeRunResult> faulty =
+          context.cycle->RunFaultyPredicted(MaterializedWorkload{a, b},
+                                            dataflow, {&fault, 1}, out);
+      return ExpandCone(faulty.front().output, out);
+    }
     const WorkloadSpec& workload = context.network.layer_workload(layer);
     return context.spec.perturb_auto
                ? context.injector.InjectForFault(out, workload, fault)
@@ -488,8 +450,8 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
   // equivalence invariant), so one golden serves every campaign. The
   // per-layer operands are kept, with their ABFT checksums: every
   // experiment's host GEMMs and checks diff against them, the weights feed
-  // the row-remap cost model, and both feed the cycle rung's recorded
-  // first-layer run.
+  // the row-remap cost model, and both feed the cycle rung's check of the
+  // array against the host.
   const PreparedNetwork network(spec.network);
   std::vector<GoldenLayer> golden_layers(
       static_cast<std::size_t>(network.layer_count()));
@@ -547,19 +509,28 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
                               golden,        golden_correct, first_context,
                               injector,      golden_layers,  first_scope};
 
-    // Built the first time the campaign needs the cycle rung, and only
-    // outside a ladder attempt: before the ladder when an experiment starts
-    // on that rung, in the ladder's demote step, and before a selfcheck. A
-    // driver/host divergence therefore fails the sweep (a throw from the
-    // demote step escapes RunResilient) before any cycle-rung result is
-    // delivered; dropped at campaign end.
-    std::optional<CycleRung> cycle;
+    // The campaign's one FiRunner, built the first time the campaign needs
+    // the cycle rung, and only outside a ladder attempt: before the ladder
+    // when an experiment starts on that rung, in the ladder's demote step,
+    // and before a selfcheck. Building it runs the first in-scope layer's
+    // golden operands on the array and throws saffire::InternalError if the
+    // output differs from the host's: every PE-local fault perturbs the
+    // host product, so a driver/host divergence would corrupt each record
+    // silently. It therefore fails the sweep (a throw from the demote step
+    // escapes RunResilient) before any cycle-rung result is delivered.
+    // Dropped at campaign end.
+    std::optional<FiRunner> cycle;
     const auto cycle_rung = [&] {
-      if (cycle.has_value()) return;
+      if (context.cycle != nullptr) return;
       SAFFIRE_SPAN("dnn.cycle_rung");
       const auto l = static_cast<std::size_t>(first_scope);
-      cycle.emplace(spec.accel, campaign.dataflow, golden_layers[l].a,
-                    golden_layers[l].b, golden.layer_outputs[l]);
+      cycle.emplace(spec.accel);
+      const RunResult array_golden = cycle->RunGolden(
+          MaterializedWorkload{golden_layers[l].a, golden_layers[l].b},
+          campaign.dataflow);
+      SAFFIRE_ASSERT_MSG(array_golden.output == golden.layer_outputs[l],
+                         "the array's golden layer output differs from the "
+                         "host reference GEMM's");
       context.cycle = &*cycle;
     };
 

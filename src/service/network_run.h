@@ -8,13 +8,17 @@
 //                     per in-scope layer (appfi/appfi.h). Orders of
 //                     magnitude faster than simulation; the paper's
 //                     application-level-injector use case.
-//   kCycleAccurate  — every in-scope layer runs with the fault installed on
-//                     the simulated array, and the real corrupted tensors
-//                     propagate through the network. Each campaign reaches
-//                     the array through its one FiRunner: the first
-//                     in-scope layer's golden operands replay on the
-//                     operator engines against a recorded golden run, any
-//                     other in-scope GEMM runs FiRunner::RunFaulty.
+//   kCycleAccurate  — every in-scope layer is computed exactly as the
+//                     simulated array computes it with the fault installed,
+//                     and the real corrupted tensors propagate through the
+//                     network. A PE-local fault's in-scope GEMM is the host
+//                     product of whatever operands reach it, perturbed by
+//                     the closed form (FiRunner::RunFaultyPredicted). Any
+//                     other fault's in-scope GEMM steps the array
+//                     (FiRunner::RunFaulty) on the campaign's one FiRunner,
+//                     which one golden run of the first in-scope layer
+//                     checks against the host before it serves an
+//                     experiment.
 //
 // Cross-validation (ResilienceOptions::selfcheck_rate): a seed-deterministic
 // sample of appfi-rung experiments is re-run on the cycle-accurate rung.

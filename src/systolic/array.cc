@@ -308,8 +308,13 @@ void SystolicArray::StepReference(bool ws, std::int32_t c0, std::int32_t c1) {
         ++hook_invocations_;
       }
 
+      // Added modulo 2^64: at acc_bits == 64 a forced adder output upstream
+      // can sit near ±2^63, and the width truncation follows anyway.
       const std::int64_t addend = ws ? north_in : accumulators_[idx];
-      std::int64_t adder_out = SignExtend(addend + mul_out, acc_bits);
+      std::int64_t adder_out = SignExtend(
+          static_cast<std::int64_t>(static_cast<std::uint64_t>(addend) +
+                                    static_cast<std::uint64_t>(mul_out)),
+          acc_bits);
       if (hooked) {
         adder_out =
             hook_->Apply(coord, MacSignal::kAdderOut, adder_out, cycle_);

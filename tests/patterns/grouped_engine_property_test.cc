@@ -13,6 +13,10 @@
 //     same prepared campaign and simulator, equals the differential record
 //     in every field but the pe_steps split: reference simulates every PE,
 //     so it skips none and its pe_steps is the differential sum.
+// A second test drives the closed form's trace-free operand form on what
+// no fill recipe makes — raw int8 tensors over the full range, operand
+// widths of 4 to 8 bits and accumulator widths up to 64 — against
+// FiRunner::RunFaulty on the same operands.
 // Every iteration draws from its own seed, which the failure names.
 #include <gtest/gtest.h>
 
@@ -27,17 +31,29 @@
 namespace saffire {
 namespace {
 
-CampaignConfig DrawCampaign(Rng& rng) {
-  CampaignConfig config;
-  ArrayConfig& array = config.accel.array;
+// A small non-square array whose compute-row budget lies between rows and
+// 2·rows, so ragged workloads span several m-tiles.
+AccelConfig DrawAccel(Rng& rng) {
+  AccelConfig accel;
+  ArrayConfig& array = accel.array;
   array.rows = static_cast<std::int32_t>(rng.UniformInt(2, 8));
   array.cols = static_cast<std::int32_t>(rng.UniformInt(2, 8));
-  config.accel.max_compute_rows =
+  accel.max_compute_rows =
       static_cast<std::int32_t>(rng.UniformInt(array.rows, 2 * array.rows));
-  config.accel.acc_rows = config.accel.max_compute_rows;
-  config.accel.spad_rows =
-      config.accel.max_compute_rows + std::max(array.rows, array.cols);
-  config.accel.dram_bytes = 1 << 20;
+  accel.acc_rows = accel.max_compute_rows;
+  accel.spad_rows = accel.max_compute_rows + std::max(array.rows, array.cols);
+  accel.dram_bytes = 1 << 20;
+  return accel;
+}
+
+const Dataflow kDataflows[] = {Dataflow::kWeightStationary,
+                               Dataflow::kOutputStationary,
+                               Dataflow::kInputStationary};
+
+CampaignConfig DrawCampaign(Rng& rng) {
+  CampaignConfig config;
+  config.accel = DrawAccel(rng);
+  const ArrayConfig& array = config.accel.array;
 
   config.workload.name = "grouped-property";
   config.workload.m = rng.UniformInt(1, 40);
@@ -47,10 +63,7 @@ CampaignConfig DrawCampaign(Rng& rng) {
   config.workload.weight_fill = OperandFill::kRandom;
   config.workload.data_seed = rng();
 
-  const Dataflow dataflows[] = {Dataflow::kWeightStationary,
-                                Dataflow::kOutputStationary,
-                                Dataflow::kInputStationary};
-  config.dataflow = dataflows[rng.UniformInt(0, 2)];
+  config.dataflow = kDataflows[rng.UniformInt(0, 2)];
   const MacSignal signals[] = {MacSignal::kWeightOperand, MacSignal::kMulOut,
                                MacSignal::kAdderOut, MacSignal::kActForward,
                                MacSignal::kSouthForward};
@@ -142,6 +155,76 @@ TEST(GroupedEnginePropertyTest, MatchesDifferentialOnRandomTiledCampaigns) {
       reference.pe_steps = want.pe_steps;
       reference.pe_steps_skipped = want.pe_steps_skipped;
       ASSERT_TRUE(reference == want) << "reference record differs";
+    }
+  }
+}
+
+// The closed form's operand form on raw operands, operand and accumulator
+// widths off INT8/ACC32, and PE-local faults on every dataflow, one per
+// draw on the adder output's top bit: expanded over RunGolden(operands) it
+// must equal RunFaulty(operands) in output and fault_activations, and its
+// pe_steps split must sum to RunFaulty's pe_steps.
+TEST(GroupedEnginePropertyTest, ClosedFormOnRawOperandsMatchesTheArray) {
+  constexpr std::uint64_t kFirstSeed = 20261019;
+  constexpr int kIterations = 300;
+  constexpr int kFaultsPerDraw = 6;
+  const MacSignal signals[] = {MacSignal::kWeightOperand, MacSignal::kMulOut,
+                               MacSignal::kAdderOut};
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(iteration);
+    Rng rng(seed);
+    AccelConfig accel = DrawAccel(rng);
+    ArrayConfig& array = accel.array;
+    array.input_bits = static_cast<std::int32_t>(rng.UniformInt(4, 8));
+    array.acc_bits =
+        static_cast<std::int32_t>(rng.UniformInt(2 * array.input_bits, 64));
+    const Dataflow dataflow = kDataflows[rng.UniformInt(0, 2)];
+    const std::int64_t m = rng.UniformInt(1, 40);
+    const std::int64_t k = rng.UniformInt(1, 40);
+    const std::int64_t n = rng.UniformInt(1, 40);
+    const auto raw = [&rng](std::int64_t rows, std::int64_t cols) {
+      Int8Tensor t({rows, cols});
+      for (std::int8_t& value : t.data()) {
+        value = static_cast<std::int8_t>(rng.UniformInt(-128, 127));
+      }
+      return t;
+    };
+    const MaterializedWorkload operands{raw(m, k), raw(k, n)};
+    std::vector<FaultSpec> faults(kFaultsPerDraw);
+    for (FaultSpec& fault : faults) {
+      fault.pe = {static_cast<std::int32_t>(rng.UniformInt(0, array.rows - 1)),
+                  static_cast<std::int32_t>(rng.UniformInt(0, array.cols - 1))};
+      fault.signal = signals[rng.UniformInt(0, 2)];
+      fault.bit = static_cast<int>(
+          rng.UniformInt(0, SignalWidth(fault.signal, array) - 1));
+      fault.polarity = rng.Bernoulli(0.5) ? StuckPolarity::kStuckAt1
+                                          : StuckPolarity::kStuckAt0;
+    }
+    // The adder output's top bit, where a forced value wraps the
+    // accumulator (near ±2^63 at 64 bits).
+    faults.back().signal = MacSignal::kAdderOut;
+    faults.back().bit = array.acc_bits - 1;
+    SCOPED_TRACE("iteration seed " + std::to_string(seed) + ": " +
+                 array.ToString() + " " + ToString(dataflow) + ", GEMM " +
+                 std::to_string(m) + "x" + std::to_string(k) + "x" +
+                 std::to_string(n) + ", max_compute_rows " +
+                 std::to_string(accel.max_compute_rows));
+
+    FiRunner runner(accel);
+    const RunResult golden = runner.RunGolden(operands, dataflow);
+    const std::vector<ConeRunResult> predicted =
+        runner.RunFaultyPredicted(operands, dataflow, faults, golden.output);
+    ASSERT_EQ(predicted.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      SCOPED_TRACE(faults[i].ToString());
+      const RunResult want =
+          runner.RunFaulty(operands, dataflow, {&faults[i], 1});
+      ASSERT_TRUE(ExpandCone(predicted[i].output, golden.output) ==
+                  want.output)
+          << "closed-form output differs from the array's";
+      ASSERT_EQ(predicted[i].fault_activations, want.fault_activations);
+      ASSERT_EQ(predicted[i].pe_steps + predicted[i].pe_steps_skipped,
+                want.pe_steps);
     }
   }
 }

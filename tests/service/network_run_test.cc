@@ -14,6 +14,7 @@
 #include <string>
 
 #include "accel/driver.h"
+#include "common/rng.h"
 #include "fi/injector.h"
 #include "mitigation/abft.h"
 #include "obs/trace.h"
@@ -142,10 +143,10 @@ TEST(RunNetworkSweepTest, MlpRecordsCarryNetworkOutcomes) {
   EXPECT_TRUE(any_sdc);
 }
 
-// The cycle rung expands every fault over the array's recorded golden
-// layer output, so an array that disagrees with the host reference GEMM
-// must stop the sweep instead of filling it with wrong records. A 4-bit
-// operand path truncates the int8 operands the host's GEMM multiplies.
+// The cycle rung perturbs the host reference GEMM's product for every
+// PE-local fault, so an array that disagrees with that GEMM must stop the
+// sweep instead of filling it with wrong records. A 4-bit operand path
+// truncates the int8 operands the host's GEMM multiplies.
 TEST(RunNetworkSweepTest, CycleRungThrowsWhenTheArrayDivergesFromTheHost) {
   NetworkSweepSpec spec = MlpSpec();
   spec.accel.array.input_bits = 4;
@@ -267,8 +268,8 @@ bool InScope(const NetworkCampaign& campaign, int layer) {
 // Test-local oracle records on `rung`: every layer of every inference is
 // recomputed from scratch by the executor `make_physical` builds, and ABFT
 // runs in its operand form. RunNetworkSweep instead diffs fault-free work
-// against the golden inference (GemmDeltaRef, reused checksums) and replays
-// the cycle rung's first in-scope layer on the operator engines.
+// against the golden inference (GemmDeltaRef, reused checksums) and, on the
+// cycle rung, perturbs a PE-local fault's in-scope GEMMs in closed form.
 std::vector<NetworkRecord> ReferenceRecords(const NetworkSweepSpec& spec,
                                             NetworkRung rung,
                                             const MakePhysical& make_physical) {
@@ -451,12 +452,12 @@ std::vector<NetworkRecord> EveryLayerOnTheHost(const NetworkSweepSpec& spec) {
       });
 }
 
-// The cycle rung runs out-of-scope layers on the host reference GEMM and
-// replays the first in-scope layer on the operator engines whenever its
-// operands are the golden ones (the closed form for the PE-local signals,
-// the lane-grid replay for the forwarding ones). Neither may change a single
-// record against the every-layer-on-the-array oracle, for every dataflow and
-// layer scope, with and without a mitigated second inference.
+// The cycle rung runs out-of-scope layers on the host reference GEMM, and
+// an in-scope layer as the host product perturbed by the closed form for
+// the PE-local signals or as FiRunner::RunFaulty on the array for the
+// forwarding ones. Neither may change a single record against the
+// every-layer-on-the-array oracle, for every dataflow and layer scope, with
+// and without a mitigated second inference.
 void ExpectCycleRungMatchesEveryLayerReference(
     NetworkSweepSpec spec, std::vector<MacSignal> signals,
     std::vector<int> bits, std::vector<MitigationPolicy> mitigations) {
@@ -495,14 +496,14 @@ NetworkSweepSpec CnnSpec() {
 }
 
 // Every MAC signal at in-width bits. The mitigated inference of
-// abft_correct keeps the golden operands, so it replays too; remap and
-// prune policies need the predictor, which the forwarding signals lack.
+// abft_correct keeps the golden operands; remap and prune policies need the
+// predictor, which the forwarding signals lack.
 const std::vector<MacSignal> kEverySignal = {
     MacSignal::kWeightOperand, MacSignal::kMulOut, MacSignal::kAdderOut,
     MacSignal::kActForward, MacSignal::kSouthForward};
 
 // The PE-local signals under the policies that rewrite a layer's operands:
-// remapped and pruned mitigated inferences must run FiRunner::RunFaulty.
+// the closed form must hold on remapped and pruned weights too.
 const std::vector<MacSignal> kPeLocalSignals = {
     MacSignal::kWeightOperand, MacSignal::kMulOut, MacSignal::kAdderOut};
 
@@ -589,6 +590,95 @@ TEST(AppFiRungReferenceTest, MlpRecordsMatchEveryLayerOnTheHost) {
 
 TEST(AppFiRungReferenceTest, CnnRecordsMatchEveryLayerOnTheHost) {
   ExpectAppFiRungMatchesEveryLayerReference(CnnSpec());
+}
+
+// The every-layer-on-the-array oracle over networks, arrays and fault axes
+// the fixed cases above do not reach. Each iteration draws from its own
+// seed, which a failure names: the network and its shape (batch; MLP hidden
+// width, CNN conv channels or extraction k/n), a non-square array whose
+// compute-row budget lies between rows and 2·rows so layers span several
+// m-tiles, the dataflow, any signal at an in-width bit and polarity, a
+// layer scope, a mitigation policy (remap and prune only for the signals
+// the predictor covers) and ABFT on or off. The array stays INT8/ACC32,
+// where the host GEMM models it; the DivergesFromTheHost tests above cover a
+// width it does not model.
+TEST(CycleRungReferenceTest, RandomNetworksMatchEveryLayerOnTheArray) {
+  constexpr std::uint64_t kFirstSeed = 20261020;
+  constexpr int kIterations = 200;
+  const MacSignal signals[] = {MacSignal::kWeightOperand, MacSignal::kMulOut,
+                               MacSignal::kAdderOut, MacSignal::kActForward,
+                               MacSignal::kSouthForward};
+  const Dataflow dataflows[] = {Dataflow::kWeightStationary,
+                                Dataflow::kOutputStationary,
+                                Dataflow::kInputStationary};
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(iteration);
+    Rng rng(seed);
+    NetworkSweepSpec spec;
+    spec.rung = NetworkRung::kCycleAccurate;
+    spec.seed = seed;
+    spec.max_sites = 3;
+    NetworkSpec& network = spec.network;
+    network.kind = static_cast<NetworkKind>(rng.UniformInt(0, 2));
+    network.seed = rng();
+    switch (network.kind) {
+      case NetworkKind::kExtraction:
+        network.batch = rng.UniformInt(1, 12);
+        network.extraction_k = rng.UniformInt(1, 20);
+        network.extraction_n = rng.UniformInt(1, 20);
+        break;
+      case NetworkKind::kMlp:
+        network.batch = rng.UniformInt(1, 12);
+        network.hidden = rng.UniformInt(2, 12);
+        network.train_samples = 40;
+        network.train_epochs = 2;
+        break;
+      case NetworkKind::kCnn:
+        network.batch = rng.UniformInt(1, 3);
+        network.conv_channels = rng.UniformInt(1, 5);
+        break;
+    }
+    ArrayConfig& array = spec.accel.array;
+    array.rows = static_cast<std::int32_t>(rng.UniformInt(2, 9));
+    array.cols = static_cast<std::int32_t>(rng.UniformInt(2, 9));
+    spec.accel.max_compute_rows =
+        static_cast<std::int32_t>(rng.UniformInt(array.rows, 2 * array.rows));
+    spec.accel.acc_rows = spec.accel.max_compute_rows;
+    spec.accel.spad_rows =
+        spec.accel.max_compute_rows + std::max(array.rows, array.cols);
+    spec.accel.dram_bytes = 1 << 20;
+
+    const MacSignal signal = signals[rng.UniformInt(0, 4)];
+    spec.dataflows = {dataflows[rng.UniformInt(0, 2)]};
+    spec.signals = {signal};
+    spec.bits = {static_cast<int>(
+        rng.UniformInt(0, SignalWidth(signal, array) - 1))};
+    spec.polarities = {rng.Bernoulli(0.5) ? StuckPolarity::kStuckAt1
+                                          : StuckPolarity::kStuckAt0};
+    spec.layers = {static_cast<int>(
+        rng.UniformInt(-1, NetworkLayerCount(network.kind) - 1))};
+    const bool pe_local = signal == MacSignal::kWeightOperand ||
+                          signal == MacSignal::kMulOut ||
+                          signal == MacSignal::kAdderOut;
+    spec.mitigations = {
+        pe_local ? static_cast<MitigationPolicy>(
+                       rng.UniformInt(0, kNumMitigationPolicies - 1))
+        : rng.Bernoulli(0.5) ? MitigationPolicy::kNone
+                             : MitigationPolicy::kAbftCorrect};
+    spec.abft = rng.Bernoulli(0.5);
+    SCOPED_TRACE("iteration seed " + std::to_string(seed) + ": " +
+                 spec.ToJson());
+
+    NetworkCollectorSink sink;
+    const SweepOutcome outcome = RunNetworkSweep(spec, sink);
+    EXPECT_TRUE(outcome.ok());
+    const std::vector<NetworkRecord> reference = EveryLayerOnTheArray(spec);
+    ASSERT_EQ(sink.records.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(sink.records[i], reference[i])
+          << "experiment " << reference[i].experiment_index;
+    }
+  }
 }
 
 // Span names are the sweep's per-layer cost breakdown (dnn_cli
