@@ -33,10 +33,11 @@
 //   --shard K        run only shard K of every campaign (for process splits)
 //   --resume PATH    replay records from a previous --jsonl stream instead
 //                    of re-simulating them
-//   --symmetry       symmetry-aware dedup: simulate one representative per
-//                    equivalence class of fault sites and replicate its
-//                    record to the rest (stuck-at faults on predictor-
-//                    covered signals only; other campaigns run unchanged)
+// Campaigns of permanent stuck-at faults on adder_out, mul_out or
+// weight_operand with ones fills fold their fault sites: one representative
+// per equivalence class is simulated and its record replicated to the rest,
+// byte-identical to simulating every site. The [symmetry] summary line
+// reports classes against sites.
 // Result cache:
 //   --result-cache DIR   content-addressed on-disk cache of completed
 //                    campaigns; a repeated sweep replays from DIR without
@@ -62,8 +63,10 @@
 //   --experiment-timeout-ms N  per-attempt deadline; attempts observed past
 //                        it count as failures (0 = off)
 //   --selfcheck-rate F   fraction of batch-engine records cross-validated
-//                        against the differential engine; a mismatch demotes
-//                        the campaign down the engine ladder (0 = off)
+//                        against the differential engine, and of replicated
+//                        records against a direct run; a mismatch demotes
+//                        the campaign down the engine ladder or stops its
+//                        folding (0 = off)
 //   --on-failure {quarantine|abort}  policy once retries and the fallback
 //                        ladder are exhausted (quarantine): quarantine
 //                        streams "failed" JSONL lines and keeps sweeping,
@@ -116,8 +119,7 @@ cli::Cli CampaignCli() {
            {"signal", "adder_out"}, {"polarity", "sa1"},
            {"bit", "8"}, {"kind", "stuck"}, {"fill", "ones"},
            {"sites", "0"}, {"seed", "1"}, {"rows", "16"}, {"cols", "16"},
-           {"engine", "differential"}, {"shards", "1"},
-           cli::Switch("symmetry")},
+           {"engine", "differential"}, {"shards", "1"}},
           {{"threads", std::to_string(DefaultCampaignThreads())},
            {"shard", "-1"}, {"simd", ""},
            {"result-cache", ""}, cli::Switch("progress"),
@@ -147,7 +149,6 @@ SweepSpec SpecFromFlags(const cli::Args& flags) {
   spec.seed = NarrowInt<std::uint64_t>(ParseInt(flags.Get("seed")));
   spec.engine = ParseCampaignEngine(flags.Get("engine"));
   spec.shards = NarrowInt<int>(ParseInt(flags.Get("shards")));
-  spec.symmetry = flags.Has("symmetry");
   return spec;
 }
 
@@ -294,17 +295,15 @@ int RunCampaignCli(const cli::Args& args) {
               << " misses=" << outcome.cache_misses
               << " stores=" << outcome.cache_stores << "\n";
   }
-  if (spec->symmetry) {
-    std::cout << "[symmetry] classes=" << symmetry_stats.classes()
-              << " sites=" << symmetry_stats.sites();
-    if (symmetry_stats.classes() > 0) {
-      const double factor = static_cast<double>(symmetry_stats.sites()) /
-                            static_cast<double>(symmetry_stats.classes());
-      std::cout << " reduction=" << std::fixed << std::setprecision(2)
-                << factor << "x" << std::defaultfloat;
-    }
-    std::cout << "\n";
+  std::cout << "[symmetry] classes=" << symmetry_stats.classes()
+            << " sites=" << symmetry_stats.sites();
+  if (symmetry_stats.classes() > 0) {
+    const double factor = static_cast<double>(symmetry_stats.sites()) /
+                          static_cast<double>(symmetry_stats.classes());
+    std::cout << " reduction=" << std::fixed << std::setprecision(2) << factor
+              << "x" << std::defaultfloat;
   }
+  std::cout << "\n";
   cli::PrintResilience(outcome, {"retries", "timeouts", "fallbacks",
                                  "selfchecks", "mismatches", "quarantined",
                                  "checkpoint_lines_dropped"});

@@ -294,21 +294,18 @@ bool PredictedEngineExact(FaultKind kind, MacSignal signal) {
 }
 
 bool SymmetryEligibleCampaign(const CampaignConfig& config) {
-  // Two conditions with distinct roles. The stuck-at/predictor-covered
-  // half makes the partition *exist* (it is keyed on the predicted reach,
-  // defined exactly for permanent faults on covered signals). The all-ones
-  // fills make member synthesis *exact*: the record-identity partition
-  // merges same-row sites whose reaches are column translates, and only a
-  // column-invariant operand fill guarantees the translated fault site sees
-  // the same golden value sequence — under kRandom / kNearZero fills,
-  // data-dependent fields (fault_activations, max_abs_delta, possibly the
-  // observed class) can silently differ between class members, and
-  // selfcheck_rate defaults to 0, so such campaigns must simulate every
-  // site rather than synthesize.
+  // The header gives each condition's reason. Member synthesis must be
+  // exact, not merely likely: selfcheck_rate defaults to 0, so nothing
+  // would catch a member whose record differs from its representative's.
+  const WorkloadSpec& workload = config.workload;
+  const bool padded_input_stationary =
+      config.dataflow == Dataflow::kInputStationary &&
+      workload.op == OpType::kConv && workload.conv.pad > 0;
   return config.kind == FaultKind::kStuckAt &&
          PredictorCoversSignal(config.signal) &&
-         config.workload.input_fill == OperandFill::kOnes &&
-         config.workload.weight_fill == OperandFill::kOnes;
+         workload.input_fill == OperandFill::kOnes &&
+         workload.weight_fill == OperandFill::kOnes &&
+         !padded_input_stationary;
 }
 
 PreparedCampaign PrepareCampaign(const CampaignConfig& config,
@@ -355,35 +352,23 @@ PreparedCampaign PrepareCampaign(const CampaignConfig& config,
   prepared.faults = PlanFaults(config, prepared.sites,
                                prepared.golden().cycles);
 
-  // Symmetry plan: partition the campaign's sites (in campaign order, over
-  // the campaign's actual fault axis) into classes of identical predicted
-  // reach, and record each experiment's representative. A memo is only
-  // allocated when the partition actually collapses something — otherwise
-  // execution takes exactly the non-symmetry path.
+  // Symmetry plan: partition the campaign's sites (in campaign order) into
+  // record-identity classes, and record each experiment's representative.
+  // A memo is only allocated when the partition actually collapses
+  // something — otherwise every experiment simulates directly.
   prepared.symmetry_classes = prepared.sites.size();
-  if (config.symmetry && SymmetryEligibleCampaign(config) &&
-      !prepared.sites.empty()) {
+  if (SymmetryEligibleCampaign(config)) {
     SAFFIRE_SPAN("campaign.symmetry_plan");
-    const std::vector<SiteEquivalenceClass> classes = PartitionFaultSites(
-        prepared.sites, prepared.faults.front(), config.workload,
-        config.accel, config.dataflow, prepared.predictions.get());
-    prepared.symmetry_classes = classes.size();
-    SymmetryClassesCounter().Increment(
-        static_cast<std::int64_t>(classes.size()));
-    if (classes.size() < prepared.sites.size()) {
-      std::map<PeCoord, std::size_t> experiment_of;
-      for (std::size_t i = 0; i < prepared.sites.size(); ++i) {
-        experiment_of.emplace(prepared.sites[i], i);
-      }
-      prepared.symmetry_rep_of.assign(prepared.sites.size(), 0);
-      for (const SiteEquivalenceClass& equivalence : classes) {
-        // The representative is the class's first member in campaign order,
-        // so rep_of[i] <= i for every experiment.
-        const std::size_t rep = experiment_of.at(equivalence.representative);
-        for (const PeCoord member : equivalence.members) {
-          prepared.symmetry_rep_of[experiment_of.at(member)] = rep;
-        }
-      }
+    std::vector<std::size_t> rep_of = PartitionFaultSites(
+        prepared.sites, config.workload, config.accel, config.dataflow);
+    std::size_t classes = 0;
+    for (std::size_t i = 0; i < rep_of.size(); ++i) {
+      if (rep_of[i] == i) ++classes;
+    }
+    prepared.symmetry_classes = classes;
+    SymmetryClassesCounter().Increment(static_cast<std::int64_t>(classes));
+    if (classes < prepared.sites.size()) {
+      prepared.symmetry_rep_of = std::move(rep_of);
       prepared.symmetry_memo = std::make_shared<SymmetryMemo>();
     }
   }

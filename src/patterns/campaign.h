@@ -87,24 +87,6 @@ struct CampaignConfig {
   // JSON campaign key.
   std::int64_t batch_lanes = 256;
 
-  // Symmetry-aware deduplication (patterns/symmetry.h): when true and the
-  // campaign is eligible (SymmetryEligibleCampaign — permanent stuck-at
-  // faults on a predictor-covered signal, all-ones operand fills), only one
-  // representative per site-equivalence class is simulated; member records
-  // are synthesized from the representative's with the fault coordinate
-  // rewritten. Under WS/IS this shrinks the paper's 256-site campaign to
-  // ≤ 16 simulations; under OS every site is its own class, so the flag is
-  // a no-op, as it is for ineligible campaigns (random / near-zero fills
-  // make data-dependent fields like fault_activations and max_abs_delta
-  // row-AND-column-dependent, so member synthesis would not be exact —
-  // those campaigns simulate every site). For eligible campaigns the
-  // synthesis is provably byte-identical to a full run (the
-  // engine-equivalence test matrix gates it), with
-  // ResilienceOptions::selfcheck_rate sampling replicated records as
-  // defense-in-depth. Excluded from the campaign key: a symmetry run's
-  // records match a full run's by contract.
-  bool symmetry = false;
-
   std::string ToString() const;
 };
 
@@ -124,15 +106,23 @@ bool PredictedEngineExact(const CampaignConfig& config);
 // the grouped engines outside a campaign (the network cycle rung).
 bool PredictedEngineExact(FaultKind kind, MacSignal signal);
 
-// True when CampaignConfig::symmetry can apply to `config`: permanent
-// stuck-at campaigns on a predictor-covered signal (kAdderOut / kMulOut /
-// kWeightOperand), where the site-equivalence partition is defined by the
-// predicted reach, AND all-ones operand fills, where a column translation
-// maps the faulted computation onto itself so member synthesis is exact
-// field-for-field. Transients (per-site strike cycles), forwarding signals
-// (no closed-form reach), and random / near-zero fills (column-variant
-// data, so fault_activations / max_abs_delta / even the observed class can
-// differ between class members) always simulate every site.
+// True when `config` folds its fault sites (patterns/symmetry.h): only one
+// representative per site-equivalence class is simulated, and each member's
+// record is its representative's with the fault coordinate rewritten — on
+// the paper's 16×16 GEMM, 16 simulations for 256 sites. That needs
+// permanent stuck-at faults on a predictor-covered signal (kAdderOut /
+// kMulOut / kWeightOperand), where the partition is defined by the tiles
+// the PE's output reaches, AND all-ones operand fills, where a translation
+// along the array row maps the faulted computation onto itself so member
+// synthesis is exact field-for-field. Transients (per-site strike cycles),
+// forwarding signals (no closed-form reach), random / near-zero fills
+// (column-variant data, so fault_activations / max_abs_delta / even the
+// observed class can differ between class members), and IS on a padded
+// convolution (its array columns hold lowered input rows, which padding
+// makes unequal) always simulate every site. Folded records equal the
+// unfolded ones (RunPreparedExperimentDirect), so campaign keys ignore
+// folding, and ResilienceOptions::selfcheck_rate samples replicated
+// records against direct runs as defense-in-depth.
 bool SymmetryEligibleCampaign(const CampaignConfig& config);
 
 struct ExperimentRecord {
@@ -218,14 +208,15 @@ std::vector<PeCoord> SampleSites(const ArrayConfig& array,
 // (service/executor.h): both paths run the exact same per-experiment code,
 // which is what makes their results bit-identical by construction.
 
-// Shared per-campaign store of simulated representative records under
-// CampaignConfig::symmetry, with compute-once semantics: the first worker
-// to ask for a representative owns its simulation, and every other worker
-// waits for that result instead of duplicating the run — which keeps each
-// representative's array pass unique and the lanes_filled occupancy total
-// schedule-independent. A self-check mismatch Disable()s the memo, after
-// which every experiment simulates directly — the symmetry analogue of
-// engine demotion, and equally sticky for the campaign's remainder.
+// Shared per-campaign store of simulated representative records of a
+// folding campaign (SymmetryEligibleCampaign), with compute-once semantics:
+// the first worker to ask for a representative owns its simulation, and
+// every other worker waits for that result instead of duplicating the run —
+// which keeps each representative's array pass unique and the lanes_filled
+// occupancy total schedule-independent. A self-check mismatch Disable()s
+// the memo, after which every experiment simulates directly — the symmetry
+// analogue of engine demotion, and equally sticky for the campaign's
+// remainder.
 class SymmetryMemo {
  public:
   // Looks the representative up, waiting out another worker's in-flight
@@ -282,14 +273,14 @@ struct PreparedCampaign {
   // execution order yields identical experiments).
   std::vector<FaultSpec> faults;
 
-  // Symmetry plan (CampaignConfig::symmetry): symmetry_rep_of[i] is the
-  // experiment index of experiment i's class representative (the earliest
-  // equivalent site in campaign order; i itself when i is a
-  // representative). Empty, with symmetry_memo null, when symmetry is off,
-  // the campaign is ineligible, or the partition found no duplicate sites
-  // (e.g. OS dataflow) — in which case execution is exactly the
-  // non-symmetry path. symmetry_classes always holds the number of distinct
-  // classes (== sites.size() when no plan is active) for reporting.
+  // Symmetry plan: symmetry_rep_of[i] is the experiment index of experiment
+  // i's class representative (the earliest equivalent site in campaign
+  // order; i itself when i is a representative). Empty, with symmetry_memo
+  // null, when the campaign does not fold (SymmetryEligibleCampaign is
+  // false) or the partition found no duplicate sites — in which case every
+  // experiment simulates directly. symmetry_classes always holds the number
+  // of distinct classes (== sites.size() when no plan is active) for
+  // reporting.
   std::vector<std::size_t> symmetry_rep_of;
   std::shared_ptr<SymmetryMemo> symmetry_memo;
   std::size_t symmetry_classes = 0;
@@ -376,8 +367,9 @@ std::vector<ExperimentRecord> RunPreparedBatch(
 // unique, so the lanes_filled total over a campaign is schedule-invariant
 // (= classes touched); which batch a representative is *attributed* to —
 // and therefore batches_run — can still differ between serial and parallel
-// symmetry runs, since out-of-order chunks claim representatives in
-// whatever order they execute. Records are unaffected either way.
+// runs of a folding campaign, since out-of-order chunks claim
+// representatives in whatever order they execute. Records are unaffected
+// either way.
 std::vector<ExperimentRecord> RunPreparedBatch(
     const PreparedCampaign& prepared, FiRunner& runner, std::size_t begin,
     std::size_t end, CampaignEngine engine,

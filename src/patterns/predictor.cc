@@ -43,59 +43,36 @@ TileGrid PlanValidated(const WorkloadSpec& workload, const AccelConfig& accel,
                            workload.GemmK(), accel, dataflow);
 }
 
+// The output lines (rows or columns) a PE reaches in one tile, as a
+// half-open range: line `offset` of the tile, or all of it under
+// kWholeTile.
+std::pair<std::int64_t, std::int64_t> TileLines(std::int64_t start,
+                                                std::int64_t extent,
+                                                std::int64_t offset) {
+  if (offset == PeTiles::kWholeTile) return {start, start + extent};
+  return {start + offset, start + offset + 1};
+}
+
 // The prediction itself, against a pre-computed tile plan and classify
 // context. Inputs are assumed validated.
 PredictedPattern MakePrediction(const WorkloadSpec& workload,
                                 Dataflow dataflow, const FaultSpec& fault,
                                 const TileGrid& grid,
                                 const ClassifyContext& context) {
-  const std::int64_t m = workload.GemmM();
-  const std::int64_t n = workload.GemmN();
-
+  // The reach is every (row, col) pair of the reached tiles, row-major.
+  const PeTiles tiles = PlacePeOutput(grid, dataflow, fault.pe);
   PredictedPattern prediction;
-  switch (dataflow) {
-    case Dataflow::kWeightStationary: {
-      // The fault sits on the partial-sum chain of array column c_pe, so
-      // it reaches column c_pe of every column-tile — all rows (the whole
-      // activation stream passes through), invisible to K-tiling (same
-      // coordinates every pass).
-      std::vector<std::int64_t> cols;
-      for (std::int64_t ni = 0; ni < grid.n_tiles(); ++ni) {
-        if (fault.pe.col < grid.TileCols(ni)) {
-          cols.push_back(grid.ColStart(ni) + fault.pe.col);
-        }
-      }
-      for (std::int64_t row = 0; row < m; ++row) {
-        for (const std::int64_t col : cols) {
+  for (std::int64_t mi = 0; mi < tiles.m_tiles; ++mi) {
+    const auto [row_begin, row_end] =
+        TileLines(grid.RowStart(mi), grid.TileRows(mi), tiles.row);
+    for (std::int64_t row = row_begin; row < row_end; ++row) {
+      for (std::int64_t ni = 0; ni < tiles.n_tiles; ++ni) {
+        const auto [col_begin, col_end] =
+            TileLines(grid.ColStart(ni), grid.TileCols(ni), tiles.col);
+        for (std::int64_t col = col_begin; col < col_end; ++col) {
           prediction.coords.push_back(MatrixCoord{row, col});
         }
       }
-      break;
-    }
-    case Dataflow::kInputStationary: {
-      // IS runs the WS datapath on the transposed problem, so array column
-      // c_pe owns output *row* c_pe of every row-tile — all columns.
-      for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
-        if (fault.pe.col >= grid.TileRows(mi)) continue;
-        const std::int64_t row = grid.RowStart(mi) + fault.pe.col;
-        for (std::int64_t col = 0; col < n; ++col) {
-          prediction.coords.push_back(MatrixCoord{row, col});
-        }
-      }
-      break;
-    }
-    case Dataflow::kOutputStationary: {
-      // The fault owns output element (r_pe, c_pe) of every output tile.
-      for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
-        if (fault.pe.row >= grid.TileRows(mi)) continue;
-        for (std::int64_t ni = 0; ni < grid.n_tiles(); ++ni) {
-          if (fault.pe.col >= grid.TileCols(ni)) continue;
-          prediction.coords.push_back(
-              MatrixCoord{grid.RowStart(mi) + fault.pe.row,
-                          grid.ColStart(ni) + fault.pe.col});
-        }
-      }
-      break;
     }
   }
 
@@ -104,14 +81,54 @@ PredictedPattern MakePrediction(const WorkloadSpec& workload,
   // on degenerate geometries (a corrupted column of a 1-row output is the
   // same set as a corrupted element).
   CorruptionMap reach;
-  reach.rows = m;
-  reach.cols = n;
+  reach.rows = workload.GemmM();
+  reach.cols = workload.GemmN();
   reach.corrupted = prediction.coords;
   prediction.pattern = Classify(reach, context);
   return prediction;
 }
 
 }  // namespace
+
+PeTiles PlacePeOutput(const TileGrid& grid, Dataflow dataflow, PeCoord pe) {
+  // How many leading tiles of an axis hold `offset`. Every tile but the
+  // last is full-sized, so those that do are a prefix.
+  const auto holding = [](std::int64_t tiles, std::int64_t offset,
+                          auto extent) {
+    while (tiles > 0 && offset >= extent(tiles - 1)) --tiles;
+    return tiles;
+  };
+  const auto tile_rows = [&grid](std::int64_t mi) { return grid.TileRows(mi); };
+  const auto tile_cols = [&grid](std::int64_t ni) { return grid.TileCols(ni); };
+
+  PeTiles tiles;
+  tiles.m_tiles = grid.m_tiles();
+  tiles.n_tiles = grid.n_tiles();
+  switch (dataflow) {
+    case Dataflow::kWeightStationary:
+      // The fault sits on the partial-sum chain of array column c, so it
+      // reaches column c of every column-tile — all rows (the whole
+      // activation stream passes through), invisible to K-tiling (same
+      // coordinates every pass).
+      tiles.col = pe.col;
+      tiles.n_tiles = holding(grid.n_tiles(), pe.col, tile_cols);
+      break;
+    case Dataflow::kInputStationary:
+      // IS runs the WS datapath on the transposed problem, so array column
+      // c owns output *row* c of every row-tile — all columns.
+      tiles.row = pe.col;
+      tiles.m_tiles = holding(grid.m_tiles(), pe.col, tile_rows);
+      break;
+    case Dataflow::kOutputStationary:
+      // The fault owns output element (r, c) of every output tile.
+      tiles.row = pe.row;
+      tiles.m_tiles = holding(grid.m_tiles(), pe.row, tile_rows);
+      tiles.col = pe.col;
+      tiles.n_tiles = holding(grid.n_tiles(), pe.col, tile_cols);
+      break;
+  }
+  return tiles;
+}
 
 PredictedPattern PredictPattern(const WorkloadSpec& workload,
                                 const AccelConfig& accel, Dataflow dataflow,

@@ -24,6 +24,7 @@
 // needs to re-create the pattern without RTL simulation.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -44,6 +45,26 @@ struct PredictedPattern {
 
   bool operator==(const PredictedPattern&) const = default;
 };
+
+// The tiling rule that places a PE's output in the GEMM-view output: the
+// one rule the predictor builds its reach from and the campaign's symmetry
+// partition keys on. The PE's operand streams cross the first `m_tiles`
+// row-tiles and the first `n_tiles` column-tiles (every tile but the last
+// is full-sized, so the tiles that hold the PE are a prefix), and a fault
+// in it reaches their product: nothing when either count is 0, though the
+// streams on the other axis still cross it. Inside each tile it owns tile
+// row `row` and tile column `col`, or every line of the tile where that is
+// kWholeTile: the partial-sum stream crosses the PE, which is the rows
+// under WS and the columns under IS.
+struct PeTiles {
+  static constexpr std::int64_t kWholeTile = -1;
+  std::int64_t m_tiles = 0;
+  std::int64_t n_tiles = 0;
+  std::int64_t row = kWholeTile;
+  std::int64_t col = kWholeTile;
+};
+
+PeTiles PlacePeOutput(const TileGrid& grid, Dataflow dataflow, PeCoord pe);
 
 // Predicts the pattern for a stuck-at or transient fault on kAdderOut (the
 // paper's site), kMulOut, or kWeightOperand — the three signals whose

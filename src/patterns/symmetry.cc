@@ -1,78 +1,47 @@
 #include "patterns/symmetry.h"
 
-#include <algorithm>
 #include <map>
+#include <tuple>
 #include <utility>
+
+#include "accel/driver.h"
 
 namespace saffire {
 
-namespace {
-
-// The reach translated to its bounding-box origin: congruent reaches (same
-// shape, anywhere in the output matrix) normalize to the same vector.
-// PredictPattern emits coords in a deterministic order, which translation
-// preserves, so equal shapes compare equal element-wise.
-std::vector<MatrixCoord> NormalizedReach(
-    const std::vector<MatrixCoord>& coords) {
-  if (coords.empty()) return {};
-  std::int64_t min_row = coords.front().row;
-  std::int64_t min_col = coords.front().col;
-  for (const MatrixCoord coord : coords) {
-    min_row = std::min(min_row, coord.row);
-    min_col = std::min(min_col, coord.col);
-  }
-  std::vector<MatrixCoord> shape;
-  shape.reserve(coords.size());
-  for (const MatrixCoord coord : coords) {
-    shape.push_back({coord.row - min_row, coord.col - min_col});
-  }
-  return shape;
-}
-
-}  // namespace
-
-std::vector<SiteEquivalenceClass> PartitionFaultSites(
-    const std::vector<PeCoord>& sites, const FaultSpec& prototype,
-    const WorkloadSpec& workload, const AccelConfig& accel, Dataflow dataflow,
-    PredictionCache* cache) {
+std::vector<std::size_t> PartitionFaultSites(const std::vector<PeCoord>& sites,
+                                             const WorkloadSpec& workload,
+                                             const AccelConfig& accel,
+                                             Dataflow dataflow) {
   workload.Validate();
-  accel.Validate();
-
-  std::vector<SiteEquivalenceClass> classes;
-  // Key: the site's array row plus the origin-normalized reach — the
-  // record-identity partition, deliberately finer than the reach-identity
-  // one below. Two same-row sites with congruent reaches are related by a
-  // column translation, and under column-invariant operand fills a column
-  // translation maps the whole faulted computation onto itself: the fault
-  // site sees the same golden value sequence, so activations, deltas, and
-  // pattern classes coincide field for field. Same-COLUMN sites (identical
-  // raw reach) are NOT record-equivalent in general even though the paper's
+  const TileGrid grid = Driver::PlanTiles(workload.GemmM(), workload.GemmN(),
+                                          workload.GemmK(), accel, dataflow);
+  // Key: the site's array row, the tile counts its operand streams cross
+  // on each axis, and under OS whether it is PE(0,0) — the record-identity
+  // partition, deliberately finer than the reach-identity one below (the
+  // header says why). The counts stay apart even when one is 0 and the
+  // reach is empty: an OS PE below the last output row still sees the
+  // weight stream of every column-tile its column lies in. Same-COLUMN
+  // sites are NOT record-equivalent in general even though the paper's
   // class label matches: e.g. a WS adder_out fault sees the running partial
   // sum, whose value depends on the array row, so whether a given stuck bit
   // ever fires differs row to row.
-  std::map<std::pair<std::int32_t, std::vector<MatrixCoord>>, std::size_t>
-      index_by_key;
-
-  for (const PeCoord site : sites) {
-    FaultSpec fault = prototype;
-    fault.pe = site;
-    PredictedPattern prediction =
-        cache != nullptr ? cache->Lookup(fault)
-                         : PredictPattern(workload, accel, dataflow, fault);
-    const auto key = std::pair(site.row, NormalizedReach(prediction.coords));
-    const auto it = index_by_key.find(key);
-    if (it == index_by_key.end()) {
-      index_by_key.emplace(key, classes.size());
-      SiteEquivalenceClass equivalence;
-      equivalence.representative = site;
-      equivalence.members = {site};
-      equivalence.prediction = std::move(prediction);
-      classes.push_back(std::move(equivalence));
-    } else {
-      classes[it->second].members.push_back(site);
-    }
+  std::map<std::tuple<std::int32_t, std::int64_t, std::int64_t, bool>,
+           std::size_t>
+      rep_by_key;
+  std::vector<std::size_t> rep_of;
+  rep_of.reserve(sites.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const PeTiles tiles = PlacePeOutput(grid, dataflow, sites[i]);
+    // An OS accumulator also adds the idle cycles before its operands
+    // arrive, and a stuck adder bit fires on the first of them. Operands
+    // meet at PE(0,0) on the stream's first cycle, so it alone has none.
+    const bool no_idle_lead_in = dataflow == Dataflow::kOutputStationary &&
+                                 sites[i] == PeCoord{0, 0};
+    const auto key = std::tuple(sites[i].row, tiles.m_tiles, tiles.n_tiles,
+                                no_idle_lead_in);
+    rep_of.push_back(rep_by_key.try_emplace(key, i).first->second);
   }
-  return classes;
+  return rep_of;
 }
 
 std::vector<SiteEquivalenceClass> PartitionFaultSites(

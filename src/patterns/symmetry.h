@@ -11,6 +11,7 @@
 // keeps all sites distinct (each owns different output coordinates).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,32 +36,29 @@ std::vector<SiteEquivalenceClass> PartitionFaultSites(
     const WorkloadSpec& workload, const AccelConfig& accel,
     Dataflow dataflow);
 
-// The record-identity partition over an explicit site list (e.g. a sampled
-// campaign's sites, in campaign order) and an explicit fault axis: the
-// kind, signal, bit, and polarity come from `prototype` (its pe is
-// rewritten per site), so the partition matches exactly the faults the
-// campaign will inject. The signal must be predictor-covered (kAdderOut /
-// kMulOut / kWeightOperand — PredictPattern's contract).
+// The record-identity partition of a campaign's sites (in campaign order)
+// for permanent faults on a PE-local signal. Entry i is the index in
+// `sites` of site i's class representative: the class's first site in
+// `sites` order, so entry i <= i, which is what lets a campaign map every
+// experiment onto the earliest equivalent one.
 //
-// Unlike the whole-array overload above, the key here is (array row,
-// reach normalized to its bounding-box origin), not the raw reach: two
-// same-row sites with congruent reaches are column translates of each
-// other, and with column-invariant operand fills the translated experiment
-// produces a record identical in every field — which is what lets the
-// campaign layer synthesize a member's record from its representative's.
-// Same-column sites share the paper's pattern CLASS but not the full
-// record (the fault sees row-dependent values), so they stay separate.
-//
-// Each class's representative is its first member in `sites` order and
-// members keep that order, which is what lets a campaign map every
-// experiment onto the earliest equivalent one. `cache`, when non-null,
-// supplies (and memoizes) the predictions — pass the campaign's
-// PredictionCache so the partition shares the per-column memo with record
-// building instead of re-deriving it.
-std::vector<SiteEquivalenceClass> PartitionFaultSites(
-    const std::vector<PeCoord>& sites, const FaultSpec& prototype,
-    const WorkloadSpec& workload, const AccelConfig& accel, Dataflow dataflow,
-    PredictionCache* cache = nullptr);
+// Unlike the whole-array overload above, the key is not the raw reach but
+// (array row, how many tiles the PE's operand streams cross along each
+// axis), taken from PlacePeOutput, which places a PE at one offset in each
+// tile it reaches. Two same-row sites with equal tile counts therefore see
+// the same operand streams, one translated along the row. With
+// column-invariant operands (SymmetryEligibleCampaign) the translated
+// experiment produces a record identical in every field, which is what
+// lets the campaign layer synthesize a member's record from its
+// representative's. One timing effect breaks the translation: an OS
+// accumulator adds the idle cycles before its operands arrive, and PE(0,0)
+// has none, so under OS it is a class of its own. Same-column sites share
+// the paper's pattern CLASS but not the full record (the fault sees
+// row-dependent values), so they stay separate.
+std::vector<std::size_t> PartitionFaultSites(const std::vector<PeCoord>& sites,
+                                             const WorkloadSpec& workload,
+                                             const AccelConfig& accel,
+                                             Dataflow dataflow);
 
 // Experiments saved by running one representative per class instead of
 // every site: (num_pes − num_classes) / num_pes.

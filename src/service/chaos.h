@@ -45,9 +45,10 @@ struct ChaosSpec {
   std::int64_t stall_ms = 0;
   // Every Nth campaign's sampled self-checks report a mismatch even though
   // the records agree, driving the mismatch path end to end — engine
-  // demotion, symmetry-synthesis disable, unhealthy SweepOutcome, cache
-  // exclusion — without corrupting any delivered record (the "mismatched"
-  // group recomputes on the fallback rung, whose records are identical).
+  // demotion, the end of site folding for the campaign
+  // (SymmetryMemo::Disable), unhealthy SweepOutcome, cache exclusion —
+  // without corrupting any delivered record (the "mismatched" group
+  // recomputes on the fallback rung, whose records are identical).
   int selfcheck_lie_every = 0;
   // Every Nth record through FlakySink throws. Consumed by FlakySink and
   // the CLI's chaos wiring, not by the executor hooks.

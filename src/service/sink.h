@@ -48,7 +48,7 @@ struct CampaignBeginInfo {
   // consumers that persist completed campaigns (the result cache) must
   // gate on it.
   std::int64_t selfcheck_mismatches = 0;
-  // Symmetry plan (CampaignConfig::symmetry): the number of site-equivalence
+  // Symmetry plan (SymmetryEligibleCampaign): the number of site-equivalence
   // classes among total_experiments sites (== total_experiments when no plan
   // is active), and whether member records are synthesized from
   // representatives this run. Campaigns replayed from a checkpoint report

@@ -116,7 +116,6 @@ std::string SweepSpec::ToJson() const {
       .Key("seed").Uint(seed)
       .Key("engine").String(ToString(engine))
       .Key("shards").Int(shards)
-      .Key("symmetry").Bool(symmetry)
       .EndObject();
   return os.str();
 }
@@ -124,7 +123,8 @@ std::string SweepSpec::ToJson() const {
 SweepSpec ParseSweepSpec(const std::string& json) {
   const JsonValue root = JsonValue::Parse(json);
   // Reject unknown keys so a typo ("polarity" for "polarities") fails loudly
-  // instead of silently sweeping the default axis.
+  // instead of silently sweeping the default axis. "symmetry" is the legacy
+  // folding switch: older spec files still load, and its value is ignored.
   static const std::set<std::string> kKnown = {
       "accel", "workloads", "dataflows", "signals", "polarities", "bits",
       "kind",  "max_sites", "seed",      "engine",  "shards", "symmetry"};
@@ -161,10 +161,6 @@ SweepSpec ParseSweepSpec(const std::string& json) {
   spec.seed = root.At("seed").AsUint();
   spec.engine = ParseCampaignEngine(root.At("engine").AsString());
   spec.shards = NarrowInt<int>(root.At("shards").AsInt());
-  // Optional for back-compat: spec files written before the symmetry flag
-  // existed parse with it off.
-  const JsonValue* symmetry = root.Find("symmetry");
-  spec.symmetry = symmetry != nullptr && symmetry->AsBool();
   spec.Validate();
   return spec;
 }
@@ -215,7 +211,6 @@ void AppendSpec(CampaignPlan& plan, const SweepSpec& spec) {
             config.max_sites = spec.max_sites;
             config.seed = spec.seed;
             config.engine = spec.engine;
-            config.symmetry = spec.symmetry;
             AppendCampaign(plan, config, spec.shards);
           }
         }

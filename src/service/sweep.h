@@ -44,9 +44,6 @@ struct SweepSpec {
   // Shard ranges per campaign (for multi-process splits and partial runs);
   // executors subdivide further for load balance, so 1 is fine locally.
   int shards = 1;
-  // Propagated to CampaignConfig::symmetry on every expanded campaign.
-  // Optional in spec JSON (absent = false) so pre-existing spec files parse.
-  bool symmetry = false;
 
   // Campaigns this spec expands to (the axis product).
   std::size_t CampaignCount() const;
@@ -56,7 +53,9 @@ struct SweepSpec {
 
   // JSON round-trip. Enums serialize as their ToString names so spec files
   // are hand-editable; ParseSweepSpec accepts exactly what ToJson emits
-  // (unknown keys are rejected to catch typos early).
+  // (unknown keys are rejected to catch typos early), plus the legacy
+  // "symmetry" key of older spec files, whose value it ignores: eligible
+  // campaigns always fold their sites (SymmetryEligibleCampaign).
   std::string ToJson() const;
 };
 
@@ -98,7 +97,8 @@ std::string CampaignKey(const CampaignConfig& config);
 
 // FNV-1a 64-bit hash of CampaignKey (16 lowercase hex chars) — the
 // content address of a campaign's record set, invariant across engines,
-// thread counts, symmetry, and workload names (none affect the records).
+// thread counts, site folding, and workload names (none affect the
+// records).
 // Used as the result cache's filename (service/result_cache.h); the cache
 // re-verifies the full key on load, so a hash collision degrades to a miss,
 // never to wrong records.

@@ -25,6 +25,13 @@ inline std::int64_t SxWide(std::int64_t value, int shift) {
          shift;
 }
 
+// a + b modulo 2^64, without signed overflow: at acc_bits 64 a forced adder
+// output upstream can sit near ±2^63, and the width truncation follows.
+inline std::int64_t WrapAdd(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
 // Branch-free fault application at one MAC stage. `select` is all-ones iff
 // this PE position carries the lane's fault AND the fault sits on this
 // stage; `xor_strike` is the lane's transient flip mask pre-ANDed with the
@@ -404,7 +411,8 @@ void LaneGrid::StepLanes(std::int64_t t, std::int64_t rel_cycle) {
           const std::int64_t mul_out =
               SxWide(act_in * weight_operand, sx_prod);
           const std::int64_t addend = kWs ? north_in : acc[idx];
-          const std::int64_t adder_out = SxWide(addend + mul_out, sx_acc);
+          const std::int64_t adder_out =
+              SxWide(WrapAdd(addend, mul_out), sx_acc);
           if constexpr (kWs) {
             south[idx] = adder_out;
           } else {
@@ -427,7 +435,7 @@ void LaneGrid::StepLanes(std::int64_t t, std::int64_t rel_cycle) {
                              activations);
 
         const std::int64_t addend = kWs ? north_in : acc[idx];
-        std::int64_t adder_out = SxWide(addend + mul_out, sx_acc);
+        std::int64_t adder_out = SxWide(WrapAdd(addend, mul_out), sx_acc);
         adder_out = MaskSignal(adder_out, pos & state.sel_add, f.and_mask,
                                f.or_mask, xor_strike, state.sx_shift,
                                activations);
@@ -525,7 +533,7 @@ void LaneGrid::StepNarrowLane(LaneState& state, std::int64_t t,
                        xor_strike, state.sx_shift, activations);
 
   const std::int64_t addend = kWs ? north_in : acc_in;
-  std::int64_t adder_out = SxWide(addend + mul_out, sx_acc);
+  std::int64_t adder_out = SxWide(WrapAdd(addend, mul_out), sx_acc);
   adder_out = MaskSignal(adder_out, state.sel_add, f.and_mask, f.or_mask,
                          xor_strike, state.sx_shift, activations);
 

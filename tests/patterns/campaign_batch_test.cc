@@ -1,8 +1,9 @@
 // The batch campaign engine must be indistinguishable from the reference
 // and differential engines in every record it emits — the engine-equivalence
-// matrix the ISSUE's acceptance criteria call for — while its occupancy
-// counters (lanes_filled / batches_run) reflect the canonical
-// batch_lanes-sized grouping, including partial final batches and W=1.
+// matrix — while its occupancy counters (lanes_filled / batches_run) reflect
+// the canonical batch_lanes-sized grouping, including partial final batches
+// and W=1, on campaigns that do not fold their sites; a folding campaign
+// fills one lane per class.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -35,6 +36,14 @@ CampaignConfig BaseConfig() {
   config.workload.name = "gemm-12";
   config.workload.m = config.workload.k = config.workload.n = 12;
   config.bit = 8;
+  return config;
+}
+
+// A campaign that does not fold its sites (random inputs, see
+// SymmetryEligibleCampaign), so every site fills a lane of its own.
+CampaignConfig UnfoldedConfig() {
+  CampaignConfig config = BaseConfig();
+  config.workload.input_fill = OperandFill::kRandom;
   return config;
 }
 
@@ -118,7 +127,7 @@ TEST(BatchCampaignTest, MatrixMatchesReferenceAndDifferential) {
       for (const int bit : {0, 7, 31}) {
         for (const FaultKind kind :
              {FaultKind::kStuckAt, FaultKind::kTransientFlip}) {
-          auto config = BaseConfig();
+          auto config = UnfoldedConfig();
           config.dataflow = dataflow;
           config.polarity = polarity;
           config.bit = bit;
@@ -147,7 +156,7 @@ TEST(BatchCampaignTest, MatrixMatchesReferenceAndDifferential) {
 
 // 64 sites at 5 lanes per pass: 12 full batches plus a 4-lane final one.
 TEST(BatchCampaignTest, PartialFinalBatchAndOccupancyCounters) {
-  auto config = BaseConfig();
+  auto config = UnfoldedConfig();
   config.engine = CampaignEngine::kDifferential;
   const CampaignResult differential = RunCampaignSerial(config);
 
@@ -166,7 +175,7 @@ TEST(BatchCampaignTest, PartialFinalBatchAndOccupancyCounters) {
 
 // W=1 degenerates to one experiment per pass and must still agree.
 TEST(BatchCampaignTest, SingleLaneBatchesMatch) {
-  auto config = BaseConfig();
+  auto config = UnfoldedConfig();
   config.max_sites = 6;
   config.engine = CampaignEngine::kDifferential;
   const CampaignResult differential = RunCampaignSerial(config);
@@ -183,7 +192,7 @@ TEST(BatchCampaignTest, SingleLaneBatchesMatch) {
 // record-for-record, and the canonical batch grouping keeps the occupancy
 // counters thread-count-invariant.
 TEST(BatchCampaignTest, ParallelMatchesSerial) {
-  auto config = BaseConfig();
+  auto config = UnfoldedConfig();
   config.engine = CampaignEngine::kBatch;
   config.batch_lanes = 5;
   const CampaignResult serial = RunCampaignSerial(config);
@@ -192,6 +201,36 @@ TEST(BatchCampaignTest, ParallelMatchesSerial) {
     ExpectSameRecords(serial, parallel);
     EXPECT_EQ(parallel.lanes_filled, serial.lanes_filled) << threads;
     EXPECT_EQ(parallel.batches_run, serial.batches_run) << threads;
+  }
+}
+
+// An all-ones campaign folds its sites, so a lane is a class
+// representative. The memo simulates each representative once, which
+// keeps lanes_filled at the number of classes touched for any thread
+// count; batches_run depends on which group first claims a shared
+// representative, so it is not compared. Records equal the per-site
+// direct runs.
+TEST(BatchCampaignTest, FoldedCampaignFillsOneLanePerClass) {
+  auto config = BaseConfig();
+  config.engine = CampaignEngine::kBatch;
+  config.batch_lanes = 5;
+  const PreparedCampaign prepared = PrepareCampaign(config);
+  ASSERT_TRUE(prepared.SymmetryActive());
+  CampaignResult direct;
+  direct.golden_cycles = prepared.golden().cycles;
+  FiRunner runner(config.accel);
+  for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
+    direct.records.push_back(
+        RunPreparedExperimentDirect(prepared, runner, i, config.engine));
+  }
+
+  const CampaignResult serial = RunCampaignSerial(config);
+  ExpectSameRecords(direct, serial);
+  EXPECT_EQ(serial.lanes_filled, prepared.symmetry_classes);
+  for (const int threads : {1, 4}) {
+    const CampaignResult parallel = RunParallel(config, threads);
+    ExpectSameRecords(direct, parallel);
+    EXPECT_EQ(parallel.lanes_filled, prepared.symmetry_classes) << threads;
   }
 }
 
@@ -228,13 +267,14 @@ class SimdModeMatrixTest : public ::testing::Test {
 // {scalar, avx2} must produce the byte-identical CSV the differential
 // engine produces. batch_lanes = 13 forces partial final batches AND a
 // partial final 8-wide SIMD group inside every batch (13 = 8 + 5), so the
-// masked tail path of the vector kernel is on the hook too.
+// masked tail path of the vector kernel is on the hook too. The campaign
+// does not fold, so every batch really fills its 13 lanes.
 TEST_F(SimdModeMatrixTest, EnginesAgreeAcrossSimdModes) {
   for (const Dataflow dataflow :
        {Dataflow::kOutputStationary, Dataflow::kWeightStationary}) {
     for (const FaultKind kind :
          {FaultKind::kStuckAt, FaultKind::kTransientFlip}) {
-      auto config = BaseConfig();
+      auto config = UnfoldedConfig();
       config.dataflow = dataflow;
       config.kind = kind;
       config.batch_lanes = 13;

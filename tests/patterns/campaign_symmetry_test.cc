@@ -1,8 +1,9 @@
 // Symmetry-aware campaign dedup: a campaign that simulates one
 // representative per equivalence class and synthesizes the member records
-// must be indistinguishable — record for record, every field — from the
-// exhaustive run, across dataflows, polarities, and engines, and the
-// replicated-record self-check must stay silent while doing it.
+// must be indistinguishable — record for record, every field — from
+// simulating every site directly (RunPreparedExperimentDirect), across
+// dataflows, polarities, and engines, and the replicated-record self-check
+// must stay silent while doing it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "patterns/campaign.h"
+#include "patterns/symmetry.h"
 #include "service/run.h"
 #include "service/sink.h"
 
@@ -36,17 +38,30 @@ CampaignConfig BaseConfig() {
   return config;
 }
 
-void ExpectSameRecords(const CampaignResult& a, const CampaignResult& b,
-                       const std::string& label) {
-  ASSERT_EQ(a.records.size(), b.records.size()) << label;
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i], b.records[i]) << label << " record " << i;
+// Every site simulated directly on the campaign's engine, bypassing the
+// symmetry memo: the unfolded records a folded campaign must reproduce.
+std::vector<ExperimentRecord> UnfoldedRecords(const CampaignConfig& config) {
+  const PreparedCampaign prepared = PrepareCampaign(config);
+  EXPECT_TRUE(prepared.SymmetryActive()) << config.ToString();
+  FiRunner runner(config.accel);
+  std::vector<ExperimentRecord> records;
+  for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
+    records.push_back(
+        RunPreparedExperimentDirect(prepared, runner, i, config.engine));
+  }
+  return records;
+}
+
+void ExpectSameRecords(const std::vector<ExperimentRecord>& want,
+                       const CampaignResult& got, const std::string& label) {
+  ASSERT_EQ(want.size(), got.records.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i], got.records[i]) << label << " record " << i;
   }
 }
 
 TEST(CampaignSymmetryTest, PlanShrinksEligibleCampaigns) {
-  CampaignConfig config = BaseConfig();
-  config.symmetry = true;
+  const CampaignConfig config = BaseConfig();
   const PreparedCampaign prepared = PrepareCampaign(config);
   EXPECT_TRUE(prepared.SymmetryActive());
   EXPECT_EQ(prepared.symmetry_classes, 8u);  // one class per array row
@@ -57,15 +72,12 @@ TEST(CampaignSymmetryTest, PlanShrinksEligibleCampaigns) {
 }
 
 TEST(CampaignSymmetryTest, IneligibleCampaignsKeepFullPlan) {
-  // Transient faults and uncovered signals never get a symmetry plan, even
-  // when asked; neither does a campaign that opted out.
+  // Transient faults and uncovered signals never get a symmetry plan.
   CampaignConfig transient = BaseConfig();
-  transient.symmetry = true;
   transient.kind = FaultKind::kTransientFlip;
   EXPECT_FALSE(PrepareCampaign(transient).SymmetryActive());
 
   CampaignConfig uncovered = BaseConfig();
-  uncovered.symmetry = true;
   uncovered.signal = MacSignal::kActForward;
   EXPECT_FALSE(PrepareCampaign(uncovered).SymmetryActive());
 
@@ -73,18 +85,56 @@ TEST(CampaignSymmetryTest, IneligibleCampaignsKeepFullPlan) {
   // synthesis rests on (fault_activations / max_abs_delta become
   // data-dependent per site), so such campaigns simulate every site.
   CampaignConfig random_inputs = BaseConfig();
-  random_inputs.symmetry = true;
   random_inputs.workload.input_fill = OperandFill::kRandom;
   EXPECT_FALSE(SymmetryEligibleCampaign(random_inputs));
   EXPECT_FALSE(PrepareCampaign(random_inputs).SymmetryActive());
 
   CampaignConfig near_zero_weights = BaseConfig();
-  near_zero_weights.symmetry = true;
   near_zero_weights.workload.weight_fill = OperandFill::kNearZero;
   EXPECT_FALSE(SymmetryEligibleCampaign(near_zero_weights));
   EXPECT_FALSE(PrepareCampaign(near_zero_weights).SymmetryActive());
+}
 
-  EXPECT_FALSE(PrepareCampaign(BaseConfig()).SymmetryActive());
+// A padded convolution's lowered input has zeros in its border rows, and
+// under IS an array column holds one such row as its stationary operand.
+// So two PEs of one array row that the tile geometry alone would fold hold
+// different data: with SA0 on bit 0 of the weight operand, PE(1,0) holds a
+// padding zero in every tile (masked) and PE(1,1) an input one. Such
+// campaigns simulate every site; WS and OS on the same workload fold.
+TEST(CampaignSymmetryTest, PaddedConvolutionsDoNotFoldUnderIs) {
+  CampaignConfig config = BaseConfig();
+  config.workload.name = "conv-6x6-pad1";
+  config.workload.op = OpType::kConv;
+  ConvParams& conv = config.workload.conv;
+  conv.height = conv.width = 6;
+  conv.kernel_h = conv.kernel_w = 3;
+  conv.pad = 1;
+  config.dataflow = Dataflow::kInputStationary;
+  config.signal = MacSignal::kWeightOperand;
+  config.bit = 0;
+  config.polarity = StuckPolarity::kStuckAt0;
+  EXPECT_FALSE(SymmetryEligibleCampaign(config));
+  const PreparedCampaign prepared = PrepareCampaign(config);
+  EXPECT_FALSE(prepared.SymmetryActive());
+  ASSERT_EQ(prepared.sites[8], (PeCoord{1, 0}));
+  ASSERT_EQ(prepared.sites[9], (PeCoord{1, 1}));
+  EXPECT_EQ(PartitionFaultSites(prepared.sites, config.workload, config.accel,
+                                config.dataflow)[9],
+            8u);
+  FiRunner runner(config.accel);
+  EXPECT_EQ(RunPreparedExperimentDirect(prepared, runner, 8, config.engine)
+                .observed,
+            PatternClass::kMasked);
+  EXPECT_NE(RunPreparedExperimentDirect(prepared, runner, 9, config.engine)
+                .observed,
+            PatternClass::kMasked);
+
+  for (const Dataflow dataflow :
+       {Dataflow::kWeightStationary, Dataflow::kOutputStationary}) {
+    config.dataflow = dataflow;
+    ExpectSameRecords(UnfoldedRecords(config), RunCampaignSerial(config),
+                      ToString(dataflow));
+  }
 }
 
 TEST(CampaignSymmetryTest, SerialMatchesExhaustiveAcrossMatrix) {
@@ -104,10 +154,8 @@ TEST(CampaignSymmetryTest, SerialMatchesExhaustiveAcrossMatrix) {
         // row's running sum reaches 8), the hardest case for synthesis.
         config.bit = 3;
         SCOPED_TRACE(config.ToString());
-        const CampaignResult exhaustive = RunCampaignSerial(config);
-        config.symmetry = true;
-        const CampaignResult reduced = RunCampaignSerial(config);
-        ExpectSameRecords(exhaustive, reduced, ToString(engine));
+        ExpectSameRecords(UnfoldedRecords(config), RunCampaignSerial(config),
+                          ToString(engine));
       }
     }
   }
@@ -116,16 +164,13 @@ TEST(CampaignSymmetryTest, SerialMatchesExhaustiveAcrossMatrix) {
 TEST(CampaignSymmetryTest, ExecutorSelfCheckPassesOnReplicatedRecords) {
   // Every replicated record cross-validated against a direct run of the
   // same engine: zero mismatches, and the parallel record stream equals
-  // the exhaustive one.
+  // the unfolded one.
   for (const CampaignEngine engine :
        {CampaignEngine::kDifferential, CampaignEngine::kBatch,
         CampaignEngine::kPredicted}) {
     CampaignConfig config = BaseConfig();
     config.engine = engine;
     config.bit = 3;
-    const CampaignResult exhaustive = RunCampaignSerial(config);
-
-    config.symmetry = true;
     RunOptions options;
     options.max_parallelism = 4;
     options.resilience.selfcheck_rate = 1.0;
@@ -138,20 +183,19 @@ TEST(CampaignSymmetryTest, ExecutorSelfCheckPassesOnReplicatedRecords) {
 
     std::vector<CampaignResult> results = collector.TakeResults();
     ASSERT_EQ(results.size(), 1u) << ToString(engine);
-    ExpectSameRecords(exhaustive, results.front(), ToString(engine));
+    ExpectSameRecords(UnfoldedRecords(config), results.front(),
+                      ToString(engine));
   }
 }
 
 TEST(CampaignSymmetryTest, SampledSitesReplicateFromEarliestMember) {
   // A sampled campaign's sites arrive in shuffled order; representatives
   // follow that order, not the array order, and the reduced run still
-  // matches the exhaustive one.
+  // matches the unfolded one.
   CampaignConfig config = BaseConfig();
   config.max_sites = 23;
-  const CampaignResult exhaustive = RunCampaignSerial(config);
-  config.symmetry = true;
-  const CampaignResult reduced = RunCampaignSerial(config);
-  ExpectSameRecords(exhaustive, reduced, "sampled");
+  ExpectSameRecords(UnfoldedRecords(config), RunCampaignSerial(config),
+                    "sampled");
 }
 
 TEST(CampaignSymmetryTest, MemoComputeOnceProtocol) {
@@ -174,8 +218,7 @@ TEST(CampaignSymmetryTest, MemoComputeOnceProtocol) {
 }
 
 TEST(CampaignSymmetryTest, DisabledMemoFallsBackToDirectSimulation) {
-  CampaignConfig config = BaseConfig();
-  config.symmetry = true;
+  const CampaignConfig config = BaseConfig();
   const PreparedCampaign prepared = PrepareCampaign(config);
   ASSERT_TRUE(prepared.SymmetryActive());
   prepared.symmetry_memo->Disable();

@@ -16,17 +16,35 @@
 // A second test drives the closed form's trace-free operand form on what
 // no fill recipe makes — raw int8 tensors over the full range, operand
 // widths of 4 to 8 bits and accumulator widths up to 64 — against
-// FiRunner::RunFaulty on the same operands.
+// FiRunner::RunFaulty on the same operands. A third holds the lane-grid
+// replay to FiRunner::RunFaulty at those widths, with stuck-at faults on
+// the adder output's top bit.
+// A fourth is the folding oracle: all-ones campaigns of PE-local stuck-at
+// faults, on GEMMs and on padded or unpadded convolutions, fold their sites
+// unless they run IS on a padded convolution, and every way of running one
+// (RunCampaignSerial, RunSweep at 1 and 4 threads, two shards run alone and
+// merged, a warm result cache) must deliver the records of simulating every
+// site directly (RunPreparedExperimentDirect); the site partition must
+// equal the one walked from the tile grid.
 // Every iteration draws from its own seed, which the failure names.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "accel/driver.h"
 #include "common/rng.h"
 #include "patterns/campaign.h"
+#include "patterns/symmetry.h"
+#include "service/result_cache.h"
+#include "service/run.h"
+#include "service/sink.h"
 
 namespace saffire {
 namespace {
@@ -227,6 +245,277 @@ TEST(GroupedEnginePropertyTest, ClosedFormOnRawOperandsMatchesTheArray) {
                 want.pe_steps);
     }
   }
+}
+
+// The lane-grid replay at operand widths of 4 to 8 bits and accumulator
+// widths up to 64, with SA0 and SA1 on the adder output's top bit, where a
+// forced value wraps the accumulator (near ±2^63 at 64 bits): expanded over
+// the golden result each cone must equal RunFaulty's output, with the same
+// fault_activations.
+TEST(GroupedEnginePropertyTest, LaneGridMatchesTheArrayAtAnyWidth) {
+  constexpr std::uint64_t kFirstSeed = 20261102;
+  constexpr int kIterations = 100;
+  constexpr int kFaultsPerPolarity = 2;
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(iteration);
+    Rng rng(seed);
+    CampaignConfig config;
+    config.accel = DrawAccel(rng);
+    ArrayConfig& array = config.accel.array;
+    array.input_bits = static_cast<std::int32_t>(rng.UniformInt(4, 8));
+    array.acc_bits =
+        static_cast<std::int32_t>(rng.UniformInt(2 * array.input_bits, 64));
+    config.workload.name = "lane-grid-widths";
+    config.workload.m = rng.UniformInt(1, 40);
+    config.workload.k = rng.UniformInt(1, 40);
+    config.workload.n = rng.UniformInt(1, 40);
+    config.workload.input_fill = OperandFill::kRandom;
+    config.workload.weight_fill = OperandFill::kRandom;
+    config.workload.data_seed = rng();
+    config.dataflow = kDataflows[rng.UniformInt(0, 2)];
+    config.engine = CampaignEngine::kBatch;
+    std::vector<FaultSpec> faults;
+    for (const StuckPolarity polarity :
+         {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
+      for (int i = 0; i < kFaultsPerPolarity; ++i) {
+        FaultSpec fault;
+        fault.pe = {
+            static_cast<std::int32_t>(rng.UniformInt(0, array.rows - 1)),
+            static_cast<std::int32_t>(rng.UniformInt(0, array.cols - 1))};
+        fault.signal = MacSignal::kAdderOut;
+        fault.bit = array.acc_bits - 1;
+        fault.polarity = polarity;
+        faults.push_back(fault);
+      }
+    }
+    SCOPED_TRACE("iteration seed " + std::to_string(seed) + ": " +
+                 config.ToString() + ", max_compute_rows " +
+                 std::to_string(config.accel.max_compute_rows));
+
+    const PreparedCampaign prepared = PrepareCampaign(config);
+    FiRunner runner(config.accel);
+    const std::vector<ConeRunResult> cones =
+        runner.RunFaultyBatch(config.workload, config.dataflow, faults,
+                              *prepared.trace(), prepared.golden());
+    ASSERT_EQ(cones.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      SCOPED_TRACE(faults[i].ToString());
+      const RunResult want =
+          runner.RunFaulty(config.workload, config.dataflow, {&faults[i], 1});
+      ASSERT_TRUE(ExpandCone(cones[i].output, prepared.golden().output) ==
+                  want.output)
+          << "lane-grid output differs from the array's";
+      ASSERT_EQ(cones[i].fault_activations, want.fault_activations);
+    }
+  }
+}
+
+// The partition a folding campaign must use, walked tile by tile: a
+// site's key is its array row, the output rows and columns its operand
+// streams cross (translated to start at 0), and under OS whether it is
+// PE(0,0), the one PE whose accumulator adds no idle cycle before its
+// operands arrive. The rows × columns product must be the predicted reach.
+// A class's first site in campaign order represents it.
+std::vector<std::size_t> StreamPartition(const PreparedCampaign& prepared) {
+  const CampaignConfig& config = prepared.config;
+  const WorkloadSpec& workload = config.workload;
+  const TileGrid grid =
+      Driver::PlanTiles(workload.GemmM(), workload.GemmN(), workload.GemmK(),
+                        config.accel, config.dataflow);
+  std::map<std::tuple<std::int32_t, std::vector<std::int64_t>,
+                      std::vector<std::int64_t>, bool>,
+           std::size_t>
+      rep_by_key;
+  std::vector<std::size_t> rep_of;
+  for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
+    const PeCoord pe = prepared.sites[i];
+    // The PE's line inside each tile, or -1 where the partial-sum stream
+    // crosses it and it reaches every line of the tile.
+    std::int64_t row_in_tile = pe.row;
+    std::int64_t col_in_tile = pe.col;
+    if (config.dataflow == Dataflow::kWeightStationary) row_in_tile = -1;
+    if (config.dataflow == Dataflow::kInputStationary) {
+      row_in_tile = pe.col;
+      col_in_tile = -1;
+    }
+    std::vector<std::int64_t> rows;
+    for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
+      for (std::int64_t row = 0; row < grid.TileRows(mi); ++row) {
+        if (row_in_tile < 0 || row == row_in_tile) {
+          rows.push_back(grid.RowStart(mi) + row);
+        }
+      }
+    }
+    std::vector<std::int64_t> cols;
+    for (std::int64_t ni = 0; ni < grid.n_tiles(); ++ni) {
+      for (std::int64_t col = 0; col < grid.TileCols(ni); ++col) {
+        if (col_in_tile < 0 || col == col_in_tile) {
+          cols.push_back(grid.ColStart(ni) + col);
+        }
+      }
+    }
+    std::vector<MatrixCoord> reach;
+    for (const std::int64_t row : rows) {
+      for (const std::int64_t col : cols) reach.push_back({row, col});
+    }
+    EXPECT_TRUE(reach == PredictPattern(workload, config.accel,
+                                        config.dataflow, prepared.faults[i])
+                             .coords)
+        << "predicted reach of PE(" << pe.row << "," << pe.col
+        << ") is not its streams' product";
+    for (std::vector<std::int64_t>* lines : {&rows, &cols}) {
+      if (lines->empty()) continue;
+      const std::int64_t first = lines->front();
+      for (std::int64_t& line : *lines) line -= first;
+    }
+    const bool origin_under_os =
+        config.dataflow == Dataflow::kOutputStationary && pe == PeCoord{0, 0};
+    const auto key = std::tuple(pe.row, std::move(rows), std::move(cols),
+                                origin_under_os);
+    rep_of.push_back(rep_by_key.try_emplace(key, i).first->second);
+  }
+  return rep_of;
+}
+
+// A small convolution under either lowering, padded in two draws of three:
+// padding zeroes border entries of the lowered input, which an IS array
+// column holds as its stationary operand.
+void DrawConv(Rng& rng, WorkloadSpec& workload) {
+  workload.op = OpType::kConv;
+  workload.lowering = rng.Bernoulli(0.5) ? ConvLowering::kShiftGemm
+                                         : ConvLowering::kIm2Col;
+  ConvParams& conv = workload.conv;
+  conv.in_channels = rng.UniformInt(1, 3);
+  conv.height = rng.UniformInt(1, 6);
+  conv.width = rng.UniformInt(1, 6);
+  conv.out_channels = rng.UniformInt(1, 4);
+  conv.pad = rng.UniformInt(0, 2);
+  conv.kernel_h = rng.UniformInt(
+      1, std::min<std::int64_t>(3, conv.height + 2 * conv.pad));
+  conv.kernel_w = rng.UniformInt(
+      1, std::min<std::int64_t>(4, conv.width + 2 * conv.pad));
+  conv.stride = rng.UniformInt(1, 2);
+}
+
+// The one campaign of `plan` as RunSweep delivers it.
+std::vector<ExperimentRecord> SweepRecords(const CampaignPlan& plan,
+                                           const RunOptions& options,
+                                           SweepOutcome* outcome = nullptr) {
+  CollectorSink collector;
+  const SweepOutcome result = RunSweep(plan, options, collector);
+  if (outcome != nullptr) *outcome = result;
+  std::vector<CampaignResult> results = collector.TakeResults();
+  if (results.size() != 1) {
+    ADD_FAILURE() << results.size() << " campaigns delivered";
+    return {};
+  }
+  return std::move(results.front().records);
+}
+
+TEST(GroupedEnginePropertyTest, FoldedCampaignsMatchDirectRunsOnEveryPath) {
+  constexpr std::uint64_t kFirstSeed = 20261103;
+  constexpr int kIterations = 100;
+  const MacSignal signals[] = {MacSignal::kWeightOperand, MacSignal::kMulOut,
+                               MacSignal::kAdderOut};
+  const CampaignEngine engines[] = {
+      CampaignEngine::kDifferential, CampaignEngine::kReference,
+      CampaignEngine::kBatch, CampaignEngine::kPredicted};
+  const std::filesystem::path cache_dir =
+      std::filesystem::path(::testing::TempDir()) /
+      "saffire_folding_oracle_cache";
+  int folded = 0;
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
+    const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(iteration);
+    Rng rng(seed);
+    CampaignConfig config;
+    config.accel = DrawAccel(rng);
+    const ArrayConfig& array = config.accel.array;
+    config.workload.name = "folding-property";
+    if (rng.UniformInt(0, 2) == 0) {
+      DrawConv(rng, config.workload);
+    } else {
+      // Half the GEMMs fit inside the array, which leaves PEs in no tile.
+      const std::int64_t dim = rng.Bernoulli(0.5) ? 8 : 40;
+      config.workload.m = rng.UniformInt(1, dim);
+      config.workload.k = rng.UniformInt(1, dim);
+      config.workload.n = rng.UniformInt(1, dim);
+    }
+    config.dataflow = kDataflows[rng.UniformInt(0, 2)];
+    config.signal = signals[rng.UniformInt(0, 2)];
+    // Half the draws stuck a low bit, which small partial sums toggle.
+    const int width = SignalWidth(config.signal, array);
+    config.bit = static_cast<int>(
+        rng.UniformInt(0, rng.Bernoulli(0.5) ? std::min(width, 3) - 1
+                                             : width - 1));
+    config.polarity = rng.Bernoulli(0.5) ? StuckPolarity::kStuckAt1
+                                         : StuckPolarity::kStuckAt0;
+    config.engine = engines[rng.UniformInt(0, 3)];
+    config.max_sites =
+        rng.Bernoulli(0.5) ? 0 : rng.UniformInt(2, array.num_pes() - 1);
+    config.seed = rng();
+    config.batch_lanes = rng.UniformInt(1, 64);
+    SCOPED_TRACE("iteration seed " + std::to_string(seed) + ": " +
+                 config.ToString() + ", " + ToString(config.engine) +
+                 ", batch_lanes " + std::to_string(config.batch_lanes) +
+                 ", max_compute_rows " +
+                 std::to_string(config.accel.max_compute_rows));
+    const bool padded_input_stationary =
+        config.dataflow == Dataflow::kInputStationary &&
+        config.workload.op == OpType::kConv && config.workload.conv.pad > 0;
+    ASSERT_EQ(SymmetryEligibleCampaign(config), !padded_input_stationary);
+
+    const PreparedCampaign prepared = PrepareCampaign(config);
+    ASSERT_TRUE(PartitionFaultSites(prepared.sites, config.workload,
+                                    config.accel, config.dataflow) ==
+                StreamPartition(prepared))
+        << "site partition differs from the stream partition";
+    if (prepared.SymmetryActive()) ++folded;
+
+    FiRunner runner(config.accel);
+    std::vector<ExperimentRecord> direct;
+    for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
+      direct.push_back(
+          RunPreparedExperimentDirect(prepared, runner, i, config.engine));
+    }
+    ASSERT_TRUE(RunCampaignSerial(config).records == direct)
+        << "RunCampaignSerial records differ";
+
+    CampaignPlan plan = SingleCampaignPlan(config);
+    std::filesystem::remove_all(cache_dir);
+    ResultCache cache(cache_dir.string());
+    for (const int threads : {1, 4}) {
+      RunOptions options;
+      options.max_parallelism = threads;
+      // The 1-thread run also stores the campaign in the cache.
+      if (threads == 1) options.result_cache = &cache;
+      ASSERT_TRUE(SweepRecords(plan, options) == direct)
+          << "RunSweep records differ at " << threads << " threads";
+    }
+
+    // Two shards, each run on its own, concatenate to the campaign.
+    const std::int64_t sites = plan.site_counts.front();
+    plan.shards = {{0, 0, 0, sites / 2}, {0, 1, sites / 2, sites}};
+    std::vector<ExperimentRecord> merged;
+    for (const int shard : {0, 1}) {
+      RunOptions options;
+      options.only_shard = shard;
+      const std::vector<ExperimentRecord> part = SweepRecords(plan, options);
+      merged.insert(merged.end(), part.begin(), part.end());
+    }
+    ASSERT_TRUE(merged == direct) << "merged shard records differ";
+
+    RunOptions warm;
+    warm.result_cache = &cache;
+    SweepOutcome outcome;
+    ASSERT_TRUE(SweepRecords(SingleCampaignPlan(config), warm, &outcome) ==
+                direct)
+        << "records replayed from the result cache differ";
+    ASSERT_EQ(outcome.cache_hits, 1);
+    ASSERT_EQ(outcome.cache_misses, 0);
+  }
+  std::filesystem::remove_all(cache_dir);
+  // Most draws must fold, or the oracle compares unfolded runs only.
+  EXPECT_GT(folded, kIterations / 2);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <vector>
 
 #include "fi/runner.h"
 
@@ -141,29 +143,65 @@ TEST(SymmetryTest, ReductionFactorAcrossDataflows) {
 
 // --- the record-identity overload (campaign dedup) ---------------------
 
-FaultSpec Prototype() {
-  return StuckAtAdder(/*pe=*/{0, 0}, /*bit=*/8, StuckPolarity::kStuckAt1);
+// The classes of a representative-index partition: each representative's
+// index mapped to its members' indices, in site order.
+std::map<std::size_t, std::vector<std::size_t>> Classes(
+    const std::vector<std::size_t>& rep_of) {
+  std::map<std::size_t, std::vector<std::size_t>> classes;
+  for (std::size_t i = 0; i < rep_of.size(); ++i) {
+    classes[rep_of[i]].push_back(i);
+  }
+  return classes;
 }
 
 TEST(SitePartitionTest, GroupsSameRowSitesAcrossDataflows) {
-  // The dedup key is (row, normalized reach): members always share their
-  // representative's row, and on the uniform GEMM each row collapses to
-  // one class — for every dataflow, OS included (the raw reaches differ
-  // per column, but they are congruent).
+  // The dedup key is (row, tiles the PE's streams cross): members always
+  // share their representative's row, and on the uniform GEMM each row
+  // collapses to one class — for every dataflow, OS included (the raw
+  // reaches differ per column, but they are congruent) — except that under
+  // OS PE(0,0) is a class of its own: its accumulator adds no idle cycle
+  // before its operands arrive.
   for (const Dataflow dataflow :
        {Dataflow::kWeightStationary, Dataflow::kOutputStationary,
         Dataflow::kInputStationary}) {
+    const bool os = dataflow == Dataflow::kOutputStationary;
     const auto sites = AllPeCoords(TestConfig().array);
-    const auto classes = PartitionFaultSites(sites, Prototype(), Gemm16x16(),
-                                             TestConfig(), dataflow);
-    ASSERT_EQ(classes.size(), 16u) << ToString(dataflow);
-    EXPECT_EQ(TotalMembers(classes), 256) << ToString(dataflow);
-    for (const auto& equivalence : classes) {
-      EXPECT_EQ(equivalence.members.size(), 16u) << ToString(dataflow);
-      for (const PeCoord member : equivalence.members) {
-        EXPECT_EQ(member.row, equivalence.representative.row)
-            << ToString(dataflow);
+    const auto rep_of =
+        PartitionFaultSites(sites, Gemm16x16(), TestConfig(), dataflow);
+    ASSERT_EQ(rep_of.size(), 256u) << ToString(dataflow);
+    const auto classes = Classes(rep_of);
+    ASSERT_EQ(classes.size(), os ? 17u : 16u) << ToString(dataflow);
+    for (const auto& [rep, members] : classes) {
+      std::size_t want = 16;
+      if (os && sites[rep].row == 0) want = sites[rep].col == 0 ? 1 : 15;
+      EXPECT_EQ(members.size(), want) << ToString(dataflow);
+      for (const std::size_t member : members) {
+        EXPECT_EQ(sites[member].row, sites[rep].row) << ToString(dataflow);
       }
+    }
+  }
+}
+
+TEST(SitePartitionTest, OutputStationaryPesOutsideTheOutputSplitByColumn) {
+  // GEMM 1x4x1 under OS: only PE(0,0) owns an output. A PE in a lower row
+  // reaches nothing, yet the weight stream of column 0 still crosses
+  // PE(r,0) and no stream crosses the columns right of it, so each row
+  // splits into column 0 and the rest (and in row 0, PE(0,0) is alone
+  // anyway).
+  WorkloadSpec gemm = Gemm16x16();
+  gemm.m = 1;
+  gemm.k = 4;
+  gemm.n = 1;
+  const auto sites = AllPeCoords(TestConfig().array);
+  const auto rep_of = PartitionFaultSites(sites, gemm, TestConfig(),
+                                          Dataflow::kOutputStationary);
+  const auto classes = Classes(rep_of);
+  ASSERT_EQ(classes.size(), 32u);
+  for (const auto& [rep, members] : classes) {
+    EXPECT_EQ(members.size(), sites[rep].col == 0 ? 1u : 15u);
+    for (const std::size_t member : members) {
+      EXPECT_EQ(sites[member].row, sites[rep].row);
+      EXPECT_EQ(sites[member].col == 0, sites[rep].col == 0);
     }
   }
 }
@@ -173,14 +211,15 @@ TEST(SitePartitionTest, NonSquareArrayGroupsByRow) {
   config.array.rows = 4;
   config.array.cols = 8;
   const auto sites = AllPeCoords(config.array);
-  const auto classes = PartitionFaultSites(sites, Prototype(), Gemm16x16(),
-                                           config, Dataflow::kWeightStationary);
-  EXPECT_EQ(TotalMembers(classes), 32);
+  const auto rep_of = PartitionFaultSites(sites, Gemm16x16(), config,
+                                          Dataflow::kWeightStationary);
+  EXPECT_EQ(rep_of.size(), 32u);
+  const auto classes = Classes(rep_of);
   std::set<std::int32_t> rows;
-  for (const auto& equivalence : classes) {
-    rows.insert(equivalence.representative.row);
-    for (const PeCoord member : equivalence.members) {
-      EXPECT_EQ(member.row, equivalence.representative.row);
+  for (const auto& [rep, members] : classes) {
+    rows.insert(sites[rep].row);
+    for (const std::size_t member : members) {
+      EXPECT_EQ(sites[member].row, sites[rep].row);
     }
   }
   // Every array row contributes at least one class; classes never span rows.
@@ -195,11 +234,11 @@ TEST(SitePartitionTest, SingleColumnArrayHasNoReduction) {
   config.array.rows = 8;
   config.array.cols = 1;
   const auto sites = AllPeCoords(config.array);
-  const auto classes = PartitionFaultSites(sites, Prototype(), Gemm16x16(),
-                                           config, Dataflow::kWeightStationary);
-  ASSERT_EQ(classes.size(), 8u);
-  for (const auto& equivalence : classes) {
-    EXPECT_EQ(equivalence.members.size(), 1u);
+  const auto rep_of = PartitionFaultSites(sites, Gemm16x16(), config,
+                                          Dataflow::kWeightStationary);
+  ASSERT_EQ(Classes(rep_of).size(), 8u);
+  for (std::size_t i = 0; i < rep_of.size(); ++i) {
+    EXPECT_EQ(rep_of[i], i);
   }
 }
 
@@ -209,30 +248,18 @@ TEST(SitePartitionTest, RepresentativeIsFirstInSiteOrder) {
   // (the campaign maps members onto already-finished experiments).
   const std::vector<PeCoord> sites = {
       {3, 5}, {7, 1}, {3, 2}, {0, 0}, {7, 9}, {3, 5}};
-  const auto classes =
-      PartitionFaultSites(sites, Prototype(), Gemm16x16(), TestConfig(),
-                          Dataflow::kWeightStationary);
+  const auto rep_of = PartitionFaultSites(sites, Gemm16x16(), TestConfig(),
+                                          Dataflow::kWeightStationary);
+  const auto classes = Classes(rep_of);
   ASSERT_GE(classes.size(), 3u);
-  EXPECT_EQ(classes[0].representative, (PeCoord{3, 5}));
-  EXPECT_EQ(classes[1].representative, (PeCoord{7, 1}));
+  EXPECT_EQ(rep_of[0], 0u);
+  EXPECT_EQ(rep_of[1], 1u);
+  for (std::size_t i = 0; i < rep_of.size(); ++i) EXPECT_LE(rep_of[i], i);
   // Members keep list order; the duplicate site lands in its class twice
   // (the partition mirrors the experiment list, index for index).
-  EXPECT_EQ(TotalMembers(classes), 6);
-  EXPECT_EQ(classes[0].members.front(), (PeCoord{3, 5}));
-  EXPECT_EQ(classes[0].members.back(), (PeCoord{3, 5}));
-}
-
-TEST(SitePartitionTest, PredictionCacheParity) {
-  PredictionCache cache(Gemm16x16(), TestConfig(),
-                        Dataflow::kInputStationary);
-  const auto sites = AllPeCoords(TestConfig().array);
-  const auto cached =
-      PartitionFaultSites(sites, Prototype(), Gemm16x16(), TestConfig(),
-                          Dataflow::kInputStationary, &cache);
-  const auto uncached = PartitionFaultSites(
-      sites, Prototype(), Gemm16x16(), TestConfig(),
-      Dataflow::kInputStationary);
-  EXPECT_EQ(cached, uncached);
+  EXPECT_EQ(rep_of.size(), 6u);
+  EXPECT_EQ(classes.at(0).front(), 0u);
+  EXPECT_EQ(classes.at(0).back(), 5u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "service/chaos.h"
 #include "service/run.h"
@@ -214,34 +215,41 @@ TEST_F(ResultCacheTest, RepeatedSweepReplaysWithoutSimulating) {
   EXPECT_FALSE(warm_out.str().empty());
 }
 
-// A symmetry-reduced sweep must populate the cache with the same entry a
-// plain sweep would — the cached bytes are record-level, not plan-level.
-TEST_F(ResultCacheTest, SymmetryRunsShareEntriesWithPlainRuns) {
+// A folded sweep must populate the cache with the unfolded records — the
+// cached bytes are record-level, not plan-level — and a warm run replays
+// them without simulating.
+TEST_F(ResultCacheTest, FoldedRunsCacheTheUnfoldedRecords) {
   ResultCache cache(dir());
   CampaignConfig config = BaseConfig();
-  config.max_sites = 0;  // exhaustive, so symmetry has duplicates to fold
-  config.symmetry = true;
+  config.max_sites = 0;  // exhaustive, so the campaign has sites to fold
+  const PreparedCampaign prepared = PrepareCampaign(config);
+  ASSERT_TRUE(prepared.SymmetryActive());
+  FiRunner runner(config.accel);
+  std::vector<ExperimentRecord> unfolded;
+  for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
+    unfolded.push_back(
+        RunPreparedExperimentDirect(prepared, runner, i, config.engine));
+  }
 
   RunOptions options;
   options.result_cache = &cache;
-  std::ostringstream symmetry_out;
-  CsvRecordSink symmetry_sink(symmetry_out);
+  CollectorSink cold;
   const SweepOutcome stored =
-      RunSweep(SingleCampaignPlan(config), options, symmetry_sink);
+      RunSweep(SingleCampaignPlan(config), options, cold);
   EXPECT_EQ(stored.cache_stores, 1);
 
-  // The plain (symmetry-off) campaign hits the same entry: symmetry is
-  // excluded from the campaign key by contract.
-  config.symmetry = false;
   CampaignExecutor executor(ExecutorOptions{.threads = 2});
   options.executor = &executor;
-  std::ostringstream plain_out;
-  CsvRecordSink plain_sink(plain_out);
-  const SweepOutcome warm =
-      RunSweep(SingleCampaignPlan(config), options, plain_sink);
-  EXPECT_EQ(warm.cache_hits, 1);
+  CollectorSink warm;
+  const SweepOutcome replayed =
+      RunSweep(SingleCampaignPlan(config), options, warm);
+  EXPECT_EQ(replayed.cache_hits, 1);
   EXPECT_EQ(executor.stats().experiments_run, 0);
-  EXPECT_EQ(plain_out.str(), symmetry_out.str());
+  for (CollectorSink* sink : {&cold, &warm}) {
+    const std::vector<CampaignResult> results = sink->TakeResults();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results.front().records == unfolded);
+  }
 }
 
 // A self-check mismatch marks the whole run untrusted (exit 3); its

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace saffire {
 namespace {
@@ -216,24 +217,31 @@ TEST(CampaignKeyTest, DistinguishesConfigs) {
   b = a;
   b.engine = CampaignEngine::kReference;  // engines are bit-identical
   EXPECT_EQ(CampaignKey(a), CampaignKey(b));
-  b = a;
-  b.symmetry = true;  // a symmetry run's records match a full run's
-  EXPECT_EQ(CampaignKey(a), CampaignKey(b));
 }
 
-TEST(SweepSpecTest, SymmetryRoundTripsAndDefaultsOff) {
-  SweepSpec spec = BaseSpec();
-  EXPECT_FALSE(spec.symmetry);
-  spec.symmetry = true;
-  const SweepSpec parsed = ParseSweepSpec(spec.ToJson());
-  EXPECT_TRUE(parsed.symmetry);
-  EXPECT_EQ(parsed.ToJson(), spec.ToJson());
-  for (const CampaignConfig& config : BuildCampaignPlan(parsed).campaigns) {
-    EXPECT_TRUE(config.symmetry);
+TEST(SweepSpecTest, LegacySymmetryKeyIsIgnored) {
+  // Spec files written while site folding was a switch carry a "symmetry"
+  // key. They still load, and true, false and an absent key all give the
+  // same spec and the same plan, down to the campaign keys: eligible
+  // campaigns always fold, and folding never changes a record.
+  const std::string json = BaseSpec().ToJson();
+  EXPECT_EQ(json.find("symmetry"), std::string::npos);
+  const CampaignPlan want = BuildCampaignPlan(BaseSpec());
+  const std::size_t close = json.rfind('}');
+  ASSERT_NE(close, std::string::npos);
+  for (const std::string& legacy :
+       {json, json.substr(0, close) + ",\"symmetry\":true}",
+        json.substr(0, close) + ",\"symmetry\":false}"}) {
+    SCOPED_TRACE(legacy);
+    const SweepSpec parsed = ParseSweepSpec(legacy);
+    EXPECT_EQ(parsed.ToJson(), json);
+    const CampaignPlan plan = BuildCampaignPlan(parsed);
+    ASSERT_EQ(plan.campaigns.size(), want.campaigns.size());
+    for (std::size_t c = 0; c < plan.campaigns.size(); ++c) {
+      EXPECT_EQ(CampaignKey(plan.campaigns[c]), CampaignKey(want.campaigns[c]));
+    }
+    EXPECT_EQ(plan.site_counts, want.site_counts);
   }
-
-  // A pre-symmetry spec (no "symmetry" key) still parses, flag off.
-  EXPECT_FALSE(ParseSweepSpec(BaseSpec().ToJson()).symmetry);
 }
 
 TEST(CampaignContentHashTest, IsAStableRecordIdentity) {
@@ -251,7 +259,6 @@ TEST(CampaignContentHashTest, IsAStableRecordIdentity) {
   // Invariant across everything CampaignKey ignores...
   CampaignConfig b = a;
   b.engine = CampaignEngine::kPredicted;
-  b.symmetry = true;
   b.batch_lanes = 7;
   b.workload.name = "renamed";
   EXPECT_EQ(CampaignContentHash(b), hash);
