@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
     if (prepared.faults.size() != result.records.size()) return true;
     FiRunner runner(result.config.accel);
     for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
-      if (!(RunPreparedExperimentDirect(prepared, runner, i,
-                                        result.config.engine) ==
+      if (!(RunPreparedExperimentWithEngine(prepared, runner, i,
+                                            result.config.engine) ==
             result.records[i])) {
         return true;
       }

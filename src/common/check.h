@@ -22,6 +22,17 @@ class InternalError : public std::logic_error {
 
 namespace detail {
 
+// The file name of a __FILE__ path without its directories, as check
+// failures and log lines print it: the text stays the same whichever
+// directory the sources were built from.
+constexpr const char* SourceBasename(const char* path) {
+  const char* base = path;
+  for (const char* p = path; *p != '\0'; ++p) {
+    if (*p == '/') base = p + 1;
+  }
+  return base;
+}
+
 [[noreturn]] inline void ThrowCheckFailure(const char* expr, const char* file,
                                            int line, const std::string& msg) {
   std::ostringstream os;
@@ -42,11 +53,17 @@ namespace detail {
 }  // namespace detail
 }  // namespace saffire
 
+// The macros pass __FILE__ through detail::SourceBasename in a constant
+// expression, so the failure path costs no more than with the full path.
+
 // Validates a caller-supplied argument; throws std::invalid_argument.
 #define SAFFIRE_CHECK(expr)                                                  \
   do {                                                                       \
     if (!(expr)) {                                                           \
-      ::saffire::detail::ThrowCheckFailure(#expr, __FILE__, __LINE__, "");   \
+      constexpr const char* saffire_check_file_ =                            \
+          ::saffire::detail::SourceBasename(__FILE__);                       \
+      ::saffire::detail::ThrowCheckFailure(#expr, saffire_check_file_,       \
+                                           __LINE__, "");                    \
     }                                                                        \
   } while (false)
 
@@ -55,9 +72,12 @@ namespace detail {
 #define SAFFIRE_CHECK_MSG(expr, stream_expr)                                 \
   do {                                                                       \
     if (!(expr)) {                                                           \
+      constexpr const char* saffire_check_file_ =                            \
+          ::saffire::detail::SourceBasename(__FILE__);                       \
       std::ostringstream saffire_check_os_;                                  \
       saffire_check_os_ << stream_expr;                                      \
-      ::saffire::detail::ThrowCheckFailure(#expr, __FILE__, __LINE__,        \
+      ::saffire::detail::ThrowCheckFailure(#expr, saffire_check_file_,       \
+                                           __LINE__,                         \
                                            saffire_check_os_.str());         \
     }                                                                        \
   } while (false)
@@ -66,16 +86,22 @@ namespace detail {
 #define SAFFIRE_ASSERT(expr)                                                 \
   do {                                                                       \
     if (!(expr)) {                                                           \
-      ::saffire::detail::ThrowAssertFailure(#expr, __FILE__, __LINE__, "");  \
+      constexpr const char* saffire_assert_file_ =                           \
+          ::saffire::detail::SourceBasename(__FILE__);                       \
+      ::saffire::detail::ThrowAssertFailure(#expr, saffire_assert_file_,     \
+                                            __LINE__, "");                   \
     }                                                                        \
   } while (false)
 
 #define SAFFIRE_ASSERT_MSG(expr, stream_expr)                                \
   do {                                                                       \
     if (!(expr)) {                                                           \
+      constexpr const char* saffire_assert_file_ =                           \
+          ::saffire::detail::SourceBasename(__FILE__);                       \
       std::ostringstream saffire_assert_os_;                                 \
       saffire_assert_os_ << stream_expr;                                     \
-      ::saffire::detail::ThrowAssertFailure(#expr, __FILE__, __LINE__,       \
+      ::saffire::detail::ThrowAssertFailure(#expr, saffire_assert_file_,     \
+                                            __LINE__,                        \
                                             saffire_assert_os_.str());       \
     }                                                                        \
   } while (false)

@@ -5,6 +5,8 @@
 #include <iostream>
 #include <mutex>
 
+#include "common/check.h"
+
 namespace saffire {
 namespace {
 
@@ -64,11 +66,8 @@ namespace detail {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level) {
-  const char* base = file;
-  for (const char* p = file; *p != '\0'; ++p) {
-    if (*p == '/') base = p + 1;
-  }
-  stream_ << "[" << ToString(level_) << " " << base << ":" << line << "] ";
+  stream_ << "[" << ToString(level_) << " " << SourceBasename(file) << ":"
+          << line << "] ";
 }
 
 LogMessage::~LogMessage() {

@@ -1,9 +1,7 @@
 #include "patterns/campaign.h"
 
 #include <algorithm>
-#include <iterator>
-#include <set>
-#include <span>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -108,6 +106,18 @@ std::vector<FaultSpec> PlanFaults(const CampaignConfig& config,
   return faults;
 }
 
+// Every experiment of a campaign shares its fault model, and its sites are
+// in range by construction, so one check stands for all of them.
+void ValidateFaultModel(const CampaignConfig& config) {
+  FaultSpec fault;
+  fault.kind = config.kind;
+  fault.signal = config.signal;
+  fault.bit = config.bit;
+  fault.polarity = config.polarity;
+  fault.at_cycle = 0;  // a transient's strike offset is sampled later
+  fault.Validate(config.accel.array);
+}
+
 bool PredictorCoversSignal(MacSignal signal) {
   return signal == MacSignal::kAdderOut || signal == MacSignal::kMulOut ||
          signal == MacSignal::kWeightOperand;
@@ -131,8 +141,8 @@ obs::Counter& PredictResidueCounter() {
 obs::Counter& ReplicatedRecordsCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
       "saffire.cache.replicated_records",
-      "member records synthesized from a symmetry-class representative "
-      "instead of simulated");
+      "member records copied from a symmetry-class representative instead "
+      "of simulated");
   return counter;
 }
 
@@ -187,10 +197,9 @@ ExperimentRecord BuildRecord(const PreparedCampaign& prepared,
 }
 
 // The replay/closed-form core of a grouped run: simulates `faults` as one
-// group on `engine` and builds their records. Shared by the plain grouped
-// path (a whole [begin, end) slice) and the symmetry path (the deduped
-// representative set of a slice) — lane-partition invariance guarantees
-// both produce bit-identical records for the faults they do simulate.
+// group on `engine` and builds their records. Shared by RunPreparedBatch
+// and the one-lane groups of RunPreparedExperimentWithEngine —
+// lane-partition invariance makes their records bit-identical.
 std::vector<ExperimentRecord> RunFaultGroup(const PreparedCampaign& prepared,
                                             FiRunner& runner,
                                             std::span<const FaultSpec> faults,
@@ -230,56 +239,6 @@ std::vector<ExperimentRecord> RunFaultGroup(const PreparedCampaign& prepared,
 
 }  // namespace
 
-bool SymmetryMemo::AcquireOrOwn(std::size_t representative,
-                                ExperimentRecord* record) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    const auto [it, inserted] = records_.try_emplace(representative);
-    if (inserted) return false;  // the caller owns the computation
-    if (it->second.has_value()) {
-      *record = *it->second;
-      return true;
-    }
-    if (disabled()) {
-      // Stop waiting on a distrusted memo: the caller simulates directly.
-      // The in-flight owner's eventual Fulfill (or an Abandon from this
-      // caller's failure path erasing the owner's marker) is harmless —
-      // post-disable nobody consults the memo, and racing records are
-      // identical anyway.
-      return false;
-    }
-    ready_.wait(lock);
-  }
-}
-
-void SymmetryMemo::Fulfill(std::size_t representative,
-                           ExperimentRecord record) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    records_[representative] = std::move(record);
-  }
-  ready_.notify_all();
-}
-
-void SymmetryMemo::Abandon(std::size_t representative) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = records_.find(representative);
-    if (it != records_.end() && !it->second.has_value()) records_.erase(it);
-  }
-  ready_.notify_all();
-}
-
-void SymmetryMemo::Disable() {
-  {
-    // The store happens under the mutex so a waiter between its disabled
-    // check and the wait cannot miss the wakeup.
-    std::lock_guard<std::mutex> lock(mutex_);
-    disabled_.store(true, std::memory_order_relaxed);
-  }
-  ready_.notify_all();
-}
-
 bool GroupedCampaignEngine(CampaignEngine engine) {
   return engine == CampaignEngine::kBatch ||
          engine == CampaignEngine::kPredicted;
@@ -313,6 +272,7 @@ PreparedCampaign PrepareCampaign(const CampaignConfig& config,
   SAFFIRE_SPAN("campaign.prepare");
   config.accel.Validate();
   config.workload.Validate();
+  ValidateFaultModel(config);
   if (GroupedCampaignEngine(config.engine)) {
     SAFFIRE_CHECK_MSG(config.batch_lanes >= 1 && config.batch_lanes <= 4096,
                       "batch_lanes=" << config.batch_lanes);
@@ -352,25 +312,25 @@ PreparedCampaign PrepareCampaign(const CampaignConfig& config,
   prepared.faults = PlanFaults(config, prepared.sites,
                                prepared.golden().cycles);
 
-  // Symmetry plan: partition the campaign's sites (in campaign order) into
-  // record-identity classes, and record each experiment's representative.
-  // A memo is only allocated when the partition actually collapses
-  // something — otherwise every experiment simulates directly.
-  prepared.symmetry_classes = prepared.sites.size();
-  if (SymmetryEligibleCampaign(config)) {
+  // The folding plan: each experiment's representative, the earliest site
+  // of its record-identity class in campaign order — itself when the
+  // campaign does not fold.
+  const bool folds = SymmetryEligibleCampaign(config);
+  if (folds) {
     SAFFIRE_SPAN("campaign.symmetry_plan");
-    std::vector<std::size_t> rep_of = PartitionFaultSites(
+    prepared.symmetry_rep_of = PartitionFaultSites(
         prepared.sites, config.workload, config.accel, config.dataflow);
-    std::size_t classes = 0;
-    for (std::size_t i = 0; i < rep_of.size(); ++i) {
-      if (rep_of[i] == i) ++classes;
-    }
-    prepared.symmetry_classes = classes;
-    SymmetryClassesCounter().Increment(static_cast<std::int64_t>(classes));
-    if (classes < prepared.sites.size()) {
-      prepared.symmetry_rep_of = std::move(rep_of);
-      prepared.symmetry_memo = std::make_shared<SymmetryMemo>();
-    }
+  } else {
+    prepared.symmetry_rep_of.resize(prepared.sites.size());
+    std::iota(prepared.symmetry_rep_of.begin(),
+              prepared.symmetry_rep_of.end(), std::size_t{0});
+  }
+  for (std::size_t i = 0; i < prepared.sites.size(); ++i) {
+    if (prepared.symmetry_rep_of[i] == i) ++prepared.symmetry_classes;
+  }
+  if (folds) {
+    SymmetryClassesCounter().Increment(
+        static_cast<std::int64_t>(prepared.symmetry_classes));
   }
   return prepared;
 }
@@ -384,38 +344,6 @@ ExperimentRecord RunPreparedExperiment(const PreparedCampaign& prepared,
 ExperimentRecord RunPreparedExperimentWithEngine(
     const PreparedCampaign& prepared, FiRunner& runner, std::size_t index,
     CampaignEngine engine) {
-  SAFFIRE_ASSERT_MSG(index < prepared.faults.size(),
-                     "experiment " << index << " of "
-                                   << prepared.faults.size());
-  if (prepared.SymmetryActive()) {
-    const std::size_t rep = prepared.symmetry_rep_of[index];
-    ExperimentRecord record;
-    if (!prepared.symmetry_memo->AcquireOrOwn(rep, &record)) {
-      // This thread owns the representative's simulation; other workers
-      // needing it wait on the memo instead of duplicating the array pass.
-      try {
-        record = RunPreparedExperimentDirect(prepared, runner, rep, engine);
-      } catch (...) {
-        prepared.symmetry_memo->Abandon(rep);
-        throw;
-      }
-      prepared.symmetry_memo->Fulfill(rep, record);
-    }
-    if (rep != index) {
-      // Synthesize the member record: identical to the representative's in
-      // every field except the injected fault's coordinate.
-      record.fault = prepared.faults[index];
-      ReplicatedRecordsCounter().Increment();
-    }
-    return record;
-  }
-  return RunPreparedExperimentDirect(prepared, runner, index, engine);
-}
-
-ExperimentRecord RunPreparedExperimentDirect(const PreparedCampaign& prepared,
-                                             FiRunner& runner,
-                                             std::size_t index,
-                                             CampaignEngine engine) {
   SAFFIRE_ASSERT_MSG(index < prepared.faults.size(),
                      "experiment " << index << " of "
                                    << prepared.faults.size());
@@ -457,92 +385,58 @@ ExperimentRecord RunPreparedExperimentDirect(const PreparedCampaign& prepared,
 }
 
 std::vector<ExperimentRecord> RunPreparedBatch(
-    const PreparedCampaign& prepared, FiRunner& runner, std::size_t begin,
-    std::size_t end) {
-  return RunPreparedBatch(prepared, runner, begin, end,
-                          prepared.config.engine);
+    const PreparedCampaign& prepared, FiRunner& runner,
+    std::span<const std::size_t> indices, CampaignEngine engine) {
+  SAFFIRE_CHECK_MSG(GroupedCampaignEngine(engine),
+                    "RunPreparedBatch requires a grouped engine, got "
+                        << ToString(engine));
+  SAFFIRE_CHECK_MSG(GroupedCampaignEngine(prepared.config.engine),
+                    "RunPreparedBatch requires a grouped campaign, got "
+                        << ToString(prepared.config.engine));
+  std::vector<FaultSpec> faults;
+  faults.reserve(indices.size());
+  for (const std::size_t index : indices) {
+    SAFFIRE_ASSERT_MSG(index < prepared.faults.size(),
+                       "experiment " << index << " of "
+                                     << prepared.faults.size());
+    faults.push_back(prepared.faults[index]);
+  }
+  return RunFaultGroup(prepared, runner, faults, engine);
 }
 
 std::vector<ExperimentRecord> RunPreparedBatch(
     const PreparedCampaign& prepared, FiRunner& runner, std::size_t begin,
-    std::size_t end, CampaignEngine engine,
-    std::uint64_t* lanes_simulated) {
+    std::size_t end) {
   SAFFIRE_ASSERT_MSG(begin < end && end <= prepared.faults.size(),
                      "batch [" << begin << ", " << end << ") of "
                                << prepared.faults.size());
-  const CampaignConfig& config = prepared.config;
-  SAFFIRE_CHECK_MSG(GroupedCampaignEngine(engine),
-                    "RunPreparedBatch requires a grouped engine, got "
-                        << ToString(engine));
-  SAFFIRE_CHECK_MSG(GroupedCampaignEngine(config.engine),
-                    "RunPreparedBatch requires a grouped campaign, got "
-                        << ToString(config.engine));
-  if (lanes_simulated != nullptr) {
-    *lanes_simulated = static_cast<std::uint64_t>(end - begin);
+  std::vector<std::size_t> indices(end - begin);
+  std::iota(indices.begin(), indices.end(), begin);
+  return RunPreparedBatch(prepared, runner, indices, prepared.config.engine);
+}
+
+std::vector<std::size_t> SimulationList(
+    const PreparedCampaign& prepared,
+    std::span<const std::int64_t> experiments) {
+  std::vector<std::size_t> list;
+  list.reserve(experiments.size());
+  for (const std::int64_t index : experiments) {
+    list.push_back(prepared.symmetry_rep_of[static_cast<std::size_t>(index)]);
   }
-  if (prepared.SymmetryActive()) {
-    // Gather the slice's distinct representatives — in ascending order, the
-    // deadlock-freedom contract of SymmetryMemo::AcquireOrOwn — and acquire
-    // each: hits come from the memo (waiting out another worker's in-flight
-    // simulation), the rest are owned by this call and simulated as one
-    // group below. A representative may lie outside the slice (an earlier
-    // batch, or a batch this process never runs under shard filtering /
-    // checkpoint resume) — its fault is still addressable globally, so it
-    // simply joins this group.
-    SymmetryMemo& memo = *prepared.symmetry_memo;
-    std::set<std::size_t> reps;
-    for (std::size_t i = begin; i < end; ++i) {
-      reps.insert(prepared.symmetry_rep_of[i]);
-    }
-    std::map<std::size_t, ExperimentRecord> group;
-    std::vector<std::size_t> need;
-    for (const std::size_t rep : reps) {
-      ExperimentRecord record;
-      if (memo.AcquireOrOwn(rep, &record)) {
-        group.emplace(rep, std::move(record));
-      } else {
-        need.push_back(rep);
-      }
-    }
-    if (!need.empty()) {
-      std::vector<FaultSpec> rep_faults;
-      rep_faults.reserve(need.size());
-      for (const std::size_t rep : need) {
-        rep_faults.push_back(prepared.faults[rep]);
-      }
-      std::vector<ExperimentRecord> simulated;
-      try {
-        simulated = RunFaultGroup(prepared, runner, rep_faults, engine);
-      } catch (...) {
-        // Release ownership so a waiter retries instead of hanging; the
-        // retry/demotion machinery above re-runs this group.
-        for (const std::size_t rep : need) memo.Abandon(rep);
-        throw;
-      }
-      for (std::size_t i = 0; i < need.size(); ++i) {
-        memo.Fulfill(need[i], simulated[i]);
-        group.emplace(need[i], std::move(simulated[i]));
-      }
-    }
-    if (lanes_simulated != nullptr) {
-      *lanes_simulated = static_cast<std::uint64_t>(need.size());
-    }
-    std::vector<ExperimentRecord> records;
-    records.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t rep = prepared.symmetry_rep_of[i];
-      ExperimentRecord record = group.at(rep);
-      if (rep != i) {
-        record.fault = prepared.faults[i];
-        ReplicatedRecordsCounter().Increment();
-      }
-      records.push_back(std::move(record));
-    }
-    return records;
+  std::sort(list.begin(), list.end());
+  list.erase(std::unique(list.begin(), list.end()), list.end());
+  return list;
+}
+
+ExperimentRecord MemberRecord(const PreparedCampaign& prepared,
+                              const ExperimentRecord& representative,
+                              std::size_t index) {
+  ExperimentRecord record = representative;
+  record.fault = prepared.faults[index];
+  if (prepared.symmetry_rep_of[index] != index) {
+    ReplicatedRecordsCounter().Increment();
   }
-  const std::span<const FaultSpec> faults(prepared.faults.data() + begin,
-                                          end - begin);
-  return RunFaultGroup(prepared, runner, faults, engine);
+  return record;
 }
 
 CampaignResult RunCampaignSerial(const CampaignConfig& config) {
@@ -557,35 +451,43 @@ CampaignResult RunCampaignSerial(const CampaignConfig& config) {
   result.golden_cycles = prepared.golden().cycles;
   result.golden_pe_steps = prepared.golden().pe_steps;
 
+  std::vector<std::int64_t> experiments(prepared.faults.size());
+  std::iota(experiments.begin(), experiments.end(), std::int64_t{0});
+  const std::vector<std::size_t> simulate =
+      SimulationList(prepared, experiments);
+  // Representative records, by experiment index.
+  std::vector<ExperimentRecord> simulated(prepared.faults.size());
   FiRunner runner(config.accel);
-  result.records.reserve(prepared.faults.size());
   if (GroupedCampaignEngine(config.engine)) {
-    // Canonical batch boundaries: consecutive batch_lanes-sized groups of
-    // the site order, the final one possibly partial. A closed-form
+    // Canonical groups: consecutive batch_lanes-sized blocks of the
+    // simulation list, the final one possibly partial. A closed-form
     // predicted campaign never fills a lane, so its occupancy stats stay 0;
     // the predicted residue replays through the lanes and counts normally.
     const bool closed_form = config.engine == CampaignEngine::kPredicted &&
                              PredictedEngineExact(config);
     const auto lanes = static_cast<std::size_t>(config.batch_lanes);
-    for (std::size_t i = 0; i < prepared.faults.size(); i += lanes) {
-      const std::size_t end = std::min(prepared.faults.size(), i + lanes);
-      std::uint64_t simulated = 0;
-      std::vector<ExperimentRecord> records = RunPreparedBatch(
-          prepared, runner, i, end, config.engine, &simulated);
-      // Occupancy counts lanes actually simulated: under a symmetry plan a
-      // group shrinks to its unseen representatives and can vanish
-      // entirely, in which case no array pass happened.
-      if (!closed_form && simulated > 0) {
-        result.lanes_filled += simulated;
+    for (std::size_t p = 0; p < simulate.size(); p += lanes) {
+      const std::span<const std::size_t> group(
+          simulate.data() + p, std::min(lanes, simulate.size() - p));
+      std::vector<ExperimentRecord> records =
+          RunPreparedBatch(prepared, runner, group, config.engine);
+      if (!closed_form) {
+        result.lanes_filled += group.size();
         ++result.batches_run;
       }
-      std::move(records.begin(), records.end(),
-                std::back_inserter(result.records));
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        simulated[group[i]] = std::move(records[i]);
+      }
     }
   } else {
-    for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
-      result.records.push_back(RunPreparedExperiment(prepared, runner, i));
+    for (const std::size_t index : simulate) {
+      simulated[index] = RunPreparedExperiment(prepared, runner, index);
     }
+  }
+  result.records.reserve(prepared.faults.size());
+  for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
+    result.records.push_back(
+        MemberRecord(prepared, simulated[prepared.symmetry_rep_of[i]], i));
   }
   return result;
 }

@@ -5,13 +5,10 @@
 // corruption, and cross-validate against the analytical predictor.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,9 +117,9 @@ bool PredictedEngineExact(FaultKind kind, MacSignal signal);
 // observed class can differ between class members), and IS on a padded
 // convolution (its array columns hold lowered input rows, which padding
 // makes unequal) always simulate every site. Folded records equal the
-// unfolded ones (RunPreparedExperimentDirect), so campaign keys ignore
-// folding, and ResilienceOptions::selfcheck_rate samples replicated
-// records against direct runs as defense-in-depth.
+// unfolded ones (RunPreparedExperimentWithEngine on every site), so
+// campaign keys ignore folding, and ResilienceOptions::selfcheck_rate
+// samples copied records against direct runs as defense-in-depth.
 bool SymmetryEligibleCampaign(const CampaignConfig& config);
 
 struct ExperimentRecord {
@@ -208,48 +205,6 @@ std::vector<PeCoord> SampleSites(const ArrayConfig& array,
 // (service/executor.h): both paths run the exact same per-experiment code,
 // which is what makes their results bit-identical by construction.
 
-// Shared per-campaign store of simulated representative records of a
-// folding campaign (SymmetryEligibleCampaign), with compute-once semantics:
-// the first worker to ask for a representative owns its simulation, and
-// every other worker waits for that result instead of duplicating the run —
-// which keeps each representative's array pass unique and the lanes_filled
-// occupancy total schedule-independent. A self-check mismatch Disable()s
-// the memo, after which every experiment simulates directly — the symmetry
-// analogue of engine demotion, and equally sticky for the campaign's
-// remainder.
-class SymmetryMemo {
- public:
-  // Looks the representative up, waiting out another worker's in-flight
-  // simulation if there is one. True: *record holds the (possibly just
-  // published) record. False: the caller now owns the computation and must
-  // follow up with exactly one Fulfill() (success) or Abandon() (the
-  // simulation threw — a waiter then retries and takes over ownership).
-  // Callers acquiring several representatives must acquire them in
-  // ascending order; that single global order is what makes concurrent
-  // owners deadlock-free (every wait edge points to a larger index).
-  bool AcquireOrOwn(std::size_t representative, ExperimentRecord* record);
-  // Publishes an owned representative's record and wakes waiters.
-  void Fulfill(std::size_t representative, ExperimentRecord record);
-  // Releases an owned representative without a record.
-  void Abandon(std::size_t representative);
-
-  // Permanently stops synthesis for this campaign (selfcheck mismatch —
-  // the class cannot be trusted). Records already synthesized stand, like
-  // records produced before an engine demotion. Waiters inside
-  // AcquireOrOwn wake and simulate directly.
-  void Disable();
-  bool disabled() const {
-    return disabled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable ready_;
-  // nullopt marks an in-flight computation some worker owns.
-  std::map<std::size_t, std::optional<ExperimentRecord>> records_;
-  std::atomic<bool> disabled_{false};
-};
-
 // The per-campaign state that is computed once and then shared (read-only)
 // by every experiment: the golden run, the classification context, the site
 // list, and the pre-sampled fault of each experiment.
@@ -273,23 +228,15 @@ struct PreparedCampaign {
   // execution order yields identical experiments).
   std::vector<FaultSpec> faults;
 
-  // Symmetry plan: symmetry_rep_of[i] is the experiment index of experiment
-  // i's class representative (the earliest equivalent site in campaign
-  // order; i itself when i is a representative). Empty, with symmetry_memo
-  // null, when the campaign does not fold (SymmetryEligibleCampaign is
-  // false) or the partition found no duplicate sites — in which case every
-  // experiment simulates directly. symmetry_classes always holds the number
-  // of distinct classes (== sites.size() when no plan is active) for
-  // reporting.
+  // The folding plan: symmetry_rep_of[i] is the experiment index of
+  // experiment i's class representative, the earliest equivalent site in
+  // campaign order. A run simulates only the representatives of the
+  // experiments it delivers (SimulationList) and copies each record to the
+  // class's members (MemberRecord). A campaign that does not fold
+  // (SymmetryEligibleCampaign is false) maps every experiment to itself.
+  // symmetry_classes is the number of distinct representatives.
   std::vector<std::size_t> symmetry_rep_of;
-  std::shared_ptr<SymmetryMemo> symmetry_memo;
   std::size_t symmetry_classes = 0;
-
-  // Whether member records are currently being synthesized from
-  // representatives (a selfcheck mismatch Disable()s the memo mid-flight).
-  bool SymmetryActive() const {
-    return symmetry_memo != nullptr && !symmetry_memo->disabled();
-  }
 
   const RunResult& golden() const {
     return cached != nullptr ? cached->result : reference_golden;
@@ -307,8 +254,11 @@ struct PreparedCampaign {
   }
 };
 
-// Validates the configuration, performs (or fetches from the process-wide
-// GoldenRunCache) the golden run, enumerates sites, and pre-samples faults.
+// Validates the configuration and its fault model (a bit outside the
+// signal's width throws std::invalid_argument here, once, not per
+// experiment), performs (or fetches from the process-wide GoldenRunCache)
+// the golden run, enumerates sites, pre-samples faults, and partitions the
+// sites into folding classes.
 // Under kReference the golden run needs a simulator: `golden_runner`
 // supplies one (the service passes its worker-cached instance); pass
 // nullptr to construct a transient one.
@@ -318,7 +268,8 @@ PreparedCampaign PrepareCampaign(const CampaignConfig& config,
 // Runs experiment `index` of a prepared campaign on `runner`, which must
 // have been constructed with prepared.config.accel. Configures the engine
 // tier on the runner, so simulators may be freely reused across campaigns
-// with different engines.
+// with different engines. Always simulates `index` itself: folding is the
+// caller's plan (SimulationList, MemberRecord), never a side effect here.
 ExperimentRecord RunPreparedExperiment(const PreparedCampaign& prepared,
                                        FiRunner& runner, std::size_t index);
 
@@ -330,49 +281,46 @@ ExperimentRecord RunPreparedExperiment(const PreparedCampaign& prepared,
 // under kReference preparation), kBatch and kPredicted require
 // config.engine to be one of the two grouped engines; kReference is
 // reachable from every campaign. All reachable engines produce identical
-// records apart from the pe_steps / pe_steps_skipped split.
+// records apart from the pe_steps / pe_steps_skipped split. The ground
+// truth of every folding test and of the self-check.
 ExperimentRecord RunPreparedExperimentWithEngine(
     const PreparedCampaign& prepared, FiRunner& runner, std::size_t index,
     CampaignEngine engine);
 
-// Like RunPreparedExperimentWithEngine but always simulates `index` itself,
-// bypassing the symmetry memo entirely (no lookup, no store). This is the
-// ground truth the self-check machinery compares synthesized records
-// against — it must not be able to return a synthesized record.
-ExperimentRecord RunPreparedExperimentDirect(const PreparedCampaign& prepared,
-                                             FiRunner& runner,
-                                             std::size_t index,
-                                             CampaignEngine engine);
+// Runs experiments `indices` of a prepared kBatch/kPredicted campaign as
+// one group on `engine` (kBatch or kPredicted; a kPredicted campaign
+// demoted to kBatch re-runs its groups on the replay without re-preparing)
+// — the closed form (FiRunner::RunFaultyPredicted) under kPredicted when
+// PredictedEngineExact holds, the lane-parallel replay
+// (FiRunner::RunFaultyBatch) otherwise — and returns their records in the
+// order given, bit-identical to running each index through
+// RunPreparedExperimentWithEngine. The campaign's canonical groups are the
+// consecutive batch_lanes-sized blocks of a run's simulation list
+// (SimulationList); callers that want schedule-invariant
+// lanes_filled/batches_run stats must split on them.
+std::vector<ExperimentRecord> RunPreparedBatch(
+    const PreparedCampaign& prepared, FiRunner& runner,
+    std::span<const std::size_t> indices, CampaignEngine engine);
 
-// Runs experiments [begin, end) of a prepared kBatch/kPredicted campaign as
-// one group — the closed form (FiRunner::RunFaultyPredicted) under
-// kPredicted when PredictedEngineExact holds, the lane-parallel replay
-// (FiRunner::RunFaultyBatch) otherwise — and returns their records in site
-// order, bit-identical to running each index through RunPreparedExperiment.
-// The campaign's canonical batch boundaries are the consecutive
-// batch_lanes-sized groups of the site order; callers that want
-// engine-invariant lanes_filled/batches_run stats must split on them.
+// Experiments [begin, end) as one group on prepared.config.engine.
 std::vector<ExperimentRecord> RunPreparedBatch(
     const PreparedCampaign& prepared, FiRunner& runner, std::size_t begin,
     std::size_t end);
 
-// Same, but on an explicit engine (kBatch or kPredicted) instead of
-// prepared.config.engine — the demotion path: a kPredicted campaign demoted
-// to kBatch re-runs its groups on the replay without re-preparing.
-// `lanes_simulated`, when non-null, receives the number of experiments the
-// group actually simulated: end − begin normally, but under an active
-// symmetry plan only the distinct representatives this call claimed from
-// the memo — the occupancy figure lanes_filled/batches_run should count.
-// The memo's compute-once latch keeps each representative's simulation
-// unique, so the lanes_filled total over a campaign is schedule-invariant
-// (= classes touched); which batch a representative is *attributed* to —
-// and therefore batches_run — can still differ between serial and parallel
-// runs of a folding campaign, since out-of-order chunks claim
-// representatives in whatever order they execute. Records are unaffected
-// either way.
-std::vector<ExperimentRecord> RunPreparedBatch(
-    const PreparedCampaign& prepared, FiRunner& runner, std::size_t begin,
-    std::size_t end, CampaignEngine engine,
-    std::uint64_t* lanes_simulated = nullptr);
+// What a run simulates to deliver `experiments` (the experiment indices it
+// must produce records for): their distinct representatives
+// (symmetry_rep_of), ascending. A representative the run does not deliver —
+// one held in a checkpoint, or one in another shard — is still simulated.
+std::vector<std::size_t> SimulationList(
+    const PreparedCampaign& prepared,
+    std::span<const std::int64_t> experiments);
+
+// Experiment `index`'s record, given its representative's: the same in
+// every field but the injected fault, which becomes prepared.faults[index].
+// Copying to a member (index != its representative) counts one
+// saffire.cache.replicated_records.
+ExperimentRecord MemberRecord(const PreparedCampaign& prepared,
+                              const ExperimentRecord& representative,
+                              std::size_t index);
 
 }  // namespace saffire

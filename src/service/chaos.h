@@ -33,7 +33,9 @@ struct ChaosSpec {
   // Every Nth experiment (experiment_index % N == 0) fails its first
   // `experiment_throw_attempts` attempts on the current ladder rung.
   // 0 disables. Applies to per-experiment engine paths only; batch-engine
-  // groups are driven by batch_fail_every.
+  // groups are driven by batch_fail_every. Fires only for experiments a
+  // run simulates: a folding campaign's member is never attempted, so it
+  // fails only when its representative does.
   int experiment_throw_every = 0;
   int experiment_throw_attempts = 1;
   // Every Nth campaign (campaign_index % N == 0) throws from every
@@ -45,10 +47,11 @@ struct ChaosSpec {
   std::int64_t stall_ms = 0;
   // Every Nth campaign's sampled self-checks report a mismatch even though
   // the records agree, driving the mismatch path end to end — engine
-  // demotion, the end of site folding for the campaign
-  // (SymmetryMemo::Disable), unhealthy SweepOutcome, cache exclusion —
-  // without corrupting any delivered record (the "mismatched" group
-  // recomputes on the fallback rung, whose records are identical).
+  // demotion on a grouped rung, the end of site folding for the campaign's
+  // remaining chunks on a copied record, unhealthy SweepOutcome, cache
+  // exclusion — without corrupting any delivered record (a "mismatched"
+  // group recomputes on the fallback rung, a "mismatched" copy is replaced
+  // by its direct run, and both are identical).
   int selfcheck_lie_every = 0;
   // Every Nth record through FlakySink throws. Consumed by FlakySink and
   // the CLI's chaos wiring, not by the executor hooks.

@@ -6,6 +6,7 @@
 #include <exception>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -95,19 +96,29 @@ struct CampaignState {
   // before a demotion may still finish on the old engine — harmless, since
   // every rung produces identical records.
   CampaignEngine engine = CampaignEngine::kDifferential;
+  // Whether chunks copy their representatives' records to the members.
+  // Cleared for good by a member's self-check mismatch; read at claim time
+  // like `engine`, so chunks claimed afterwards simulate every member.
+  bool fold = true;
   // Worker that ran PrepareOne; chunks claimed by any other worker count as
   // steals.
   std::size_t prepared_by = 0;
 
   // Indices this run delivers (in-shard ∪ checkpointed), ascending, and the
-  // subset to simulate (deliverable minus checkpointed).
+  // subset it must produce records for (deliverable minus checkpointed).
   std::vector<std::int64_t> deliverable;
   std::vector<std::int64_t> to_simulate;
   std::int64_t replayed_records = 0;
 
-  // Chunks partition to_simulate by position: chunk i covers positions
-  // [chunk_bounds[i], chunk_bounds[i+1]).
-  std::vector<std::int64_t> chunk_bounds;
+  // The work units claimable once prepared. Chunks partition the
+  // simulation list (SimulationList: the distinct representatives of
+  // to_simulate, ascending) into consecutive blocks, and to_simulate by
+  // which block holds each experiment's representative.
+  struct Chunk {
+    std::vector<std::size_t> representatives;
+    std::vector<std::int64_t> members;  // ascending
+  };
+  std::vector<Chunk> chunks;
   std::size_t next_chunk = 0;
   std::size_t chunks_finished = 0;
 
@@ -134,13 +145,8 @@ struct CampaignState {
   bool ended = false;
   std::size_t deliver_cursor = 0;  // position in `deliverable`
 
-  bool HasClaimableChunk() const {
-    return next_chunk + 1 < chunk_bounds.size();
-  }
-  bool AllChunksDone() const {
-    return chunk_bounds.size() < 2 ||
-           chunks_finished == chunk_bounds.size() - 1;
-  }
+  bool HasClaimableChunk() const { return next_chunk < chunks.size(); }
+  bool AllChunksDone() const { return chunks_finished == chunks.size(); }
 };
 
 }  // namespace
@@ -192,7 +198,8 @@ CampaignExecutor::CampaignExecutor(const ExecutorOptions& options) {
       "saffire.executor.campaigns_replayed",
       "campaigns satisfied entirely from a checkpoint");
   metrics_.experiments_run =
-      counter("saffire.executor.experiments_run", "experiments simulated");
+      counter("saffire.executor.experiments_run",
+              "experiment records produced by simulation");
   metrics_.experiments_replayed =
       counter("saffire.executor.experiments_replayed",
               "experiments replayed from checkpointed records");
@@ -223,17 +230,17 @@ CampaignExecutor::CampaignExecutor(const ExecutorOptions& options) {
               "experiments quarantined after exhausting every retry");
   metrics_.selfchecks =
       counter("saffire.resilience.selfchecks",
-              "batch records cross-validated against the differential engine");
+              "records cross-validated: grouped-engine records against the "
+              "differential engine, copied records against a direct run");
   metrics_.selfcheck_mismatches =
       counter("saffire.resilience.selfcheck_mismatches",
-              "cross-validated batch records that disagreed");
+              "cross-validated records that disagreed");
   metrics_.timeouts =
       counter("saffire.resilience.timeouts",
               "experiment attempts that exceeded the deadline");
   metrics_.predict_selfchecks =
       counter("saffire.predict.selfchecks",
-              "predicted-engine records cross-validated against the "
-              "differential engine");
+              "cross-validated records produced on the predicted engine");
   metrics_.queue_depth =
       &registry.GetGauge("saffire.executor.queue_depth",
                          "claimable chunks across active runs", pool_label_);
@@ -484,6 +491,7 @@ bool CampaignExecutor::RunOneTask(WorkerCache& cache,
     }
     const std::size_t chunk = campaign.next_chunk++;
     const CampaignEngine engine = campaign.engine;
+    const bool fold = campaign.fold;
     ++run.running_tasks;
     metrics_.busy_workers->Add(1);
     metrics_.queue_depth->Add(-1);
@@ -492,8 +500,7 @@ bool CampaignExecutor::RunOneTask(WorkerCache& cache,
     }
     lock.unlock();
     try {
-      RunChunk(run, c, cache, campaign.chunk_bounds[chunk],
-               campaign.chunk_bounds[chunk + 1], engine);
+      RunChunk(run, c, cache, chunk, engine, fold);
       lock.lock();
     } catch (...) {
       lock.lock();
@@ -555,7 +562,7 @@ void CampaignExecutor::PrepareWithPolicy(RunState& run,
     // Mark ready with no chunks either way, so the delivery frontier can
     // pass the campaign.
     campaign.stage = CampaignState::Stage::kReady;
-    campaign.chunk_bounds.clear();
+    campaign.chunks.clear();
     if (run.resilience.on_failure == OnFailure::kQuarantine) {
       // Quarantine the whole campaign: every experiment it would have
       // simulated becomes a FailedRecord (checkpointed records still
@@ -584,7 +591,7 @@ void CampaignExecutor::PrepareWithPolicy(RunState& run,
     lock.lock();
     CampaignState& campaign = run.campaigns[campaign_index];
     campaign.stage = CampaignState::Stage::kReady;
-    campaign.chunk_bounds.clear();
+    campaign.chunks.clear();
     if (run.error == nullptr) run.error = std::current_exception();
   }
 }
@@ -609,6 +616,32 @@ void CampaignExecutor::PrepareOne(RunState& run, std::size_t campaign_index,
       "campaign " << campaign_index << ": plan expects " << campaign.total
                   << " sites, prepare produced " << prepared.faults.size());
 
+  // Chunk the simulation list: small enough for stealing to balance load
+  // across workers, large enough that claiming is not the bottleneck.
+  const std::vector<std::size_t> list =
+      SimulationList(prepared, campaign.to_simulate);
+  std::size_t chunk_size = std::clamp<std::size_t>(
+      list.size() / (static_cast<std::size_t>(run.cap) * 4), 1, 64);
+  if (GroupedCampaignEngine(config.engine)) {
+    // Align chunks to whole batches so a chunk never splits a canonical
+    // batch_lanes-sized group of the simulation list across workers.
+    const auto lanes = static_cast<std::size_t>(config.batch_lanes);
+    chunk_size = ((chunk_size + lanes - 1) / lanes) * lanes;
+  }
+  std::vector<CampaignState::Chunk> chunks(
+      (list.size() + chunk_size - 1) / chunk_size);
+  for (std::size_t p = 0; p < list.size(); ++p) {
+    chunks[p / chunk_size].representatives.push_back(list[p]);
+  }
+  // Each experiment joins the chunk that simulates its representative.
+  for (const std::int64_t index : campaign.to_simulate) {
+    const std::size_t rep =
+        prepared.symmetry_rep_of[static_cast<std::size_t>(index)];
+    const auto position = static_cast<std::size_t>(
+        std::lower_bound(list.begin(), list.end(), rep) - list.begin());
+    chunks[position / chunk_size].members.push_back(index);
+  }
+
   std::unique_lock<std::mutex> lock(mutex_);
   if (golden_runner != nullptr) {
     (constructed ? metrics_.simulators_constructed
@@ -623,33 +656,15 @@ void CampaignExecutor::PrepareOne(RunState& run, std::size_t campaign_index,
   campaign.info.golden_cache_hit = prepared.golden_cache_hit;
   campaign.info.symmetry_classes =
       static_cast<std::int64_t>(prepared.symmetry_classes);
-  campaign.info.symmetry_active = prepared.SymmetryActive();
   campaign.prepared = std::move(prepared);
-
-  // Chunk the simulation list: small enough for stealing to balance load
-  // across workers, large enough that claiming is not the bottleneck.
-  const auto n = static_cast<std::int64_t>(campaign.to_simulate.size());
-  std::int64_t chunk_size = std::clamp<std::int64_t>(
-      n / (static_cast<std::int64_t>(run.cap) * 4), 1, 64);
-  if (GroupedCampaignEngine(config.engine)) {
-    // Align chunks to whole batches so a chunk never splits a canonical
-    // batch_lanes-sized group across workers (RunChunk batches within its
-    // chunk only).
-    const std::int64_t lanes = config.batch_lanes;
-    chunk_size = ((chunk_size + lanes - 1) / lanes) * lanes;
-  }
-  campaign.chunk_bounds.clear();
-  for (std::int64_t p = 0; p < n; p += chunk_size) {
-    campaign.chunk_bounds.push_back(p);
-  }
-  campaign.chunk_bounds.push_back(n);
+  campaign.chunks = std::move(chunks);
   campaign.stage = CampaignState::Stage::kReady;
   if (run.error == nullptr) {
     // Publish the new chunks to the queue-depth gauge. An errored run's
     // chunks are never claimed (workers skip it), so they stay off the
     // gauge entirely — Deliver retires any published before the error.
     metrics_.queue_depth->Add(
-        static_cast<std::int64_t>(campaign.chunk_bounds.size()) - 1);
+        static_cast<std::int64_t>(campaign.chunks.size()));
   }
   lock.unlock();
   metrics_.worker_busy_us[cache.worker_index]->Increment(
@@ -657,130 +672,95 @@ void CampaignExecutor::PrepareOne(RunState& run, std::size_t campaign_index,
 }
 
 void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
-                                WorkerCache& cache, std::int64_t begin,
-                                std::int64_t end, CampaignEngine engine) {
+                                WorkerCache& cache, std::size_t chunk,
+                                CampaignEngine engine, bool fold) {
   SAFFIRE_SPAN("executor.chunk");
   const auto busy_start = std::chrono::steady_clock::now();
   CampaignState& campaign = run.campaigns[campaign_index];
   const CampaignConfig& config = run.plan->campaigns[campaign_index];
+  const PreparedCampaign& prepared = campaign.prepared;
   const ResilienceOptions& res = run.resilience;
 
   bool constructed = false;
   FiRunner& runner = cache.Get(config.accel, &constructed);
-  // Buffer locally, publish under the lock: record slots are read by the
-  // delivery frontier, which must never observe a half-written record.
-  // Slots left empty correspond to entries in `failures`.
-  std::vector<std::optional<ExperimentRecord>> chunk(
-      static_cast<std::size_t>(end - begin));
-  std::vector<FailedRecord> failures;
+  const std::vector<std::int64_t>& members = campaign.chunks[chunk].members;
+  // What this chunk simulates: its block of the simulation list while the
+  // campaign folds, its members themselves once folding has stopped.
+  const std::vector<std::size_t> simulate =
+      fold ? campaign.chunks[chunk].representatives
+           : std::vector<std::size_t>(members.begin(), members.end());
+  // Each simulated experiment's record — empty once it quarantined, with
+  // `failure` saying how — and the rung that produced it.
+  struct Simulated {
+    std::optional<ExperimentRecord> record;
+    CampaignEngine rung = CampaignEngine::kDifferential;
+    LadderFailure failure;
+    // Whether a delivered failure has taken the one quarantine the ladder
+    // counted for this experiment.
+    bool quarantine_delivered = false;
+  };
+  std::vector<Simulated> simulated(simulate.size());
   std::uint64_t lanes_filled = 0;
   std::uint64_t batches_run = 0;
 
-  // Runs the experiment at simulation-list position `p` through the
-  // retry/fallback ladder starting at `rung`.
-  const auto run_one = [&](std::int64_t p, CampaignEngine rung) {
-    const std::int64_t index =
-        campaign.to_simulate[static_cast<std::size_t>(p)];
+  // Runs simulate[p] through the retry/fallback ladder starting at `rung`.
+  const auto run_one = [&](std::size_t p, CampaignEngine rung) {
+    const std::size_t index = simulate[p];
+    Simulated& out = simulated[p];
     ExperimentRecord record;
-    CampaignEngine current = rung;
-    LadderFailure failure;
+    out.rung = rung;
     const LadderSteps steps{
         [&] {
-          record = RunPreparedExperimentWithEngine(
-              campaign.prepared, runner, static_cast<std::size_t>(index),
-              current);
+          record = RunPreparedExperimentWithEngine(prepared, runner, index,
+                                                   out.rung);
         },
         [&](int /*attempts*/) {
           const CampaignEngine next =
-              DemoteEngine(run, campaign_index, current);
-          if (next == current) return false;  // bottom of the ladder
-          current = next;
+              DemoteEngine(run, campaign_index, out.rung);
+          if (next == out.rung) return false;  // bottom of the ladder
+          out.rung = next;
           return true;
         }};
-    if (RunResilient(res, run.tally, config.seed, campaign_index, index,
-                     "campaign", steps, &failure)) {
-      // Replicated-record self-check: grouped runs cross-validate in their
-      // batch loop below; here a record synthesized from a symmetry
-      // representative is sampled against a direct run of the same rung
-      // engine, which bypasses the memo by construction. Same rung, not
-      // kDifferential: this check validates the symmetry class, and
-      // engines legitimately differ in occupancy fields (a reference-engine
-      // record never skips PE steps, a differential one does).
-      if (res.selfcheck_rate > 0.0 && campaign.prepared.SymmetryActive() &&
-          campaign.prepared.symmetry_rep_of[static_cast<std::size_t>(
-              index)] != static_cast<std::size_t>(index) &&
-          SelfCheckSampled(res.selfcheck_rate, config.seed, campaign_index,
-                           index)) {
-        NoteSelfCheck(run, rung);
-        try {
-          const ExperimentRecord check = RunPreparedExperimentDirect(
-              campaign.prepared, runner, static_cast<std::size_t>(index),
-              rung);
-          if (!(check == record) ||
-              chaos::ForceSelfCheckMismatch(campaign_index)) {
-            NoteMismatch(run, campaign_index, index);
-            // The class lied for this site: stop synthesizing for the
-            // campaign's remainder and keep the directly simulated record.
-            campaign.prepared.symmetry_memo->Disable();
-            record = check;
-          }
-        } catch (const std::exception&) {
-          // The cross-check failing says nothing about the record; the
-          // resilient path already vouched for it.
-        }
-      }
-      chunk[static_cast<std::size_t>(p - begin)] = std::move(record);
-    } else {
-      failures.push_back({campaign_index, index, current, failure.attempts,
-                          failure.timed_out, std::move(failure.error)});
+    if (RunResilient(res, run.tally, config.seed, campaign_index,
+                     static_cast<std::int64_t>(index), "campaign", steps,
+                     &out.failure)) {
+      out.record = std::move(record);
     }
   };
 
   if (GroupedCampaignEngine(engine)) {
-    // Pack this chunk's experiments into lane batches. Groups follow the
-    // campaign's canonical batch boundaries (consecutive batch_lanes-sized
-    // blocks of the site order) and additionally break wherever the
-    // simulation list is non-contiguous (checkpoint holes, shard edges) —
-    // RunPreparedBatch takes a contiguous index range. Records are
-    // independent across lanes, so the grouping affects occupancy stats
-    // only, never record content. The predicted engine follows the same
-    // grouping; its closed-form groups never touch a lane, so they stay out
-    // of the occupancy counters (matching RunCampaignSerial).
-    const std::int64_t lanes = config.batch_lanes;
-    std::int64_t p = begin;
-    while (p < end) {
-      const std::int64_t first =
-          campaign.to_simulate[static_cast<std::size_t>(p)];
-      std::int64_t q = p + 1;
-      while (q < end && q - p < lanes &&
-             campaign.to_simulate[static_cast<std::size_t>(q)] ==
-                 first + (q - p) &&
-             (first + (q - p)) % lanes != 0) {
-        ++q;
-      }
+    // Pack the chunk into lane groups of batch_lanes consecutive entries.
+    // While folding, the chunk starts on a group boundary of the
+    // simulation list, so these are the campaign's canonical groups.
+    // Records are independent across lanes, so the grouping affects
+    // occupancy stats only, never record content. The predicted engine
+    // follows the same grouping; its closed-form groups never touch a lane,
+    // so they stay out of the occupancy counters (matching
+    // RunCampaignSerial).
+    const auto lanes = static_cast<std::size_t>(config.batch_lanes);
+    for (std::size_t p = 0; p < simulate.size(); p += lanes) {
+      const std::size_t q = std::min(simulate.size(), p + lanes);
       if (!GroupedCampaignEngine(engine)) {
         // An earlier group in this chunk demoted the campaign below the
         // grouped rungs; finish the remaining groups on the fallback
         // engine, one experiment at a time.
-        for (std::int64_t i = p; i < q; ++i) run_one(i, engine);
-        p = q;
+        for (std::size_t i = p; i < q; ++i) run_one(i, engine);
         continue;
       }
       const CampaignEngine group_engine = engine;
+      const std::span<const std::size_t> group(simulate.data() + p, q - p);
       std::vector<ExperimentRecord> records;
-      std::uint64_t group_simulated = 0;
       bool ok = false;
       for (int attempt = 0; attempt <= res.max_retries; ++attempt) {
         if (attempt > 0) {
           run.tally.Retry();
-          SleepBackoff(res, config.seed, campaign_index, first, attempt - 1);
+          SleepBackoff(res, config.seed, campaign_index,
+                       static_cast<std::int64_t>(group.front()),
+                       attempt - 1);
         }
         try {
           chaos::OnBatchAttempt(campaign_index, attempt);
-          records = RunPreparedBatch(
-              campaign.prepared, runner, static_cast<std::size_t>(first),
-              static_cast<std::size_t>(first + (q - p)), group_engine,
-              &group_simulated);
+          records = RunPreparedBatch(prepared, runner, group, group_engine);
           ok = true;
           break;
         } catch (const std::invalid_argument&) {
@@ -789,37 +769,27 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
           // Transient batch failure: retry, then fall down the ladder.
         }
       }
-      if (ok && res.selfcheck_rate > 0.0) {
-        // Cross-validate sampled lanes against the differential engine.
-        for (std::int64_t i = 0; ok && i < q - p; ++i) {
-          if (!SelfCheckSampled(res.selfcheck_rate, config.seed,
-                                campaign_index, first + i)) {
-            continue;
-          }
-          NoteSelfCheck(run, group_engine);
-          try {
-            // Direct: the ground truth must bypass the symmetry memo, or a
-            // synthesized record would be "validated" against itself.
-            const ExperimentRecord check = RunPreparedExperimentDirect(
-                campaign.prepared, runner,
-                static_cast<std::size_t>(first + i),
-                CampaignEngine::kDifferential);
-            if (!(check == records[static_cast<std::size_t>(i)]) ||
-                chaos::ForceSelfCheckMismatch(campaign_index)) {
-              NoteMismatch(run, campaign_index, first + i);
-              // Indistinguishable between an engine defect and a bad
-              // symmetry class — degrade both: stop synthesizing and let
-              // the rerun below demote the engine.
-              if (campaign.prepared.symmetry_memo != nullptr) {
-                campaign.prepared.symmetry_memo->Disable();
-              }
-              ok = false;
-            }
-          } catch (const std::exception&) {
-            // The cross-check itself failing is indistinguishable from a
-            // batch-engine defect — degrade the same way.
+      // Cross-validate sampled lanes against the differential engine.
+      for (std::size_t i = 0; ok && i < group.size(); ++i) {
+        const auto index = static_cast<std::int64_t>(group[i]);
+        if (!SelfCheckSampled(res.selfcheck_rate, config.seed,
+                              campaign_index, index)) {
+          continue;
+        }
+        NoteSelfCheck(run, group_engine);
+        try {
+          const ExperimentRecord check = RunPreparedExperimentWithEngine(
+              prepared, runner, group[i], CampaignEngine::kDifferential);
+          if (!(check == records[i]) ||
+              chaos::ForceSelfCheckMismatch(campaign_index)) {
+            NoteMismatch(run, campaign_index, index,
+                         "its grouped record and the differential engine");
             ok = false;
           }
+        } catch (const std::exception&) {
+          // The cross-check itself failing is indistinguishable from a
+          // batch-engine defect — degrade the same way.
+          ok = false;
         }
       }
       if (!ok) {
@@ -828,26 +798,77 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
         // may land on a still-grouped rung (predicted→batch), in which case
         // later groups keep batching.
         engine = DemoteEngine(run, campaign_index, group_engine);
-        for (std::int64_t i = p; i < q; ++i) run_one(i, engine);
-      } else {
-        // Occupancy counts lanes actually simulated: under a symmetry plan
-        // a group shrinks to its unseen representatives and may vanish
-        // entirely (no array pass at all).
-        if (!(group_engine == CampaignEngine::kPredicted &&
-              PredictedEngineExact(config)) &&
-            group_simulated > 0) {
-          lanes_filled += group_simulated;
-          ++batches_run;
-        }
-        for (std::int64_t i = 0; i < q - p; ++i) {
-          chunk[static_cast<std::size_t>(p - begin + i)] =
-              std::move(records[static_cast<std::size_t>(i)]);
-        }
+        for (std::size_t i = p; i < q; ++i) run_one(i, engine);
+        continue;
       }
-      p = q;
+      if (!(group_engine == CampaignEngine::kPredicted &&
+            PredictedEngineExact(config))) {
+        lanes_filled += group.size();
+        ++batches_run;
+      }
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        simulated[p + i].record = std::move(records[i]);
+        simulated[p + i].rung = group_engine;
+      }
     }
   } else {
-    for (std::int64_t p = begin; p < end; ++p) run_one(p, engine);
+    for (std::size_t p = 0; p < simulate.size(); ++p) run_one(p, engine);
+  }
+
+  // Fan out: each member takes its representative's record, or a failure
+  // at its own index when the representative quarantined. Buffer locally,
+  // publish under the lock: record slots are read by the delivery
+  // frontier, which must never observe a half-written record.
+  std::vector<std::optional<ExperimentRecord>> chunk_records(members.size());
+  std::vector<FailedRecord> failures;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    const std::int64_t index = members[k];
+    const auto i = static_cast<std::size_t>(index);
+    const std::size_t source = fold ? prepared.symmetry_rep_of[i] : i;
+    Simulated& from =
+        simulated[static_cast<std::size_t>(
+            std::lower_bound(simulate.begin(), simulate.end(), source) -
+            simulate.begin())];
+    if (!from.record.has_value()) {
+      failures.push_back({campaign_index, index, from.rung,
+                          from.failure.attempts, from.failure.timed_out,
+                          from.failure.error});
+      // One quarantine per delivered failure: the first takes the one the
+      // ladder counted, even when the representative itself is not
+      // delivered (checkpointed, or in another shard).
+      if (from.quarantine_delivered) run.tally.Quarantine();
+      from.quarantine_delivered = true;
+      continue;
+    }
+    if (source == i) {
+      chunk_records[k] = *from.record;
+      continue;
+    }
+    ExperimentRecord record = MemberRecord(prepared, *from.record, i);
+    if (SelfCheckSampled(res.selfcheck_rate, config.seed, campaign_index,
+                         index)) {
+      // The copy against a direct run on the rung that produced the
+      // representative's record: engines legitimately differ in the
+      // pe_steps split, so the same rung is the like-for-like check.
+      NoteSelfCheck(run, from.rung);
+      try {
+        const ExperimentRecord check =
+            RunPreparedExperimentWithEngine(prepared, runner, i, from.rung);
+        if (!(check == record) ||
+            chaos::ForceSelfCheckMismatch(campaign_index)) {
+          NoteMismatch(run, campaign_index, index,
+                       "its copied record and a direct run");
+          // The class lied for this site: keep the direct record, and stop
+          // folding for the campaign's remaining chunks.
+          record = check;
+          std::lock_guard<std::mutex> lock(mutex_);
+          campaign.fold = false;
+        }
+      } catch (const std::exception&) {
+        // The cross-check failing says nothing about the copy.
+      }
+    }
+    chunk_records[k] = std::move(record);
   }
 
   const std::int64_t busy_us =
@@ -858,13 +879,10 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
   campaign.batches_run += batches_run;
   metrics_.lanes_filled->Increment(static_cast<std::int64_t>(lanes_filled));
   metrics_.batches_run->Increment(static_cast<std::int64_t>(batches_run));
-  for (std::int64_t p = begin; p < end; ++p) {
-    std::optional<ExperimentRecord>& slot =
-        chunk[static_cast<std::size_t>(p - begin)];
-    if (!slot.has_value()) continue;
-    const std::int64_t index =
-        campaign.to_simulate[static_cast<std::size_t>(p)];
-    campaign.records[static_cast<std::size_t>(index)] = std::move(*slot);
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    if (!chunk_records[k].has_value()) continue;
+    campaign.records[static_cast<std::size_t>(members[k])] =
+        std::move(*chunk_records[k]);
   }
   for (FailedRecord& failure : failures) {
     const std::int64_t index = failure.experiment_index;
@@ -874,7 +892,7 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
       ->Increment();
   metrics_.chunks_executed->Increment();
   metrics_.experiments_run->Increment(
-      end - begin - static_cast<std::int64_t>(failures.size()));
+      static_cast<std::int64_t>(members.size() - failures.size()));
   lock.unlock();
   metrics_.chunk_seconds->Observe(static_cast<double>(busy_us) * 1e-6);
   metrics_.worker_busy_us[cache.worker_index]->Increment(busy_us);
@@ -907,7 +925,8 @@ void CampaignExecutor::NoteSelfCheck(RunState& run, CampaignEngine engine) {
 }
 
 void CampaignExecutor::NoteMismatch(RunState& run, std::size_t campaign_index,
-                                    std::int64_t experiment_index) {
+                                    std::int64_t experiment_index,
+                                    const char* between) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++run.outcome.selfcheck_mismatches;
@@ -915,9 +934,8 @@ void CampaignExecutor::NoteMismatch(RunState& run, std::size_t campaign_index,
     metrics_.selfcheck_mismatches->Increment();
   }
   SAFFIRE_LOG_WARN << "campaign " << campaign_index << " experiment "
-                   << experiment_index
-                   << ": batch self-check mismatch against the differential "
-                      "engine";
+                   << experiment_index << ": self-check mismatch between "
+                   << between;
 }
 
 void CampaignExecutor::AbandonUnclaimed(RunState& run) {
@@ -927,13 +945,10 @@ void CampaignExecutor::AbandonUnclaimed(RunState& run) {
   // drain.
   std::int64_t abandoned = 0;
   for (CampaignState& campaign : run.campaigns) {
-    if (campaign.stage != CampaignState::Stage::kReady ||
-        campaign.chunk_bounds.size() < 2) {
-      continue;
-    }
-    abandoned += static_cast<std::int64_t>(campaign.chunk_bounds.size() - 1 -
+    if (campaign.stage != CampaignState::Stage::kReady) continue;
+    abandoned += static_cast<std::int64_t>(campaign.chunks.size() -
                                            campaign.next_chunk);
-    campaign.next_chunk = campaign.chunk_bounds.size() - 1;
+    campaign.next_chunk = campaign.chunks.size();
   }
   if (abandoned > 0) metrics_.queue_depth->Add(-abandoned);
   run.deliver_campaign = run.campaigns.size();

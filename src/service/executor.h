@@ -42,7 +42,9 @@ struct ExecutorStats {
   // Campaigns simulated vs satisfied entirely from a checkpoint.
   std::int64_t campaigns_executed = 0;
   std::int64_t campaigns_replayed = 0;
-  // Experiments simulated vs replayed from checkpointed records.
+  // Records the run produced — a folding campaign's copies included, not
+  // only the representatives it simulated — vs records replayed from a
+  // checkpoint.
   std::int64_t experiments_run = 0;
   std::int64_t experiments_replayed = 0;
   std::int64_t chunks_executed = 0;
@@ -63,8 +65,8 @@ struct ExecutorStats {
   std::int64_t chunks_stolen = 0;
   // Resilience-layer traffic (the "saffire.resilience.*" series): failed
   // attempts retried, campaign engine demotions, experiments quarantined
-  // after exhausting retries, batch records cross-validated (and the
-  // mismatches among them), and attempts that exceeded the deadline.
+  // after exhausting retries, records cross-validated (and the mismatches
+  // among them), and attempts that exceeded the deadline.
   std::int64_t retries = 0;
   std::int64_t fallbacks = 0;
   std::int64_t quarantined = 0;
@@ -205,11 +207,13 @@ class CampaignExecutor {
   void WorkerLoop(std::size_t worker_index);
   // Claims the next task of the current run; returns false when idle.
   bool RunOneTask(WorkerCache& cache, std::unique_lock<std::mutex>& lock);
-  // Executes experiments [begin, end) of a prepared campaign on `engine`
-  // (the campaign's effective engine at claim time — demotion may move it
-  // below the configured one).
+  // Executes chunk `chunk` of a prepared campaign on `engine` (the
+  // campaign's effective engine at claim time — demotion may move it below
+  // the configured one): simulates its block of the simulation list and
+  // copies each representative's record to its members, or, once `fold` is
+  // false, simulates the members themselves.
   void RunChunk(RunState& run, std::size_t campaign_index, WorkerCache& cache,
-                std::int64_t begin, std::int64_t end, CampaignEngine engine);
+                std::size_t chunk, CampaignEngine engine, bool fold);
   void PrepareOne(RunState& run, std::size_t campaign_index,
                   WorkerCache& cache);
   // PrepareOne plus failure policy: on a throw, either quarantines the
@@ -226,10 +230,11 @@ class CampaignExecutor {
   // Self-check tally helpers: bump the run's outcome (under `mutex_`) and
   // the matching resilience counter. `engine` is the rung whose record is
   // being cross-validated; predicted checks additionally feed the
-  // "saffire.predict.selfchecks" series.
+  // "saffire.predict.selfchecks" series. `between` names the two records
+  // that disagreed, for the log line.
   void NoteSelfCheck(RunState& run, CampaignEngine engine);
   void NoteMismatch(RunState& run, std::size_t campaign_index,
-                    std::int64_t experiment_index);
+                    std::int64_t experiment_index, const char* between);
   // Retires every unclaimed chunk (queue-depth gauge included) and marks the
   // run finished — the error/stop abandonment path. Caller holds `mutex_`.
   void AbandonUnclaimed(RunState& run);

@@ -17,13 +17,13 @@ namespace {
 // moment OnCampaignEnd shows it complete (every experiment has a record —
 // quarantined or sharded campaigns are not cacheable). A campaign that
 // tripped a self-check mismatch is not cacheable either: it still
-// completes (the mismatched group recomputes on a trusted rung), but
-// records emitted before the demotion / synthesis-disable were never
-// re-verified, and caching them would launder an unhealthy (exit-3) run
-// into permanent silent hits for later healthy-looking runs. Campaigns
-// that were themselves served from the cache are skipped;
-// checkpoint-replayed ones are stored, which lets a resumed sweep warm the
-// cache for free.
+// completes (a mismatched group recomputes on a trusted rung, a mismatched
+// copy is replaced by its direct run), but records emitted before the
+// demotion or the end of folding were never re-verified, and caching them
+// would launder an unhealthy (exit-3) run into permanent silent hits for
+// later healthy-looking runs. Campaigns that were themselves served from
+// the cache are skipped; checkpoint-replayed ones are stored, which lets a
+// resumed sweep warm the cache for free.
 class CacheStoreSink : public RecordSink {
  public:
   CacheStoreSink(RecordSink& inner, const ResultCache& cache,

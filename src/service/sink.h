@@ -44,17 +44,15 @@ struct CampaignBeginInfo {
   // Self-check mismatches charged to this campaign (service/resilience.h).
   // Populated like the occupancy counters — final only in OnCampaignEnd,
   // zero in earlier callbacks. A nonzero count means some records were
-  // emitted before the demotion / synthesis-disable and never re-verified;
-  // consumers that persist completed campaigns (the result cache) must
-  // gate on it.
+  // emitted before the engine demotion or the end of folding and never
+  // re-verified; consumers that persist completed campaigns (the result
+  // cache) must gate on it.
   std::int64_t selfcheck_mismatches = 0;
-  // Symmetry plan (SymmetryEligibleCampaign): the number of site-equivalence
-  // classes among total_experiments sites (== total_experiments when no plan
-  // is active), and whether member records are synthesized from
-  // representatives this run. Campaigns replayed from a checkpoint report
+  // The number of site-equivalence classes among total_experiments sites
+  // (PreparedCampaign::symmetry_classes; == total_experiments when the
+  // campaign does not fold). Campaigns replayed from a checkpoint report
   // classes == total_experiments — nothing was simulated either way.
   std::int64_t symmetry_classes = 0;
-  bool symmetry_active = false;
 };
 
 // Consumer interface. Delivery contract (service/executor.h): callbacks

@@ -81,9 +81,10 @@ void SweepSpec::Validate() const {
   SAFFIRE_CHECK_MSG(shards >= 1 && shards <= 4096, "shards=" << shards);
   SAFFIRE_CHECK_MSG(max_sites >= 0, "max_sites=" << max_sites);
   for (const WorkloadSpec& workload : workloads) workload.Validate();
-  // Bit positions are validated against each signal's width when the
-  // campaign's faults are planned (FaultSpec::Validate) — widths differ per
-  // signal, so a sweep-level check would be either too strict or too loose.
+  // Bit positions are checked per campaign, against its signal's width,
+  // by PrepareCampaign: a sweep may cross a bit with a signal too narrow
+  // for it, and only that cell's campaigns fail (quarantined at
+  // preparation under OnFailure::kQuarantine) while the rest run.
 }
 
 std::string SweepSpec::ToJson() const {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace saffire {
 namespace {
@@ -33,6 +34,39 @@ TEST(CheckTest, MessageCarriesExpressionLocationAndStream) {
     EXPECT_NE(what.find("rows > 0"), std::string::npos);
     EXPECT_NE(what.find("check_test.cc"), std::string::npos);
     EXPECT_NE(what.find("rows=-3"), std::string::npos);
+  }
+}
+
+// The text after " at " in a failure message, up to the next space.
+std::string FailureLocation(const std::string& what) {
+  const std::size_t at = what.find(" at ");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + 4;
+  return what.substr(begin, what.find(' ', begin) - begin);
+}
+
+// Quarantine seals failure messages into checkpoint lines, so they name
+// the source file the way log lines do, without the directories of the
+// tree it was built from.
+TEST(CheckTest, LocationIsTheFileNameAndLine) {
+  int line = 0;
+  try {
+    line = __LINE__ + 1;
+    SAFFIRE_CHECK_MSG(1 == 2, "rows=" << -3);
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(FailureLocation(error.what()),
+              "check_test.cc:" + std::to_string(line))
+        << error.what();
+  }
+  try {
+    line = __LINE__ + 1;
+    SAFFIRE_ASSERT(2 < 1);
+    FAIL() << "expected throw";
+  } catch (const InternalError& error) {
+    EXPECT_EQ(FailureLocation(error.what()),
+              "check_test.cc:" + std::to_string(line))
+        << error.what();
   }
 }
 

@@ -205,32 +205,33 @@ TEST(BatchCampaignTest, ParallelMatchesSerial) {
 }
 
 // An all-ones campaign folds its sites, so a lane is a class
-// representative. The memo simulates each representative once, which
-// keeps lanes_filled at the number of classes touched for any thread
-// count; batches_run depends on which group first claims a shared
-// representative, so it is not compared. Records equal the per-site
-// direct runs.
+// representative. The canonical groups are batch_lanes-sized blocks of the
+// representatives, which keeps lanes_filled at the number of classes and
+// batches_run at the serial run's for any thread count. Records equal the
+// per-site direct runs.
 TEST(BatchCampaignTest, FoldedCampaignFillsOneLanePerClass) {
   auto config = BaseConfig();
   config.engine = CampaignEngine::kBatch;
   config.batch_lanes = 5;
   const PreparedCampaign prepared = PrepareCampaign(config);
-  ASSERT_TRUE(prepared.SymmetryActive());
+  ASSERT_LT(prepared.symmetry_classes, prepared.sites.size());
   CampaignResult direct;
   direct.golden_cycles = prepared.golden().cycles;
   FiRunner runner(config.accel);
   for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
     direct.records.push_back(
-        RunPreparedExperimentDirect(prepared, runner, i, config.engine));
+        RunPreparedExperimentWithEngine(prepared, runner, i, config.engine));
   }
 
   const CampaignResult serial = RunCampaignSerial(config);
   ExpectSameRecords(direct, serial);
   EXPECT_EQ(serial.lanes_filled, prepared.symmetry_classes);
+  EXPECT_EQ(serial.batches_run, (prepared.symmetry_classes + 4) / 5);
   for (const int threads : {1, 4}) {
     const CampaignResult parallel = RunParallel(config, threads);
     ExpectSameRecords(direct, parallel);
     EXPECT_EQ(parallel.lanes_filled, prepared.symmetry_classes) << threads;
+    EXPECT_EQ(parallel.batches_run, serial.batches_run) << threads;
   }
 }
 

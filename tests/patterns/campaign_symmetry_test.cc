@@ -1,9 +1,9 @@
 // Symmetry-aware campaign dedup: a campaign that simulates one
-// representative per equivalence class and synthesizes the member records
-// must be indistinguishable — record for record, every field — from
-// simulating every site directly (RunPreparedExperimentDirect), across
-// dataflows, polarities, and engines, and the replicated-record self-check
-// must stay silent while doing it.
+// representative per equivalence class and copies its record to the
+// members must be indistinguishable — record for record, every field —
+// from simulating every site directly (RunPreparedExperimentWithEngine),
+// across dataflows, polarities, and engines, and the copied-record
+// self-check must stay silent while doing it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -38,16 +38,17 @@ CampaignConfig BaseConfig() {
   return config;
 }
 
-// Every site simulated directly on the campaign's engine, bypassing the
-// symmetry memo: the unfolded records a folded campaign must reproduce.
+// Every site simulated directly on the campaign's engine: the unfolded
+// records a folded campaign must reproduce.
 std::vector<ExperimentRecord> UnfoldedRecords(const CampaignConfig& config) {
   const PreparedCampaign prepared = PrepareCampaign(config);
-  EXPECT_TRUE(prepared.SymmetryActive()) << config.ToString();
+  EXPECT_LT(prepared.symmetry_classes, prepared.sites.size())
+      << config.ToString();
   FiRunner runner(config.accel);
   std::vector<ExperimentRecord> records;
   for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
     records.push_back(
-        RunPreparedExperimentDirect(prepared, runner, i, config.engine));
+        RunPreparedExperimentWithEngine(prepared, runner, i, config.engine));
   }
   return records;
 }
@@ -63,7 +64,6 @@ void ExpectSameRecords(const std::vector<ExperimentRecord>& want,
 TEST(CampaignSymmetryTest, PlanShrinksEligibleCampaigns) {
   const CampaignConfig config = BaseConfig();
   const PreparedCampaign prepared = PrepareCampaign(config);
-  EXPECT_TRUE(prepared.SymmetryActive());
   EXPECT_EQ(prepared.symmetry_classes, 8u);  // one class per array row
   ASSERT_EQ(prepared.symmetry_rep_of.size(), 64u);
   for (std::size_t i = 0; i < prepared.symmetry_rep_of.size(); ++i) {
@@ -71,15 +71,25 @@ TEST(CampaignSymmetryTest, PlanShrinksEligibleCampaigns) {
   }
 }
 
+// A campaign that does not fold maps every experiment to itself.
+void ExpectUnfolded(const CampaignConfig& config) {
+  const PreparedCampaign prepared = PrepareCampaign(config);
+  EXPECT_EQ(prepared.symmetry_classes, prepared.sites.size());
+  for (std::size_t i = 0; i < prepared.symmetry_rep_of.size(); ++i) {
+    EXPECT_EQ(prepared.symmetry_rep_of[i], i);
+  }
+}
+
 TEST(CampaignSymmetryTest, IneligibleCampaignsKeepFullPlan) {
-  // Transient faults and uncovered signals never get a symmetry plan.
+  // Transient faults and uncovered signals never fold.
   CampaignConfig transient = BaseConfig();
   transient.kind = FaultKind::kTransientFlip;
-  EXPECT_FALSE(PrepareCampaign(transient).SymmetryActive());
+  ExpectUnfolded(transient);
 
   CampaignConfig uncovered = BaseConfig();
   uncovered.signal = MacSignal::kActForward;
-  EXPECT_FALSE(PrepareCampaign(uncovered).SymmetryActive());
+  uncovered.bit = 3;  // act_forward is 8 bits wide
+  ExpectUnfolded(uncovered);
 
   // Non-ones operand fills break the column-translation argument member
   // synthesis rests on (fault_activations / max_abs_delta become
@@ -87,12 +97,12 @@ TEST(CampaignSymmetryTest, IneligibleCampaignsKeepFullPlan) {
   CampaignConfig random_inputs = BaseConfig();
   random_inputs.workload.input_fill = OperandFill::kRandom;
   EXPECT_FALSE(SymmetryEligibleCampaign(random_inputs));
-  EXPECT_FALSE(PrepareCampaign(random_inputs).SymmetryActive());
+  ExpectUnfolded(random_inputs);
 
   CampaignConfig near_zero_weights = BaseConfig();
   near_zero_weights.workload.weight_fill = OperandFill::kNearZero;
   EXPECT_FALSE(SymmetryEligibleCampaign(near_zero_weights));
-  EXPECT_FALSE(PrepareCampaign(near_zero_weights).SymmetryActive());
+  ExpectUnfolded(near_zero_weights);
 }
 
 // A padded convolution's lowered input has zeros in its border rows, and
@@ -114,19 +124,17 @@ TEST(CampaignSymmetryTest, PaddedConvolutionsDoNotFoldUnderIs) {
   config.bit = 0;
   config.polarity = StuckPolarity::kStuckAt0;
   EXPECT_FALSE(SymmetryEligibleCampaign(config));
+  ExpectUnfolded(config);
   const PreparedCampaign prepared = PrepareCampaign(config);
-  EXPECT_FALSE(prepared.SymmetryActive());
   ASSERT_EQ(prepared.sites[8], (PeCoord{1, 0}));
   ASSERT_EQ(prepared.sites[9], (PeCoord{1, 1}));
   EXPECT_EQ(PartitionFaultSites(prepared.sites, config.workload, config.accel,
                                 config.dataflow)[9],
             8u);
   FiRunner runner(config.accel);
-  EXPECT_EQ(RunPreparedExperimentDirect(prepared, runner, 8, config.engine)
-                .observed,
+  EXPECT_EQ(RunPreparedExperiment(prepared, runner, 8).observed,
             PatternClass::kMasked);
-  EXPECT_NE(RunPreparedExperimentDirect(prepared, runner, 9, config.engine)
-                .observed,
+  EXPECT_NE(RunPreparedExperiment(prepared, runner, 9).observed,
             PatternClass::kMasked);
 
   for (const Dataflow dataflow :
@@ -162,9 +170,9 @@ TEST(CampaignSymmetryTest, SerialMatchesExhaustiveAcrossMatrix) {
 }
 
 TEST(CampaignSymmetryTest, ExecutorSelfCheckPassesOnReplicatedRecords) {
-  // Every replicated record cross-validated against a direct run of the
-  // same engine: zero mismatches, and the parallel record stream equals
-  // the unfolded one.
+  // Every copied record cross-validated against a direct run of the same
+  // engine: zero mismatches, and the parallel record stream equals the
+  // unfolded one.
   for (const CampaignEngine engine :
        {CampaignEngine::kDifferential, CampaignEngine::kBatch,
         CampaignEngine::kPredicted}) {
@@ -196,38 +204,6 @@ TEST(CampaignSymmetryTest, SampledSitesReplicateFromEarliestMember) {
   config.max_sites = 23;
   ExpectSameRecords(UnfoldedRecords(config), RunCampaignSerial(config),
                     "sampled");
-}
-
-TEST(CampaignSymmetryTest, MemoComputeOnceProtocol) {
-  // First acquirer owns the computation; a Fulfill publishes to later
-  // acquirers; an Abandon hands ownership back to the next acquirer.
-  SymmetryMemo memo;
-  ExperimentRecord record;
-  EXPECT_FALSE(memo.AcquireOrOwn(7, &record));  // we own it
-  memo.Abandon(7);
-  EXPECT_FALSE(memo.AcquireOrOwn(7, &record));  // ownership re-claimable
-  ExperimentRecord published;
-  published.corrupted_count = 42;
-  memo.Fulfill(7, published);
-  EXPECT_TRUE(memo.AcquireOrOwn(7, &record));
-  EXPECT_EQ(record.corrupted_count, 42);
-  // An unrelated representative is independent.
-  EXPECT_FALSE(memo.AcquireOrOwn(3, &record));
-  memo.Fulfill(3, ExperimentRecord{});
-  EXPECT_TRUE(memo.AcquireOrOwn(3, &record));
-}
-
-TEST(CampaignSymmetryTest, DisabledMemoFallsBackToDirectSimulation) {
-  const CampaignConfig config = BaseConfig();
-  const PreparedCampaign prepared = PrepareCampaign(config);
-  ASSERT_TRUE(prepared.SymmetryActive());
-  prepared.symmetry_memo->Disable();
-  EXPECT_FALSE(prepared.SymmetryActive());
-  // Runs still work (and simulate directly) after a class is distrusted.
-  FiRunner runner(config.accel);
-  const ExperimentRecord direct =
-      RunPreparedExperiment(prepared, runner, /*index=*/9);
-  EXPECT_EQ(direct.fault.pe, prepared.sites[9]);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 //
 // For every site of every drawn campaign:
 //   - RunPreparedBatch records on kBatch and kPredicted (in randomly sized
-//     groups) equal the kDifferential record of the same experiment;
+//     groups of shuffled experiments) equal the kDifferential record of the
+//     same experiment;
 //   - each engine's cone output, expanded over the golden result, equals the
 //     differential run's dense output;
 //   - the kReference record, the bottom of the demotion ladder run on the
@@ -23,9 +24,11 @@
 // faults, on GEMMs and on padded or unpadded convolutions, fold their sites
 // unless they run IS on a padded convolution, and every way of running one
 // (RunCampaignSerial, RunSweep at 1 and 4 threads, two shards run alone and
-// merged, a warm result cache) must deliver the records of simulating every
-// site directly (RunPreparedExperimentDirect); the site partition must
-// equal the one walked from the tile grid.
+// merged, a resume from a checkpoint holding a random subset of the
+// records, a fully self-checked run at 4 threads, a warm result cache) must
+// deliver the records of simulating every site directly
+// (RunPreparedExperimentWithEngine); the site partition must equal the one
+// walked from the tile grid.
 // Every iteration draws from its own seed, which the failure names.
 #include <gtest/gtest.h>
 
@@ -33,6 +36,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -42,6 +46,7 @@
 #include "common/rng.h"
 #include "patterns/campaign.h"
 #include "patterns/symmetry.h"
+#include "service/checkpoint.h"
 #include "service/result_cache.h"
 #include "service/run.h"
 #include "service/sink.h"
@@ -94,18 +99,25 @@ CampaignConfig DrawCampaign(Rng& rng) {
   return config;
 }
 
-// The records of every site on `engine`, run as consecutive groups of
-// `lanes` experiments.
+// The records of every site on `engine`, by experiment index, run as
+// consecutive groups of `lanes` experiments of a seeded shuffle of the
+// sites.
 std::vector<ExperimentRecord> GroupedRecords(const PreparedCampaign& prepared,
                                              FiRunner& runner,
                                              CampaignEngine engine,
-                                             std::size_t lanes) {
-  std::vector<ExperimentRecord> records;
-  for (std::size_t begin = 0; begin < prepared.faults.size(); begin += lanes) {
-    const std::size_t end = std::min(prepared.faults.size(), begin + lanes);
-    const std::vector<ExperimentRecord> group =
-        RunPreparedBatch(prepared, runner, begin, end, engine);
-    records.insert(records.end(), group.begin(), group.end());
+                                             std::size_t lanes, Rng& rng) {
+  std::vector<std::size_t> order(prepared.faults.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng.Shuffle(order);
+  std::vector<ExperimentRecord> records(order.size());
+  for (std::size_t begin = 0; begin < order.size(); begin += lanes) {
+    const std::span<const std::size_t> group(
+        order.data() + begin, std::min(lanes, order.size() - begin));
+    const std::vector<ExperimentRecord> got =
+        RunPreparedBatch(prepared, runner, group, engine);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      records[group[i]] = got[i];
+    }
   }
   return records;
 }
@@ -127,9 +139,9 @@ TEST(GroupedEnginePropertyTest, MatchesDifferentialOnRandomTiledCampaigns) {
         rng.UniformInt(1, static_cast<std::int64_t>(sites)));
     FiRunner runner(config.accel);
     const std::vector<ExperimentRecord> batch_records =
-        GroupedRecords(prepared, runner, CampaignEngine::kBatch, lanes);
-    const std::vector<ExperimentRecord> predicted_records =
-        GroupedRecords(prepared, runner, CampaignEngine::kPredicted, lanes);
+        GroupedRecords(prepared, runner, CampaignEngine::kBatch, lanes, rng);
+    const std::vector<ExperimentRecord> predicted_records = GroupedRecords(
+        prepared, runner, CampaignEngine::kPredicted, lanes, rng);
 
     const GoldenTrace& trace = *prepared.trace();
     const RunResult& golden = prepared.golden();
@@ -469,13 +481,13 @@ TEST(GroupedEnginePropertyTest, FoldedCampaignsMatchDirectRunsOnEveryPath) {
                                     config.accel, config.dataflow) ==
                 StreamPartition(prepared))
         << "site partition differs from the stream partition";
-    if (prepared.SymmetryActive()) ++folded;
+    if (prepared.symmetry_classes < prepared.sites.size()) ++folded;
 
     FiRunner runner(config.accel);
     std::vector<ExperimentRecord> direct;
     for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
       direct.push_back(
-          RunPreparedExperimentDirect(prepared, runner, i, config.engine));
+          RunPreparedExperimentWithEngine(prepared, runner, i, config.engine));
     }
     ASSERT_TRUE(RunCampaignSerial(config).records == direct)
         << "RunCampaignSerial records differ";
@@ -503,6 +515,37 @@ TEST(GroupedEnginePropertyTest, FoldedCampaignsMatchDirectRunsOnEveryPath) {
       merged.insert(merged.end(), part.begin(), part.end());
     }
     ASSERT_TRUE(merged == direct) << "merged shard records differ";
+
+    // A resume from a checkpoint holding a seeded random subset of the
+    // records: some members find their representative checkpointed, and
+    // some simulated representatives are not delivered.
+    SweepCheckpoint checkpoint;
+    CheckpointCampaign& held = checkpoint.campaigns[0];
+    held.key = CampaignKey(config);
+    held.total_experiments = sites;
+    held.golden_cycles = prepared.golden().cycles;
+    held.golden_pe_steps = prepared.golden().pe_steps;
+    for (std::int64_t i = 0; i < sites; ++i) {
+      if (rng.Bernoulli(0.5)) {
+        held.records.emplace(i, direct[static_cast<std::size_t>(i)]);
+      }
+    }
+    RunOptions resume;
+    resume.checkpoint = &checkpoint;
+    ASSERT_TRUE(SweepRecords(SingleCampaignPlan(config), resume) == direct)
+        << "records resumed from " << held.records.size()
+        << " checkpointed ones differ";
+
+    // Every record self-checked at 4 threads: representatives of grouped
+    // rungs against the differential engine, copies against direct runs.
+    RunOptions checked;
+    checked.max_parallelism = 4;
+    checked.resilience.selfcheck_rate = 1.0;
+    SweepOutcome checked_outcome;
+    ASSERT_TRUE(SweepRecords(SingleCampaignPlan(config), checked,
+                             &checked_outcome) == direct)
+        << "self-checked records differ";
+    ASSERT_EQ(checked_outcome.selfcheck_mismatches, 0);
 
     RunOptions warm;
     warm.result_cache = &cache;

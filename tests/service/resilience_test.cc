@@ -9,10 +9,14 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "patterns/campaign.h"
 #include "service/chaos.h"
+#include "service/checkpoint.h"
 #include "service/executor.h"
 #include "service/sink.h"
 
@@ -37,6 +41,15 @@ SweepSpec BaseSpec() {
   workload.name = "gemm-20";
   workload.m = workload.k = workload.n = 20;
   spec.workloads = {workload};
+  return spec;
+}
+
+// A sweep whose campaign does not fold its sites (random inputs, see
+// SymmetryEligibleCampaign): every experiment is simulated, so chaos keyed
+// on any index fires.
+SweepSpec UnfoldedSpec() {
+  SweepSpec spec = BaseSpec();
+  spec.workloads.front().input_fill = OperandFill::kRandom;
   return spec;
 }
 
@@ -168,7 +181,7 @@ TEST_F(ResilienceTest, RetriesRecoverTransientFaults) {
 }
 
 TEST_F(ResilienceTest, ExhaustedFaultsQuarantineAtTheLadderBottom) {
-  SweepSpec spec = BaseSpec();
+  SweepSpec spec = UnfoldedSpec();
   spec.max_sites = 6;
   const CampaignPlan plan = BuildCampaignPlan(spec);
 
@@ -282,7 +295,7 @@ TEST_F(ResilienceTest, SelfCheckCrossValidatesBatchRecords) {
 }
 
 TEST_F(ResilienceTest, TimeoutsCountAndRetrySucceeds) {
-  SweepSpec spec = BaseSpec();
+  SweepSpec spec = UnfoldedSpec();
   spec.max_sites = 8;
   const CampaignPlan plan = BuildCampaignPlan(spec);
 
@@ -304,6 +317,223 @@ TEST_F(ResilienceTest, TimeoutsCountAndRetrySucceeds) {
   EXPECT_EQ(outcome.quarantined, 0);
   EXPECT_EQ(outcome.records, plan.total_experiments());
   EXPECT_TRUE(outcome.ok());
+}
+
+// A sweep that crosses a signal with a bit outside its width fails that
+// cell's campaign once, at preparation: one quarantine per experiment, no
+// demotion, and the other campaign runs as if alone.
+TEST_F(ResilienceTest, ImpossibleBitQuarantinesItsCampaignAtPreparation) {
+  SweepSpec spec = BaseSpec();
+  spec.signals = {MacSignal::kWeightOperand, MacSignal::kAdderOut};
+  spec.bits = {8};  // weight_operand is 8 bits wide, adder_out 32
+  spec.engine = CampaignEngine::kPredicted;
+  const CampaignPlan plan = BuildCampaignPlan(spec);
+  ASSERT_EQ(plan.campaigns.size(), 2u);
+  const std::size_t impossible =
+      plan.campaigns[0].signal == MacSignal::kWeightOperand ? 0 : 1;
+
+  SweepSpec clean_spec = spec;
+  clean_spec.signals = {MacSignal::kAdderOut};
+  CollectorSink clean;
+  CampaignExecutor::Shared().Run(BuildCampaignPlan(clean_spec), clean);
+
+  CollectorSink collector;
+  RecordingSink recording;
+  TeeSink sink({&collector, &recording});
+  RunOptions options;
+  options.resilience = FastRetries();
+  options.resilience.on_failure = OnFailure::kQuarantine;
+  const SweepOutcome outcome =
+      CampaignExecutor::Shared().Run(plan, sink, options);
+
+  EXPECT_EQ(outcome.fallbacks, 0);
+  EXPECT_EQ(outcome.retries, 0);
+  EXPECT_EQ(outcome.quarantined, plan.site_counts[impossible]);
+  EXPECT_EQ(outcome.records, plan.site_counts[1 - impossible]);
+  ASSERT_EQ(static_cast<std::int64_t>(recording.failures().size()),
+            plan.site_counts[impossible]);
+  for (const FailedRecord& failure : recording.failures()) {
+    EXPECT_EQ(failure.campaign_index, impossible);
+    EXPECT_EQ(failure.engine, CampaignEngine::kPredicted);
+    EXPECT_EQ(failure.attempts, 1);
+    EXPECT_NE(failure.error.find("bit 8 outside weight_operand"),
+              std::string::npos)
+        << failure.error;
+  }
+  ASSERT_EQ(collector.results().size(), 2u);
+  EXPECT_TRUE(collector.results()[impossible].records.empty());
+  ExpectIdentical(clean.results().at(0),
+                  collector.results()[1 - impossible]);
+}
+
+// --- Folded campaigns: chaos and self-checks act on what is simulated ------
+// BaseSpec's campaign folds its 64 sites into classes of same-row sites,
+// and only each class's representative (its first site) is simulated.
+
+// An exhausted representative quarantines itself and every member of its
+// class, each failure at the member's own index and canonical position.
+TEST_F(ResilienceTest, ExhaustedRepresentativeQuarantinesItsMembers) {
+  const CampaignPlan plan = BuildCampaignPlan(BaseSpec());
+  const PreparedCampaign prepared = PrepareCampaign(plan.campaigns[0]);
+  const std::int64_t sites = plan.site_counts[0];
+  ASSERT_LT(prepared.symmetry_classes, prepared.sites.size());
+  std::int64_t class_size = 0;
+  for (const std::size_t rep : prepared.symmetry_rep_of) {
+    class_size += rep == 0 ? 1 : 0;
+  }
+  ASSERT_GT(class_size, 1);
+
+  chaos::ChaosSpec chaos_spec;
+  chaos_spec.experiment_throw_every = static_cast<int>(sites);  // index 0
+  chaos_spec.experiment_throw_attempts = 99;  // never recovers
+  chaos::Install(chaos_spec);
+
+  RecordingSink sink;
+  RunOptions options;
+  options.resilience = FastRetries();
+  options.resilience.max_retries = 1;
+  options.resilience.on_failure = OnFailure::kQuarantine;
+  const SweepOutcome outcome =
+      CampaignExecutor::Shared().Run(plan, sink, options);
+
+  EXPECT_EQ(outcome.quarantined, class_size);
+  EXPECT_EQ(outcome.records, sites - class_size);
+  ASSERT_EQ(static_cast<std::int64_t>(sink.events().size()), sites);
+  for (std::size_t i = 0; i < sink.events().size(); ++i) {
+    EXPECT_EQ(sink.events()[i].index, static_cast<std::int64_t>(i));
+    EXPECT_EQ(sink.events()[i].failed, prepared.symmetry_rep_of[i] == 0)
+        << "index " << i;
+  }
+  ASSERT_EQ(static_cast<std::int64_t>(sink.failures().size()), class_size);
+  for (const FailedRecord& failure : sink.failures()) {
+    EXPECT_EQ(failure.engine, CampaignEngine::kReference);
+    EXPECT_EQ(failure.attempts, sink.failures().front().attempts);
+    EXPECT_EQ(failure.error, sink.failures().front().error);
+  }
+
+  // A resume whose checkpoint holds the representative's record still
+  // simulates it for its members, and counts one quarantine per delivered
+  // failure.
+  SweepCheckpoint checkpoint;
+  CheckpointCampaign& held = checkpoint.campaigns[0];
+  held.key = CampaignKey(plan.campaigns[0]);
+  held.total_experiments = sites;
+  held.golden_cycles = prepared.golden().cycles;
+  held.golden_pe_steps = prepared.golden().pe_steps;
+  held.records.emplace(0, ExperimentRecord{});
+  options.checkpoint = &checkpoint;
+  RecordingSink resumed;
+  const SweepOutcome resumed_outcome =
+      CampaignExecutor::Shared().Run(plan, resumed, options);
+  EXPECT_EQ(resumed_outcome.quarantined, class_size - 1);
+  EXPECT_EQ(static_cast<std::int64_t>(resumed.failures().size()),
+            class_size - 1);
+  ASSERT_FALSE(resumed.events().empty());
+  EXPECT_FALSE(resumed.events().front().failed);  // replayed
+}
+
+// Chaos keyed on member indices only never fires: members are not
+// attempted. The run is shard 1, whose hit indices (34 and 51) are members
+// and whose representatives are no multiple of 17.
+TEST_F(ResilienceTest, ChaosOnMembersOnlyChangesNothing) {
+  CampaignPlan plan = BuildCampaignPlan(BaseSpec());
+  const std::int64_t sites = plan.site_counts[0];
+  plan.shards = {{0, 0, 0, sites / 2}, {0, 1, sites / 2, sites}};
+  const PreparedCampaign prepared = PrepareCampaign(plan.campaigns[0]);
+  std::vector<std::int64_t> shard;
+  for (std::int64_t i = sites / 2; i < sites; ++i) shard.push_back(i);
+  for (const std::size_t simulated : SimulationList(prepared, shard)) {
+    ASSERT_NE(simulated % 17, 0u) << simulated;
+  }
+  bool hits_member = false;
+  for (const std::int64_t i : shard) {
+    hits_member |= i % 17 == 0;
+  }
+  ASSERT_TRUE(hits_member);
+
+  RunOptions options;
+  options.only_shard = 1;
+  options.resilience = FastRetries();
+  options.resilience.on_failure = OnFailure::kQuarantine;
+  CollectorSink baseline;
+  CampaignExecutor::Shared().Run(plan, baseline, options);
+
+  chaos::ChaosSpec chaos_spec;
+  chaos_spec.experiment_throw_every = 17;
+  chaos_spec.experiment_throw_attempts = 99;
+  chaos::Install(chaos_spec);
+  CollectorSink collector;
+  const SweepOutcome outcome =
+      CampaignExecutor::Shared().Run(plan, collector, options);
+
+  EXPECT_EQ(outcome.retries, 0);
+  EXPECT_EQ(outcome.quarantined, 0);
+  EXPECT_EQ(outcome.fallbacks, 0);
+  EXPECT_EQ(outcome.records, sites / 2);
+  EXPECT_TRUE(outcome.ok());
+  ExpectIdentical(baseline.results().at(0), collector.results().at(0));
+}
+
+// A self-check that finds a member's copy wrong delivers the direct run
+// and stops folding for the campaign's later chunks, whose members are
+// then simulated instead of copied. The seed is one whose sample at the
+// rate is a single member of the first class, so later chunks exist.
+TEST_F(ResilienceTest, MemberMismatchStopsFolding) {
+  constexpr double kRate = 0.02;
+  SweepSpec spec = BaseSpec();
+  const PreparedCampaign prepared =
+      PrepareCampaign(BuildCampaignPlan(spec).campaigns[0]);
+  std::int64_t members = 0;
+  for (std::size_t i = 0; i < prepared.sites.size(); ++i) {
+    members += prepared.symmetry_rep_of[i] != i ? 1 : 0;
+  }
+  std::vector<std::size_t> sampled;
+  for (spec.seed = 1; spec.seed < 10000; ++spec.seed) {
+    sampled.clear();
+    for (std::size_t i = 0; i < prepared.sites.size(); ++i) {
+      if (prepared.symmetry_rep_of[i] != i &&
+          SelfCheckSampled(kRate, spec.seed, 0,
+                           static_cast<std::int64_t>(i))) {
+        sampled.push_back(i);
+      }
+    }
+    if (sampled.size() == 1 && prepared.symmetry_rep_of[sampled[0]] == 0) {
+      break;
+    }
+  }
+  ASSERT_EQ(sampled.size(), 1u);
+  ASSERT_EQ(prepared.symmetry_rep_of[sampled[0]], 0u);
+  const CampaignPlan plan = BuildCampaignPlan(spec);
+  obs::Counter& replicated = obs::MetricsRegistry::Default().GetCounter(
+      "saffire.cache.replicated_records");
+
+  RunOptions options;
+  options.max_parallelism = 1;  // chunks run in simulation-list order
+  options.resilience = FastRetries();
+  options.resilience.selfcheck_rate = kRate;
+  CollectorSink clean;
+  std::int64_t before = replicated.value();
+  const SweepOutcome checked =
+      CampaignExecutor::Shared().Run(plan, clean, options);
+  EXPECT_EQ(checked.selfchecks, 1);
+  EXPECT_EQ(checked.selfcheck_mismatches, 0);
+  EXPECT_EQ(replicated.value() - before, members);
+
+  chaos::ChaosSpec chaos_spec;
+  chaos_spec.selfcheck_lie_every = 1;
+  chaos::Install(chaos_spec);
+  CollectorSink collector;
+  before = replicated.value();
+  const SweepOutcome outcome =
+      CampaignExecutor::Shared().Run(plan, collector, options);
+  const std::int64_t copied = replicated.value() - before;
+  EXPECT_EQ(outcome.selfchecks, 1);
+  EXPECT_EQ(outcome.selfcheck_mismatches, 1);
+  EXPECT_EQ(outcome.fallbacks, 0);
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_GE(copied, 1);  // the checked copy itself
+  EXPECT_LT(copied, members);
+  ExpectIdentical(clean.results().at(0), collector.results().at(0));
 }
 
 TEST_F(ResilienceTest, RejectsInvalidResilienceOptions) {

@@ -223,12 +223,12 @@ TEST_F(ResultCacheTest, FoldedRunsCacheTheUnfoldedRecords) {
   CampaignConfig config = BaseConfig();
   config.max_sites = 0;  // exhaustive, so the campaign has sites to fold
   const PreparedCampaign prepared = PrepareCampaign(config);
-  ASSERT_TRUE(prepared.SymmetryActive());
+  ASSERT_LT(prepared.symmetry_classes, prepared.sites.size());
   FiRunner runner(config.accel);
   std::vector<ExperimentRecord> unfolded;
   for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
     unfolded.push_back(
-        RunPreparedExperimentDirect(prepared, runner, i, config.engine));
+        RunPreparedExperimentWithEngine(prepared, runner, i, config.engine));
   }
 
   RunOptions options;
