@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -20,13 +21,14 @@ namespace saffire {
 
 namespace {
 
-// The executor whose run this thread is inside: set for good on pool
-// workers, and on a Run() caller from taking the run gate until it returns.
-// A Run() on that executor from such a thread is a nested run.
+// The executor whose run this thread is inside: set on a Run() caller from
+// taking the run gate until it returns, the span in which it calls the
+// sink. A Run() on that executor from such a thread is a nested run.
 thread_local const CampaignExecutor* t_inside_run = nullptr;
 
 // Marks the calling thread as inside `executor`'s run for its lifetime,
-// restoring the previous mark (a worker of another executor) on exit.
+// restoring the previous mark (a run of another executor whose sink started
+// this one) on exit.
 class InsideRun {
  public:
   explicit InsideRun(const CampaignExecutor* executor)
@@ -84,8 +86,7 @@ struct CampaignState {
   enum class Stage : std::uint8_t {
     kPending = 0,   // not yet prepared
     kPreparing,     // a worker is running PrepareCampaign
-    kReady,         // prepared; chunks claimable
-    kReplayOnly,    // fully covered by the checkpoint; nothing to simulate
+    kReady,         // prepared, or fully checkpointed; chunks claimable
   };
 
   Stage stage = Stage::kPending;
@@ -108,7 +109,6 @@ struct CampaignState {
   // subset it must produce records for (deliverable minus checkpointed).
   std::vector<std::int64_t> deliverable;
   std::vector<std::int64_t> to_simulate;
-  std::int64_t replayed_records = 0;
 
   // The work units claimable once prepared. Chunks partition the
   // simulation list (SimulationList: the distinct representatives of
@@ -120,17 +120,16 @@ struct CampaignState {
   };
   std::vector<Chunk> chunks;
   std::size_t next_chunk = 0;
-  std::size_t chunks_finished = 0;
 
   // Read-only after the stage becomes kReady (workers access it without
   // the lock while running experiments).
   PreparedCampaign prepared;
   // One slot per experiment index, filled from checkpoint replay (in Run)
-  // or chunk publication (under the lock).
+  // or chunk publication (under the lock). A slot is written once, so the
+  // caller reads a filled one without the lock while the sink consumes it.
   std::vector<std::optional<ExperimentRecord>> records;
   // Quarantined experiments by index: an empty record slot whose index is
-  // here is delivered as OnExperimentFailed instead of blocking the
-  // frontier.
+  // here is delivered as OnExperimentFailed instead of being waited for.
   std::map<std::int64_t, FailedRecord> failed;
 
   // Batch-engine occupancy and self-check mismatches, accumulated under
@@ -141,12 +140,8 @@ struct CampaignState {
   std::int64_t selfcheck_mismatches = 0;
 
   CampaignBeginInfo info;
-  bool begun = false;
-  bool ended = false;
-  std::size_t deliver_cursor = 0;  // position in `deliverable`
 
   bool HasClaimableChunk() const { return next_chunk < chunks.size(); }
-  bool AllChunksDone() const { return chunks_finished == chunks.size(); }
 };
 
 }  // namespace
@@ -155,15 +150,14 @@ struct CampaignState {
 // stack; workers reach it only while it is the executor's `current_` run.
 struct CampaignExecutor::RunState {
   const CampaignPlan* plan = nullptr;
-  RecordSink* sink = nullptr;
   int cap = 0;               // max workers serving this run
   int running_tasks = 0;     // workers currently executing its tasks
   std::size_t next_prepare = 0;
+  // Campaigns counted against the cap + 1 lookahead: from the start of
+  // their preparation until their OnCampaignEnd returns.
+  int lookahead = 0;
   std::vector<CampaignState> campaigns;
-  std::size_t deliver_campaign = 0;  // canonical delivery frontier
-  bool delivering = false;  // a thread is inside sink callbacks
   std::exception_ptr error;
-  std::condition_variable done_cv;
   // Resilience policy and the cooperative stop token for this run.
   ResilienceOptions resilience;
   const std::atomic<bool>* stop = nullptr;
@@ -173,7 +167,6 @@ struct CampaignExecutor::RunState {
   // saffire.resilience.* series.
   ResilienceTally tally;
 
-  bool Finished() const { return deliver_campaign == campaigns.size(); }
   bool StopRequested() const {
     return stop != nullptr && stop->load(std::memory_order_relaxed);
   }
@@ -348,7 +341,6 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
 
   RunState run;
   run.plan = &plan;
-  run.sink = &sink;
   run.resilience = options.resilience;
   run.stop = options.stop;
   run.tally = {&run.outcome, &mutex_, &obs::MetricsRegistry::Default(),
@@ -398,10 +390,9 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
       campaign.deliverable.push_back(i);
       if (!campaign.records[s].has_value()) campaign.to_simulate.push_back(i);
     }
-    campaign.replayed_records =
+    replayed_experiments +=
         static_cast<std::int64_t>(campaign.deliverable.size()) -
         static_cast<std::int64_t>(campaign.to_simulate.size());
-    replayed_experiments += campaign.replayed_records;
 
     campaign.info.campaign_index = c;
     campaign.info.config = &plan.campaigns[c];
@@ -414,8 +405,8 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
 
     if (campaign.to_simulate.empty() && from != nullptr) {
       // Fully covered: golden metadata comes from the checkpoint too, so
-      // no simulator or golden run is needed at all.
-      campaign.stage = CampaignState::Stage::kReplayOnly;
+      // no simulator or golden run is needed at all, and no chunk either.
+      campaign.stage = CampaignState::Stage::kReady;
       campaign.info.golden_cycles = from->golden_cycles;
       campaign.info.golden_pe_steps = from->golden_pe_steps;
       campaign.info.golden_cache_hit = from->golden_cache_hit;
@@ -435,21 +426,12 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
     metrics_.campaigns_replayed->Increment(replay_only_campaigns);
     metrics_.experiments_replayed->Increment(replayed_experiments);
     current_ = &run;
-    // A replay-only prefix has no tasks to trigger its delivery; push the
-    // frontier from here before handing off to the workers.
-    Deliver(run, lock);
     work_ready_.notify_all();
-    const auto finished = [&run] {
-      return run.Finished() && run.running_tasks == 0 && !run.delivering;
-    };
-    // wait_for instead of wait: a stop request can arrive while no worker
-    // holds a task of this run (all parked), in which case nobody else will
-    // push the frontier to its drained state — the waiter itself does, on
-    // the next poll tick.
-    while (!finished()) {
-      run.done_cv.wait_for(lock, std::chrono::milliseconds(50), finished);
-      if (!finished() && run.StopRequested()) Deliver(run, lock);
-    }
+    StreamRecords(run, sink, lock);
+    AbandonUnclaimed(run);
+    // Workers inside a task of this run still reach into `run`, which
+    // lives on this stack.
+    work_ready_.wait(lock, [&run] { return run.running_tasks == 0; });
     current_ = nullptr;
   }
   if (run.error != nullptr) std::rethrow_exception(run.error);
@@ -457,8 +439,88 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
   return run.outcome;
 }
 
+void CampaignExecutor::StreamRecords(RunState& run, RecordSink& sink,
+                                     std::unique_lock<std::mutex>& lock) {
+  // Waits until `ready` holds, or returns false when the run ends first: on
+  // an error, or on a stop request once no worker holds a task, so records
+  // a worker was holding at the stop are delivered (and checkpointed)
+  // before the run is declared stopped, which is what makes --resume
+  // continue exactly where the drain ended. The wait polls because a signal
+  // handler cannot notify a condition variable.
+  const auto await = [&](const auto& ready) {
+    while (run.error == nullptr) {
+      if (ready()) return true;
+      if (run.StopRequested() && run.running_tasks == 0) {
+        run.outcome.stopped = true;
+        return false;
+      }
+      work_ready_.wait_for(lock, std::chrono::milliseconds(50));
+    }
+    return false;
+  };
+  // Invokes one sink callback outside the lock. A throwing sink aborts the
+  // run like a failed experiment: Run() rethrows it once workers drain.
+  const auto call_sink = [&](const auto& invoke) {
+    lock.unlock();
+    try {
+      invoke();
+      lock.lock();
+      return true;
+    } catch (...) {
+      lock.lock();
+      if (run.error == nullptr) run.error = std::current_exception();
+      return false;
+    }
+  };
+  for (CampaignState& campaign : run.campaigns) {
+    const auto ready = [&] {
+      return campaign.stage == CampaignState::Stage::kReady;
+    };
+    if (!await(ready) ||
+        !call_sink([&] { sink.OnCampaignBegin(campaign.info); })) {
+      return;
+    }
+    for (const std::int64_t index : campaign.deliverable) {
+      // An empty slot is either still simulating (wait for it) or
+      // quarantined (delivered as a failure in the record's place).
+      const std::optional<ExperimentRecord>& slot =
+          campaign.records[static_cast<std::size_t>(index)];
+      if (!await([&] {
+            return slot.has_value() || campaign.failed.contains(index);
+          })) {
+        return;
+      }
+      bool delivered = false;
+      if (slot.has_value()) {
+        ++run.outcome.records;
+        delivered =
+            call_sink([&] { sink.OnRecord(campaign.info, index, *slot); });
+      } else {
+        const FailedRecord failure = campaign.failed.at(index);
+        delivered = call_sink(
+            [&] { sink.OnExperimentFailed(campaign.info, failure); });
+      }
+      if (!delivered) return;
+    }
+    // Every deliverable record has been published, so the batch and
+    // mismatch counters are final.
+    campaign.info.lanes_filled = campaign.lanes_filled;
+    campaign.info.batches_run = campaign.batches_run;
+    campaign.info.selfcheck_mismatches = campaign.selfcheck_mismatches;
+    if (!call_sink([&] { sink.OnCampaignEnd(campaign.info); })) return;
+    // Release the campaign's bulk (golden trace reference, fault list,
+    // record buffer) and its place in the lookahead.
+    campaign.prepared = PreparedCampaign();
+    campaign.records.clear();
+    campaign.records.shrink_to_fit();
+    if (!campaign.info.replayed) {
+      --run.lookahead;
+      work_ready_.notify_all();
+    }
+  }
+}
+
 void CampaignExecutor::WorkerLoop(std::size_t worker_index) {
-  t_inside_run = this;
   WorkerCache cache;
   cache.worker_index = worker_index;
   std::unique_lock<std::mutex> lock(mutex_);
@@ -474,7 +536,8 @@ bool CampaignExecutor::RunOneTask(WorkerCache& cache,
   // work-stealing: a worker serves whichever campaign has a claimable task.
   // Chunks of already-prepared campaigns take priority over preparing new
   // ones so the run's in-flight memory (golden traces + record buffers)
-  // stays bounded.
+  // stays bounded. Workers never call the sink: they publish and notify,
+  // and the thread inside Run() delivers.
   if (current_ == nullptr) return false;
   RunState& run = *current_;
   if (run.running_tasks >= run.cap || run.error != nullptr ||
@@ -506,27 +569,18 @@ bool CampaignExecutor::RunOneTask(WorkerCache& cache,
       lock.lock();
       if (run.error == nullptr) run.error = std::current_exception();
     }
-    ++campaign.chunks_finished;
     --run.running_tasks;
     metrics_.busy_workers->Add(-1);
-    Deliver(run, lock);
     work_ready_.notify_all();
     return true;
   }
 
-  // Pass 2: prepare the next campaign, keeping at most cap + 1 campaigns
-  // with prepared state at once.
-  if (run.next_prepare >= run.campaigns.size()) return false;
-  int in_flight = 0;
-  for (const CampaignState& campaign : run.campaigns) {
-    if (campaign.stage == CampaignState::Stage::kPreparing ||
-        (campaign.stage == CampaignState::Stage::kReady &&
-         !campaign.AllChunksDone())) {
-      ++in_flight;
-    }
-  }
-  if (in_flight > run.cap) return false;
-  // Replay-only campaigns never need preparing; skip past them.
+  // Pass 2: prepare the next campaign. A campaign counts against the
+  // cap + 1 lookahead from the start of its preparation until its
+  // OnCampaignEnd returns, so a slow sink bounds prepared state and record
+  // buffers as well as a slow simulation does.
+  if (run.lookahead > run.cap) return false;
+  // Fully checkpointed campaigns never need preparing; skip past them.
   while (run.next_prepare < run.campaigns.size() &&
          run.campaigns[run.next_prepare].stage !=
              CampaignState::Stage::kPending) {
@@ -536,12 +590,12 @@ bool CampaignExecutor::RunOneTask(WorkerCache& cache,
   const std::size_t c = run.next_prepare++;
   run.campaigns[c].stage = CampaignState::Stage::kPreparing;
   run.campaigns[c].prepared_by = cache.worker_index;
+  ++run.lookahead;
   ++run.running_tasks;
   metrics_.busy_workers->Add(1);
   PrepareWithPolicy(run, c, cache, lock);
   --run.running_tasks;
   metrics_.busy_workers->Add(-1);
-  Deliver(run, lock);
   work_ready_.notify_all();
   return true;
 }
@@ -559,8 +613,8 @@ void CampaignExecutor::PrepareWithPolicy(RunState& run,
     const std::exception_ptr raised = std::current_exception();
     lock.lock();
     CampaignState& campaign = run.campaigns[campaign_index];
-    // Mark ready with no chunks either way, so the delivery frontier can
-    // pass the campaign.
+    // Mark ready with no chunks either way, so delivery can pass the
+    // campaign.
     campaign.stage = CampaignState::Stage::kReady;
     campaign.chunks.clear();
     if (run.resilience.on_failure == OnFailure::kQuarantine) {
@@ -662,7 +716,8 @@ void CampaignExecutor::PrepareOne(RunState& run, std::size_t campaign_index,
   if (run.error == nullptr) {
     // Publish the new chunks to the queue-depth gauge. An errored run's
     // chunks are never claimed (workers skip it), so they stay off the
-    // gauge entirely — Deliver retires any published before the error.
+    // gauge entirely — AbandonUnclaimed retires any published before the
+    // error.
     metrics_.queue_depth->Add(
         static_cast<std::int64_t>(campaign.chunks.size()));
   }
@@ -817,8 +872,8 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
 
   // Fan out: each member takes its representative's record, or a failure
   // at its own index when the representative quarantined. Buffer locally,
-  // publish under the lock: record slots are read by the delivery
-  // frontier, which must never observe a half-written record.
+  // publish under the lock: the delivering caller must never observe a
+  // half-written record.
   std::vector<std::optional<ExperimentRecord>> chunk_records(members.size());
   std::vector<FailedRecord> failures;
   for (std::size_t k = 0; k < members.size(); ++k) {
@@ -940,9 +995,8 @@ void CampaignExecutor::NoteMismatch(RunState& run, std::size_t campaign_index,
 
 void CampaignExecutor::AbandonUnclaimed(RunState& run) {
   // Unclaimed chunks will never be picked up (workers skip errored and
-  // stopped runs), so retire them from the queue-depth gauge and collapse
-  // the frontier; waiters then see a finished run once in-flight workers
-  // drain.
+  // stopped runs, and a finished run has none), so retire them from the
+  // queue-depth gauge.
   std::int64_t abandoned = 0;
   for (CampaignState& campaign : run.campaigns) {
     if (campaign.stage != CampaignState::Stage::kReady) continue;
@@ -951,110 +1005,6 @@ void CampaignExecutor::AbandonUnclaimed(RunState& run) {
     campaign.next_chunk = campaign.chunks.size();
   }
   if (abandoned > 0) metrics_.queue_depth->Add(-abandoned);
-  run.deliver_campaign = run.campaigns.size();
-}
-
-void CampaignExecutor::Deliver(RunState& run,
-                               std::unique_lock<std::mutex>& lock) {
-  if (run.delivering) return;  // the current owner will pick our records up
-  run.delivering = true;
-  // Invokes one sink callback outside the lock. A throwing sink aborts the
-  // run (stored error, rethrown by Run) instead of unwinding through the
-  // executor with the delivery frontier half-advanced.
-  const auto call_sink = [&](auto&& invoke) {
-    lock.unlock();
-    try {
-      invoke();
-      lock.lock();
-      return true;
-    } catch (...) {
-      lock.lock();
-      if (run.error == nullptr) run.error = std::current_exception();
-      return false;
-    }
-  };
-  while (run.deliver_campaign < run.campaigns.size()) {
-    if (run.error != nullptr) {
-      // Fail fast: Run() rethrows the stored error once workers drain.
-      AbandonUnclaimed(run);
-      break;
-    }
-    // A cooperative stop finalizes only after the last in-flight worker has
-    // published: records a worker was holding at the stop are delivered
-    // (and checkpointed) before the run is declared stopped, which is what
-    // makes --resume continue exactly where the drain ended.
-    const bool stop_drained = run.StopRequested() && run.running_tasks == 0;
-    CampaignState& campaign = run.campaigns[run.deliver_campaign];
-    if (campaign.stage != CampaignState::Stage::kReady &&
-        campaign.stage != CampaignState::Stage::kReplayOnly) {
-      if (stop_drained) {
-        run.outcome.stopped = true;
-        AbandonUnclaimed(run);
-      }
-      break;  // golden metadata not known yet
-    }
-    if (!campaign.begun) {
-      campaign.begun = true;
-      if (!call_sink([&] { run.sink->OnCampaignBegin(campaign.info); })) {
-        continue;
-      }
-    }
-    while (campaign.deliver_cursor < campaign.deliverable.size()) {
-      const std::int64_t index =
-          campaign.deliverable[campaign.deliver_cursor];
-      const std::optional<ExperimentRecord>& slot =
-          campaign.records[static_cast<std::size_t>(index)];
-      if (slot.has_value()) {
-        const ExperimentRecord record = *slot;
-        ++campaign.deliver_cursor;
-        ++run.outcome.records;
-        if (!call_sink(
-                [&] { run.sink->OnRecord(campaign.info, index, record); })) {
-          break;
-        }
-        continue;
-      }
-      // An empty slot is either still simulating (frontier waits) or
-      // quarantined (delivered as a failure so the frontier can pass it).
-      const auto failed = campaign.failed.find(index);
-      if (failed == campaign.failed.end()) break;
-      const FailedRecord failure = failed->second;
-      ++campaign.deliver_cursor;
-      if (!call_sink([&] {
-            run.sink->OnExperimentFailed(campaign.info, failure);
-          })) {
-        break;
-      }
-    }
-    if (run.error != nullptr) continue;  // settle via the error branch
-    if (campaign.deliver_cursor < campaign.deliverable.size()) {
-      if (stop_drained) {
-        run.outcome.stopped = true;
-        AbandonUnclaimed(run);
-      }
-      break;
-    }
-    if (!campaign.ended) {
-      campaign.ended = true;
-      // Every deliverable record has been published (the cursor reached the
-      // end), so the batch and mismatch counters are final — safe to copy
-      // without racing RunChunk.
-      campaign.info.lanes_filled = campaign.lanes_filled;
-      campaign.info.batches_run = campaign.batches_run;
-      campaign.info.selfcheck_mismatches = campaign.selfcheck_mismatches;
-      if (!call_sink([&] { run.sink->OnCampaignEnd(campaign.info); })) {
-        continue;
-      }
-      // Release the campaign's bulk (golden trace reference, fault list,
-      // record buffer) as soon as it is fully delivered.
-      campaign.prepared = PreparedCampaign();
-      campaign.records.clear();
-      campaign.records.shrink_to_fit();
-    }
-    ++run.deliver_campaign;
-  }
-  run.delivering = false;
-  if (run.Finished()) run.done_cv.notify_all();
 }
 
 }  // namespace saffire

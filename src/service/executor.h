@@ -1,7 +1,8 @@
 // The campaign execution service: one persistent worker pool that runs
 // whole CampaignPlans, one plan at a time, work-stealing across every
-// campaign in the plan, and streams records to RecordSinks in a
-// deterministic canonical order.
+// campaign in the plan, while the thread that called Run() streams records
+// to a RecordSink in a deterministic canonical order. The pool prepares
+// campaigns and simulates chunks; only the caller calls the sink.
 //
 // Why a service instead of a spawn-per-call model:
 // a paper-scale sweep is hundreds of campaigns (Sec. III-B), and per-call
@@ -128,9 +129,8 @@ struct RunOptions {
 
 // The persistent executor. It runs one plan at a time: a Run() from another
 // thread waits until the running plan returns, and a Run() from a thread
-// already inside a run of this executor (a pool worker, or the caller during
-// its own sink callbacks) throws std::logic_error instead of deadlocking on
-// its own pool.
+// already inside a run of this executor (the caller, during its own sink
+// callbacks) throws std::logic_error instead of deadlocking on its own pool.
 class CampaignExecutor {
  public:
   explicit CampaignExecutor(const ExecutorOptions& options = {});
@@ -142,8 +142,12 @@ class CampaignExecutor {
   // Executes the plan, streaming every record to `sink` in canonical order
   // (campaign-major, site order within a campaign) no matter how the work
   // was scheduled. Blocks until the sink has seen OnSweepEnd. Sink
-  // callbacks are serialized by the executor (RecordSink needs no locks)
-  // but may run on any worker thread.
+  // callbacks run on the thread that called Run(), never on a pool worker
+  // (RecordSink needs no locks). A campaign holds prepared state and
+  // record buffers from the start of its preparation until its
+  // OnCampaignEnd returns, and at most cap + 1 campaigns do at once
+  // (cap: RunOptions::max_parallelism, or the pool size), so a slow sink
+  // holds the pool back instead of letting it run ahead through the plan.
   //
   // Failure semantics (service/resilience.h): a throwing experiment is
   // retried with deterministic backoff, then its campaign falls down the
@@ -205,7 +209,10 @@ class CampaignExecutor {
   };
 
   void WorkerLoop(std::size_t worker_index);
-  // Claims the next task of the current run; returns false when idle.
+  // Claims the next task of the current run: a chunk, else a campaign
+  // preparation while at most cap campaigns are between the start of their
+  // preparation and the return of their OnCampaignEnd. Returns false when
+  // idle.
   bool RunOneTask(WorkerCache& cache, std::unique_lock<std::mutex>& lock);
   // Executes chunk `chunk` of a prepared campaign on `engine` (the
   // campaign's effective engine at claim time — demotion may move it below
@@ -218,7 +225,7 @@ class CampaignExecutor {
                   WorkerCache& cache);
   // PrepareOne plus failure policy: on a throw, either quarantines the
   // whole campaign (kQuarantine) or records the run error (kAbort), leaving
-  // the campaign ready-with-no-chunks so the frontier can pass it. Caller
+  // the campaign ready-with-no-chunks so delivery can pass it. Caller
   // holds `mutex_`; it is dropped around the preparation itself.
   void PrepareWithPolicy(RunState& run, std::size_t campaign_index,
                          WorkerCache& cache,
@@ -235,17 +242,25 @@ class CampaignExecutor {
   void NoteSelfCheck(RunState& run, CampaignEngine engine);
   void NoteMismatch(RunState& run, std::size_t campaign_index,
                     std::int64_t experiment_index, const char* between);
-  // Retires every unclaimed chunk (queue-depth gauge included) and marks the
-  // run finished — the error/stop abandonment path. Caller holds `mutex_`.
+  // Retires every unclaimed chunk (queue-depth gauge included) once
+  // delivery has ended — the error/stop abandonment path. Caller holds
+  // `mutex_`.
   void AbandonUnclaimed(RunState& run);
-  // Delivers every ready record at the canonical frontier. Caller holds
-  // `mutex_`; delivery drops it around sink callbacks.
-  void Deliver(RunState& run, std::unique_lock<std::mutex>& lock);
+  // The Run() caller's half: walks the campaigns and their deliverable
+  // indices in canonical order, waiting on `work_ready_` for each record to
+  // be published or quarantined, and calls the sink. Returns when every
+  // campaign has ended, or early on an error or a drained stop. Caller
+  // holds `mutex_`; it is dropped around sink callbacks.
+  void StreamRecords(RunState& run, RecordSink& sink,
+                     std::unique_lock<std::mutex>& lock);
 
   // Held by the calling thread for a whole Run(), OnSweepBegin through
   // OnSweepEnd: the one-plan-at-a-time gate other callers queue on.
   std::mutex run_mutex_;
   mutable std::mutex mutex_;
+  // Notified whenever a run's state moves: a task finished (the caller may
+  // have a record to deliver, an idle worker a chunk to claim) or a
+  // campaign ended (a preparation fits in the lookahead again).
   std::condition_variable work_ready_;
   RunState* current_ = nullptr;  // the run workers serve, while it has work
   bool shutdown_ = false;

@@ -183,8 +183,8 @@ bool RungEquivalent(const NetworkRecord& a, const NetworkRecord& b);
 
 // --- Record sinks -----------------------------------------------------------
 // The network analogue of service/sink.h, with the same streaming
-// discipline: begin/record/end callbacks in canonical order, single sweep
-// at a time.
+// discipline: begin/record/end callbacks in canonical order, all on the
+// thread that called RunNetworkSweep, single sweep at a time.
 
 struct NetworkCampaignInfo {
   std::size_t index = 0;

@@ -3,9 +3,10 @@
 // resumable checkpoint, not a torn one — so instead of letting the default
 // handler abort mid-write, the CLI installs ScopedSignalDrain and passes
 // its token as RunOptions::stop: the handler only flips an atomic, workers
-// finish the records they are holding, the executor drains the delivery
-// frontier, and every sink (including the JSONL checkpoint) is flushed
-// before the process exits with the conventional 128+signo status.
+// finish the records they are holding, the calling thread delivers every
+// finished record in canonical order, and every sink (including the JSONL
+// checkpoint) is flushed before the process exits with the conventional
+// 128+signo status.
 #pragma once
 
 #include <atomic>

@@ -14,8 +14,9 @@ namespace saffire {
 namespace {
 
 // Sink throughput counters in the default registry ("records/sec" is the
-// rate query over these). Handles resolve once per process; sink callbacks
-// are already serialized by the executor, so relaxed increments suffice.
+// rate query over these). Handles resolve once per process. One sweep's
+// callbacks all run on its calling thread, but sweeps on different
+// executors may run at once, hence the (relaxed) atomic counters.
 obs::Counter& CsvRowsCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
       "saffire.sink.csv_rows", "record rows written by CSV sinks");
@@ -63,15 +64,6 @@ void CollectorSink::OnCampaignEnd(const CampaignBeginInfo& info) {
   CampaignResult& result = results_.at(info.campaign_index);
   result.lanes_filled = info.lanes_filled;
   result.batches_run = info.batches_run;
-}
-
-// --- HistogramSink ----------------------------------------------------------
-
-void HistogramSink::OnRecord(const CampaignBeginInfo& /*info*/,
-                             std::int64_t /*experiment_index*/,
-                             const ExperimentRecord& record) {
-  ++histogram_[record.observed];
-  ++total_;
 }
 
 // --- CsvRecordSink ----------------------------------------------------------

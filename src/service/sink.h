@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -57,10 +56,14 @@ struct CampaignBeginInfo {
 
 // Consumer interface. Delivery contract (service/executor.h): callbacks
 // arrive in canonical order — OnSweepBegin, then for each campaign in plan
-// order OnCampaignBegin / OnRecord (experiment indices strictly
-// increasing) / OnCampaignEnd, then OnSweepEnd — and are serialized by the
-// executor, so implementations need no locking. All methods default to
-// no-ops so sinks override only what they consume.
+// order OnCampaignBegin / OnRecord or OnExperimentFailed (experiment
+// indices strictly increasing) / OnCampaignEnd, then OnSweepEnd — all on
+// the thread that called CampaignExecutor::Run, never on a pool worker, so
+// implementations need no locking. A slow callback holds the pool back
+// rather than letting prepared campaigns pile up: the executor keeps at
+// most cap + 1 campaigns between the start of their preparation and the
+// return of their OnCampaignEnd. All methods default to no-ops so sinks
+// override only what they consume.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
@@ -94,23 +97,6 @@ class CollectorSink : public RecordSink {
 
  private:
   std::vector<CampaignResult> results_;
-};
-
-// Aggregates observed-class counts across all campaigns without retaining
-// records — the sweep-wide version of CampaignResult::Histogram().
-class HistogramSink : public RecordSink {
- public:
-  void OnRecord(const CampaignBeginInfo& info, std::int64_t experiment_index,
-                const ExperimentRecord& record) override;
-
-  const std::map<PatternClass, std::int64_t>& histogram() const {
-    return histogram_;
-  }
-  std::int64_t total() const { return total_; }
-
- private:
-  std::map<PatternClass, std::int64_t> histogram_;
-  std::int64_t total_ = 0;
 };
 
 // Streams the WriteCampaignCsv schema: one header, then one row per record

@@ -505,13 +505,7 @@ void SystolicArray::Step(Dataflow dataflow) {
     const std::int64_t hook_cycle = cycle_ - 1;
     const std::size_t bottom = Index(rows_ - 1, 0);
     if (narrow_) {
-      // Widen through a scratch row to keep the trace int64-only.
-      std::vector<std::int64_t> wide_row(static_cast<std::size_t>(cols_));
-      for (std::int32_t c = 0; c < cols_; ++c) {
-        wide_row[static_cast<std::size_t>(c)] =
-            south32_[bottom + static_cast<std::size_t>(c)];
-      }
-      recording_->AppendSouthRow(wide_row.data(), hook_cycle);
+      recording_->AppendSouthRow(south32_.data() + bottom, hook_cycle);
     } else {
       recording_->AppendSouthRow(south_wire_.data() + bottom, hook_cycle);
     }

@@ -24,12 +24,6 @@ void GoldenTrace::Reserve(std::int64_t steps) {
   step_cycles_.reserve(static_cast<std::size_t>(steps));
 }
 
-void GoldenTrace::AppendSouthRow(const std::int64_t* row, std::int64_t cycle) {
-  south_rows_.insert(south_rows_.end(), row, row + cols_);
-  step_cycles_.push_back(cycle);
-  ++steps_;
-}
-
 void GoldenTrace::AppendAccumulatorCheckpoint(std::vector<std::int64_t> grid) {
   SAFFIRE_ASSERT_MSG(
       grid.empty() ||

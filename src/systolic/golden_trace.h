@@ -56,10 +56,16 @@ class GoldenTrace {
   // Call after Begin(); it never changes what the trace holds.
   void Reserve(std::int64_t steps);
 
-  // Appends the registered bottom-row south outputs of one Step. `cycle` is
-  // the hook-visible clock of that Step (the value fault hooks compare
-  // transient strike cycles against).
-  void AppendSouthRow(const std::int64_t* row, std::int64_t cycle);
+  // Appends the registered bottom-row south outputs of one Step, widened
+  // from the array's element type (int64_t, or int32_t on the narrow path)
+  // to the trace's int64_t. `cycle` is the hook-visible clock of that Step
+  // (the value fault hooks compare transient strike cycles against).
+  template <typename T>
+  void AppendSouthRow(const T* row, std::int64_t cycle) {
+    south_rows_.insert(south_rows_.end(), row, row + cols_);
+    step_cycles_.push_back(cycle);
+    ++steps_;
+  }
 
   // Appends one accumulator checkpoint (row-major rows×cols, captured on
   // Reset and at end of recording). An all-zero grid is stored as an empty

@@ -6,13 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <random>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "service/chaos.h"
+#include "service/checkpoint.h"
 #include "service/sink.h"
 
 namespace saffire {
@@ -163,11 +169,11 @@ TEST(ExecutorTest, ReusesSimulatorsAcrossBatch) {
 }
 
 TEST(ExecutorTest, NestedRunThrowsInsteadOfHanging) {
-  // A sink that starts a nested Run() on `target` from OnSweepBegin, which
-  // runs on the caller's thread, or from OnCampaignEnd, which runs on a
-  // pool worker. Nested on the executor serving the sink, the call throws
-  // and the outer Run() rethrows it instead of deadlocking on its own pool;
-  // on another executor it simply runs.
+  // A sink that starts a nested Run() on `target` from OnSweepBegin, before
+  // the pool has any work, or from OnCampaignEnd, mid-run. Both run on the
+  // caller's thread. Nested on the executor serving the sink, the call
+  // throws and the outer Run() rethrows it instead of deadlocking on its
+  // own pool; on another executor it simply runs.
   class NestedSink : public RecordSink {
    public:
     NestedSink(CampaignExecutor& target, CampaignPlan inner,
@@ -291,6 +297,170 @@ TEST(ExecutorTest, ConcurrentRunsExecuteOneAtATime) {
   EXPECT_EQ(log, (std::vector<std::string>{
                      first_run + " begin", first_run + " end",
                      second_run + " begin", second_run + " end"}));
+}
+
+TEST(ExecutorTest, SinkCallbacksRunOnTheCallingThread) {
+  // Collects records while noting the thread behind every callback; throws
+  // from the `throw_at`-th OnRecord when that is set.
+  class SinkError : public std::runtime_error {
+   public:
+    using std::runtime_error::runtime_error;
+  };
+  class ThreadNotingSink : public CollectorSink {
+   public:
+    explicit ThreadNotingSink(std::int64_t throw_at = 0)
+        : throw_at_(throw_at) {}
+    void OnSweepBegin(const CampaignPlan& plan) override {
+      Note();
+      CollectorSink::OnSweepBegin(plan);
+    }
+    void OnCampaignBegin(const CampaignBeginInfo& info) override {
+      Note();
+      CollectorSink::OnCampaignBegin(info);
+    }
+    void OnRecord(const CampaignBeginInfo& info, std::int64_t index,
+                  const ExperimentRecord& record) override {
+      Note();
+      if (++records_ == throw_at_) throw SinkError("sink failed");
+      CollectorSink::OnRecord(info, index, record);
+    }
+    void OnExperimentFailed(const CampaignBeginInfo& /*info*/,
+                            const FailedRecord& /*failure*/) override {
+      Note();
+      ++failures_;
+    }
+    void OnCampaignEnd(const CampaignBeginInfo& info) override {
+      Note();
+      CollectorSink::OnCampaignEnd(info);
+    }
+    void OnSweepEnd() override {
+      Note();
+      CollectorSink::OnSweepEnd();
+    }
+    const std::set<std::thread::id>& threads() const { return threads_; }
+    std::int64_t records() const { return records_; }
+    std::int64_t failures() const { return failures_; }
+
+   private:
+    void Note() { threads_.insert(std::this_thread::get_id()); }
+    std::int64_t throw_at_;
+    std::int64_t records_ = 0;
+    std::int64_t failures_ = 0;
+    std::set<std::thread::id> threads_;
+  };
+
+  SweepSpec spec = BaseSpec();
+  spec.workloads.front().input_fill = OperandFill::kRandom;  // nothing folds
+  spec.polarities = {StuckPolarity::kStuckAt1, StuckPolarity::kStuckAt0};
+  spec.bits = {4, 8};
+  spec.max_sites = 12;
+  const CampaignPlan plan = BuildCampaignPlan(spec);
+  const std::set<std::thread::id> caller{std::this_thread::get_id()};
+
+  // The checkpoint of a resumed run: campaign 0 whole, so it replays
+  // without preparation, and a seeded half of every other campaign.
+  std::ostringstream jsonl;
+  {
+    JsonlRecordSink writer(jsonl);
+    CampaignExecutor::Shared().Run(plan, writer);
+  }
+  std::istringstream lines(jsonl.str());
+  SweepCheckpoint checkpoint = LoadSweepCheckpoint(lines);
+  std::mt19937_64 rng(25);
+  for (auto& [c, campaign] : checkpoint.campaigns) {
+    if (c == 0) continue;
+    std::erase_if(campaign.records,
+                  [&](const auto& /*entry*/) { return rng() % 2 == 1; });
+  }
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignExecutor executor(ExecutorOptions{.threads = threads});
+    ThreadNotingSink fresh;
+    executor.Run(plan, fresh);
+    EXPECT_EQ(fresh.records(), plan.total_experiments());
+    EXPECT_EQ(fresh.threads(), caller);
+
+    ThreadNotingSink resumed;
+    RunOptions resume;
+    resume.checkpoint = &checkpoint;
+    executor.Run(plan, resumed, resume);
+    EXPECT_EQ(resumed.threads(), caller);
+    const std::vector<CampaignResult> expected = fresh.TakeResults();
+    const std::vector<CampaignResult> actual = resumed.TakeResults();
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      ExpectIdentical(expected[c], actual[c]);
+    }
+
+    chaos::ChaosSpec chaos_spec;
+    chaos_spec.experiment_throw_every = 5;
+    chaos_spec.experiment_throw_attempts = 99;  // never recovers
+    chaos::Install(chaos_spec);
+    ThreadNotingSink quarantined;
+    RunOptions chaotic;
+    chaotic.resilience.max_retries = 0;
+    chaotic.resilience.backoff_base_ms = 0;
+    chaotic.resilience.on_failure = OnFailure::kQuarantine;
+    const SweepOutcome outcome = executor.Run(plan, quarantined, chaotic);
+    chaos::Clear();
+    EXPECT_GT(quarantined.failures(), 0);
+    EXPECT_EQ(quarantined.failures(), outcome.quarantined);
+    EXPECT_EQ(quarantined.threads(), caller);
+
+    ThreadNotingSink throwing(/*throw_at=*/5);
+    EXPECT_THROW(executor.Run(plan, throwing), SinkError);
+    EXPECT_EQ(throwing.records(), 5);
+    EXPECT_EQ(throwing.threads(), caller);
+  }
+}
+
+TEST(ExecutorTest, SlowSinkKeepsLookaheadBounded) {
+  // A sink far slower than the pool: it sleeps 20 ms in OnCampaignBegin(c)
+  // and then checks that at most cap + 1 campaigns, c included, have been
+  // prepared from c onward — a campaign holds its place in the lookahead
+  // until its OnCampaignEnd returns, so the pool cannot run ahead through
+  // the plan.
+  class SlowSink : public RecordSink {
+   public:
+    SlowSink(const CampaignExecutor& executor, std::int64_t bound)
+        : executor_(executor),
+          bound_(bound),
+          start_(executor.stats().campaigns_executed) {}
+    void OnCampaignBegin(const CampaignBeginInfo& info) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const std::int64_t ahead = executor_.stats().campaigns_executed -
+                                 start_ -
+                                 static_cast<std::int64_t>(info.campaign_index);
+      EXPECT_LE(ahead, bound_) << "campaign " << info.campaign_index;
+      max_ahead_ = std::max(max_ahead_, ahead);
+    }
+    std::int64_t max_ahead() const { return max_ahead_; }
+
+   private:
+    const CampaignExecutor& executor_;
+    std::int64_t bound_;
+    std::int64_t start_;
+    std::int64_t max_ahead_ = 0;
+  };
+
+  SweepSpec spec = BaseSpec();
+  spec.workloads.front().input_fill = OperandFill::kRandom;  // nothing folds
+  spec.engine = CampaignEngine::kDifferential;
+  spec.signals = {MacSignal::kAdderOut, MacSignal::kMulOut};
+  spec.polarities = {StuckPolarity::kStuckAt1, StuckPolarity::kStuckAt0};
+  spec.bits = {1, 3, 5, 7};
+  spec.max_sites = 8;
+  const CampaignPlan plan = BuildCampaignPlan(spec);
+  ASSERT_EQ(plan.campaigns.size(), 16u);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignExecutor executor(ExecutorOptions{.threads = threads});
+    SlowSink sink(executor, /*bound=*/threads + 1);
+    executor.Run(plan, sink);
+    EXPECT_GE(sink.max_ahead(), 1);
+    EXPECT_EQ(executor.stats().campaigns_executed, 16);
+  }
 }
 
 TEST(ExecutorTest, RejectsInvalidOptionsAndPlans) {
