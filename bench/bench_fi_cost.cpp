@@ -12,6 +12,7 @@
 #include "appfi/appfi.h"
 #include "bench_util.h"
 #include "fi/runner.h"
+#include "systolic/simd_ops.h"
 
 namespace {
 

@@ -86,7 +86,7 @@ int main() {
 
   // The predicted rung's coverage: which share of a full-signal stuck-at
   // sweep the closed form serves (saffire.predict.hits) vs routes to the
-  // batch residue (saffire.predict.residue), per dataflow. The rates are
+  // lane-grid residue (saffire.predict.residue), per dataflow. The rates are
   // structural — they depend only on the signal mix, so they hold for the
   // paper-scale campaigns too.
   std::cout << "\n=== Predicted-engine coverage: GEMM 16x16, stuck-at, "

@@ -11,13 +11,13 @@
 //
 // The matrix runs as one CampaignPlan batch through the shared executor.
 // The trailing engine-comparison section re-runs the 16×16 WS GEMM campaign
-// under all four execution engines (reference / differential / batch /
-// predicted) and checks their results are bit-identical, recording
-// the PE-step saving and the batch and predicted engines' speedups over
-// differential; those run as separate plans so each engine gets its own
-// wall clock. Like every all-ones stuck-at campaign it folds its fault
-// sites (patterns/symmetry.h), so each arm simulates 16 representatives of
-// the 256 sites; a serial pass then simulates all 256 directly, reported
+// under all three execution engines (reference / differential / predicted)
+// and checks their results are bit-identical, recording the PE-step saving
+// and the predicted engine's speedup over differential; those run as
+// separate plans so each engine gets its own wall clock. Like every
+// all-ones stuck-at campaign it folds its fault sites
+// (patterns/symmetry.h), so each arm simulates 16 representatives of the
+// 256 sites; a serial pass then simulates all 256 directly, reported
 // as the ungated unfolded/differential entry, and must give the
 // differential arm's records. Under --engine every matrix campaign gets
 // that check on its own engine, so the record CSVs compared across engines
@@ -26,7 +26,6 @@
 // Flags (bench_util.h ParseBenchArgs):
 //   --engine NAME             run the matrix under this engine (default
 //                             differential) and skip the engine comparison
-//   --simd {auto|avx2|scalar} SIMD backend for the batch datapath (auto)
 //   --records-csv PATH        stream every matrix record to a CSV — CI
 //                             diffs this file across engines
 //   --benchmark_out PATH      google-benchmark-compatible JSON timings
@@ -205,11 +204,10 @@ int main(int argc, char** argv) {
     CampaignResult baseline;
     CampaignResult differential;
     double differential_seconds = 0;
-    double batch_seconds = 0;
     double predicted_seconds = 0;
     for (const CampaignEngine engine :
          {CampaignEngine::kReference, CampaignEngine::kDifferential,
-          CampaignEngine::kBatch, CampaignEngine::kPredicted}) {
+          CampaignEngine::kPredicted}) {
       CampaignConfig config;
       config.accel = PaperAccel();
       config.workload = Gemm16x16();
@@ -234,7 +232,6 @@ int main(int argc, char** argv) {
         differential_seconds = seconds;
         differential = result;
       }
-      if (engine == CampaignEngine::kBatch) batch_seconds = seconds;
       if (engine == CampaignEngine::kPredicted) predicted_seconds = seconds;
 
       bool identical = true;
@@ -253,13 +250,7 @@ int main(int argc, char** argv) {
                       result.records[i].cycles == baseline.records[i].cycles;
         }
       }
-      std::string label = ToString(engine);
-      if (engine == CampaignEngine::kBatch && result.batches_run > 0) {
-        label += " (x" + std::to_string(result.lanes_filled /
-                                        result.batches_run) +
-                 ")";
-      }
-      PrintRow({label, FormatDouble(seconds, 2),
+      PrintRow({ToString(engine), FormatDouble(seconds, 2),
                 std::to_string(result.FaultyPeSteps()),
                 std::to_string(result.FaultyPeStepsSkipped()),
                 identical ? "yes" : "NO"},
@@ -270,13 +261,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    if (batch_seconds > 0) {
-      std::cout << "\nbatch speedup over differential: "
-                << FormatDouble(differential_seconds / batch_seconds, 2)
-                << "x\n";
-    }
     if (predicted_seconds > 0) {
-      std::cout << "predicted speedup over differential: "
+      std::cout << "\npredicted speedup over differential: "
                 << FormatDouble(differential_seconds / predicted_seconds, 2)
                 << "x\n";
     }

@@ -23,7 +23,6 @@
 #include "patterns/campaign.h"
 #include "service/run.h"
 #include "service/sink.h"
-#include "systolic/simd_ops.h"
 
 namespace saffire::bench {
 
@@ -35,10 +34,6 @@ struct BenchOptions {
   // Campaign engine override ("" keeps the bench's default). Parsed by the
   // bench via ParseCampaignEngine so the CLI and benches share one table.
   std::string engine;
-  // SIMD backend for the batch datapath ({auto|avx2|scalar}, "" keeps the
-  // process default). Applied process-wide by ParseBenchArgs so the CI can
-  // measure the scalar and vector kernels from the same binary.
-  std::string simd;
   // Stream every campaign record to this CSV (WriteCampaignCsv schema) —
   // what CI diffs across engines.
   std::string records_csv;
@@ -63,8 +58,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                                  const std::string& value) {
     if (name == "engine") {
       options.engine = value;
-    } else if (name == "simd") {
-      options.simd = value;
     } else if (name == "records-csv") {
       options.records_csv = value;
     } else if (name == "benchmark_out") {
@@ -116,9 +109,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                                 "' (only json)");
   }
   obs::CheckMetricsFormat(options.metrics_format);
-  if (!options.simd.empty()) {
-    ConfigureSimdFromString(options.simd, "--simd");
-  }
   return options;
 }
 

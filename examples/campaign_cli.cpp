@@ -23,9 +23,12 @@
 //   --seed N         sampling seed         (1)
 //   --rows N --cols N  array dimensions    (16x16)
 // Execution:
-//   --engine {differential|reference|batch|predicted}  execution engine
-//                    (differential); also accepted in --spec JSON
-//   --simd {auto|avx2|scalar}  SIMD backend for the batch datapath (auto);
+//   --engine {differential|reference|predicted}  execution engine
+//                    (differential); also accepted in --spec JSON. The
+//                    predicted engine runs PE-local stuck-at campaigns in
+//                    closed form and replays the rest (transients,
+//                    forwarding signals) on the lane grid
+//   --simd {auto|avx2|scalar}  SIMD backend for the lane grid (auto);
 //                    the SAFFIRE_SIMD environment variable takes the same
 //                    values and applies when the flag is absent
 //   --threads N      parallel workers      (all hardware threads)
@@ -62,7 +65,7 @@
 //                        rung (2)
 //   --experiment-timeout-ms N  per-attempt deadline; attempts observed past
 //                        it count as failures (0 = off)
-//   --selfcheck-rate F   fraction of batch-engine records cross-validated
+//   --selfcheck-rate F   fraction of predicted-engine records cross-validated
 //                        against the differential engine, and of replicated
 //                        records against a direct run; a mismatch demotes
 //                        the campaign down the engine ladder or stops its

@@ -54,7 +54,8 @@ std::int64_t TileSteps(const TileGrid& grid, std::int64_t mi, std::int64_t ki,
 // Throws unless `trace` was recorded on `config` for the tile schedule of
 // `grid` under the physical `dataflow`: one checkpoint per tile plus the
 // end, each tile starting on the step the schedule puts it on, and the same
-// step total. The grouped engines check a cached trace with it.
+// step total. The lane grid and the closed form check a cached trace with
+// it.
 void CheckTraceMatchesSchedule(const GoldenTrace& trace, const TileGrid& grid,
                                Dataflow dataflow, const ArrayConfig& config);
 
@@ -63,8 +64,9 @@ void CheckTraceMatchesSchedule(const GoldenTrace& trace, const TileGrid& grid,
 ColumnCone FaultCone(std::span<const FaultSpec> faults, Dataflow dataflow,
                      const ArrayConfig& config);
 
-// A faulty output restricted to one fault's cone — what the grouped engines
-// (FiRunner::RunFaultyBatch / RunFaultyPredicted) return instead of a dense
+// A faulty output restricted to one fault's cone — what the predicted
+// engine's two paths (FiRunner::RunFaultyBatch, the lane grid, and
+// RunFaultyPredicted, the closed form) return instead of a dense
 // tensor. Every output element outside it equals the golden output.
 //
 // Coordinates are those of the physical GEMM the array executed: an output

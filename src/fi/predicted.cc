@@ -173,7 +173,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
     fault.Validate(array);
     SAFFIRE_CHECK_MSG(fault.kind == FaultKind::kStuckAt,
                       "predicted engine covers permanent stuck-at faults "
-                      "only; transient faults are batch residue");
+                      "only; transient faults are lane-grid residue");
     SAFFIRE_CHECK_MSG(fault.signal == MacSignal::kWeightOperand ||
                           fault.signal == MacSignal::kMulOut ||
                           fault.signal == MacSignal::kAdderOut,
@@ -414,7 +414,7 @@ std::vector<ConeRunResult> FiRunner::RunFaultyPredicted(
       }
     }
   }
-  // The batch engine's counter split, reproduced exactly (cone width 1).
+  // The lane grid's counter split, reproduced exactly (cone width 1).
   const auto num_pes = static_cast<std::uint64_t>(array.num_pes());
   const auto total_steps = static_cast<std::uint64_t>(step0);
   const auto active = static_cast<std::uint64_t>(array.rows);

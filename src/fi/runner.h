@@ -32,7 +32,7 @@ struct RunResult {
   std::uint64_t fault_activations = 0;
 };
 
-// RunResult's counterpart for the grouped engines below: the same counters,
+// RunResult's counterpart for the grouped runners below: the same counters,
 // with the output restricted to the fault's cone.
 struct ConeRunResult {
   ConeOutput output;
@@ -40,6 +40,8 @@ struct ConeRunResult {
   std::uint64_t pe_steps = 0;
   std::uint64_t pe_steps_skipped = 0;
   std::uint64_t fault_activations = 0;
+
+  bool operator==(const ConeRunResult&) const = default;
 };
 
 class FiRunner {

@@ -16,7 +16,7 @@ namespace {
 
 // The one engine-name table: ToString and ParseCampaignEngine round-trip
 // through it exactly, indexed by the enum value.
-constexpr const char* kEngineNames[] = {"differential", "reference", "batch",
+constexpr const char* kEngineNames[] = {"differential", "reference",
                                         "predicted"};
 
 }  // namespace
@@ -34,7 +34,7 @@ CampaignEngine ParseCampaignEngine(const std::string& name) {
   }
   SAFFIRE_CHECK_MSG(false, "unknown campaign engine '"
                                << name
-                               << "' (expected differential|reference|batch|"
+                               << "' (expected differential|reference|"
                                   "predicted)");
 }
 
@@ -134,7 +134,7 @@ obs::Counter& PredictResidueCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
       "saffire.predict.residue",
       "experiments requested as predicted but outside the closed form, "
-      "routed through the batch replay");
+      "routed through the lane-grid replay");
   return counter;
 }
 
@@ -196,26 +196,24 @@ ExperimentRecord BuildRecord(const PreparedCampaign& prepared,
   return record;
 }
 
-// The replay/closed-form core of a grouped run: simulates `faults` as one
-// group on `engine` and builds their records. Shared by RunPreparedBatch
-// and the one-lane groups of RunPreparedExperimentWithEngine —
-// lane-partition invariance makes their records bit-identical.
+// The closed-form/replay core of a predicted-engine group: simulates
+// `faults` as one group and builds their records. Shared by
+// RunPreparedBatch and the one-lane groups of
+// RunPreparedExperimentWithEngine — lane-partition invariance makes their
+// records bit-identical. Both runners are pure functions of the trace and
+// the golden run, so the simulator's engine tier does not matter here.
 std::vector<ExperimentRecord> RunFaultGroup(const PreparedCampaign& prepared,
                                             FiRunner& runner,
-                                            std::span<const FaultSpec> faults,
-                                            CampaignEngine engine) {
+                                            std::span<const FaultSpec> faults) {
   const CampaignConfig& config = prepared.config;
+  SAFFIRE_CHECK_MSG(config.engine == CampaignEngine::kPredicted,
+                    "predicted-engine group on a "
+                        << ToString(config.engine) << " campaign");
   const GoldenTrace* trace = prepared.trace();
-  SAFFIRE_CHECK_MSG(trace != nullptr,
-                    "grouped engines require a cached golden trace");
-  ConfigureEngine(runner, engine);
-  const bool closed_form =
-      engine == CampaignEngine::kPredicted && PredictedEngineExact(config);
-  if (engine == CampaignEngine::kPredicted) {
-    (closed_form ? PredictHitsCounter() : PredictResidueCounter())
-        .Increment(static_cast<std::int64_t>(faults.size()));
-  }
-  // The batch runner consumes the relative strike offsets directly (against
+  const bool closed_form = PredictedEngineExact(config);
+  (closed_form ? PredictHitsCounter() : PredictResidueCounter())
+      .Increment(static_cast<std::int64_t>(faults.size()));
+  // The lane grid consumes the relative strike offsets directly (against
   // the trace's recorded per-step clocks), so no rebasing happens here.
   // Same convention under the closed form, which never strikes at all.
   const std::vector<ConeRunResult> faulty =
@@ -238,11 +236,6 @@ std::vector<ExperimentRecord> RunFaultGroup(const PreparedCampaign& prepared,
 }
 
 }  // namespace
-
-bool GroupedCampaignEngine(CampaignEngine engine) {
-  return engine == CampaignEngine::kBatch ||
-         engine == CampaignEngine::kPredicted;
-}
 
 bool PredictedEngineExact(const CampaignConfig& config) {
   return PredictedEngineExact(config.kind, config.signal);
@@ -273,7 +266,7 @@ PreparedCampaign PrepareCampaign(const CampaignConfig& config,
   config.accel.Validate();
   config.workload.Validate();
   ValidateFaultModel(config);
-  if (GroupedCampaignEngine(config.engine)) {
+  if (config.engine == CampaignEngine::kPredicted) {
     SAFFIRE_CHECK_MSG(config.batch_lanes >= 1 && config.batch_lanes <= 4096,
                       "batch_lanes=" << config.batch_lanes);
   }
@@ -348,13 +341,9 @@ ExperimentRecord RunPreparedExperimentWithEngine(
                      "experiment " << index << " of "
                                    << prepared.faults.size());
   const CampaignConfig& config = prepared.config;
-  if (GroupedCampaignEngine(engine)) {
-    SAFFIRE_CHECK_MSG(GroupedCampaignEngine(config.engine),
-                      "grouped engine on a non-grouped campaign: "
-                          << ToString(config.engine));
+  if (engine == CampaignEngine::kPredicted) {
     // A one-lane group — same code path, same record.
-    return RunFaultGroup(prepared, runner, {&prepared.faults[index], 1},
-                         engine)
+    return RunFaultGroup(prepared, runner, {&prepared.faults[index], 1})
         .front();
   }
   SAFFIRE_SPAN("campaign.experiment");
@@ -369,8 +358,8 @@ ExperimentRecord RunPreparedExperimentWithEngine(
     injected.at_cycle += runner.accel().cycles();
   }
   // The trace is consulted for the *effective* engine, not the configured
-  // one: a batch campaign demoted to differential replays the same cached
-  // trace, while a demotion to reference ignores it.
+  // one: a predicted campaign demoted to differential replays the same
+  // cached trace, while a demotion to reference ignores it.
   const GoldenTrace* trace =
       prepared.cached != nullptr && engine == CampaignEngine::kDifferential
           ? &prepared.cached->trace
@@ -386,13 +375,7 @@ ExperimentRecord RunPreparedExperimentWithEngine(
 
 std::vector<ExperimentRecord> RunPreparedBatch(
     const PreparedCampaign& prepared, FiRunner& runner,
-    std::span<const std::size_t> indices, CampaignEngine engine) {
-  SAFFIRE_CHECK_MSG(GroupedCampaignEngine(engine),
-                    "RunPreparedBatch requires a grouped engine, got "
-                        << ToString(engine));
-  SAFFIRE_CHECK_MSG(GroupedCampaignEngine(prepared.config.engine),
-                    "RunPreparedBatch requires a grouped campaign, got "
-                        << ToString(prepared.config.engine));
+    std::span<const std::size_t> indices) {
   std::vector<FaultSpec> faults;
   faults.reserve(indices.size());
   for (const std::size_t index : indices) {
@@ -401,7 +384,7 @@ std::vector<ExperimentRecord> RunPreparedBatch(
                                      << prepared.faults.size());
     faults.push_back(prepared.faults[index]);
   }
-  return RunFaultGroup(prepared, runner, faults, engine);
+  return RunFaultGroup(prepared, runner, faults);
 }
 
 std::vector<ExperimentRecord> RunPreparedBatch(
@@ -412,7 +395,7 @@ std::vector<ExperimentRecord> RunPreparedBatch(
                                << prepared.faults.size());
   std::vector<std::size_t> indices(end - begin);
   std::iota(indices.begin(), indices.end(), begin);
-  return RunPreparedBatch(prepared, runner, indices, prepared.config.engine);
+  return RunPreparedBatch(prepared, runner, indices);
 }
 
 std::vector<std::size_t> SimulationList(
@@ -447,7 +430,6 @@ CampaignResult RunCampaignSerial(const CampaignConfig& config) {
 
   CampaignResult result;
   result.config = config;
-  result.golden_cache_hit = prepared.golden_cache_hit;
   result.golden_cycles = prepared.golden().cycles;
   result.golden_pe_steps = prepared.golden().pe_steps;
 
@@ -458,19 +440,18 @@ CampaignResult RunCampaignSerial(const CampaignConfig& config) {
   // Representative records, by experiment index.
   std::vector<ExperimentRecord> simulated(prepared.faults.size());
   FiRunner runner(config.accel);
-  if (GroupedCampaignEngine(config.engine)) {
+  if (config.engine == CampaignEngine::kPredicted) {
     // Canonical groups: consecutive batch_lanes-sized blocks of the
     // simulation list, the final one possibly partial. A closed-form
-    // predicted campaign never fills a lane, so its occupancy stats stay 0;
-    // the predicted residue replays through the lanes and counts normally.
-    const bool closed_form = config.engine == CampaignEngine::kPredicted &&
-                             PredictedEngineExact(config);
+    // campaign never fills a lane, so its occupancy stats stay 0; the
+    // residue replays on the lane grid and counts normally.
+    const bool closed_form = PredictedEngineExact(config);
     const auto lanes = static_cast<std::size_t>(config.batch_lanes);
     for (std::size_t p = 0; p < simulate.size(); p += lanes) {
       const std::span<const std::size_t> group(
           simulate.data() + p, std::min(lanes, simulate.size() - p));
       std::vector<ExperimentRecord> records =
-          RunPreparedBatch(prepared, runner, group, config.engine);
+          RunPreparedBatch(prepared, runner, group);
       if (!closed_form) {
         result.lanes_filled += group.size();
         ++result.batches_run;

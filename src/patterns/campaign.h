@@ -20,35 +20,33 @@
 namespace saffire {
 
 // How each faulty experiment is executed. All engines produce bit-identical
-// records (tests/fi/differential_test.cc, tests/patterns tier); they differ
-// only in cost, which the pe_steps / pe_steps_skipped counters quantify.
+// records (tests/fi/differential_test.cc, tests/patterns tier) apart from
+// the pe_steps / pe_steps_skipped split, the cost each run reports.
 enum class CampaignEngine : std::uint8_t {
   // Fault-cone differential runs (fi/cone.h) against a cached golden trace;
   // fast-path kernels for unhooked columns. The default, and the oracle
-  // --selfcheck-rate cross-validates the grouped engines against.
+  // --selfcheck-rate cross-validates the predicted engine against.
   kDifferential = 0,
   // Everything through the instrumented reference Step() loop, every PE
   // simulated, golden runs recomputed per campaign — the pre-optimization
   // behavior, kept as the ground truth the other engines are validated
   // against and as the bottom of the demotion ladder.
   kReference = 1,
-  // Lane-parallel batched replay (systolic/lane_grid.h): up to
-  // CampaignConfig::batch_lanes experiments per array pass, each lane
-  // restricted to its fault cone, diffed against the cached golden trace.
-  kBatch = 2,
-  // Algebraic short circuit (fi/predicted.cc): when the campaign's
-  // (kind, signal) combination is provably exact — permanent stuck-at
-  // faults on the PE-local kWeightOperand / kMulOut / kAdderOut signals,
-  // see PredictedEngineExact — records are emitted from the closed-form
-  // corruption delta without stepping the array at all. Everything else
-  // (transients, forwarding signals) is residue and silently runs through
-  // the kBatch replay, so the engine is safe to request unconditionally.
-  kPredicted = 3,
+  // The grouped engine, batch_lanes experiments per group. When the
+  // campaign's (kind, signal) combination is provably exact — permanent
+  // stuck-at faults on the PE-local kWeightOperand / kMulOut / kAdderOut
+  // signals, see PredictedEngineExact — records come from the closed-form
+  // corruption delta (fi/predicted.cc) without stepping the array at all.
+  // Everything else (transients, forwarding signals) is residue and replays
+  // on the lane grid (systolic/lane_grid.h), each lane restricted to its
+  // fault cone and diffed against the cached golden trace, so the engine is
+  // safe to request unconditionally.
+  kPredicted = 2,
 };
 
 std::string ToString(CampaignEngine engine);
 
-// Parses the names produced by ToString ("differential"/"reference"/"batch"/
+// Parses the names produced by ToString ("differential"/"reference"/
 // "predicted" — one shared table, exact round-trip); throws
 // std::invalid_argument on unknown names.
 CampaignEngine ParseCampaignEngine(const std::string& name);
@@ -77,30 +75,25 @@ struct CampaignConfig {
 
   CampaignEngine engine = CampaignEngine::kDifferential;
 
-  // Experiments packed per array pass under kBatch and for the kPredicted
+  // Experiments per kPredicted group, and so per lane-grid pass of its
   // residue (ignored by the other engines). Affects cost only, never
   // results: record streams are bit-identical for any lane count, including
-  // partial final batches. Excluded from the golden-cache key and the sweep
+  // partial final groups. Excluded from the golden-cache key and the sweep
   // JSON campaign key.
   std::int64_t batch_lanes = 256;
 
   std::string ToString() const;
 };
 
-// True for the grouped engines — kBatch and kPredicted — whose experiments
-// run through RunPreparedBatch in batch_lanes-sized groups (and which the
-// executor chunk-aligns accordingly).
-bool GroupedCampaignEngine(CampaignEngine engine);
-
 // True when CampaignEngine::kPredicted can serve `config` in closed form:
 // permanent stuck-at campaigns on the PE-local kWeightOperand / kMulOut /
 // kAdderOut signals. False means the whole campaign is residue (a campaign's
-// kind/signal are uniform across its experiments) and kPredicted runs it
-// through the kBatch replay instead.
+// kind/signal are uniform across its experiments) and kPredicted replays it
+// on the lane grid instead.
 bool PredictedEngineExact(const CampaignConfig& config);
 
-// The same rule for one fault model, for callers that run single faults on
-// the grouped engines outside a campaign (the network cycle rung).
+// The same rule for one fault model, for callers that run single faults
+// outside a campaign (the network cycle rung).
 bool PredictedEngineExact(FaultKind kind, MacSignal signal);
 
 // True when `config` folds its fault sites (patterns/symmetry.h): only one
@@ -152,13 +145,10 @@ struct CampaignResult {
   CampaignConfig config;
   std::int64_t golden_cycles = 0;
   std::uint64_t golden_pe_steps = 0;
-  // Whether the golden run was served from the process-wide GoldenRunCache
-  // (always false under CampaignEngine::kReference).
-  bool golden_cache_hit = false;
-  // Batch-engine occupancy (0 under the per-experiment engines):
-  // lanes_filled counts occupied lanes across all batches and batches_run
-  // the array passes, so lanes_filled / (batches_run · batch_lanes) is the
-  // lane-occupancy ratio.
+  // Lane-grid occupancy of a kPredicted campaign's residue (0 in closed
+  // form and under the per-experiment engines): lanes_filled counts
+  // occupied lanes across all passes and batches_run the passes, so
+  // lanes_filled / (batches_run · batch_lanes) is the lane-occupancy ratio.
   std::uint64_t lanes_filled = 0;
   std::uint64_t batches_run = 0;
   std::vector<ExperimentRecord> records;
@@ -215,6 +205,9 @@ struct PreparedCampaign {
   std::shared_ptr<const GoldenRunCache::Entry> cached;
   // The recomputed golden run under kReference (unused otherwise).
   RunResult reference_golden;
+  // Whether the golden run was already in the cache. It depends on what
+  // the process ran before, not on the campaign, so it feeds the
+  // saffire.executor.golden_cache_hits counter and no output record.
   bool golden_cache_hit = false;
   ClassifyContext context;
   // Non-null when the campaign's signal is covered by the analytical
@@ -242,15 +235,10 @@ struct PreparedCampaign {
     return cached != nullptr ? cached->result : reference_golden;
   }
   // Non-null iff the campaign runs on a trace-replaying engine
-  // (differential, batch, or predicted — whose closed form is validated
-  // against the trace's checkpoint structure and whose residue replays it).
+  // (differential, or predicted — whose closed form is validated against
+  // the trace's checkpoint structure and whose residue replays it).
   const GoldenTrace* trace() const {
-    return cached != nullptr &&
-                   (config.engine == CampaignEngine::kDifferential ||
-                    config.engine == CampaignEngine::kBatch ||
-                    config.engine == CampaignEngine::kPredicted)
-               ? &cached->trace
-               : nullptr;
+    return cached != nullptr ? &cached->trace : nullptr;
   }
 };
 
@@ -275,34 +263,31 @@ ExperimentRecord RunPreparedExperiment(const PreparedCampaign& prepared,
 
 // Same, but on an explicit engine instead of prepared.config.engine — the
 // graceful-degradation path (service/resilience.h): a campaign demoted down
-// the predicted→batch→differential→reference ladder re-runs experiments on
-// the fallback engine without re-preparing. `engine` must be reachable from
+// the predicted→differential→reference ladder re-runs experiments on the
+// fallback engine without re-preparing. `engine` must be reachable from
 // the configured one: kDifferential needs the cached golden trace (absent
-// under kReference preparation), kBatch and kPredicted require
-// config.engine to be one of the two grouped engines; kReference is
-// reachable from every campaign. All reachable engines produce identical
-// records apart from the pe_steps / pe_steps_skipped split. The ground
-// truth of every folding test and of the self-check.
+// under kReference preparation), kPredicted requires a kPredicted
+// campaign; kReference is reachable from every campaign. All reachable
+// engines produce identical records apart from the pe_steps /
+// pe_steps_skipped split. The ground truth of every folding test and of
+// the self-check.
 ExperimentRecord RunPreparedExperimentWithEngine(
     const PreparedCampaign& prepared, FiRunner& runner, std::size_t index,
     CampaignEngine engine);
 
-// Runs experiments `indices` of a prepared kBatch/kPredicted campaign as
-// one group on `engine` (kBatch or kPredicted; a kPredicted campaign
-// demoted to kBatch re-runs its groups on the replay without re-preparing)
-// — the closed form (FiRunner::RunFaultyPredicted) under kPredicted when
-// PredictedEngineExact holds, the lane-parallel replay
-// (FiRunner::RunFaultyBatch) otherwise — and returns their records in the
-// order given, bit-identical to running each index through
-// RunPreparedExperimentWithEngine. The campaign's canonical groups are the
-// consecutive batch_lanes-sized blocks of a run's simulation list
-// (SimulationList); callers that want schedule-invariant
-// lanes_filled/batches_run stats must split on them.
+// Runs experiments `indices` of a prepared kPredicted campaign as one
+// group — the closed form (FiRunner::RunFaultyPredicted) when
+// PredictedEngineExact holds, the lane-grid replay (FiRunner::RunFaultyBatch)
+// otherwise — and returns their records in the order given, bit-identical
+// to running each index through RunPreparedExperimentWithEngine. The
+// campaign's canonical groups are the consecutive batch_lanes-sized blocks
+// of a run's simulation list (SimulationList); callers that want
+// schedule-invariant lanes_filled/batches_run stats must split on them.
 std::vector<ExperimentRecord> RunPreparedBatch(
     const PreparedCampaign& prepared, FiRunner& runner,
-    std::span<const std::size_t> indices, CampaignEngine engine);
+    std::span<const std::size_t> indices);
 
-// Experiments [begin, end) as one group on prepared.config.engine.
+// Experiments [begin, end) as one group.
 std::vector<ExperimentRecord> RunPreparedBatch(
     const PreparedCampaign& prepared, FiRunner& runner, std::size_t begin,
     std::size_t end);

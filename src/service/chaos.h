@@ -1,12 +1,12 @@
 // Deterministic fault injection for testing the resilience layer itself.
 // The executor calls the hooks below at well-defined points (experiment
-// attempt, batch attempt); when a ChaosSpec is installed they throw or
-// stall on a fixed, index-derived schedule, so a chaos run is exactly
-// reproducible and its expected retry/fallback counters can be computed in
-// closed form. When nothing is installed every hook is a single relaxed
-// atomic load — cheap enough to leave compiled into release builds, which
-// is what lets CI drive the real campaign_cli binary through failures via
-// the SAFFIRE_CHAOS environment variable.
+// attempt, predicted-engine group attempt); when a ChaosSpec is installed
+// they throw or stall on a fixed, index-derived schedule, so a chaos run is
+// exactly reproducible and its expected retry/fallback counters can be
+// computed in closed form. When nothing is installed every hook is a single
+// relaxed atomic load — cheap enough to leave compiled into release builds,
+// which is what lets CI drive the real campaign_cli binary through failures
+// via the SAFFIRE_CHAOS environment variable.
 #pragma once
 
 #include <cstdint>
@@ -32,14 +32,15 @@ class ChaosError : public std::runtime_error {
 struct ChaosSpec {
   // Every Nth experiment (experiment_index % N == 0) fails its first
   // `experiment_throw_attempts` attempts on the current ladder rung.
-  // 0 disables. Applies to per-experiment engine paths only; batch-engine
+  // 0 disables. Applies to per-experiment engine paths only; predicted-engine
   // groups are driven by batch_fail_every. Fires only for experiments a
   // run simulates: a folding campaign's member is never attempted, so it
   // fails only when its representative does.
   int experiment_throw_every = 0;
   int experiment_throw_attempts = 1;
   // Every Nth campaign (campaign_index % N == 0) throws from every
-  // batch-engine attempt, forcing the batch→differential fallback.
+  // predicted-engine group attempt, closed-form and lane-grid alike,
+  // forcing the predicted→differential fallback.
   int batch_fail_every = 0;
   // Every Nth experiment stalls stall_ms on its first attempt — trips the
   // experiment_timeout_ms guard without failing the attempt.

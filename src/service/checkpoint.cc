@@ -163,7 +163,8 @@ bool ApplyLine(SweepCheckpoint& checkpoint, const JsonValue& json) {
     const std::int64_t total_experiments = json.At("experiments").AsInt();
     const std::int64_t golden_cycles = json.At("golden_cycles").AsInt();
     const std::uint64_t golden_pe_steps = json.At("golden_pe_steps").AsUint();
-    const bool golden_cache_hit = json.At("golden_cache_hit").AsBool();
+    // Lines written before golden_cache_hit left the stream still carry it;
+    // it described process history, not the campaign, so it is ignored.
     CheckpointCampaign& campaign = checkpoint.campaigns[index];
     SAFFIRE_CHECK_MSG(campaign.key.empty() || campaign.key == key,
                       "campaign " << index
@@ -172,7 +173,6 @@ bool ApplyLine(SweepCheckpoint& checkpoint, const JsonValue& json) {
     campaign.total_experiments = total_experiments;
     campaign.golden_cycles = golden_cycles;
     campaign.golden_pe_steps = golden_pe_steps;
-    campaign.golden_cache_hit = golden_cache_hit;
     return false;
   }
   if (type == "record") {

@@ -33,7 +33,6 @@ struct CheckpointCampaign {
   std::int64_t total_experiments = 0;
   std::int64_t golden_cycles = 0;
   std::uint64_t golden_pe_steps = 0;
-  bool golden_cache_hit = false;
   // experiment index -> record; sparse (a shard checkpoints only its range).
   std::map<std::int64_t, ExperimentRecord> records;
 

@@ -94,8 +94,12 @@ struct CampaignState {
   // Effective engine, starting at the configured one; graceful degradation
   // demotes it down the ladder (FallbackEngine) for the whole campaign.
   // Read at chunk-claim time and passed into RunChunk, so a chunk claimed
-  // before a demotion may still finish on the old engine — harmless, since
-  // every rung produces identical records.
+  // before a demotion may still finish on the old engine. Under failures at
+  // more than one thread the schedule therefore decides which rung serves
+  // an experiment, and with it the JSONL pe_steps / pe_steps_skipped split,
+  // a failed line's attempts and engine, and the retry and fallback
+  // tallies. The CSV and every other record field cannot vary: every rung
+  // computes the same record.
   CampaignEngine engine = CampaignEngine::kDifferential;
   // Whether chunks copy their representatives' records to the members.
   // Cleared for good by a member's self-check mismatch; read at claim time
@@ -132,7 +136,7 @@ struct CampaignState {
   // here is delivered as OnExperimentFailed instead of being waited for.
   std::map<std::int64_t, FailedRecord> failed;
 
-  // Batch-engine occupancy and self-check mismatches, accumulated under
+  // Lane-grid occupancy and self-check mismatches, accumulated under
   // the lock as chunks publish; copied into `info` before OnCampaignEnd
   // (by which point every chunk has published, so the values are final).
   std::uint64_t lanes_filled = 0;
@@ -202,9 +206,9 @@ CampaignExecutor::CampaignExecutor(const ExecutorOptions& options) {
       counter("saffire.executor.chunks_stolen",
               "chunks executed by a worker that did not prepare the campaign");
   metrics_.lanes_filled = counter("saffire.executor.lanes_filled",
-                                  "occupied batch-engine lanes");
+                                  "occupied lane-grid lanes");
   metrics_.batches_run =
-      counter("saffire.executor.batches_run", "batch-engine array passes");
+      counter("saffire.executor.batches_run", "lane-grid passes");
   metrics_.simulators_constructed =
       counter("saffire.executor.simulators_constructed",
               "FiRunner constructions");
@@ -214,7 +218,7 @@ CampaignExecutor::CampaignExecutor(const ExecutorOptions& options) {
       counter("saffire.executor.golden_cache_hits",
               "golden runs served from the process-wide cache");
   metrics_.retries = counter("saffire.resilience.retries",
-                             "failed experiment/batch attempts retried");
+                             "failed experiment/group attempts retried");
   metrics_.fallbacks =
       counter("saffire.resilience.fallbacks",
               "campaign engine demotions down the fallback ladder");
@@ -223,7 +227,7 @@ CampaignExecutor::CampaignExecutor(const ExecutorOptions& options) {
               "experiments quarantined after exhausting every retry");
   metrics_.selfchecks =
       counter("saffire.resilience.selfchecks",
-              "records cross-validated: grouped-engine records against the "
+              "records cross-validated: predicted-engine records against the "
               "differential engine, copied records against a direct run");
   metrics_.selfcheck_mismatches =
       counter("saffire.resilience.selfcheck_mismatches",
@@ -409,7 +413,6 @@ SweepOutcome CampaignExecutor::Run(const CampaignPlan& plan, RecordSink& sink,
       campaign.stage = CampaignState::Stage::kReady;
       campaign.info.golden_cycles = from->golden_cycles;
       campaign.info.golden_pe_steps = from->golden_pe_steps;
-      campaign.info.golden_cache_hit = from->golden_cache_hit;
       campaign.info.replayed = true;
       ++replay_only_campaigns;
     }
@@ -502,7 +505,7 @@ void CampaignExecutor::StreamRecords(RunState& run, RecordSink& sink,
       }
       if (!delivered) return;
     }
-    // Every deliverable record has been published, so the batch and
+    // Every deliverable record has been published, so the occupancy and
     // mismatch counters are final.
     campaign.info.lanes_filled = campaign.lanes_filled;
     campaign.info.batches_run = campaign.batches_run;
@@ -676,8 +679,8 @@ void CampaignExecutor::PrepareOne(RunState& run, std::size_t campaign_index,
       SimulationList(prepared, campaign.to_simulate);
   std::size_t chunk_size = std::clamp<std::size_t>(
       list.size() / (static_cast<std::size_t>(run.cap) * 4), 1, 64);
-  if (GroupedCampaignEngine(config.engine)) {
-    // Align chunks to whole batches so a chunk never splits a canonical
+  if (config.engine == CampaignEngine::kPredicted) {
+    // Align chunks to whole groups so a chunk never splits a canonical
     // batch_lanes-sized group of the simulation list across workers.
     const auto lanes = static_cast<std::size_t>(config.batch_lanes);
     chunk_size = ((chunk_size + lanes - 1) / lanes) * lanes;
@@ -707,7 +710,6 @@ void CampaignExecutor::PrepareOne(RunState& run, std::size_t campaign_index,
 
   campaign.info.golden_cycles = prepared.golden().cycles;
   campaign.info.golden_pe_steps = prepared.golden().pe_steps;
-  campaign.info.golden_cache_hit = prepared.golden_cache_hit;
   campaign.info.symmetry_classes =
       static_cast<std::int64_t>(prepared.symmetry_classes);
   campaign.prepared = std::move(prepared);
@@ -783,92 +785,79 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
     }
   };
 
-  if (GroupedCampaignEngine(engine)) {
-    // Pack the chunk into lane groups of batch_lanes consecutive entries.
-    // While folding, the chunk starts on a group boundary of the
-    // simulation list, so these are the campaign's canonical groups.
-    // Records are independent across lanes, so the grouping affects
-    // occupancy stats only, never record content. The predicted engine
-    // follows the same grouping; its closed-form groups never touch a lane,
-    // so they stay out of the occupancy counters (matching
-    // RunCampaignSerial).
-    const auto lanes = static_cast<std::size_t>(config.batch_lanes);
-    for (std::size_t p = 0; p < simulate.size(); p += lanes) {
-      const std::size_t q = std::min(simulate.size(), p + lanes);
-      if (!GroupedCampaignEngine(engine)) {
-        // An earlier group in this chunk demoted the campaign below the
-        // grouped rungs; finish the remaining groups on the fallback
-        // engine, one experiment at a time.
-        for (std::size_t i = p; i < q; ++i) run_one(i, engine);
-        continue;
+  // The predicted engine packs the chunk into groups of batch_lanes
+  // consecutive entries. While folding, the chunk starts on a group
+  // boundary of the simulation list, so these are the campaign's canonical
+  // groups. Records are independent across lanes, so the grouping affects
+  // occupancy stats only, never record content; closed-form groups never
+  // touch a lane, so they stay out of the occupancy counters (matching
+  // RunCampaignSerial). A group that fails or mismatches demotes the
+  // campaign, and the rest of the chunk, that group included, runs one
+  // experiment at a time on the fallback engine.
+  std::size_t p = 0;
+  const auto lanes = static_cast<std::size_t>(config.batch_lanes);
+  for (; engine == CampaignEngine::kPredicted && p < simulate.size();
+       p += lanes) {
+    const std::span<const std::size_t> group(
+        simulate.data() + p, std::min(lanes, simulate.size() - p));
+    std::vector<ExperimentRecord> records;
+    bool ok = false;
+    for (int attempt = 0; attempt <= res.max_retries; ++attempt) {
+      if (attempt > 0) {
+        run.tally.Retry();
+        SleepBackoff(res, config.seed, campaign_index,
+                     static_cast<std::int64_t>(group.front()), attempt - 1);
       }
-      const CampaignEngine group_engine = engine;
-      const std::span<const std::size_t> group(simulate.data() + p, q - p);
-      std::vector<ExperimentRecord> records;
-      bool ok = false;
-      for (int attempt = 0; attempt <= res.max_retries; ++attempt) {
-        if (attempt > 0) {
-          run.tally.Retry();
-          SleepBackoff(res, config.seed, campaign_index,
-                       static_cast<std::int64_t>(group.front()),
-                       attempt - 1);
-        }
-        try {
-          chaos::OnBatchAttempt(campaign_index, attempt);
-          records = RunPreparedBatch(prepared, runner, group, group_engine);
-          ok = true;
-          break;
-        } catch (const std::invalid_argument&) {
-          break;  // permanent: retrying the identical config cannot help
-        } catch (const std::exception&) {
-          // Transient batch failure: retry, then fall down the ladder.
-        }
-      }
-      // Cross-validate sampled lanes against the differential engine.
-      for (std::size_t i = 0; ok && i < group.size(); ++i) {
-        const auto index = static_cast<std::int64_t>(group[i]);
-        if (!SelfCheckSampled(res.selfcheck_rate, config.seed,
-                              campaign_index, index)) {
-          continue;
-        }
-        NoteSelfCheck(run, group_engine);
-        try {
-          const ExperimentRecord check = RunPreparedExperimentWithEngine(
-              prepared, runner, group[i], CampaignEngine::kDifferential);
-          if (!(check == records[i]) ||
-              chaos::ForceSelfCheckMismatch(campaign_index)) {
-            NoteMismatch(run, campaign_index, index,
-                         "its grouped record and the differential engine");
-            ok = false;
-          }
-        } catch (const std::exception&) {
-          // The cross-check itself failing is indistinguishable from a
-          // batch-engine defect — degrade the same way.
-          ok = false;
-        }
-      }
-      if (!ok) {
-        // The group never produced (trusted) records; recompute it on the
-        // fallback engine. The demotion is campaign-wide and sticky — and
-        // may land on a still-grouped rung (predicted→batch), in which case
-        // later groups keep batching.
-        engine = DemoteEngine(run, campaign_index, group_engine);
-        for (std::size_t i = p; i < q; ++i) run_one(i, engine);
-        continue;
-      }
-      if (!(group_engine == CampaignEngine::kPredicted &&
-            PredictedEngineExact(config))) {
-        lanes_filled += group.size();
-        ++batches_run;
-      }
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        simulated[p + i].record = std::move(records[i]);
-        simulated[p + i].rung = group_engine;
+      try {
+        chaos::OnBatchAttempt(campaign_index, attempt);
+        records = RunPreparedBatch(prepared, runner, group);
+        ok = true;
+        break;
+      } catch (const std::invalid_argument&) {
+        break;  // permanent: retrying the identical config cannot help
+      } catch (const std::exception&) {
+        // Transient group failure: retry, then fall down the ladder.
       }
     }
-  } else {
-    for (std::size_t p = 0; p < simulate.size(); ++p) run_one(p, engine);
+    // Cross-validate sampled lanes against the differential engine.
+    for (std::size_t i = 0; ok && i < group.size(); ++i) {
+      const auto index = static_cast<std::int64_t>(group[i]);
+      if (!SelfCheckSampled(res.selfcheck_rate, config.seed, campaign_index,
+                            index)) {
+        continue;
+      }
+      NoteSelfCheck(run, CampaignEngine::kPredicted);
+      try {
+        const ExperimentRecord check = RunPreparedExperimentWithEngine(
+            prepared, runner, group[i], CampaignEngine::kDifferential);
+        if (!(check == records[i]) ||
+            chaos::ForceSelfCheckMismatch(campaign_index)) {
+          NoteMismatch(run, campaign_index, index,
+                       "its grouped record and the differential engine");
+          ok = false;
+        }
+      } catch (const std::exception&) {
+        // The cross-check itself failing is indistinguishable from a
+        // predicted-engine defect — degrade the same way.
+        ok = false;
+      }
+    }
+    if (!ok) {
+      // The group never produced (trusted) records. The demotion is
+      // campaign-wide and sticky.
+      engine = DemoteEngine(run, campaign_index, CampaignEngine::kPredicted);
+      break;
+    }
+    if (!PredictedEngineExact(config)) {
+      lanes_filled += group.size();
+      ++batches_run;
+    }
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      simulated[p + i].record = std::move(records[i]);
+      simulated[p + i].rung = CampaignEngine::kPredicted;
+    }
   }
+  for (; p < simulate.size(); ++p) run_one(p, engine);
 
   // Fan out: each member takes its representative's record, or a failure
   // at its own index when the representative quarantined. Buffer locally,

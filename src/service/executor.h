@@ -49,9 +49,9 @@ struct ExecutorStats {
   std::int64_t experiments_run = 0;
   std::int64_t experiments_replayed = 0;
   std::int64_t chunks_executed = 0;
-  // Batch-engine occupancy across all kBatch campaigns (0 otherwise):
-  // occupied lanes and array passes, the pool-wide sum of the per-campaign
-  // CampaignResult counters.
+  // Lane-grid occupancy of the predicted engine's residue campaigns (0
+  // otherwise): occupied lanes and lane-grid passes, the pool-wide sum of
+  // the per-campaign CampaignResult counters.
   std::int64_t lanes_filled = 0;
   std::int64_t batches_run = 0;
   // Simulator (FiRunner) construction vs per-worker cache hits — the
@@ -59,7 +59,8 @@ struct ExecutorStats {
   // campaigns × workers while reused grows.
   std::int64_t simulators_constructed = 0;
   std::int64_t simulators_reused = 0;
-  // Golden runs served from the process-wide GoldenRunCache.
+  // Golden runs served from the process-wide GoldenRunCache. A count of
+  // process history, so no output record carries it.
   std::int64_t golden_cache_hits = 0;
   // Chunks executed by a worker other than the one that prepared the
   // campaign — the work-stealing traffic.
@@ -151,10 +152,10 @@ class CampaignExecutor {
   //
   // Failure semantics (service/resilience.h): a throwing experiment is
   // retried with deterministic backoff, then its campaign falls down the
-  // engine ladder (predicted→batch→differential→reference), and only exhaustion
-  // applies ResilienceOptions::on_failure — abort (rethrow after in-flight work
-  // drains, preserving the original exception) or quarantine (deliver a
-  // FailedRecord via RecordSink::OnExperimentFailed and keep going). A
+  // engine ladder (predicted→differential→reference), and only exhaustion
+  // applies ResilienceOptions::on_failure — abort (rethrow after in-flight
+  // work drains, preserving the original exception) or quarantine (deliver
+  // a FailedRecord via RecordSink::OnExperimentFailed and keep going). A
   // throwing sink aborts the run the same way. The returned SweepOutcome
   // carries this run's record/retry/fallback/quarantine tallies;
   // outcome.ok() is the health check callers should gate on.
@@ -218,7 +219,11 @@ class CampaignExecutor {
   // campaign's effective engine at claim time — demotion may move it below
   // the configured one): simulates its block of the simulation list and
   // copies each representative's record to its members, or, once `fold` is
-  // false, simulates the members themselves.
+  // false, simulates the members themselves. A chunk claimed before another
+  // chunk's demotion still starts on the old rung, so under failures at
+  // more than one thread the schedule can change a record's pe_steps /
+  // pe_steps_skipped split, a failed record's attempts and engine, and the
+  // retry and fallback tallies; never the CSV or any other record field.
   void RunChunk(RunState& run, std::size_t campaign_index, WorkerCache& cache,
                 std::size_t chunk, CampaignEngine engine, bool fold);
   void PrepareOne(RunState& run, std::size_t campaign_index,

@@ -65,8 +65,6 @@ void ResilienceOptions::Validate() const {
 std::optional<CampaignEngine> FallbackEngine(CampaignEngine engine) {
   switch (engine) {
     case CampaignEngine::kPredicted:
-      return CampaignEngine::kBatch;
-    case CampaignEngine::kBatch:
       return CampaignEngine::kDifferential;
     case CampaignEngine::kDifferential:
       return CampaignEngine::kReference;

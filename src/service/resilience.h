@@ -51,11 +51,12 @@ struct ResilienceOptions {
   // produced a record. 0 disables the guard. Detection is cooperative: a
   // stalled attempt is only classified once it returns.
   std::int64_t experiment_timeout_ms = 0;
-  // Fraction of batch- and predicted-engine records cross-validated against
-  // the differential engine, sampled deterministically from the campaign
-  // seed.
-  // A mismatch demotes the campaign down the ladder and recomputes the
-  // affected batch from the trusted engine. 0 disables self-checking.
+  // Fraction of predicted-engine records cross-validated against the
+  // differential engine, and of folded campaigns' copied records against a
+  // direct run, sampled deterministically from the campaign seed. A
+  // mismatch demotes the campaign down the ladder and recomputes the
+  // affected group from the trusted engine, or stops the campaign's
+  // folding. 0 disables self-checking.
   double selfcheck_rate = 0.0;
   OnFailure on_failure = OnFailure::kAbort;
   // Backoff before retry k is min(cap, base << k) plus a deterministic
@@ -94,9 +95,9 @@ struct SweepOutcome {
   std::int64_t quarantined = 0;
   // Failed attempts that were retried (any rung).
   std::int64_t retries = 0;
-  // Campaign engine demotions (predicted→batch→differential→reference).
+  // Campaign engine demotions (predicted→differential→reference).
   std::int64_t fallbacks = 0;
-  // Batch/predicted records cross-validated, and how many disagreed.
+  // Records cross-validated, and how many disagreed.
   std::int64_t selfchecks = 0;
   std::int64_t selfcheck_mismatches = 0;
   // Attempts that exceeded experiment_timeout_ms.
@@ -121,11 +122,15 @@ struct SweepOutcome {
   }
 };
 
-// The graceful-degradation ladder: predicted → batch → differential →
-// reference. It ends at the oracle: reference IS the baseline the other
-// rungs are validated against, so it returns nullopt. Every rung produces
-// the same records by construction (only the pe_steps / pe_steps_skipped
-// split differs), which is what makes demotion invisible in the output.
+// The graceful-degradation ladder: predicted → differential → reference.
+// It ends at the oracle: reference IS the baseline the other rungs are
+// validated against, so it returns nullopt. Every rung produces the same
+// records by construction except in the pe_steps / pe_steps_skipped split,
+// so a demotion never changes the CSV or any other record field. What it
+// can change is that split in JSONL record lines, a failed line's attempts
+// and engine, and the retry and fallback tallies; under failures at more
+// than one thread, which experiments a demotion reaches depends on the
+// schedule (service/executor.h RunChunk).
 std::optional<CampaignEngine> FallbackEngine(CampaignEngine engine);
 
 // Backoff before retry `attempt` (0-based) of the given experiment:

@@ -96,7 +96,6 @@ bool ResultCache::Store(const CampaignConfig& config,
     info.scheduled_experiments = total;
     info.golden_cycles = entry.golden_cycles;
     info.golden_pe_steps = entry.golden_pe_steps;
-    info.golden_cache_hit = entry.golden_cache_hit;
     sink.OnCampaignBegin(info);
     for (const auto& [experiment_index, record] : entry.records) {
       sink.OnRecord(info, experiment_index, record);

@@ -39,7 +39,6 @@ class CacheStoreSink : public RecordSink {
     entry_.total_experiments = info.total_experiments;
     entry_.golden_cycles = info.golden_cycles;
     entry_.golden_pe_steps = info.golden_pe_steps;
-    entry_.golden_cache_hit = info.golden_cache_hit;
     collect_ = cache_hits_.count(info.campaign_index) == 0;
   }
   void OnRecord(const CampaignBeginInfo& info, std::int64_t experiment_index,

@@ -41,7 +41,6 @@ void CollectorSink::OnCampaignBegin(const CampaignBeginInfo& info) {
   result.config = *info.config;
   result.golden_cycles = info.golden_cycles;
   result.golden_pe_steps = info.golden_pe_steps;
-  result.golden_cache_hit = info.golden_cache_hit;
   result.records.reserve(static_cast<std::size_t>(info.total_experiments));
   results_.push_back(std::move(result));
 }
@@ -60,7 +59,7 @@ void CollectorSink::OnRecord(const CampaignBeginInfo& info,
 }
 
 void CollectorSink::OnCampaignEnd(const CampaignBeginInfo& info) {
-  // Batch occupancy is only known once every record has been published.
+  // Lane occupancy is only known once every record has been published.
   CampaignResult& result = results_.at(info.campaign_index);
   result.lanes_filled = info.lanes_filled;
   result.batches_run = info.batches_run;
@@ -101,7 +100,6 @@ void JsonlRecordSink::OnCampaignBegin(const CampaignBeginInfo& info) {
       .Key("experiments").Int(info.total_experiments)
       .Key("golden_cycles").Int(info.golden_cycles)
       .Key("golden_pe_steps").Uint(info.golden_pe_steps)
-      .Key("golden_cache_hit").Bool(info.golden_cache_hit)
       .Key("config").String(info.config->ToString())
       .EndObject();
   WriteSealedLine(out_, line.str(), /*flush=*/false);

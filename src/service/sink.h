@@ -31,11 +31,10 @@ struct CampaignBeginInfo {
   std::int64_t scheduled_experiments = 0;
   std::int64_t golden_cycles = 0;
   std::uint64_t golden_pe_steps = 0;
-  bool golden_cache_hit = false;
   // True when the campaign was satisfied entirely from a checkpoint (no
   // simulation happened; golden_* come from the checkpoint too).
   bool replayed = false;
-  // Batch-engine occupancy (patterns/campaign.h CampaignResult): populated
+  // Lane-grid occupancy (patterns/campaign.h CampaignResult): populated
   // only once every record has been published, so these are zero in every
   // callback before OnCampaignEnd.
   std::uint64_t lanes_filled = 0;

@@ -1,15 +1,16 @@
 // Runtime-dispatched SIMD backend selection for the lane-parallel kernel.
 //
-// The batch engine's inner loop (systolic/lane_grid.cc) carries an AVX2
+// The lane grid's inner loop (systolic/lane_grid.cc) carries an AVX2
 // datapath next to the portable scalar one; which one runs is a process-wide
 // mode resolved here. The scalar path is always compiled and always
 // available; AVX2 is compiled behind function-level target attributes (no
 // global -mavx2, so the binary still runs on older hosts) and selected only
 // when the CPU reports support. Both paths are bit-identical by contract —
-// the engine-equivalence matrix test crosses every engine with every mode.
+// SimdModeMatrixTest holds the predicted engine's lane-grid residue to the
+// differential engine's CSV under every mode.
 //
 // Selection surface:
-//   - `--simd {auto,avx2,scalar}` on the CLIs / benches,
+//   - `--simd {auto,avx2,scalar}` on campaign_cli,
 //   - the SAFFIRE_SIMD environment variable (same values, read once on
 //     first query; an explicit SetSimdMode overrides it),
 //   - SetSimdMode() for tests and embedders.

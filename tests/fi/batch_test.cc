@@ -35,9 +35,9 @@ WorkloadSpec SmallGemm(std::int64_t m, std::int64_t k, std::int64_t n) {
   return spec;
 }
 
-// Runs `faults` as one batch and checks every lane against an independent
-// differential run of the same fault. Transient at_cycle values are
-// interpreted as relative strike offsets by the batch engine, so the
+// Runs `faults` as one lane-grid pass and checks every lane against an
+// independent differential run of the same fault. Transient at_cycle values
+// are interpreted as relative strike offsets by the lane grid, so the
 // differential comparator rebases them onto its simulator's clock exactly
 // like RunPreparedExperiment does.
 void ExpectBatchMatchesDifferential(const AccelConfig& accel,

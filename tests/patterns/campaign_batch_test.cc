@@ -1,15 +1,16 @@
-// The batch campaign engine must be indistinguishable from the reference
-// and differential engines in every record it emits — the engine-equivalence
-// matrix — while its occupancy counters (lanes_filled / batches_run) reflect
-// the canonical batch_lanes-sized grouping, including partial final batches
-// and W=1, on campaigns that do not fold their sites; a folding campaign
-// fills one lane per class.
+// The predicted engine must be indistinguishable from the reference and
+// differential engines in every record it emits — the engine-equivalence
+// matrix — and its lane-grid residue (transients, forwarding signals) must
+// keep occupancy counters (lanes_filled / batches_run) that reflect the
+// canonical batch_lanes-sized grouping, including partial final groups and
+// W=1, under every SIMD mode.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "obs/metrics.h"
 #include "patterns/campaign.h"
 #include "service/run.h"
 #include "service/sink.h"
@@ -40,10 +41,20 @@ CampaignConfig BaseConfig() {
 }
 
 // A campaign that does not fold its sites (random inputs, see
-// SymmetryEligibleCampaign), so every site fills a lane of its own.
+// SymmetryEligibleCampaign).
 CampaignConfig UnfoldedConfig() {
   CampaignConfig config = BaseConfig();
   config.workload.input_fill = OperandFill::kRandom;
+  return config;
+}
+
+// An unfolded campaign the closed form does not cover (a forwarding
+// signal), so the predicted engine replays every site on the lane grid.
+CampaignConfig ResidueConfig() {
+  CampaignConfig config = UnfoldedConfig();
+  config.signal = MacSignal::kActForward;
+  config.bit = 3;
+  config.engine = CampaignEngine::kPredicted;
   return config;
 }
 
@@ -59,7 +70,7 @@ CampaignResult RunParallel(const CampaignConfig& config, int threads) {
 
 // Folds the per-engine cost split into its engine-invariant sum
 // (ExperimentRecord doc: kReference runs every PE, so its pe_steps equals
-// the differential/batch engines' pe_steps + pe_steps_skipped).
+// the differential/predicted engines' pe_steps + pe_steps_skipped).
 ExperimentRecord CostNormalized(ExperimentRecord record) {
   record.pe_steps += record.pe_steps_skipped;
   record.pe_steps_skipped = 0;
@@ -84,24 +95,23 @@ void ExpectSameRecords(const CampaignResult& want, const CampaignResult& got,
 TEST(CampaignEngineNameTest, RoundTripsEveryEngine) {
   for (const CampaignEngine engine :
        {CampaignEngine::kDifferential, CampaignEngine::kReference,
-        CampaignEngine::kBatch, CampaignEngine::kPredicted}) {
+        CampaignEngine::kPredicted}) {
     EXPECT_EQ(ParseCampaignEngine(ToString(engine)), engine)
         << ToString(engine);
   }
-  EXPECT_EQ(ToString(CampaignEngine::kBatch), "batch");
 }
 
 TEST(CampaignEngineNameTest, RejectsUnknownNames) {
-  // "full" named a removed engine; it is rejected like any unknown name,
-  // with the error listing the engines that remain.
+  // "full" and "batch" named removed engines; they are rejected like any
+  // unknown name, with the error listing the engines that remain.
   for (const char* name :
-       {"", "Batch", "BATCH", "batched", "lane", "fast", "full"}) {
+       {"", "Batch", "BATCH", "batched", "lane", "fast", "full", "batch"}) {
     try {
       ParseCampaignEngine(name);
       ADD_FAILURE() << "'" << name << "' parsed";
     } catch (const std::invalid_argument& error) {
       EXPECT_NE(std::string(error.what())
-                    .find("differential|reference|batch|predicted"),
+                    .find("differential|reference|predicted"),
                 std::string::npos)
           << error.what();
     }
@@ -109,8 +119,7 @@ TEST(CampaignEngineNameTest, RejectsUnknownNames) {
 }
 
 TEST(BatchCampaignTest, RejectsBadLaneCounts) {
-  auto config = BaseConfig();
-  config.engine = CampaignEngine::kBatch;
+  auto config = ResidueConfig();
   config.batch_lanes = 0;
   EXPECT_THROW(RunCampaignSerial(config), std::invalid_argument);
   config.batch_lanes = 4097;
@@ -118,7 +127,8 @@ TEST(BatchCampaignTest, RejectsBadLaneCounts) {
 }
 
 // The acceptance matrix: {OS, WS} × {SA0, SA1} × bits {0, 7, 31} ×
-// {permanent, transient}, batch vs reference vs differential.
+// {permanent, transient}, predicted vs reference vs differential. The
+// permanent faults run in closed form, the transients on the lane grid.
 TEST(BatchCampaignTest, MatrixMatchesReferenceAndDifferential) {
   for (const Dataflow dataflow :
        {Dataflow::kOutputStationary, Dataflow::kWeightStationary}) {
@@ -138,29 +148,31 @@ TEST(BatchCampaignTest, MatrixMatchesReferenceAndDifferential) {
           const CampaignResult reference = RunCampaignSerial(config);
           config.engine = CampaignEngine::kDifferential;
           const CampaignResult differential = RunCampaignSerial(config);
-          config.engine = CampaignEngine::kBatch;
-          const CampaignResult batch = RunCampaignSerial(config);
+          config.engine = CampaignEngine::kPredicted;
+          const CampaignResult predicted = RunCampaignSerial(config);
 
           ExpectSameRecords(reference, differential,
                             /*normalize_cost=*/true);
-          ExpectSameRecords(reference, batch, /*normalize_cost=*/true);
-          // Batch vs differential is exact — same cone, same cost split.
-          ExpectSameRecords(differential, batch);
-          EXPECT_EQ(batch.lanes_filled, batch.records.size());
-          EXPECT_GE(batch.batches_run, 1u);
+          ExpectSameRecords(reference, predicted, /*normalize_cost=*/true);
+          // Predicted vs differential is exact — same cone, same cost split.
+          ExpectSameRecords(differential, predicted);
+          const bool residue = kind == FaultKind::kTransientFlip;
+          EXPECT_EQ(predicted.lanes_filled,
+                    residue ? predicted.records.size() : 0u);
+          EXPECT_EQ(predicted.batches_run >= 1u, residue);
         }
       }
     }
   }
 }
 
-// 64 sites at 5 lanes per pass: 12 full batches plus a 4-lane final one.
+// 64 sites at 5 lanes per pass: 12 full passes plus a 4-lane final one.
 TEST(BatchCampaignTest, PartialFinalBatchAndOccupancyCounters) {
-  auto config = UnfoldedConfig();
+  auto config = ResidueConfig();
   config.engine = CampaignEngine::kDifferential;
   const CampaignResult differential = RunCampaignSerial(config);
 
-  config.engine = CampaignEngine::kBatch;
+  config.engine = CampaignEngine::kPredicted;
   config.batch_lanes = 5;
   const CampaignResult batch = RunCampaignSerial(config);
   ExpectSameRecords(differential, batch);
@@ -175,12 +187,12 @@ TEST(BatchCampaignTest, PartialFinalBatchAndOccupancyCounters) {
 
 // W=1 degenerates to one experiment per pass and must still agree.
 TEST(BatchCampaignTest, SingleLaneBatchesMatch) {
-  auto config = UnfoldedConfig();
+  auto config = ResidueConfig();
   config.max_sites = 6;
   config.engine = CampaignEngine::kDifferential;
   const CampaignResult differential = RunCampaignSerial(config);
 
-  config.engine = CampaignEngine::kBatch;
+  config.engine = CampaignEngine::kPredicted;
   config.batch_lanes = 1;
   const CampaignResult batch = RunCampaignSerial(config);
   ExpectSameRecords(differential, batch);
@@ -188,12 +200,11 @@ TEST(BatchCampaignTest, SingleLaneBatchesMatch) {
   EXPECT_EQ(batch.batches_run, 6u);
 }
 
-// The executor path: parallel batch runs must match the serial ground truth
-// record-for-record, and the canonical batch grouping keeps the occupancy
+// The executor path: parallel lane-grid runs must match the serial ground
+// truth record-for-record, and the canonical grouping keeps the occupancy
 // counters thread-count-invariant.
 TEST(BatchCampaignTest, ParallelMatchesSerial) {
-  auto config = UnfoldedConfig();
-  config.engine = CampaignEngine::kBatch;
+  auto config = ResidueConfig();
   config.batch_lanes = 5;
   const CampaignResult serial = RunCampaignSerial(config);
   for (const int threads : {1, 4}) {
@@ -204,39 +215,8 @@ TEST(BatchCampaignTest, ParallelMatchesSerial) {
   }
 }
 
-// An all-ones campaign folds its sites, so a lane is a class
-// representative. The canonical groups are batch_lanes-sized blocks of the
-// representatives, which keeps lanes_filled at the number of classes and
-// batches_run at the serial run's for any thread count. Records equal the
-// per-site direct runs.
-TEST(BatchCampaignTest, FoldedCampaignFillsOneLanePerClass) {
-  auto config = BaseConfig();
-  config.engine = CampaignEngine::kBatch;
-  config.batch_lanes = 5;
-  const PreparedCampaign prepared = PrepareCampaign(config);
-  ASSERT_LT(prepared.symmetry_classes, prepared.sites.size());
-  CampaignResult direct;
-  direct.golden_cycles = prepared.golden().cycles;
-  FiRunner runner(config.accel);
-  for (std::size_t i = 0; i < prepared.faults.size(); ++i) {
-    direct.records.push_back(
-        RunPreparedExperimentWithEngine(prepared, runner, i, config.engine));
-  }
-
-  const CampaignResult serial = RunCampaignSerial(config);
-  ExpectSameRecords(direct, serial);
-  EXPECT_EQ(serial.lanes_filled, prepared.symmetry_classes);
-  EXPECT_EQ(serial.batches_run, (prepared.symmetry_classes + 4) / 5);
-  for (const int threads : {1, 4}) {
-    const CampaignResult parallel = RunParallel(config, threads);
-    ExpectSameRecords(direct, parallel);
-    EXPECT_EQ(parallel.lanes_filled, prepared.symmetry_classes) << threads;
-    EXPECT_EQ(parallel.batches_run, serial.batches_run) << threads;
-  }
-}
-
-// Transient batch campaigns agree across engines and dataflows too (strike
-// offsets are pre-sampled, so engine choice cannot change the experiments).
+// Transient campaigns agree across engines under IS too (strike offsets
+// are pre-sampled, so engine choice cannot change the experiments).
 TEST(BatchCampaignTest, TransientInputStationaryMatches) {
   auto config = BaseConfig();
   config.dataflow = Dataflow::kInputStationary;
@@ -245,10 +225,11 @@ TEST(BatchCampaignTest, TransientInputStationaryMatches) {
   const CampaignResult reference = RunCampaignSerial(config);
   config.engine = CampaignEngine::kDifferential;
   const CampaignResult differential = RunCampaignSerial(config);
-  config.engine = CampaignEngine::kBatch;
-  const CampaignResult batch = RunCampaignSerial(config);
-  ExpectSameRecords(reference, batch, /*normalize_cost=*/true);
-  ExpectSameRecords(differential, batch);
+  config.engine = CampaignEngine::kPredicted;
+  const CampaignResult predicted = RunCampaignSerial(config);
+  ExpectSameRecords(reference, predicted, /*normalize_cost=*/true);
+  ExpectSameRecords(differential, predicted);
+  EXPECT_EQ(predicted.lanes_filled, predicted.records.size());
 }
 
 // Restores the process-wide SIMD mode so the dispatch choice cannot leak
@@ -264,36 +245,61 @@ class SimdModeMatrixTest : public ::testing::Test {
   }
 };
 
-// The SIMD dispatch axis of the equivalence matrix: every grouped rung ×
-// {scalar, avx2} must produce the byte-identical CSV the differential
-// engine produces. batch_lanes = 13 forces partial final batches AND a
-// partial final 8-wide SIMD group inside every batch (13 = 8 + 5), so the
-// masked tail path of the vector kernel is on the hook too. The campaign
-// does not fold, so every batch really fills its 13 lanes.
+// The SIMD dispatch axis of the equivalence matrix: the predicted engine's
+// lane-grid residue × {scalar, avx2} must produce the byte-identical CSV
+// the differential engine produces. The AVX2 kernel takes width-1 lanes
+// only. An act_forward cone reaches every column east of its site, so only
+// its last-column sites run there, where the forwarded activation is dead;
+// south_forward stuck-at faults and adder_out / mul_out transients have a
+// width-1 cone at every site, so their live faults run through the AVX2
+// kernel's scalar fault fixup. batch_lanes = 13 forces partial final groups
+// AND a partial final 8-wide SIMD group inside every pass (13 = 8 + 5), so
+// the masked tail path of the vector kernel is on the hook too. The
+// campaigns do not fold, so every pass really fills its 13 lanes.
 TEST_F(SimdModeMatrixTest, EnginesAgreeAcrossSimdModes) {
+  struct Arm {
+    MacSignal signal;
+    FaultKind kind;
+  };
+  const Arm arms[] = {
+      {MacSignal::kActForward, FaultKind::kStuckAt},
+      {MacSignal::kActForward, FaultKind::kTransientFlip},
+      {MacSignal::kSouthForward, FaultKind::kStuckAt},
+      {MacSignal::kAdderOut, FaultKind::kTransientFlip},
+      {MacSignal::kMulOut, FaultKind::kTransientFlip},
+  };
+  const obs::Counter& avx2_lane_steps =
+      obs::MetricsRegistry::Default().GetCounter("saffire.simd.lanes_stepped");
   for (const Dataflow dataflow :
        {Dataflow::kOutputStationary, Dataflow::kWeightStationary}) {
-    for (const FaultKind kind :
-         {FaultKind::kStuckAt, FaultKind::kTransientFlip}) {
-      auto config = UnfoldedConfig();
+    for (const Arm& arm : arms) {
+      auto config = ResidueConfig();
       config.dataflow = dataflow;
-      config.kind = kind;
+      config.signal = arm.signal;
+      config.kind = arm.kind;
       config.batch_lanes = 13;
       SCOPED_TRACE(config.ToString());
+      ASSERT_FALSE(PredictedEngineExact(config));
 
       SetSimdMode(SimdMode::kScalar);
       config.engine = CampaignEngine::kDifferential;
-      const std::string want = Csv(RunCampaignSerial(config));
+      const CampaignResult differential = RunCampaignSerial(config);
+      // A campaign whose every fault is masked could not tell a fixup that
+      // drops the fault from one that applies it.
+      EXPECT_LT(differential.MaskedCount(),
+                static_cast<std::int64_t>(differential.records.size()));
+      const std::string want = Csv(differential);
 
+      config.engine = CampaignEngine::kPredicted;
       for (const SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2}) {
         if (mode == SimdMode::kAvx2 && !CpuSupportsAvx2()) continue;
         SetSimdMode(mode);
-        for (const CampaignEngine engine :
-             {CampaignEngine::kBatch, CampaignEngine::kPredicted}) {
-          config.engine = engine;
-          EXPECT_EQ(want, Csv(RunCampaignSerial(config)))
-              << ToString(engine) << " under --simd " << ToString(mode);
-        }
+        const std::int64_t steps_before = avx2_lane_steps.value();
+        EXPECT_EQ(want, Csv(RunCampaignSerial(config)))
+            << "predicted under --simd " << ToString(mode);
+        EXPECT_EQ(avx2_lane_steps.value() > steps_before,
+                  mode == SimdMode::kAvx2)
+            << "AVX2 kernel use under --simd " << ToString(mode);
       }
     }
   }

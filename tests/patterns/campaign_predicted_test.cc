@@ -1,13 +1,14 @@
-// The predicted campaign engine (the algebraic short circuit) must be
-// indistinguishable from the batch engine in every record it emits — the
-// ISSUE's acceptance criterion: byte-identical record streams across the
-// full equivalence matrix, with the closed form serving exactly the
-// provably-exact (kind, signal) combinations and everything else flowing
-// through the batch residue path.
+// The predicted campaign engine must be indistinguishable from the
+// differential engine in every record it emits — byte-identical record
+// streams across the full equivalence matrix, with the closed form serving
+// exactly the provably-exact (kind, signal) combinations and everything
+// else flowing through the lane-grid residue path. Where the closed form
+// serves, its ConeRunResults must equal the lane grid's in every field.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "patterns/campaign.h"
 #include "service/run.h"
@@ -66,6 +67,37 @@ void ExpectSameRecords(const CampaignResult& want, const CampaignResult& got) {
   ExpectSameCsv(want, got);
 }
 
+// `config` on the predicted engine and on the differential engine: the
+// predicted campaign's records, which must equal the differential ones.
+CampaignResult ExpectPredictedMatchesDifferential(CampaignConfig config) {
+  config.engine = CampaignEngine::kDifferential;
+  const CampaignResult differential = RunCampaignSerial(config);
+  config.engine = CampaignEngine::kPredicted;
+  CampaignResult predicted = RunCampaignSerial(config);
+  ExpectSameRecords(differential, predicted);
+  return predicted;
+}
+
+// The closed form against the lane grid on every fault of the campaign:
+// FiRunner::RunFaultyPredicted and FiRunner::RunFaultyBatch must return
+// equal ConeRunResults, cone output and every counter.
+void ExpectClosedFormMatchesLaneGrid(CampaignConfig config) {
+  config.engine = CampaignEngine::kPredicted;
+  const PreparedCampaign prepared = PrepareCampaign(config);
+  FiRunner runner(config.accel);
+  const std::vector<ConeRunResult> closed_form = runner.RunFaultyPredicted(
+      config.workload, config.dataflow, prepared.faults, *prepared.trace(),
+      prepared.golden());
+  const std::vector<ConeRunResult> lane_grid = runner.RunFaultyBatch(
+      config.workload, config.dataflow, prepared.faults, *prepared.trace(),
+      prepared.golden());
+  ASSERT_EQ(closed_form.size(), lane_grid.size());
+  for (std::size_t i = 0; i < closed_form.size(); ++i) {
+    EXPECT_TRUE(closed_form[i] == lane_grid[i])
+        << prepared.faults[i].ToString();
+  }
+}
+
 TEST(PredictedEngineNameTest, RoundTripsAndExtendsTheTable) {
   EXPECT_EQ(ToString(CampaignEngine::kPredicted), "predicted");
   EXPECT_EQ(ParseCampaignEngine("predicted"), CampaignEngine::kPredicted);
@@ -100,9 +132,9 @@ TEST(PredictedCampaignTest, RejectsBadLaneCounts) {
 }
 
 // The acceptance matrix: {OS, WS, IS} × {SA0, SA1} × every covered signal ×
-// low/high bit, predicted vs batch. Full-field equality: the closed form
-// reproduces even the pe_steps/pe_steps_skipped split and the activation
-// counter bit-for-bit.
+// low/high bit, the closed form vs the lane grid and the predicted engine
+// vs differential. Full-field equality: the closed form reproduces even the
+// pe_steps/pe_steps_skipped split and the activation counter bit-for-bit.
 TEST(PredictedCampaignTest, MatrixMatchesBatchExactly) {
   struct SignalBits {
     MacSignal signal;
@@ -129,12 +161,9 @@ TEST(PredictedCampaignTest, MatrixMatchesBatchExactly) {
           SCOPED_TRACE(config.ToString());
           ASSERT_TRUE(PredictedEngineExact(config));
 
-          config.engine = CampaignEngine::kBatch;
-          const CampaignResult batch = RunCampaignSerial(config);
-          config.engine = CampaignEngine::kPredicted;
-          const CampaignResult predicted = RunCampaignSerial(config);
-
-          ExpectSameRecords(batch, predicted);
+          ExpectClosedFormMatchesLaneGrid(config);
+          const CampaignResult predicted =
+              ExpectPredictedMatchesDifferential(config);
           // The closed form never fills a lane.
           EXPECT_EQ(predicted.lanes_filled, 0u);
           EXPECT_EQ(predicted.batches_run, 0u);
@@ -164,30 +193,23 @@ TEST(PredictedCampaignTest, RaggedTilesMatchBatch) {
       config.bit = 13;
       SCOPED_TRACE(config.ToString());
 
-      config.engine = CampaignEngine::kBatch;
-      const CampaignResult batch = RunCampaignSerial(config);
-      config.engine = CampaignEngine::kPredicted;
-      const CampaignResult predicted = RunCampaignSerial(config);
-      ExpectSameRecords(batch, predicted);
+      ExpectClosedFormMatchesLaneGrid(config);
+      ExpectPredictedMatchesDifferential(config);
     }
   }
 }
 
 // Transient campaigns are residue: kPredicted must silently route through
-// the batch replay — identical records, and this time the lanes DO fill.
+// the lane-grid replay — identical records, and this time the lanes DO
+// fill: 64 sites in one 256-lane pass.
 TEST(PredictedCampaignTest, TransientResidueRunsOnBatch) {
   auto config = BaseConfig();
   config.kind = FaultKind::kTransientFlip;
   ASSERT_FALSE(PredictedEngineExact(config));
 
-  config.engine = CampaignEngine::kBatch;
-  const CampaignResult batch = RunCampaignSerial(config);
-  config.engine = CampaignEngine::kPredicted;
-  const CampaignResult predicted = RunCampaignSerial(config);
-  ExpectSameRecords(batch, predicted);
-  EXPECT_EQ(predicted.lanes_filled, batch.lanes_filled);
-  EXPECT_EQ(predicted.batches_run, batch.batches_run);
-  EXPECT_GE(predicted.batches_run, 1u);
+  const CampaignResult predicted = ExpectPredictedMatchesDifferential(config);
+  EXPECT_EQ(predicted.lanes_filled, predicted.records.size());
+  EXPECT_EQ(predicted.batches_run, 1u);
 }
 
 // Forwarding-chain signals are residue too (their corruption crosses PE
@@ -198,12 +220,8 @@ TEST(PredictedCampaignTest, ForwardingSignalResidueRunsOnBatch) {
   config.bit = 3;
   ASSERT_FALSE(PredictedEngineExact(config));
 
-  config.engine = CampaignEngine::kBatch;
-  const CampaignResult batch = RunCampaignSerial(config);
-  config.engine = CampaignEngine::kPredicted;
-  const CampaignResult predicted = RunCampaignSerial(config);
-  ExpectSameRecords(batch, predicted);
-  EXPECT_EQ(predicted.lanes_filled, batch.lanes_filled);
+  const CampaignResult predicted = ExpectPredictedMatchesDifferential(config);
+  EXPECT_EQ(predicted.lanes_filled, predicted.records.size());
 }
 
 // Partial grouping boundaries must not change records (they cannot — the
@@ -213,11 +231,7 @@ TEST(PredictedCampaignTest, PartialGroupsAndSampledSitesMatch) {
   auto config = BaseConfig();
   config.max_sites = 17;
   config.batch_lanes = 5;
-  config.engine = CampaignEngine::kBatch;
-  const CampaignResult batch = RunCampaignSerial(config);
-  config.engine = CampaignEngine::kPredicted;
-  const CampaignResult predicted = RunCampaignSerial(config);
-  ExpectSameRecords(batch, predicted);
+  const CampaignResult predicted = ExpectPredictedMatchesDifferential(config);
   EXPECT_EQ(predicted.lanes_filled, 0u);
   EXPECT_EQ(predicted.batches_run, 0u);
 }

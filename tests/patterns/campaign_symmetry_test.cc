@@ -152,8 +152,8 @@ TEST(CampaignSymmetryTest, SerialMatchesExhaustiveAcrossMatrix) {
     for (const StuckPolarity polarity :
          {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
       for (const CampaignEngine engine :
-           {CampaignEngine::kDifferential, CampaignEngine::kBatch,
-            CampaignEngine::kPredicted, CampaignEngine::kReference}) {
+           {CampaignEngine::kDifferential, CampaignEngine::kPredicted,
+            CampaignEngine::kReference}) {
         CampaignConfig config = BaseConfig();
         config.dataflow = dataflow;
         config.polarity = polarity;
@@ -174,8 +174,7 @@ TEST(CampaignSymmetryTest, ExecutorSelfCheckPassesOnReplicatedRecords) {
   // engine: zero mismatches, and the parallel record stream equals the
   // unfolded one.
   for (const CampaignEngine engine :
-       {CampaignEngine::kDifferential, CampaignEngine::kBatch,
-        CampaignEngine::kPredicted}) {
+       {CampaignEngine::kDifferential, CampaignEngine::kPredicted}) {
     CampaignConfig config = BaseConfig();
     config.engine = engine;
     config.bit = 3;

@@ -1,26 +1,33 @@
-// Randomized property test for the grouped engines (FiRunner::RunFaultyBatch
-// and FiRunner::RunFaultyPredicted) on tile layouts the fixed matrices do not
-// reach. Small non-square arrays with max_compute_rows between rows and
-// 2·rows make ragged workloads span several m-tiles under WS, and — once
-// N > max_compute_rows — under IS, where a cone column is an output row.
+// Randomized property test for the grouped runners (FiRunner::RunFaultyBatch,
+// the lane grid, and FiRunner::RunFaultyPredicted, the closed form) on tile
+// layouts the fixed matrices do not reach. Small non-square arrays with
+// max_compute_rows between rows and 2·rows make ragged workloads span
+// several m-tiles under WS, and — once N > max_compute_rows — under IS,
+// where a cone column is an output row.
 //
-// For every site of every drawn campaign:
-//   - RunPreparedBatch records on kBatch and kPredicted (in randomly sized
-//     groups of shuffled experiments) equal the kDifferential record of the
-//     same experiment;
-//   - each engine's cone output, expanded over the golden result, equals the
-//     differential run's dense output;
+// For every site of every drawn campaign, stuck-at or transient, on any of
+// the five signals:
+//   - the kPredicted record from RunPreparedBatch (in randomly sized groups
+//     of shuffled experiments) equals the kDifferential record of the same
+//     experiment;
+//   - the lane grid's result on the same groups, its cone output expanded
+//     over the golden result, equals the differential run's dense output,
+//     counters included, so the lane grid keeps its oracle on PE-local
+//     stuck-at faults the predicted engine serves in closed form;
+//   - where the closed form serves, its result equals the lane grid's in
+//     every field;
 //   - the kReference record, the bottom of the demotion ladder run on the
 //     same prepared campaign and simulator, equals the differential record
 //     in every field but the pe_steps split: reference simulates every PE,
 //     so it skips none and its pe_steps is the differential sum.
-// A second test drives the closed form's trace-free operand form on what
+// The first test draws stuck-at campaigns, the second transients.
+// A third test drives the closed form's trace-free operand form on what
 // no fill recipe makes — raw int8 tensors over the full range, operand
 // widths of 4 to 8 bits and accumulator widths up to 64 — against
-// FiRunner::RunFaulty on the same operands. A third holds the lane-grid
+// FiRunner::RunFaulty on the same operands. A fourth holds the lane-grid
 // replay to FiRunner::RunFaulty at those widths, with stuck-at faults on
 // the adder output's top bit.
-// A fourth is the folding oracle: all-ones campaigns of PE-local stuck-at
+// A fifth is the folding oracle: all-ones campaigns of PE-local stuck-at
 // faults, on GEMMs and on padded or unpadded convolutions, fold their sites
 // unless they run IS on a padded convolution, and every way of running one
 // (RunCampaignSerial, RunSweep at 1 and 4 threads, two shards run alone and
@@ -73,7 +80,7 @@ const Dataflow kDataflows[] = {Dataflow::kWeightStationary,
                                Dataflow::kOutputStationary,
                                Dataflow::kInputStationary};
 
-CampaignConfig DrawCampaign(Rng& rng) {
+CampaignConfig DrawCampaign(Rng& rng, FaultKind kind) {
   CampaignConfig config;
   config.accel = DrawAccel(rng);
   const ArrayConfig& array = config.accel.array;
@@ -95,86 +102,88 @@ CampaignConfig DrawCampaign(Rng& rng) {
       static_cast<int>(rng.UniformInt(0, SignalWidth(config.signal, array) - 1));
   config.polarity = rng.Bernoulli(0.5) ? StuckPolarity::kStuckAt1
                                        : StuckPolarity::kStuckAt0;
-  config.engine = CampaignEngine::kBatch;
+  config.kind = kind;
+  config.engine = CampaignEngine::kPredicted;
   return config;
 }
 
-// The records of every site on `engine`, by experiment index, run as
-// consecutive groups of `lanes` experiments of a seeded shuffle of the
-// sites.
-std::vector<ExperimentRecord> GroupedRecords(const PreparedCampaign& prepared,
-                                             FiRunner& runner,
-                                             CampaignEngine engine,
-                                             std::size_t lanes, Rng& rng) {
-  std::vector<std::size_t> order(prepared.faults.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng.Shuffle(order);
-  std::vector<ExperimentRecord> records(order.size());
-  for (std::size_t begin = 0; begin < order.size(); begin += lanes) {
-    const std::span<const std::size_t> group(
-        order.data() + begin, std::min(lanes, order.size() - begin));
-    const std::vector<ExperimentRecord> got =
-        RunPreparedBatch(prepared, runner, group, engine);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      records[group[i]] = got[i];
-    }
-  }
-  return records;
-}
-
-TEST(GroupedEnginePropertyTest, MatchesDifferentialOnRandomTiledCampaigns) {
-  constexpr std::uint64_t kFirstSeed = 20231017;
-  constexpr int kIterations = 60;
-  for (int iteration = 0; iteration < kIterations; ++iteration) {
-    const std::uint64_t seed = kFirstSeed + static_cast<std::uint64_t>(iteration);
+// Draws `iterations` campaigns of `kind` from consecutive seeds and checks
+// every site of each on the predicted engine, the lane grid, the closed
+// form where it serves, and the reference engine against the differential
+// engine (the file comment lists the properties).
+void CheckRandomTiledCampaigns(FaultKind kind, std::uint64_t first_seed,
+                               int iterations) {
+  for (int iteration = 0; iteration < iterations; ++iteration) {
+    const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(iteration);
     Rng rng(seed);
-    const CampaignConfig config = DrawCampaign(rng);
+    const CampaignConfig config = DrawCampaign(rng, kind);
     SCOPED_TRACE("iteration seed " + std::to_string(seed) + ": " +
                  config.ToString() + ", max_compute_rows " +
                  std::to_string(config.accel.max_compute_rows));
 
     const PreparedCampaign prepared = PrepareCampaign(config);
+    const GoldenTrace& trace = *prepared.trace();
+    const RunResult& golden = prepared.golden();
     const std::size_t sites = prepared.faults.size();
     const auto lanes = static_cast<std::size_t>(
         rng.UniformInt(1, static_cast<std::int64_t>(sites)));
     FiRunner runner(config.accel);
-    const std::vector<ExperimentRecord> batch_records =
-        GroupedRecords(prepared, runner, CampaignEngine::kBatch, lanes, rng);
-    const std::vector<ExperimentRecord> predicted_records = GroupedRecords(
-        prepared, runner, CampaignEngine::kPredicted, lanes, rng);
 
-    const GoldenTrace& trace = *prepared.trace();
-    const RunResult& golden = prepared.golden();
-    const std::vector<ConeRunResult> batch_cones = runner.RunFaultyBatch(
-        config.workload, config.dataflow, prepared.faults, trace, golden);
+    // Consecutive groups of `lanes` experiments of a seeded shuffle of the
+    // sites, each run on the predicted engine and on the lane grid.
+    std::vector<std::size_t> order(sites);
+    for (std::size_t i = 0; i < sites; ++i) order[i] = i;
+    rng.Shuffle(order);
+    std::vector<ExperimentRecord> records(sites);
+    std::vector<ConeRunResult> lane_grid(sites);
+    for (std::size_t begin = 0; begin < sites; begin += lanes) {
+      const std::span<const std::size_t> group(
+          order.data() + begin, std::min(lanes, sites - begin));
+      std::vector<FaultSpec> faults;
+      for (const std::size_t index : group) {
+        faults.push_back(prepared.faults[index]);
+      }
+      std::vector<ExperimentRecord> got_records =
+          RunPreparedBatch(prepared, runner, group);
+      std::vector<ConeRunResult> got_cones = runner.RunFaultyBatch(
+          config.workload, config.dataflow, faults, trace, golden);
+      for (std::size_t i = 0; i < group.size(); ++i) {
+        records[group[i]] = std::move(got_records[i]);
+        lane_grid[group[i]] = std::move(got_cones[i]);
+      }
+    }
     const bool closed_form = PredictedEngineExact(config);
-    const std::vector<ConeRunResult> predicted_cones =
+    const std::vector<ConeRunResult> closed_form_cones =
         closed_form ? runner.RunFaultyPredicted(config.workload,
                                                 config.dataflow,
                                                 prepared.faults, trace, golden)
                     : std::vector<ConeRunResult>{};
 
-    ASSERT_EQ(batch_records.size(), sites);
-    ASSERT_EQ(predicted_records.size(), sites);
     for (std::size_t i = 0; i < sites; ++i) {
       const FaultSpec& fault = prepared.faults[i];
       SCOPED_TRACE(fault.ToString());
       const ExperimentRecord want = RunPreparedExperimentWithEngine(
           prepared, runner, i, CampaignEngine::kDifferential);
-      ASSERT_TRUE(batch_records[i] == want) << "batch record differs";
-      ASSERT_TRUE(predicted_records[i] == want) << "predicted record differs";
+      ASSERT_TRUE(records[i] == want) << "predicted record differs";
 
+      // The per-experiment runner takes a transient's strike on its own
+      // clock; the campaign's fault holds the offset into the run.
+      FaultSpec injected = fault;
+      if (injected.kind == FaultKind::kTransientFlip) {
+        injected.at_cycle += runner.accel().cycles();
+      }
       const RunResult dense = runner.RunFaultyDifferential(
-          config.workload, config.dataflow, {&fault, 1}, trace);
-      ASSERT_TRUE(ExpandCone(batch_cones[i].output, golden.output) ==
-                  dense.output)
-          << "batch cone differs";
+          config.workload, config.dataflow, {&injected, 1}, trace);
+      const ConeRunResult& cone = lane_grid[i];
+      ASSERT_TRUE(ExpandCone(cone.output, golden.output) == dense.output)
+          << "lane-grid cone differs";
+      ASSERT_EQ(cone.cycles, dense.cycles);
+      ASSERT_EQ(cone.pe_steps, dense.pe_steps);
+      ASSERT_EQ(cone.pe_steps_skipped, dense.pe_steps_skipped);
+      ASSERT_EQ(cone.fault_activations, dense.fault_activations);
       if (closed_form) {
-        ASSERT_TRUE(ExpandCone(predicted_cones[i].output, golden.output) ==
-                    dense.output)
-            << "predicted cone differs";
-        ASSERT_TRUE(predicted_cones[i].output == batch_cones[i].output)
-            << "predicted and batch cones differ";
+        ASSERT_TRUE(closed_form_cones[i] == cone)
+            << "closed form and lane grid differ";
       }
 
       ExperimentRecord reference = RunPreparedExperimentWithEngine(
@@ -187,6 +196,16 @@ TEST(GroupedEnginePropertyTest, MatchesDifferentialOnRandomTiledCampaigns) {
       ASSERT_TRUE(reference == want) << "reference record differs";
     }
   }
+}
+
+TEST(GroupedEnginePropertyTest, MatchesDifferentialOnRandomTiledCampaigns) {
+  CheckRandomTiledCampaigns(FaultKind::kStuckAt, 20231017, 60);
+}
+
+// Transients on all five signals, which the predicted engine replays on the
+// lane grid.
+TEST(GroupedEnginePropertyTest, TransientsMatchDifferentialOnRandomTiledCampaigns) {
+  CheckRandomTiledCampaigns(FaultKind::kTransientFlip, 20261020, 60);
 }
 
 // The closed form's operand form on raw operands, operand and accumulator
@@ -285,7 +304,6 @@ TEST(GroupedEnginePropertyTest, LaneGridMatchesTheArrayAtAnyWidth) {
     config.workload.weight_fill = OperandFill::kRandom;
     config.workload.data_seed = rng();
     config.dataflow = kDataflows[rng.UniformInt(0, 2)];
-    config.engine = CampaignEngine::kBatch;
     std::vector<FaultSpec> faults;
     for (const StuckPolarity polarity :
          {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
@@ -429,9 +447,9 @@ TEST(GroupedEnginePropertyTest, FoldedCampaignsMatchDirectRunsOnEveryPath) {
   constexpr int kIterations = 100;
   const MacSignal signals[] = {MacSignal::kWeightOperand, MacSignal::kMulOut,
                                MacSignal::kAdderOut};
-  const CampaignEngine engines[] = {
-      CampaignEngine::kDifferential, CampaignEngine::kReference,
-      CampaignEngine::kBatch, CampaignEngine::kPredicted};
+  const CampaignEngine engines[] = {CampaignEngine::kDifferential,
+                                    CampaignEngine::kReference,
+                                    CampaignEngine::kPredicted};
   const std::filesystem::path cache_dir =
       std::filesystem::path(::testing::TempDir()) /
       "saffire_folding_oracle_cache";
@@ -461,7 +479,7 @@ TEST(GroupedEnginePropertyTest, FoldedCampaignsMatchDirectRunsOnEveryPath) {
                                              : width - 1));
     config.polarity = rng.Bernoulli(0.5) ? StuckPolarity::kStuckAt1
                                          : StuckPolarity::kStuckAt0;
-    config.engine = engines[rng.UniformInt(0, 3)];
+    config.engine = engines[rng.UniformInt(0, 2)];
     config.max_sites =
         rng.Bernoulli(0.5) ? 0 : rng.UniformInt(2, array.num_pes() - 1);
     config.seed = rng();

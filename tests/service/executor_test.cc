@@ -45,8 +45,6 @@ SweepSpec BaseSpec() {
   return spec;
 }
 
-// Compares everything except golden_cache_hit, which depends on process
-// history (what earlier tests already warmed), not on the campaign.
 void ExpectIdentical(const CampaignResult& expected,
                      const CampaignResult& actual) {
   EXPECT_EQ(expected.golden_cycles, actual.golden_cycles);
@@ -116,6 +114,33 @@ TEST(ExecutorTest, ResultsInvariantAcrossThreadCounts) {
       ExpectIdentical(serial[c], parallel[c]);
     }
   }
+}
+
+// A run's JSONL describes the plan, not the process that ran it: after the
+// golden cache is cleared, a first run (which computes the shared golden
+// run) and a second run (which finds it cached) write the same bytes, and
+// so does a run at four workers, where concurrently prepared campaigns
+// race to compute it.
+TEST(ExecutorTest, JsonlIsByteIdenticalAcrossRunsAndThreadCounts) {
+  SweepSpec spec = BaseSpec();
+  spec.polarities = {StuckPolarity::kStuckAt1, StuckPolarity::kStuckAt0};
+  spec.bits = {8, 31};
+  spec.max_sites = 8;
+  const CampaignPlan plan = BuildCampaignPlan(spec);
+  CampaignExecutor executor(ExecutorOptions{.threads = 4});
+  const auto jsonl = [&](int max_parallelism) {
+    std::ostringstream out;
+    JsonlRecordSink sink(out);
+    RunOptions options;
+    options.max_parallelism = max_parallelism;
+    executor.Run(plan, sink, options);
+    return out.str();
+  };
+  GoldenRunCache::Instance().Clear();
+  const std::string first = jsonl(1);
+  EXPECT_EQ(jsonl(1), first) << "second run of the plan differs";
+  GoldenRunCache::Instance().Clear();
+  EXPECT_EQ(jsonl(4), first) << "run at 4 workers differs";
 }
 
 TEST(ExecutorTest, ShardUnionEqualsWholeCampaign) {

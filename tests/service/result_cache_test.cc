@@ -63,7 +63,6 @@ class ResultCacheTest : public ::testing::Test {
     entry.total_experiments = static_cast<std::int64_t>(result.records.size());
     entry.golden_cycles = result.golden_cycles;
     entry.golden_pe_steps = result.golden_pe_steps;
-    entry.golden_cache_hit = result.golden_cache_hit;
     for (std::size_t i = 0; i < result.records.size(); ++i) {
       entry.records.emplace(static_cast<std::int64_t>(i), result.records[i]);
     }
@@ -257,7 +256,7 @@ TEST_F(ResultCacheTest, FoldedRunsCacheTheUnfoldedRecords) {
 TEST_F(ResultCacheTest, MismatchedRunsAreNeverCached) {
   ResultCache cache(dir());
   CampaignConfig config = BaseConfig();
-  config.engine = CampaignEngine::kBatch;
+  config.engine = CampaignEngine::kPredicted;
 
   chaos::ChaosSpec chaos_spec;
   chaos_spec.selfcheck_lie_every = 1;  // every self-check reports mismatch

@@ -88,7 +88,7 @@ TEST(RunSweepTest, MultiSpecOverloadConcatenatesPlans) {
 TEST(RunSweepTest, MatchesSerialRunnerForEveryEngine) {
   for (const CampaignEngine engine :
        {CampaignEngine::kReference, CampaignEngine::kDifferential,
-        CampaignEngine::kBatch, CampaignEngine::kPredicted}) {
+        CampaignEngine::kPredicted}) {
     CampaignConfig config;
     config.accel = SmallAccel();
     config.workload.name = "gemm-20";

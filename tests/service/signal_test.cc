@@ -84,7 +84,7 @@ TEST(SignalTest, SecondLiveInstanceIsRejectedWithoutPoisoningTheCount) {
 TEST(SignalTest, ResumeAfterSigtermReproducesTheCsvForEveryEngine) {
   for (const CampaignEngine engine :
        {CampaignEngine::kDifferential, CampaignEngine::kReference,
-        CampaignEngine::kBatch}) {
+        CampaignEngine::kPredicted}) {
     SCOPED_TRACE(ToString(engine));
     const CampaignPlan plan = BuildCampaignPlan(BaseSpec(engine));
 
