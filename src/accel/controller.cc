@@ -118,14 +118,8 @@ void Accelerator::Run(const ComputeOp& op) {
     SAFFIRE_CHECK_MSG(preloaded_b_->dim(0) == op.a_cols,
                       "A cols " << op.a_cols << " vs preloaded B rows "
                                 << preloaded_b_->dim(0));
-    // Preload latency: fully billed on single-bank hardware; with double
-    // buffering only the part the previous stream could not hide.
-    std::int64_t preload_charge = config_.array.rows;
-    if (config_.double_buffered_weights) {
-      preload_charge = std::max<std::int64_t>(
-          0, config_.array.rows - ws_overlap_budget_);
-    }
-    array_.AdvanceIdle(preload_charge);
+    array_.AdvanceIdle(WeightStationaryPreloadCycles(
+        config_.array, config_.double_buffered_weights, ws_overlap_budget_));
     result = ws_.Multiply(a, *preloaded_b_, nullptr,
                           /*charge_preload=*/false);
     ws_overlap_budget_ = WeightStationaryStreamCycles(op.a_rows,

@@ -1,5 +1,11 @@
 #include "accel/driver.h"
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "common/bits.h"
+#include "systolic/timing.h"
 #include "tensor/im2col.h"
 #include "tensor/shift_gemm.h"
 #include "tensor/transpose.h"
@@ -43,6 +49,106 @@ TileGrid Driver::PlanTiles(std::int64_t m, std::int64_t n, std::int64_t k,
                       reduction_block);
   }
   SAFFIRE_CHECK_MSG(false, "unknown dataflow");
+}
+
+Driver::Schedule Driver::PlanSchedule(std::int64_t m, std::int64_t n,
+                                      std::int64_t k,
+                                      const AccelConfig& config,
+                                      Dataflow dataflow) {
+  if (dataflow == Dataflow::kInputStationary) {
+    return PlanSchedule(n, m, k, config, Dataflow::kWeightStationary);
+  }
+  // Walks RunTiledGemm's loops, charging what Accelerator::Run charges for
+  // each instruction, from the same systolic/timing.h formulas.
+  const TileGrid grid = PlanTiles(m, n, k, config, dataflow);
+  const ArrayConfig& array = config.array;
+  Schedule schedule;
+  std::int64_t overlap_budget = 0;  // CONFIG starts with drained pipelines
+  for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
+    const std::int64_t me = grid.TileRows(mi);
+    for (std::int64_t ni = 0; ni < grid.n_tiles(); ++ni) {
+      for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
+        const std::int64_t ke = grid.TileDepth(ki);
+        schedule.cycles += ke + me;  // MVIN of the B block, then the A block
+        if (dataflow == Dataflow::kWeightStationary) {
+          const std::int64_t stream = WeightStationaryStreamCycles(me, array);
+          schedule.cycles +=
+              WeightStationaryPreloadCycles(
+                  array, config.double_buffered_weights, overlap_budget) +
+              stream;
+          schedule.steps += stream;
+          overlap_budget = stream;
+        } else {
+          schedule.cycles += OutputStationaryTileCycles(ke, array);
+          schedule.steps += OutputStationaryStreamCycles(ke, array);
+        }
+      }
+      schedule.cycles += me;  // MVOUT
+    }
+  }
+  return schedule;
+}
+
+Int32Tensor Driver::PlanProduct(const Int8Tensor& a, const Int8Tensor& b,
+                                const AccelConfig& config,
+                                Dataflow dataflow) {
+  SAFFIRE_CHECK_MSG(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0),
+                    "A " << a.ShapeString() << " B " << b.ShapeString());
+  config.Validate();
+  const ArrayConfig& array = config.array;
+  // The edge registers sign-extend each operand at input_bits, a no-op on
+  // int8 values from 8 bits up. The product of two such operands always
+  // fits product_bits, so the multiplier never wraps a fault-free product.
+  const auto at_input_width = [&array](const Int8Tensor& operand) {
+    Int8Tensor narrowed = operand;
+    for (std::int8_t& value : narrowed.data()) {
+      value = static_cast<std::int8_t>(SignExtend(value, array.input_bits));
+    }
+    return narrowed;
+  };
+  std::optional<Int8Tensor> narrow_a;
+  std::optional<Int8Tensor> narrow_b;
+  if (array.input_bits < 8) {
+    narrow_a = at_input_width(a);
+    narrow_b = at_input_width(b);
+  }
+  const Int8Tensor& lhs = narrow_a ? *narrow_a : a;
+  const Int8Tensor& rhs = narrow_b ? *narrow_b : b;
+
+  // The accumulator wraps each reduction tile's sum at acc_bits (from 32
+  // bits up a no-op on an int32). The tile sum itself is exact in int32: a
+  // tile is at most 1024 deep and |a·b| ≤ 2^14. IS shares WS's reduction
+  // block (the k dimension is not transposed).
+  const std::int64_t m = a.dim(0);
+  const std::int64_t k = a.dim(1);
+  const std::int64_t n = b.dim(1);
+  const std::int64_t block = dataflow == Dataflow::kOutputStationary
+                                 ? array.cols
+                                 : std::min(array.rows, array.cols);
+  Int32Tensor c({m, n});
+  std::vector<std::int32_t> tile(static_cast<std::size_t>(n));
+  const std::int8_t* a_row = lhs.data().data();
+  std::int32_t* c_row = c.data().data();
+  for (std::int64_t i = 0; i < m; ++i, a_row += k, c_row += n) {
+    for (std::int64_t k0 = 0; k0 < k; k0 += block) {
+      std::fill(tile.begin(), tile.end(), 0);
+      const std::int8_t* b_row = rhs.data().data() + k0 * n;
+      for (std::int64_t p = k0; p < std::min(k, k0 + block);
+           ++p, b_row += n) {
+        const std::int32_t a_ip = a_row[p];
+        for (std::int64_t j = 0; j < n; ++j) {
+          tile[static_cast<std::size_t>(j)] += a_ip * b_row[j];
+        }
+      }
+      for (std::int64_t j = 0; j < n; ++j) {
+        c_row[j] = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(c_row[j]) +
+            static_cast<std::uint32_t>(SignExtend(
+                tile[static_cast<std::size_t>(j)], array.acc_bits)));
+      }
+    }
+  }
+  return c;
 }
 
 std::int64_t Driver::RunTiledGemm(const Int8Tensor& a, const Int8Tensor& b,

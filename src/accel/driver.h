@@ -47,6 +47,28 @@ class Driver {
   static TileGrid PlanTiles(std::int64_t m, std::int64_t n, std::int64_t k,
                             const AccelConfig& config, Dataflow dataflow);
 
+  // The cost of the program Gemm emits for an M×N×K GEMM, summed from its
+  // instructions without running them: `steps` counts the datapath steps
+  // (one per streamed cycle of each COMPUTE) and `cycles` every accelerator
+  // cycle — MVIN rows, the WS preload charge net of its double-buffered
+  // overlap, the steps, the OS drain, and MVOUT rows. IS is the WS program
+  // of the transposed problem. A fault-free run's counters equal it.
+  struct Schedule {
+    std::int64_t cycles = 0;
+    std::int64_t steps = 0;
+  };
+  static Schedule PlanSchedule(std::int64_t m, std::int64_t n,
+                               std::int64_t k, const AccelConfig& config,
+                               Dataflow dataflow);
+
+  // C = A·B as the fault-free array computes it at its widths: operands
+  // sign-extended at input_bits, each reduction tile's products summed with
+  // a wrap at acc_bits, and the tiles wrap-added in uint32 as
+  // AccumulatorMem::WriteBlock does. Gemm's output on the same operands.
+  static Int32Tensor PlanProduct(const Int8Tensor& a, const Int8Tensor& b,
+                                 const AccelConfig& config,
+                                 Dataflow dataflow);
+
   // C[M×N] = A[M×K]·B[K×N] with INT32 results (MVOUT32).
   Int32Tensor Gemm(const Int8Tensor& a, const Int8Tensor& b,
                    const ExecOptions& options);

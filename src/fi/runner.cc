@@ -5,28 +5,20 @@
 #include "obs/trace.h"
 
 namespace saffire {
-namespace {
 
-// Steps the array takes to run `operands` under `dataflow`: the length of a
-// golden recording of the run, tile by tile as fi/batch.cc replays it.
-std::int64_t PlannedSteps(const MaterializedWorkload& operands,
-                          Dataflow dataflow, const AccelConfig& config) {
-  const bool transposed = dataflow == Dataflow::kInputStationary;
-  const Dataflow lowered = LoweredDataflow(dataflow);
-  const std::int64_t m = transposed ? operands.b.dim(1) : operands.a.dim(0);
-  const std::int64_t n = transposed ? operands.a.dim(0) : operands.b.dim(1);
-  const TileGrid grid =
-      Driver::PlanTiles(m, n, operands.a.dim(1), config, lowered);
-  std::int64_t steps = 0;
-  for (std::int64_t mi = 0; mi < grid.m_tiles(); ++mi) {
-    for (std::int64_t ki = 0; ki < grid.k_tiles(); ++ki) {
-      steps += TileSteps(grid, mi, ki, lowered, config.array);
-    }
-  }
-  return steps * grid.n_tiles();
+RunResult PlanGolden(const MaterializedWorkload& operands, Dataflow dataflow,
+                     const AccelConfig& accel) {
+  SAFFIRE_SPAN("fi.golden_plan");
+  const Driver::Schedule schedule =
+      Driver::PlanSchedule(operands.a.dim(0), operands.b.dim(1),
+                           operands.a.dim(1), accel, dataflow);
+  RunResult result;
+  result.output = Driver::PlanProduct(operands.a, operands.b, accel, dataflow);
+  result.cycles = schedule.cycles;
+  result.pe_steps = static_cast<std::uint64_t>(schedule.steps) *
+                    static_cast<std::uint64_t>(accel.array.num_pes());
+  return result;
 }
-
-}  // namespace
 
 RunResult FiRunner::RunGolden(const WorkloadSpec& workload,
                               Dataflow dataflow) {
@@ -60,7 +52,10 @@ RunResult FiRunner::RunGoldenRecorded(const WorkloadSpec& workload,
   array.BeginGoldenRecording(trace);
   RunResult result;
   try {
-    trace->Reserve(PlannedSteps(operands, dataflow, accel_.config()));
+    trace->Reserve(Driver::PlanSchedule(operands.a.dim(0), operands.b.dim(1),
+                                        operands.a.dim(1), accel_.config(),
+                                        dataflow)
+                       .steps);
     result = Run(operands, dataflow, nullptr);
   } catch (...) {
     array.EndGoldenRecording();

@@ -44,6 +44,16 @@ struct ConeRunResult {
   bool operator==(const ConeRunResult&) const = default;
 };
 
+// The fault-free run of `operands` on `accel`, planned instead of stepped:
+// the output is Driver::PlanProduct, cycles are Driver::PlanSchedule's and
+// pe_steps its steps times the PE count; pe_steps_skipped and
+// fault_activations stay 0, as in any golden run. Equals
+// FiRunner::RunGolden in output, cycles and pe_steps for any operands,
+// widths, tiling and weight buffering (tests/fi/plan_golden_test.cc), and
+// steps no array: saffire.fi.runs does not move.
+RunResult PlanGolden(const MaterializedWorkload& operands, Dataflow dataflow,
+                     const AccelConfig& accel);
+
 class FiRunner {
  public:
   explicit FiRunner(const AccelConfig& config) : accel_(config), driver_(accel_) {}
@@ -67,7 +77,9 @@ class FiRunner {
   // Fault-free execution that additionally records the golden trace needed
   // by RunFaultyDifferential and RunFaultyBatch (see
   // systolic/golden_trace.h). Bit-identical to RunGolden in every RunResult
-  // field.
+  // field. Only replaying engines need it: the closed form runs on
+  // PlanGolden, and GoldenRunCache records a key only when a campaign asks
+  // for its trace.
   RunResult RunGoldenRecorded(const WorkloadSpec& workload, Dataflow dataflow,
                               GoldenTrace* trace);
 
@@ -117,8 +129,10 @@ class FiRunner {
   //
   // The operand form is trace-free: it needs only the physical GEMM
   // operands, any of them, and `golden`, their fault-free product as the
-  // array computes it (the network cycle rung passes the host product of
-  // whatever operands reach a PE-local fault's layer). ExpandCone(result.output, golden) and
+  // array computes it. A closed-form campaign passes its cached operands
+  // and their PlanGolden output, and sets cycles to the plan's; the network
+  // cycle rung passes the host product of whatever operands reach a
+  // PE-local fault's layer. ExpandCone(result.output, golden) and
   // fault_activations equal RunFaulty's on the same operands, and
   // pe_steps + pe_steps_skipped equals RunFaulty's pe_steps; cycles stay 0.
   // The WorkloadSpec form is Materialize(workload) plus the operand form

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -200,8 +201,9 @@ ExperimentRecord BuildRecord(const PreparedCampaign& prepared,
 // `faults` as one group and builds their records. Shared by
 // RunPreparedBatch and the one-lane groups of
 // RunPreparedExperimentWithEngine — lane-partition invariance makes their
-// records bit-identical. Both runners are pure functions of the trace and
-// the golden run, so the simulator's engine tier does not matter here.
+// records bit-identical. Both runners are pure functions of the golden run
+// (and, on the lane grid, its trace), so the simulator's engine tier does
+// not matter here.
 std::vector<ExperimentRecord> RunFaultGroup(const PreparedCampaign& prepared,
                                             FiRunner& runner,
                                             std::span<const FaultSpec> faults) {
@@ -209,19 +211,25 @@ std::vector<ExperimentRecord> RunFaultGroup(const PreparedCampaign& prepared,
   SAFFIRE_CHECK_MSG(config.engine == CampaignEngine::kPredicted,
                     "predicted-engine group on a "
                         << ToString(config.engine) << " campaign");
-  const GoldenTrace* trace = prepared.trace();
   const bool closed_form = PredictedEngineExact(config);
   (closed_form ? PredictHitsCounter() : PredictResidueCounter())
       .Increment(static_cast<std::int64_t>(faults.size()));
   // The lane grid consumes the relative strike offsets directly (against
   // the trace's recorded per-step clocks), so no rebasing happens here.
-  // Same convention under the closed form, which never strikes at all.
-  const std::vector<ConeRunResult> faulty =
-      closed_form
-          ? runner.RunFaultyPredicted(config.workload, config.dataflow,
-                                      faults, *trace, prepared.golden())
-          : runner.RunFaultyBatch(config.workload, config.dataflow, faults,
-                                  *trace, prepared.golden());
+  // The closed form never strikes at all; it runs on the planned half's
+  // operands and reports the golden cycles, as the lane grid does.
+  std::vector<ConeRunResult> faulty;
+  if (closed_form) {
+    faulty = runner.RunFaultyPredicted(prepared.planned->operands,
+                                       config.dataflow, faults,
+                                       prepared.golden().output);
+    for (ConeRunResult& result : faulty) {
+      result.cycles = prepared.golden().cycles;
+    }
+  } else {
+    faulty = runner.RunFaultyBatch(config.workload, config.dataflow, faults,
+                                   *prepared.trace(), prepared.golden());
+  }
   std::vector<ExperimentRecord> records;
   records.reserve(faulty.size());
   {
@@ -276,23 +284,30 @@ PreparedCampaign PrepareCampaign(const CampaignConfig& config,
 
   // The golden run: recomputed through the instrumented loop under
   // kReference (the pre-optimization baseline), served from the process-wide
-  // cache otherwise.
+  // cache otherwise — planned for the closed form, recorded for the engines
+  // that replay its trace.
   if (config.engine == CampaignEngine::kReference) {
-    if (golden_runner != nullptr) {
-      ConfigureEngine(*golden_runner, config.engine);
-      prepared.reference_golden =
-          golden_runner->RunGolden(config.workload, config.dataflow);
-    } else {
-      FiRunner local_runner(config.accel);
-      ConfigureEngine(local_runner, config.engine);
-      prepared.reference_golden =
-          local_runner.RunGolden(config.workload, config.dataflow);
-    }
+    std::optional<FiRunner> local_runner;
+    FiRunner& runner = golden_runner != nullptr
+                           ? *golden_runner
+                           : local_runner.emplace(config.accel);
+    ConfigureEngine(runner, config.engine);
+    prepared.golden_run = std::make_shared<const RunResult>(
+        runner.RunGolden(config.workload, config.dataflow));
   } else {
-    bool hit = false;
-    prepared.cached = GoldenRunCache::Instance().GetOrCompute(
-        config.accel, config.workload, config.dataflow, &hit);
-    prepared.golden_cache_hit = hit;
+    prepared.cached = GoldenRunCache::Instance().Get(
+        config.accel, config.workload, config.dataflow);
+    if (config.engine == CampaignEngine::kPredicted &&
+        PredictedEngineExact(config)) {
+      prepared.planned = prepared.cached->planned(&prepared.golden_cache_hit);
+      prepared.golden_run = std::shared_ptr<const RunResult>(
+          prepared.planned, &prepared.planned->result);
+    } else {
+      prepared.recorded =
+          prepared.cached->recorded(&prepared.golden_cache_hit);
+      prepared.golden_run = std::shared_ptr<const RunResult>(
+          prepared.recorded, &prepared.recorded->result);
+    }
   }
 
   prepared.context =
@@ -358,12 +373,11 @@ ExperimentRecord RunPreparedExperimentWithEngine(
     injected.at_cycle += runner.accel().cycles();
   }
   // The trace is consulted for the *effective* engine, not the configured
-  // one: a predicted campaign demoted to differential replays the same
-  // cached trace, while a demotion to reference ignores it.
+  // one: a predicted campaign demoted to differential replays the cached
+  // trace (recording it first if the campaign ran in closed form), while a
+  // demotion to reference ignores it.
   const GoldenTrace* trace =
-      prepared.cached != nullptr && engine == CampaignEngine::kDifferential
-          ? &prepared.cached->trace
-          : nullptr;
+      engine == CampaignEngine::kDifferential ? prepared.trace() : nullptr;
   const RunResult faulty =
       trace != nullptr
           ? runner.RunFaultyDifferential(config.workload, config.dataflow,

@@ -200,14 +200,25 @@ std::vector<PeCoord> SampleSites(const ArrayConfig& array,
 // list, and the pre-sampled fault of each experiment.
 struct PreparedCampaign {
   CampaignConfig config;
-  // Non-null except under kReference; keeps the cached golden entry (and
-  // its trace) alive for the experiments.
-  std::shared_ptr<const GoldenRunCache::Entry> cached;
-  // The recomputed golden run under kReference (unused otherwise).
-  RunResult reference_golden;
-  // Whether the golden run was already in the cache. It depends on what
-  // the process ran before, not on the campaign, so it feeds the
-  // saffire.executor.golden_cache_hits counter and no output record.
+  // The campaign's GoldenRunCache entry; null under kReference. A kPredicted
+  // campaign for which PredictedEngineExact holds takes its planned half at
+  // preparation and steps no array; every other campaign takes the
+  // recorded half, as the differential engine and the lane grid replay its
+  // trace. Holding the entry keeps both halves alive.
+  std::shared_ptr<GoldenRun> cached;
+  // The half preparation took, null under kReference: `planned` for a
+  // closed-form campaign (the operands RunFaultyPredicted's operand form
+  // runs on), `recorded` for every other.
+  std::shared_ptr<const GoldenRun::Planned> planned;
+  std::shared_ptr<const GoldenRun::Recorded> recorded;
+  // The golden run records diff against: the result of the half
+  // preparation took, or under kReference a run recomputed on the
+  // instrumented loop.
+  std::shared_ptr<const RunResult> golden_run;
+  // Whether the golden half preparation took was already in the cache. It
+  // depends on what the process ran before, not on the campaign, so it
+  // feeds the saffire.executor.golden_cache_hits counter and no output
+  // record.
   bool golden_cache_hit = false;
   ClassifyContext context;
   // Non-null when the campaign's signal is covered by the analytical
@@ -231,22 +242,24 @@ struct PreparedCampaign {
   std::vector<std::size_t> symmetry_rep_of;
   std::size_t symmetry_classes = 0;
 
-  const RunResult& golden() const {
-    return cached != nullptr ? cached->result : reference_golden;
-  }
-  // Non-null iff the campaign runs on a trace-replaying engine
-  // (differential, or predicted — whose closed form is validated against
-  // the trace's checkpoint structure and whose residue replays it).
+  const RunResult& golden() const { return *golden_run; }
+  // The recorded golden trace, null under kReference. A closed-form
+  // campaign holds no recorded half, so each call asks `cached` for it and
+  // the first records it: on a demotion to differential, a self-check, or a
+  // replay that asks for the trace. The executor makes that first request
+  // outside any timed attempt. Thread-safe; the entry records each key once.
   const GoldenTrace* trace() const {
-    return cached != nullptr ? &cached->trace : nullptr;
+    if (recorded != nullptr) return &recorded->trace;
+    return cached != nullptr ? &cached->recorded()->trace : nullptr;
   }
 };
 
 // Validates the configuration and its fault model (a bit outside the
 // signal's width throws std::invalid_argument here, once, not per
-// experiment), performs (or fetches from the process-wide GoldenRunCache)
-// the golden run, enumerates sites, pre-samples faults, and partitions the
-// sites into folding classes.
+// experiment), takes the golden run (the planned or recorded half of its
+// process-wide GoldenRunCache entry, see PreparedCampaign::cached),
+// enumerates sites, pre-samples faults, and partitions the sites into
+// folding classes.
 // Under kReference the golden run needs a simulator: `golden_runner`
 // supplies one (the service passes its worker-cached instance); pass
 // nullptr to construct a transient one.

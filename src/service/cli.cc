@@ -43,7 +43,7 @@ Args::Args(int argc, char** argv, const Cli& cli)
     const Flag* flag = Find(flags_, name);
     if (flag == nullptr) throw UsageError("unknown flag '" + key + "'");
     if (flag->is_switch) {
-      given_[name] = "1";
+      given_.insert_or_assign(name, std::string(1, '1'));
       continue;
     }
     if (i + 1 >= argc) {

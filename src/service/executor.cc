@@ -511,7 +511,7 @@ void CampaignExecutor::StreamRecords(RunState& run, RecordSink& sink,
     campaign.info.batches_run = campaign.batches_run;
     campaign.info.selfcheck_mismatches = campaign.selfcheck_mismatches;
     if (!call_sink([&] { sink.OnCampaignEnd(campaign.info); })) return;
-    // Release the campaign's bulk (golden trace reference, fault list,
+    // Release the campaign's bulk (golden run reference, fault list,
     // record buffer) and its place in the lookahead.
     campaign.prepared = PreparedCampaign();
     campaign.records.clear();
@@ -857,6 +857,13 @@ void CampaignExecutor::RunChunk(RunState& run, std::size_t campaign_index,
       simulated[p + i].rung = CampaignEngine::kPredicted;
     }
   }
+  // A closed-form campaign records its golden trace on its first
+  // differential run. Record it here, outside any timed attempt, so the
+  // recording never counts against an experiment's deadline (run_one starts
+  // on no rung above differential, so its ladder never demotes onto it). A
+  // recording that diverges from the plan throws out of the chunk and fails
+  // the sweep.
+  if (engine == CampaignEngine::kDifferential) prepared.trace();
   for (; p < simulate.size(); ++p) run_one(p, engine);
 
   // Fan out: each member takes its representative's record, or a failure

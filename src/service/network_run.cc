@@ -512,25 +512,27 @@ SweepOutcome RunNetworkSweep(const NetworkSweepSpec& spec,
     // The campaign's one FiRunner, built the first time the campaign needs
     // the cycle rung, and only outside a ladder attempt: before the ladder
     // when an experiment starts on that rung, in the ladder's demote step,
-    // and before a selfcheck. Building it runs the first in-scope layer's
-    // golden operands on the array and throws saffire::InternalError if the
-    // output differs from the host's: every PE-local fault perturbs the
-    // host product, so a driver/host divergence would corrupt each record
-    // silently. It therefore fails the sweep (a throw from the demote step
-    // escapes RunResilient) before any cycle-rung result is delivered.
-    // Dropped at campaign end.
+    // and before a selfcheck. Building it checks the array's fault-free
+    // output on the first in-scope layer's golden operands, taken from
+    // PlanGolden (which equals the array's golden run on any operands and
+    // widths, tests/fi/plan_golden_test.cc), and throws
+    // saffire::InternalError if it differs from the host's: every PE-local
+    // fault perturbs the host product, so a driver/host divergence would
+    // corrupt each record silently. It therefore fails the sweep (a throw
+    // from the demote step escapes RunResilient) before any cycle-rung
+    // result is delivered. Dropped at campaign end.
     std::optional<FiRunner> cycle;
     const auto cycle_rung = [&] {
       if (context.cycle != nullptr) return;
       SAFFIRE_SPAN("dnn.cycle_rung");
       const auto l = static_cast<std::size_t>(first_scope);
-      cycle.emplace(spec.accel);
-      const RunResult array_golden = cycle->RunGolden(
+      const RunResult array_golden = PlanGolden(
           MaterializedWorkload{golden_layers[l].a, golden_layers[l].b},
-          campaign.dataflow);
+          campaign.dataflow, spec.accel);
       SAFFIRE_ASSERT_MSG(array_golden.output == golden.layer_outputs[l],
                          "the array's golden layer output differs from the "
                          "host reference GEMM's");
+      cycle.emplace(spec.accel);
       context.cycle = &*cycle;
     };
 

@@ -15,10 +15,11 @@
 //                     product of whatever operands reach it, perturbed by
 //                     the closed form (FiRunner::RunFaultyPredicted). Any
 //                     other fault's in-scope GEMM steps the array
-//                     (FiRunner::RunFaulty) on the campaign's one FiRunner,
-//                     which one golden run of the first in-scope layer
-//                     checks against the host before it serves an
-//                     experiment.
+//                     (FiRunner::RunFaulty) on the campaign's one FiRunner.
+//                     Before that runner serves an experiment, the array's
+//                     fault-free output on the first in-scope layer
+//                     (PlanGolden, no array stepped) is checked against the
+//                     host's.
 //
 // Cross-validation (ResilienceOptions::selfcheck_rate): a seed-deterministic
 // sample of appfi-rung experiments is re-run on the cycle-accurate rung.

@@ -1,5 +1,7 @@
 #include "systolic/timing.h"
 
+#include <algorithm>
+
 namespace saffire {
 
 std::int64_t WeightStationaryStreamCycles(std::int64_t m,
@@ -12,6 +14,13 @@ std::int64_t WeightStationaryStreamCycles(std::int64_t m,
 std::int64_t WeightStationaryTileCycles(std::int64_t m,
                                         const ArrayConfig& config) {
   return WeightStationaryStreamCycles(m, config) + config.rows;
+}
+
+std::int64_t WeightStationaryPreloadCycles(const ArrayConfig& config,
+                                           bool double_buffered,
+                                           std::int64_t overlap_budget) {
+  if (!double_buffered) return config.rows;
+  return std::max<std::int64_t>(0, config.rows - overlap_budget);
 }
 
 std::int64_t OutputStationaryStreamCycles(std::int64_t k,

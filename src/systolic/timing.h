@@ -23,6 +23,14 @@ std::int64_t WeightStationaryStreamCycles(std::int64_t m,
 std::int64_t WeightStationaryTileCycles(std::int64_t m,
                                         const ArrayConfig& config);
 
+// Idle cycles a WS COMPUTE is billed for shifting its preloaded weights
+// in: all `rows` on single-bank hardware; with double-buffered weights only
+// the part the previous COMPUTE's stream (`overlap_budget` cycles, 0 after
+// CONFIG) could not hide.
+std::int64_t WeightStationaryPreloadCycles(const ArrayConfig& config,
+                                           bool double_buffered,
+                                           std::int64_t overlap_budget);
+
 // Datapath cycles for an output-stationary reduction of depth K: the last
 // product reaches PE(rows−1, cols−1) on cycle (K−1) + (rows−1) + (cols−1).
 std::int64_t OutputStationaryStreamCycles(std::int64_t k,

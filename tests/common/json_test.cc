@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -86,8 +87,9 @@ std::string NestedDocument(int depth) {
   std::string close;
   for (int level = 0; level < depth; ++level) {
     open += level % 2 == 0 ? "{\"k\":" : "[";
-    close.insert(0, level % 2 == 0 ? "}" : "]");
+    close.push_back(level % 2 == 0 ? '}' : ']');
   }
+  std::reverse(close.begin(), close.end());
   return open + "7" + close;
 }
 
